@@ -1,11 +1,10 @@
 """Fleet population engine throughput (engineering benchmark).
 
 Runs the acceptance-scale fleet — 1e5 heterogeneous devices over
-multiple epochs by default — through :func:`repro.fleet.mc.fleet_mc`
-on the SoA engine, and times the object engine on a 10x-smaller fleet
-of the same shape as the reference snapshot.  Records devices/sec, the
-SoA-over-object speedup, an epoch-scaling probe, and memory telemetry
-(process-tree peak RSS plus the SoA state bytes per device) in
+multiple epochs by default — through :func:`repro.fleet.mc.fleet_mc`,
+plus a 10x-smaller probe fleet of the same shape.  Records devices/sec,
+an epoch-scaling ratio against the probe, and memory telemetry
+(process-tree peak RSS plus the population state bytes per device) in
 ``results/BENCH_fleet.json``.
 
 Env knobs, so CI smoke and local runs can right-size it:
@@ -14,8 +13,6 @@ Env knobs, so CI smoke and local runs can right-size it:
 - ``REPRO_FLEET_EPOCHS``         epochs (default 3)
 - ``REPRO_FLEET_JOBS``           worker processes; 0 = one per core (default)
 - ``REPRO_FLEET_DPS_FLOOR``      optional devices/sec floor to assert
-- ``REPRO_FLEET_SPEEDUP_FLOOR``  optional SoA-vs-object speedup floor
-  to assert (CI smoke sets a relaxed value; 0 disables)
 """
 
 import os
@@ -29,15 +26,14 @@ DEVICES = int(os.environ.get("REPRO_FLEET_DEVICES", "100000"))
 EPOCHS = int(os.environ.get("REPRO_FLEET_EPOCHS", "3"))
 JOBS = int(os.environ.get("REPRO_FLEET_JOBS", "0")) or (os.cpu_count() or 1)
 DPS_FLOOR = float(os.environ.get("REPRO_FLEET_DPS_FLOOR", "0"))
-SPEEDUP_FLOOR = float(os.environ.get("REPRO_FLEET_SPEEDUP_FLOOR", "0"))
 
 PROBE = max(DEVICES // 10, 1)
 
 
-def _run(n_devices: int, engine: str) -> tuple[float, int]:
+def _run(n_devices: int) -> tuple[float, int]:
     config = FleetConfig(n_devices=n_devices, n_epochs=EPOCHS)
     t0 = time.perf_counter()
-    summary = fleet_mc(config, seed=0, jobs=JOBS, engine=engine)
+    summary = fleet_mc(config, seed=0, jobs=JOBS)
     dt = time.perf_counter() - t0
     # Default preset = paper-faithful endurance: traffic flowed, nobody died.
     assert summary.total("writes") > 0
@@ -49,31 +45,26 @@ def _soa_bytes_per_device() -> float:
     """SoA state footprint per device, from a shard-sized population."""
     n = min(DEVICES, 1024)
     config = FleetConfig(n_devices=n, n_epochs=EPOCHS)
-    probe = FleetEngine(config, seed_entropy(0), 0, n, engine="soa")
+    probe = FleetEngine(config, seed_entropy(0), 0, n)
     return probe.state_nbytes / n
 
 
 def test_fleet_population_throughput():
-    t_probe_soa, _ = _run(PROBE, "soa")
-    t_probe_obj, _ = _run(PROBE, "object")
-    t_full, n_writes = _run(DEVICES, "soa")
+    t_probe, _ = _run(PROBE)
+    t_full, n_writes = _run(DEVICES)
 
     devices_per_s = DEVICES / t_full
     de_per_s = DEVICES * EPOCHS / t_full
     # Linear scaling: the big fleet's per-device cost over the probe's
     # (1.0 = perfectly flat; cache/pool warmup makes the probe slower).
-    probe_cost = t_probe_soa / PROBE
+    probe_cost = t_probe / PROBE
     full_cost = t_full / DEVICES
     scaling = full_cost / probe_cost if probe_cost > 0 else float("inf")
-    # SoA speedup over the object engine, matched at probe size so the
-    # reference run stays affordable; both runs share pool warmup costs.
-    speedup = t_probe_obj / t_probe_soa if t_probe_soa > 0 else float("inf")
 
     emit_json(
         "BENCH_fleet",
         {
             "benchmark": f"fleet_mc {DEVICES} devices x {EPOCHS} epochs",
-            "engine": "soa",
             "n_devices": DEVICES,
             "n_epochs": EPOCHS,
             "jobs": JOBS,
@@ -82,9 +73,7 @@ def test_fleet_population_throughput():
             "devices_per_s": round(devices_per_s, 1),
             "device_epochs_per_s": round(de_per_s, 1),
             "probe_devices": PROBE,
-            "probe_s": round(t_probe_soa, 2),
-            "object_probe_s": round(t_probe_obj, 2),
-            "soa_speedup_vs_object": round(speedup, 2),
+            "probe_s": round(t_probe, 2),
             "epoch_scaling_ratio": round(scaling, 3),
             "demand_writes": n_writes,
             "peak_rss_bytes": peak_rss_bytes(),
@@ -98,9 +87,4 @@ def test_fleet_population_throughput():
     if DPS_FLOOR:
         assert devices_per_s >= DPS_FLOOR, (
             f"{devices_per_s:.0f} devices/s under floor {DPS_FLOOR:.0f}"
-        )
-    if SPEEDUP_FLOOR:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"SoA only {speedup:.2f}x over object engine, "
-            f"floor {SPEEDUP_FLOOR:.2f}x"
         )

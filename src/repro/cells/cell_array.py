@@ -29,11 +29,14 @@ from repro.montecarlo.rng import make_rng, truncated_normal
 
 __all__ = [
     "CellArray",
-    "cell_state_digest",
     "drifted_log_resistance",
     "programmed_alpha",
     "programmed_log_resistance",
 ]
+
+_HEALTHY = FaultMode.HEALTHY.value
+_STUCK_RESET = FaultMode.STUCK_RESET.value
+_STUCK_SET = FaultMode.STUCK_SET.value
 
 
 def programmed_log_resistance(
@@ -43,9 +46,9 @@ def programmed_log_resistance(
 
     ``mu``/``sigma`` are the per-cell write-distribution parameters
     (already gathered by target state), ``z`` the truncated-normal
-    quantile drawn from the cell's physics stream.  Both the per-device
-    scalar engine and the structure-of-arrays fleet engine evaluate this
-    one expression, which is what keeps them bit-identical.
+    quantile drawn from the cell's physics stream.  :meth:`CellArray.program`
+    and the fleet engine's vectorized waves evaluate this one expression,
+    which is what keeps them bit-identical.
     """
     return mu + sigma * z
 
@@ -85,39 +88,6 @@ def drifted_log_resistance(
     return lr
 
 
-def cell_state_digest(
-    lr0: np.ndarray,
-    alpha: np.ndarray,
-    alpha_esc: np.ndarray,
-    t_prog: np.ndarray,
-    target: np.ndarray,
-    writes: np.ndarray,
-    endurance: np.ndarray,
-    fault: np.ndarray,
-    pending_mode: np.ndarray,
-) -> str:
-    """Canonical SHA-256 over a cell population's full state.
-
-    The field order is frozen; any engine that lays the same cells out
-    differently (object-per-device vs structure-of-arrays) hashes the
-    same bytes and must produce the same digest.
-    """
-    h = hashlib.sha256()
-    for arr in (
-        lr0,
-        alpha,
-        alpha_esc,
-        t_prog,
-        target,
-        writes,
-        endurance,
-        fault,
-        pending_mode,
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
-
-
 class CellArray:
     """An array of ``n`` PCM cells under a fixed level design."""
 
@@ -131,12 +101,8 @@ class CellArray:
     ) -> None:
         if n < 1:
             raise ValueError("need at least one cell")
+        self._configure(design, make_rng(rng), wearout or WearoutModel(), schedule)
         self.n = n
-        self.design = design
-        self.schedule = schedule
-        self.rng = make_rng(rng)
-        self.wearout = wearout or WearoutModel()
-
         self._lr0 = np.full(n, design.states[0].mu_lr)
         self._alpha = np.zeros(n)
         self._alpha_esc = np.zeros(n)  # exponent after tier escalation
@@ -145,11 +111,63 @@ class CellArray:
 
         self._writes = np.zeros(n, dtype=np.int64)
         self._endurance = self.wearout.sample_endurance(self.rng, n)
-        self._fault = np.full(n, FaultMode.HEALTHY.value, dtype=np.int8)
+        self._fault = np.full(n, _HEALTHY, dtype=np.int8)
         self._pending_mode = self.wearout.sample_modes(self.rng, n)
 
+    @classmethod
+    def over_state(
+        cls,
+        state: tuple[np.ndarray, ...],
+        design: LevelDesign,
+        rng: np.random.Generator,
+        wearout: WearoutModel,
+        schedule: TieredDrift = PAPER_ESCALATION,
+    ) -> "CellArray":
+        """A cell array over existing per-cell arrays, drawing nothing.
+
+        ``state`` is the nine per-cell arrays in :meth:`state_digest`
+        order (``lr0, alpha, alpha_esc, t_prog, target, writes,
+        endurance, fault, pending_mode``), with the dtypes
+        :meth:`__init__` allocates.  They are used in place, so a caller
+        that stores many arrays' cells in its own rows (the fleet
+        engine) runs this class's physics on them directly.
+        """
+        self = cls.__new__(cls)
+        self._configure(design, rng, wearout, schedule)
+        (
+            self._lr0,
+            self._alpha,
+            self._alpha_esc,
+            self._t_prog,
+            self._target,
+            self._writes,
+            self._endurance,
+            self._fault,
+            self._pending_mode,
+        ) = state
+        self.n = self._lr0.size
+        return self
+
+    def _configure(
+        self,
+        design: LevelDesign,
+        rng: np.random.Generator,
+        wearout: WearoutModel,
+        schedule: TieredDrift,
+    ) -> None:
         if len(schedule.tiers) > 1:
             raise ValueError("CellArray supports at most one escalation tier")
+        self.design = design
+        self.schedule = schedule
+        self.rng = rng
+        self.wearout = wearout
+        self._top = design.n_levels - 1
+        # Per-state write and drift parameters, gathered by target state
+        # on every program.
+        self._mu_lr = np.array([s.mu_lr for s in design.states])
+        self._sg_lr = np.array([s.sigma_lr for s in design.states])
+        self._mu_a = np.array([s.drift.mu_alpha for s in design.states])
+        self._sg_a = np.array([s.drift.sigma_alpha for s in design.states])
 
     # ------------------------------------------------------------------
     @property
@@ -161,7 +179,7 @@ class CellArray:
         return self._writes.copy()
 
     def stuck_mask(self) -> np.ndarray:
-        return self._fault != FaultMode.HEALTHY.value
+        return self._fault != _HEALTHY
 
     def total_writes(self) -> int:
         """Total cell programs charged so far (wear, across all cells)."""
@@ -174,7 +192,8 @@ class CellArray:
         (regardless of how callers batched the surrounding codec work)
         must produce equal digests.
         """
-        return cell_state_digest(
+        h = hashlib.sha256()
+        for arr in (
             self._lr0,
             self._alpha,
             self._alpha_esc,
@@ -184,7 +203,9 @@ class CellArray:
             self._endurance,
             self._fault,
             self._pending_mode,
-        )
+        ):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        return h.hexdigest()
 
     # ------------------------------------------------------------------
     def program(
@@ -202,34 +223,33 @@ class CellArray:
         st = np.asarray(states, dtype=np.int64)
         if idx.shape != st.shape:
             raise ValueError("indices and states must have matching shapes")
-        if np.any((st < 0) | (st >= self.design.n_levels)):
+        if ((st < 0) | (st > self._top)).any():
             raise ValueError("state index out of range for the level design")
 
-        self._writes[idx] += 1
-        newly_dead = (self._writes[idx] >= self._endurance[idx]) & (
-            self._fault[idx] == FaultMode.HEALTHY.value
-        )
-        if np.any(newly_dead):
+        writes = self._writes[idx] + 1
+        self._writes[idx] = writes
+        fault = self._fault[idx]
+        newly_dead = (writes >= self._endurance[idx]) & (fault == _HEALTHY)
+        if newly_dead.any():
             dead = idx[newly_dead]
             self._fault[dead] = self._pending_mode[dead]
+            fault = self._fault[idx]
 
-        healthy = self._fault[idx] == FaultMode.HEALTHY.value
+        healthy = fault == _HEALTHY
         ok_idx = idx[healthy]
         ok_st = st[healthy]
         if ok_idx.size:
-            mus = np.array([s.mu_lr for s in self.design.states])
-            sgs = np.array([s.sigma_lr for s in self.design.states])
             z_r = truncated_normal(
                 self.rng, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA,
                 ok_idx.size,
             )
-            self._lr0[ok_idx] = programmed_log_resistance(mus[ok_st], sgs[ok_st], z_r)
-            mu_a = np.array([s.drift.mu_alpha for s in self.design.states])
-            sg_a = np.array([s.drift.sigma_alpha for s in self.design.states])
+            self._lr0[ok_idx] = programmed_log_resistance(
+                self._mu_lr[ok_st], self._sg_lr[ok_st], z_r
+            )
             # Per-cell exponent: one standard draw scaled by the cell's
             # state parameters, clipped at zero.
             z = self.rng.standard_normal(ok_idx.size)
-            alpha = programmed_alpha(mu_a[ok_st], sg_a[ok_st], z)
+            alpha = programmed_alpha(self._mu_a[ok_st], self._sg_a[ok_st], z)
             self._alpha[ok_idx] = alpha
             if self.schedule.tiers:
                 if self.schedule.mode == "offset":
@@ -245,11 +265,8 @@ class CellArray:
             self._t_prog[ok_idx] = t_now
             self._target[ok_idx] = ok_st
 
-        verify_ok = healthy.copy()
         # A stuck-reset cell passes verify iff the target is the top state.
-        stuck_reset = self._fault[idx] == FaultMode.STUCK_RESET.value
-        verify_ok |= stuck_reset & (st == self.design.n_levels - 1)
-        return verify_ok
+        return healthy | ((fault == _STUCK_RESET) & (st == self._top))
 
     def force_highest(self, indices: np.ndarray, t_now: float) -> np.ndarray:
         """RESET cells to the top state (used to mark INV pairs).
@@ -259,19 +276,17 @@ class CellArray:
         of cells now reading as the top state.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        top = self.design.n_levels - 1
-
-        stuck_set = self._fault[idx] == FaultMode.STUCK_SET.value
-        if np.any(stuck_set):
+        stuck_set = self._fault[idx] == _STUCK_SET
+        if stuck_set.any():
             revived = self.wearout.revive(self.rng, int(stuck_set.sum()))
             tgt = idx[stuck_set][revived]
-            self._fault[tgt] = FaultMode.STUCK_RESET.value
-        stuck_reset = self._fault[idx] == FaultMode.STUCK_RESET.value
-        healthy = self._fault[idx] == FaultMode.HEALTHY.value
+            self._fault[tgt] = _STUCK_RESET
+        fault = self._fault[idx]
+        healthy = fault == _HEALTHY
         h_idx = idx[healthy]
         if h_idx.size:
-            self.program(h_idx, np.full(h_idx.size, top), t_now)
-        return healthy | stuck_reset
+            self.program(h_idx, np.full(h_idx.size, self._top), t_now)
+        return healthy | (fault == _STUCK_RESET)
 
     # ------------------------------------------------------------------
     def log_resistance(self, t_now: float, indices: np.ndarray | None = None) -> np.ndarray:
@@ -293,8 +308,8 @@ class CellArray:
         top_lr = self.design.states[-1].mu_lr
         bot_lr = self.design.states[0].mu_lr
         fault = self._fault[idx]
-        lr = np.where(fault == FaultMode.STUCK_RESET.value, top_lr, lr)
-        lr = np.where(fault == FaultMode.STUCK_SET.value, bot_lr, lr)
+        lr = np.where(fault == _STUCK_RESET, top_lr, lr)
+        lr = np.where(fault == _STUCK_SET, bot_lr, lr)
         return lr
 
     def sense(

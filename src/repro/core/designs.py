@@ -115,22 +115,22 @@ def three_level_optimal(recompute: bool = False) -> LevelDesign:
     )
 
 
+#: The five designs of Figure 8, by name, as zero-argument builders.
+_BUILDERS = {
+    "4LCn": four_level_naive,
+    "4LCs": four_level_smart,
+    "4LCo": four_level_optimal,
+    "3LCn": three_level_naive,
+    "3LCo": three_level_optimal,
+}
+
+
 def all_designs() -> dict[str, LevelDesign]:
     """The five designs of Figure 8, keyed by name."""
-    return {
-        d.name: d
-        for d in (
-            four_level_naive(),
-            four_level_smart(),
-            four_level_optimal(),
-            three_level_naive(),
-            three_level_optimal(),
-        )
-    }
+    return {name: build() for name, build in _BUILDERS.items()}
 
 
 def design_by_name(name: str) -> LevelDesign:
-    designs = all_designs()
-    if name not in designs:
-        raise KeyError(f"unknown design {name!r}; choose from {sorted(designs)}")
-    return designs[name]
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown design {name!r}; choose from {sorted(_BUILDERS)}")
+    return _BUILDERS[name]()

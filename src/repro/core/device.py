@@ -43,32 +43,7 @@ __all__ = [
     "DeviceStats",
     "UncorrectableBlock",
     "SpareExhausted",
-    "device_state_digest",
 ]
-
-
-def device_state_digest(
-    cell_digest: str,
-    slc: np.ndarray | None,
-    written: np.ndarray,
-    block_payloads: list[bytes],
-) -> str:
-    """Canonical SHA-256 over one device's controller-visible state.
-
-    ``cell_digest`` is the :meth:`CellArray.state_digest` hex string,
-    ``block_payloads`` the per-block wearout-layout bytes (marked mask
-    for 3LC mark-and-spare, ``repr`` of the entry table for 4LC ECP).
-    The byte stream is frozen so the object engine and the
-    structure-of-arrays fleet engine hash identically.
-    """
-    h = hashlib.sha256()
-    h.update(cell_digest.encode("ascii"))
-    if slc is not None:
-        h.update(np.ascontiguousarray(slc).tobytes())
-    h.update(np.ascontiguousarray(written).tobytes())
-    for payload in block_payloads:
-        h.update(payload)
-    return h.hexdigest()
 
 
 @dataclasses.dataclass
@@ -140,6 +115,43 @@ class PCMDevice:
         )
         self.stats = DeviceStats()
         self._written = np.zeros(n_blocks, dtype=bool)
+
+    @classmethod
+    def over_state(
+        cls,
+        array: CellArray,
+        codec: ThreeOnTwoBlockCodec,
+        slc: np.ndarray,
+        written: np.ndarray,
+        marked: np.ndarray,
+    ) -> "PCMDevice":
+        """A 3LC device over existing state arrays, drawing nothing.
+
+        ``slc`` is ``(n_blocks, n_slc_cells)`` check bits, ``written``
+        the ``(n_blocks,)`` mask and ``marked`` the ``(n_blocks,
+        n_pairs)`` mark-and-spare layouts; ``array`` holds the blocks'
+        cells (see :meth:`CellArray.over_state`).  All are used in
+        place, so the fleet engine runs this class's write path on its
+        population rows.  ``stats`` starts at zero.
+        """
+        self = cls.__new__(cls)
+        self.n_blocks = written.size
+        self.cell_kind = "3LC"
+        self.data_bits = codec.data_bits
+        self.design = array.design
+        self.codec3 = codec
+        self.codec4 = None
+        self.cells_per_block = codec.n_mlc_cells
+        self._block_state = []
+        for row in marked:
+            state = codec.new_block_state()
+            state._marked = row
+            self._block_state.append(state)
+        self._slc = slc
+        self.array = array
+        self.stats = DeviceStats()
+        self._written = written
+        return self
 
     # ------------------------------------------------------------------
     def _cell_range(self, block: int) -> np.ndarray:
@@ -234,28 +246,12 @@ class PCMDevice:
             # Force both cells of the marked pair toward S4 (INV).
             pc = idx[2 * pair : 2 * pair + 2]
             self.array.force_highest(pc, t_now)
-            if not already and bad.size == 1:
-                continue
-            # Multiple simultaneous failures: loop handles them one
-            # mark per iteration.
         raise SpareExhausted(f"block {block}: wearout beyond spare budget")
 
     # ------------------------------------------------------------------
     def written_mask(self) -> np.ndarray:
         """Which blocks hold data (have completed at least one write)."""
         return self._written.copy()
-
-    def sense_states(self, block: int, t_now: float) -> np.ndarray:
-        """Raw sensed cell states of a block, without decoding or stats.
-
-        The seam batch readers use: sense every block scalarly (cheap,
-        and bit-identical to :meth:`read` by construction), then decode
-        the stack in one :class:`BatchThreeOnTwoCodec` pass.
-        """
-        if not self._written[block]:
-            raise ValueError(f"block {block} was never written")
-        idx = self._cell_range(block)
-        return self.array.sense(t_now, idx)
 
     def check_bits(self, block: int) -> np.ndarray:
         """The block's SLC-stored check bits (3LC only)."""
@@ -282,9 +278,14 @@ class PCMDevice:
                     [int(p), int(v)] for p, v in getattr(st, "_entries", [])
                 ]
                 payloads.append(repr(entries).encode("ascii"))
-        return device_state_digest(
-            self.array.state_digest(), self._slc, self._written, payloads
-        )
+        h = hashlib.sha256()
+        h.update(self.array.state_digest().encode("ascii"))
+        if self._slc is not None:
+            h.update(np.ascontiguousarray(self._slc).tobytes())
+        h.update(np.ascontiguousarray(self._written).tobytes())
+        for payload in payloads:
+            h.update(payload)
+        return h.hexdigest()
 
     # ------------------------------------------------------------------
     def read(self, block: int, t_now: float) -> DecodedBlock:

@@ -286,6 +286,16 @@ def _scale_schedule(schedule: TieredDrift, factor: float) -> TieredDrift:
     return dataclasses.replace(schedule, tiers=tiers)
 
 
+def _scale_wearout(config: FleetConfig, endurance_scale: float) -> WearoutModel:
+    """The config's wearout model with its mean endurance scaled."""
+    return WearoutModel(
+        mean_endurance=config.mean_endurance * endurance_scale,
+        endurance_sigma=config.endurance_sigma,
+        p_stuck_reset=config.p_stuck_reset,
+        p_revive=config.p_revive,
+    )
+
+
 def hetero_draws(
     config: FleetConfig, g: np.random.Generator
 ) -> tuple[int, float, float, str]:
@@ -323,17 +333,11 @@ def device_params(config: FleetConfig, entropy: int, index: int) -> DeviceParams
 
     temp_scale = float(config.temp_buckets[bucket][1])
     factor = temp_scale * alpha_jitter
-    wearout = WearoutModel(
-        mean_endurance=config.mean_endurance * endurance_scale,
-        endurance_sigma=config.endurance_sigma,
-        p_stuck_reset=config.p_stuck_reset,
-        p_revive=config.p_revive,
-    )
     return DeviceParams(
         index=index,
         design=_scale_drift(design_by_name(config.design), factor),
         schedule=_scale_schedule(PAPER_ESCALATION, factor),
-        wearout=wearout,
+        wearout=_scale_wearout(config, endurance_scale),
         workload=workload,
         temp_scale=temp_scale,
         alpha_jitter=alpha_jitter,

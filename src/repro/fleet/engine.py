@@ -1,77 +1,23 @@
-"""Epoch-driven population engine over real :class:`PCMDevice` instances.
+"""Counter schema, energy constants, and version salt of the fleet engine.
 
-One :class:`ObjectFleetEngine` owns a contiguous range of the fleet's
-devices and advances them through *epochs* of virtual time.  It is the
-semantic reference: one :class:`PCMDevice` object per device, every
-physics call through the device's own :class:`CellArray`.  The
-:func:`FleetEngine` factory returns either this engine or its
-bit-identical vectorized twin :class:`~repro.fleet.soa.SoaFleetEngine`
-(the default; see docs/FLEET.md).  Each epoch runs four phases:
+The engine itself is :class:`~repro.fleet.soa.SoaFleetEngine` (public
+name ``FleetEngine``); see :mod:`repro.fleet.soa` for its epoch phases
+and bit-identity contract.  What lives here is what its callers and the
+shard cache share with it: the per-epoch :data:`COUNTERS` layout, the
+energy model's per-cell constants, the per-process batch codec, and
+:data:`FLEET_VERSION`.
 
-A. **Traffic** — every alive device draws ``ops_per_epoch`` accesses
-   from its assigned workload profile (:func:`repro.workloads.synthetic.draw_ops`)
-   plus fresh payload bits for each write, all from its own carried data
-   generator.  Reads in the trace are only *counted* (``reads_requested``)
-   — the functional fleet model serves demand reads from the controller
-   cache; what it measures is the cost of writes and maintenance.
-B. **Batch encode** — all demand-write payloads of the epoch, across
-   every device, go through one
-   :class:`~repro.coding.batch.BatchThreeOnTwoCodec.encode` pass against
-   each block's current marked layout.
-C. **Program** — each device executes its writes in trace order via
-   :meth:`PCMDevice.write_encoded`, seeded with its pre-encoded row.
-   When a write marks a new pair, that block's pre-encoded rows are
-   stale, so its remaining writes this epoch fall back to the scalar
-   re-encode path (``states=None``) — exactly what a lone device would
-   do.  :class:`~repro.core.device.SpareExhausted` kills the device.
-D. **Scrub** — at the epoch's end every written block of every surviving
-   device is sensed scalarly (no RNG draws) and the whole stack is
-   decoded in one batch pass; successful decodes are re-encoded in a
-   second batch pass and rewritten (drift-resetting refresh).
-   Uncorrectable blocks and silent corruptions (decode succeeded, data
-   differs from what was last written) are counted per epoch.
-
-**Bit-identity contract.**  Every physics interaction goes through the
-device's own :class:`~repro.cells.cell_array.CellArray` in the same call
-order a sequential single-device driver would use, and the batch codec
-passes are bit-identical to the scalar codec by the PR-6 differential
-suite.  Sensing draws no randomness, so phase D's sense-everything-then-
-decode schedule leaves each device's RNG stream exactly where a
-read-then-rewrite loop would.  ``tests/fleet/test_fleet_differential.py``
-holds an ``n_devices=1`` fleet to the plain :class:`PCMDevice` path —
-state digest, stats, and decode outcomes all equal.
-
-Bump :data:`FLEET_VERSION` when changing anything observable here or in
-:mod:`repro.fleet.config` (draw orders, phase structure, counter
-semantics): per-shard cache keys are salted with it.
+Bump :data:`FLEET_VERSION` when changing anything observable in the
+engine or in :mod:`repro.fleet.config` (draw orders, phase structure,
+counter semantics): per-shard cache keys are salted with it.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import os
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.coding.batch import BatchThreeOnTwoCodec
 from repro.coding.blockcodec import ThreeOnTwoBlockCodec
-from repro.core.device import PCMDevice, SpareExhausted
-from repro.fleet.config import (
-    FLEET_SPAWN_KEY,
-    KEY_DATA,
-    KEY_DEVICE,
-    DeviceParams,
-    FleetConfig,
-    device_params,
-)
-from repro.fleet.state import alive_indices
-from repro.montecarlo.rng import block_rng
-from repro.workloads.synthetic import draw_ops
-
-if TYPE_CHECKING:
-    from repro.fleet.soa import SoaFleetEngine
 
 __all__ = [
     "FLEET_VERSION",
@@ -79,8 +25,6 @@ __all__ = [
     "N_COUNTERS",
     "PROGRAM_NJ_PER_CELL",
     "SENSE_NJ_PER_CELL",
-    "FleetEngine",
-    "ObjectFleetEngine",
     "counter_index",
 ]
 
@@ -137,311 +81,3 @@ def _batch_codec(data_bits: int) -> BatchThreeOnTwoCodec:
     # One codec per geometry per process: building it precomputes the
     # packed GF(2) masks and discrete-log locator every shard reuses.
     return BatchThreeOnTwoCodec(ThreeOnTwoBlockCodec(data_bits=data_bits))
-
-
-class ObjectFleetEngine:
-    """A contiguous device range ``[first_device, first_device + n_devices)``.
-
-    Device index ``i`` (global, fleet-wide) is a pure function of
-    ``(config, entropy, i)``: its heterogeneity, physics stream, and data
-    stream are all addressed by spawn keys under
-    :data:`~repro.fleet.config.FLEET_SPAWN_KEY` — so any sharding of the
-    fleet over engines and processes reproduces the same devices.
-    """
-
-    def __init__(
-        self,
-        config: FleetConfig,
-        entropy: int,
-        first_device: int = 0,
-        n_devices: int | None = None,
-    ) -> None:
-        self.config = config
-        self.entropy = int(entropy)
-        self.first_device = int(first_device)
-        n = (
-            config.n_devices - self.first_device
-            if n_devices is None
-            else int(n_devices)
-        )
-        if self.first_device < 0 or n < 1 or self.first_device + n > config.n_devices:
-            raise ValueError(
-                f"device range [{first_device}, {first_device}+{n_devices}) "
-                f"outside fleet of {config.n_devices}"
-            )
-        self.n_devices = n
-        self._batch = _batch_codec(config.data_bits)
-        scalar = self._batch.codec
-        self._epoch = 0
-        self._alive = np.ones(n, dtype=bool)
-        self._params: list[DeviceParams] = []
-        self._devices: list[PCMDevice] = []
-        self._g_data: list[np.random.Generator] = []
-        #: last data known written per (device, block) — silent-error oracle.
-        self._stored: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
-        for k in range(n):
-            i = self.first_device + k
-            p = device_params(config, self.entropy, i)
-            self._params.append(p)
-            self._devices.append(
-                PCMDevice(
-                    n_blocks=config.n_blocks,
-                    cell_kind="3LC",
-                    design=p.design,
-                    seed=block_rng(self.entropy, (FLEET_SPAWN_KEY, KEY_DEVICE, i)),
-                    wearout=p.wearout,
-                    schedule=p.schedule,
-                    data_bits=config.data_bits,
-                    codec=scalar,
-                )
-            )
-            self._g_data.append(
-                block_rng(self.entropy, (FLEET_SPAWN_KEY, KEY_DATA, i))
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """Epochs advanced so far (also the next epoch's index)."""
-        return self._epoch
-
-    def device(self, index: int) -> PCMDevice:
-        """The device at *global* fleet index ``index``."""
-        k = index - self.first_device
-        if not 0 <= k < self.n_devices:
-            raise IndexError(f"device {index} not in this engine's range")
-        return self._devices[k]
-
-    def params(self, index: int) -> DeviceParams:
-        """Drawn operating point of global device ``index``."""
-        k = index - self.first_device
-        if not 0 <= k < self.n_devices:
-            raise IndexError(f"device {index} not in this engine's range")
-        return self._params[k]
-
-    def alive_mask(self) -> np.ndarray:
-        """Which of this engine's devices still have spare budget."""
-        return self._alive.copy()
-
-    def state_digest(self) -> str:
-        """SHA-256 over every device's full state plus fleet bookkeeping."""
-        h = hashlib.sha256()
-        h.update(self._epoch.to_bytes(8, "little"))
-        h.update(np.ascontiguousarray(self._alive).tobytes())
-        for k, dev in enumerate(self._devices):
-            h.update(dev.state_digest().encode("ascii"))
-            for b in sorted(self._stored[k]):
-                h.update(int(b).to_bytes(4, "little"))
-                h.update(np.ascontiguousarray(self._stored[k][b]).tobytes())
-        return h.hexdigest()
-
-    # ------------------------------------------------------------------
-    def advance(self, n_epochs: int = 1) -> np.ndarray:
-        """Run ``n_epochs`` epochs; returns ``(n_epochs, N_COUNTERS)`` counts.
-
-        Splitting a run over successive calls is exact:
-        ``advance(a); advance(b)`` produces the same device states and
-        (concatenated) counts as ``advance(a + b)``.
-        """
-        n_epochs = int(n_epochs)
-        if n_epochs < 0:
-            raise ValueError(f"n_epochs must be >= 0, got {n_epochs}")
-        out = np.zeros((n_epochs, N_COUNTERS), dtype=np.int64)
-        for e in range(n_epochs):
-            out[e] = self._advance_one()
-        return out
-
-    # ------------------------------------------------------------------
-    def _advance_one(self) -> np.ndarray:
-        cfg = self.config
-        c = np.zeros(N_COUNTERS, dtype=np.int64)
-        t0 = self._epoch * cfg.epoch_seconds
-        t1 = t0 + cfg.epoch_seconds
-        alive = [int(k) for k in alive_indices(self._alive)]
-        stats0 = {
-            k: (
-                self._devices[k].stats.wearout_marks,
-                self._devices[k].stats.write_retries,
-                self._devices[k].stats.tec_corrections,
-            )
-            for k in alive
-        }
-        cells0 = {k: self._devices[k].array.total_writes() for k in alive}
-
-        # Phase A: draw the epoch's traffic and payloads per device.
-        plan: list[tuple[int, list[tuple[int, np.ndarray]]]] = []
-        for k in alive:
-            p = self._params[k]
-            g = self._g_data[k]
-            is_write, addr = draw_ops(
-                p.workload,
-                cfg.ops_per_epoch,
-                cfg.n_blocks,
-                seed=g,
-                write_fraction=cfg.write_fraction,
-            )
-            ops: list[tuple[int, np.ndarray]] = []
-            for w, b in zip(is_write, addr):
-                if w:
-                    bits = g.integers(0, 2, cfg.data_bits, dtype=np.uint8)
-                    ops.append((int(b), bits))
-                else:
-                    c[_C["reads_requested"]] += 1
-            plan.append((k, ops))
-
-        # Phase B: one batch encode of every demand write in the epoch.
-        rows = [(k, b, bits) for k, ops in plan for b, bits in ops]
-        if rows:
-            w_states, w_checks = self._batch.encode(
-                np.stack([bits for _, _, bits in rows]),
-                [self._devices[k].block_state(b) for k, b, _ in rows],
-            )
-
-        # Phase C: program, device by device, trace order within each.
-        writes0 = {k: self._devices[k].stats.writes for k in alive}
-        r = 0
-        for k, ops in plan:
-            dev = self._devices[k]
-            dirty: set[int] = set()
-            dead = False
-            for b, bits in ops:
-                if dead:
-                    r += 1
-                    continue
-                marks0 = dev.stats.wearout_marks
-                try:
-                    if b in dirty:
-                        # Layout changed since the batch encode: the
-                        # pre-encoded row is stale; take the scalar path.
-                        dev.write_encoded(b, bits, t0)
-                    else:
-                        dev.write_encoded(
-                            b, bits, t0, states=w_states[r], check=w_checks[r]
-                        )
-                except SpareExhausted:
-                    self._alive[k] = False
-                    c[_C["deaths"]] += 1
-                    dead = True
-                    r += 1
-                    continue
-                if dev.stats.wearout_marks != marks0:
-                    dirty.add(b)
-                self._stored[k][b] = bits.copy()
-                r += 1
-        for k in alive:
-            c[_C["writes"]] += self._devices[k].stats.writes - writes0[k]
-            delta = self._devices[k].array.total_writes() - cells0[k]
-            c[_C["cell_programs_write"]] += delta
-            cells0[k] = self._devices[k].array.total_writes()
-
-        # Phase D: scrub — sense everything, decode in one batch, refresh.
-        # Deaths are permanent, so the remaining alive mask (ascending, as
-        # alive was) is exactly the surviving subset in its original order.
-        survivors = [int(k) for k in alive_indices(self._alive)]
-        scrub: list[tuple[int, int]] = []
-        for k in survivors:
-            mask = self._devices[k].written_mask()
-            scrub.extend((k, int(b)) for b in np.nonzero(mask)[0])
-        refresh0 = {k: self._devices[k].stats.writes for k in survivors}
-        if scrub:
-            dec = self._batch.decode(
-                np.stack([self._devices[k].sense_states(b, t1) for k, b in scrub]),
-                np.stack([self._devices[k].check_bits(b) for k, b in scrub]),
-            )
-            ok = np.nonzero(~dec.uncorrectable)[0]
-            if ok.size:
-                f_states, f_checks = self._batch.encode(
-                    dec.data_bits[ok],
-                    [
-                        self._devices[scrub[int(j)][0]].block_state(scrub[int(j)][1])
-                        for j in ok
-                    ],
-                )
-            enc_row = {int(j): pos for pos, j in enumerate(ok)}
-            n_mlc = self._batch.codec.n_mlc_cells
-            j = 0
-            while j < len(scrub):
-                k, _ = scrub[j]
-                dev = self._devices[k]
-                dead = False
-                while j < len(scrub) and scrub[j][0] == k:
-                    b = scrub[j][1]
-                    if dead:
-                        j += 1
-                        continue
-                    dev.stats.reads += 1
-                    c[_C["reads"]] += 1
-                    c[_C["cells_sensed"]] += n_mlc
-                    if dec.uncorrectable[j]:
-                        c[_C["uncorrectable"]] += 1
-                        j += 1
-                        continue
-                    dev.stats.tec_corrections += int(dec.tec_corrected[j])
-                    data = dec.data_bits[j]
-                    want = self._stored[k].get(b)
-                    if want is not None and not np.array_equal(data, want):
-                        c[_C["silent"]] += 1
-                    pos = enc_row[j]
-                    try:
-                        dev.write_encoded(
-                            b, data, t1, states=f_states[pos], check=f_checks[pos]
-                        )
-                    except SpareExhausted:
-                        self._alive[k] = False
-                        c[_C["deaths"]] += 1
-                        dead = True
-                        j += 1
-                        continue
-                    self._stored[k][b] = data.copy()
-                    j += 1
-        for k in survivors:
-            c[_C["refreshes"]] += self._devices[k].stats.writes - refresh0[k]
-            c[_C["cell_programs_refresh"]] += (
-                self._devices[k].array.total_writes() - cells0[k]
-            )
-        for k in alive:
-            m0, rt0, tec0 = stats0[k]
-            dev = self._devices[k]
-            c[_C["wearout_marks"]] += dev.stats.wearout_marks - m0
-            c[_C["write_retries"]] += dev.stats.write_retries - rt0
-            c[_C["tec_corrections"]] += dev.stats.tec_corrections - tec0
-
-        self._epoch += 1
-        return c
-
-
-#: Environment knob the factory consults when no ``engine=`` is given.
-FLEET_ENGINE_ENV = "REPRO_FLEET_ENGINE"
-
-
-def FleetEngine(
-    config: FleetConfig,
-    entropy: int,
-    first_device: int = 0,
-    n_devices: int | None = None,
-    *,
-    engine: str | None = None,
-) -> "ObjectFleetEngine | SoaFleetEngine":
-    """Build a fleet engine for a contiguous device range.
-
-    ``engine`` selects the execution strategy — ``"soa"`` (default) for
-    the structure-of-arrays engine, ``"object"`` for the
-    device-per-object reference.  Both are bit-identical (same streams,
-    counters, and state digests; the fleet differential suite pins
-    this), so the choice never shows up in results or cache keys — only
-    in throughput.  When ``engine`` is ``None`` the
-    :data:`FLEET_ENGINE_ENV` environment variable is consulted, then the
-    default applies.
-
-    This factory keeps the historical ``FleetEngine(...)`` constructor
-    call signature working unchanged for existing callers.
-    """
-    if engine is None:
-        engine = os.environ.get(FLEET_ENGINE_ENV) or "soa"
-    if engine == "object":
-        return ObjectFleetEngine(config, entropy, first_device, n_devices)
-    if engine == "soa":
-        from repro.fleet.soa import SoaFleetEngine
-
-        return SoaFleetEngine(config, entropy, first_device, n_devices)
-    raise ValueError(f"unknown fleet engine {engine!r} (known: 'soa', 'object')")

@@ -44,9 +44,9 @@ from repro.fleet.engine import (
     N_COUNTERS,
     PROGRAM_NJ_PER_CELL,
     SENSE_NJ_PER_CELL,
-    FleetEngine,
     counter_index,
 )
+from repro.fleet.soa import FleetEngine
 from repro.montecarlo.executor import ENGINE_VERSION, resolve_jobs, shard_ranges
 from repro.montecarlo.results_cache import ResultsCache
 from repro.montecarlo.rng import seed_entropy
@@ -108,7 +108,6 @@ class _FleetTask:
     config: FleetConfig
     entropy: int
     shards: tuple[tuple[int, int], ...]
-    engine: str | None = None
 
 
 def _eval_fleet_task(task: _FleetTask) -> list[np.ndarray]:
@@ -121,7 +120,7 @@ def _eval_fleet_task(task: _FleetTask) -> list[np.ndarray]:
     fault_point("executor.task", item=task.item, first_block=task.shards[0][0])
     out = []
     for first, n in task.shards:
-        engine = FleetEngine(task.config, task.entropy, first, n, engine=task.engine)
+        engine = FleetEngine(task.config, task.entropy, first, n)
         counts = np.zeros((task.config.n_epochs, N_COUNTERS), dtype=np.int64)
         for e in range(task.config.n_epochs):
             fault_point("fleet.epoch", epoch=e, first_device=first)
@@ -209,7 +208,6 @@ def fleet_mc(
     cache: ResultsCache | None = None,
     shard_devices: int = FLEET_SHARD_DEVICES,
     shards_per_task: int = 1,
-    engine: str | None = None,
 ) -> FleetSummary:
     """Simulate the whole fleet, sharded over a process pool.
 
@@ -218,10 +216,6 @@ def fleet_mc(
     ``(config, seed)`` recomputes nothing.  ``shard_devices`` and
     ``shards_per_task`` never change the result (only the fan-out), and
     only ``shard_devices`` changes which cache entries serve it.
-
-    ``engine`` picks the epoch-loop implementation (see
-    :func:`~repro.fleet.engine.FleetEngine`); both produce bit-identical
-    counts, so it is deliberately absent from the cache key.
     """
     entropy = seed_entropy(seed)
     shards = shard_ranges(config.n_devices, shard_devices)
@@ -247,7 +241,6 @@ def fleet_mc(
                 config=config,
                 entropy=entropy,
                 shards=tuple(missing[lo : lo + group]),
-                engine=engine,
             )
             for i, lo in enumerate(range(0, len(missing), group))
         ]

@@ -1,36 +1,56 @@
-"""Structure-of-arrays fleet engine: the epoch loop as array programs.
+"""The fleet engine: a device population advanced as structure-of-arrays.
 
-:class:`SoaFleetEngine` is the vectorized twin of
-:class:`~repro.fleet.engine.ObjectFleetEngine`.  It holds the whole
-population's state in the flat arrays of
-:class:`~repro.fleet.state.SoaFleetState` and advances an epoch with
-array operations end to end — batched traffic and payload draws, fused
-drift + sense over every scrubbed block at once, and wave-vectorized
-program passes — while remaining **bit-identical** to the object engine:
-same per-device RNG streams, consumed in the same per-device order, same
-counters, same state digests.
+:class:`SoaFleetEngine` (public name :data:`FleetEngine`) owns a
+contiguous range of the fleet's devices and holds their whole state in
+the flat arrays of :class:`~repro.fleet.state.SoaFleetState`.  Device
+index ``i`` (global, fleet-wide) is a pure function of
+``(config, entropy, i)``: its heterogeneity, physics stream, and data
+stream are all addressed by spawn keys under
+:data:`~repro.fleet.config.FLEET_SPAWN_KEY`, so any sharding of the
+fleet over engines and processes reproduces the same devices.  Each
+epoch of virtual time runs four phases:
 
-Two facts make the vectorization sound:
+A. **Traffic** — every alive device draws ``ops_per_epoch`` accesses
+   from its workload profile plus fresh payload bits for each write,
+   all from its own data generator.  Reads in the trace are only
+   *counted* (``reads_requested``): the functional fleet model serves
+   demand reads from the controller cache and measures the cost of
+   writes and maintenance.
+B. **Batch encode** — all demand-write payloads of the epoch, across
+   every device, go through one
+   :class:`~repro.coding.batch.BatchThreeOnTwoCodec.encode` pass against
+   each block's current marked layout.
+C. **Program** — each device executes its writes in trace order.
+D. **Scrub** — at the epoch's end every written block of every
+   surviving device is sensed in one fused drift + threshold pass (no
+   RNG draws) and decoded in one batch pass; successful decodes are
+   re-encoded in a second batch pass and rewritten (drift-resetting
+   refresh).  Uncorrectable blocks and silent corruptions (decode
+   succeeded, data differs from what was last written) are counted.
 
-- Devices are independent.  Each owns its three generator streams, so
-  work may be *reordered across devices* freely as long as each device's
-  own draw order is preserved.  The engine exploits this with *waves*:
-  wave ``w`` programs the ``w``-th write of every device concurrently —
-  within a device, writes still happen in trace order.
-- Sensing draws no randomness, so phase D's fused drift/threshold pass
-  over all ``(device, block)`` rows touches no stream at all.
-
-**Fast/slow epoch split.**  While no cell in the population has reached
+**Fast and slow epochs.**  While no cell in the population has reached
 its endurance budget (tracked with a cheap wear upper bound against the
 population's minimum endurance), an epoch provably cannot produce
-faults, verify failures, retries, marks, or deaths — so the per-write
-retry loop collapses to straight-line array code.  Once wear makes
-faults possible, the engine switches to a scalar-exact port of the
-object engine's retry/mark/death semantics operating on the same arrays
-(:meth:`_write_encoded` and friends), so stress configs and end-of-life
-fleets take the identical code path decisions.  Mixed histories are
-fine: the split is decided per epoch from state alone, which keeps
+faults, verify failures, retries, marks, or deaths, so phases C and D
+program whole blocks in *waves*: wave ``w`` programs the ``w``-th write
+of every device at once, drawing from each device's own generator in
+its own order.  Once wear makes faults possible, the epoch is *slow*:
+every write goes through :meth:`PCMDevice.write_encoded` on a
+per-device :class:`~repro.core.device.PCMDevice` view whose cells,
+check bits, written mask, and mark-and-spare layouts are the device's
+rows of the population arrays and whose generator is the device's own.
+The write-and-verify, mark-and-spare, and death semantics are thus the
+single-device code itself.  Views are built only when an epoch first
+goes slow.  The split is decided per epoch from state alone, which keeps
 ``advance(a); advance(b)`` equal to ``advance(a + b)``.
+
+**Bit-identity contract.**  Devices are independent, so work may be
+reordered across devices as long as each device's own draw order is
+preserved, and sensing draws no randomness.  An ``n_devices=1`` fleet is
+therefore bit-identical to driving a plain :class:`PCMDevice` through
+the same epoch schedule; ``tests/fleet/test_fleet_differential.py``
+holds every device of whole populations to that reference (state
+digest, stats, alive mask, and all per-epoch counters).
 
 The batched generator seeding and payload draws come from
 :mod:`repro.fleet.fastrng`; each is verified against numpy once per
@@ -45,7 +65,7 @@ import hashlib
 import numpy as np
 
 from repro.cells.cell_array import (
-    cell_state_digest,
+    CellArray,
     drifted_log_resistance,
     programmed_alpha,
     programmed_log_resistance,
@@ -54,7 +74,7 @@ from repro.cells.drift import PAPER_ESCALATION, independent_escalated_alpha
 from repro.cells.faults import FaultMode
 from repro.cells.params import T0_SECONDS, WRITE_TRUNCATION_SIGMA
 from repro.core.designs import design_by_name
-from repro.core.device import DeviceStats, SpareExhausted, device_state_digest
+from repro.core.device import DeviceStats, PCMDevice, SpareExhausted
 from repro.fleet.config import (
     FLEET_SPAWN_KEY,
     KEY_DATA,
@@ -62,6 +82,9 @@ from repro.fleet.config import (
     KEY_HETERO,
     DeviceParams,
     FleetConfig,
+    _scale_drift,
+    _scale_schedule,
+    _scale_wearout,
     device_params,
     hetero_draws,
 )
@@ -73,13 +96,11 @@ from repro.fleet.fastrng import (
     payload_fast_ok,
 )
 from repro.fleet.state import SoaFleetState, alive_indices
-from repro.montecarlo.rng import truncated_normal, truncated_normal_from_uniform
-from repro.wearout.mark_and_spare import MarkAndSpareBlock
+from repro.montecarlo.rng import truncated_normal_from_uniform
 from repro.workloads.synthetic import draw_ops_fast
 
-__all__ = ["SoaDeviceView", "SoaFleetEngine"]
+__all__ = ["FleetEngine", "SoaFleetEngine"]
 
-_HEALTHY = FaultMode.HEALTHY.value
 _STUCK_RESET = FaultMode.STUCK_RESET.value
 _STUCK_SET = FaultMode.STUCK_SET.value
 
@@ -98,48 +119,9 @@ _C_CELL_REFRESH = counter_index("cell_programs_refresh")
 _C_SENSED = counter_index("cells_sensed")
 
 
-class SoaDeviceView:
-    """Read-only :class:`PCMDevice`-shaped view of one fleet device.
-
-    What the differential suites (and summaries) need from a device:
-    its :class:`DeviceStats` and its canonical state digest, both built
-    from the population arrays on demand.
-    """
-
-    def __init__(self, engine: "SoaFleetEngine", k: int) -> None:
-        self._engine = engine
-        self._k = k
-
-    @property
-    def stats(self) -> DeviceStats:
-        s = self._engine._s
-        k = self._k
-        return DeviceStats(
-            writes=int(s.st_writes[k]),
-            reads=int(s.st_reads[k]),
-            refreshes=0,
-            tec_corrections=int(s.st_tec[k]),
-            wearout_marks=int(s.st_marks[k]),
-            write_retries=int(s.st_retries[k]),
-        )
-
-    def state_digest(self) -> str:
-        return self._engine._device_digest(self._k)
-
-    def written_mask(self) -> np.ndarray:
-        return self._engine._s.written[self._k].copy()
-
-    def check_bits(self, block: int) -> np.ndarray:
-        return self._engine._s.slc[self._k, block].copy()
-
-
 class SoaFleetEngine:
-    """A contiguous device range, advanced as one structure of arrays.
-
-    Drop-in for :class:`~repro.fleet.engine.ObjectFleetEngine` (same
-    constructor, ``advance``, counters, digests); construct via the
-    :func:`~repro.fleet.engine.FleetEngine` factory.
-    """
+    """A contiguous device range ``[first_device, first_device + n_devices)``,
+    advanced as one structure of arrays."""
 
     def __init__(
         self,
@@ -165,17 +147,13 @@ class SoaFleetEngine:
         self._epoch = 0
         self._batch = _batch_codec(config.data_bits)
         codec = self._batch.codec
-        self._ms_config = codec.ms_config
         self._n_mlc = codec.n_mlc_cells
-        self._n_spare_pairs = self._ms_config.n_spare_pairs
 
         base = design_by_name(config.design)
         if base.n_levels != 3:
-            raise ValueError("the fleet engines model 3LC devices")
-        schedule = PAPER_ESCALATION
-        tier = schedule.tiers[0]
-        self._n_levels = base.n_levels
-        self._top = base.n_levels - 1
+            raise ValueError("the fleet engine models 3LC devices")
+        tier = PAPER_ESCALATION.tiers[0]
+        self._base = base
         self._thresholds = np.asarray(base.thresholds)
         self._top_lr = base.states[-1].mu_lr
         self._bot_lr = base.states[0].mu_lr
@@ -192,7 +170,7 @@ class SoaFleetEngine:
             config.n_blocks,
             self._n_mlc,
             codec.n_slc_cells,
-            self._ms_config.n_pairs,
+            codec.ms_config.n_pairs,
             config.data_bits,
         )
         s = self._s
@@ -206,8 +184,10 @@ class SoaFleetEngine:
 
         # Per-device drawn operating points (the hetero stream's four
         # draws, in the frozen order of config.hetero_draws).
-        self._mu_a = np.empty((n, self._n_levels))
-        self._sg_a = np.empty((n, self._n_levels))
+        self._drift_factor = np.empty(n)
+        self._endurance_scale = np.empty(n)
+        self._mu_a = np.empty((n, base.n_levels))
+        self._sg_a = np.empty((n, base.n_levels))
         self._mu_esc = np.empty(n)
         self._sg_esc = np.empty(n)
         self._workload: list[str] = []
@@ -219,6 +199,8 @@ class SoaFleetEngine:
                 config, g_het[k]
             )
             factor = float(config.temp_buckets[bucket][1]) * alpha_jitter
+            self._drift_factor[k] = factor
+            self._endurance_scale[k] = endurance_scale
             self._mu_a[k] = base_mu_a * factor
             self._sg_a[k] = base_sg_a * factor
             self._mu_esc[k] = tier.mu_alpha * factor
@@ -251,6 +233,8 @@ class SoaFleetEngine:
         self._tprog_uniform = True
         self._tprog_row = np.zeros((n, config.n_blocks))
         self._merged_normals = merged_normals_ok()
+        #: Slow-epoch PCMDevice views, by local device row, built on first use.
+        self._views: dict[int, PCMDevice] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -258,18 +242,33 @@ class SoaFleetEngine:
         """Epochs advanced so far (also the next epoch's index)."""
         return self._epoch
 
-    def device(self, index: int) -> SoaDeviceView:
-        """The device at *global* fleet index ``index``."""
+    def _row(self, index: int) -> int:
         k = index - self.first_device
         if not 0 <= k < self.n_devices:
             raise IndexError(f"device {index} not in this engine's range")
-        return SoaDeviceView(self, k)
+        return k
+
+    def device(self, index: int) -> PCMDevice:
+        """The device at *global* fleet index ``index``, as a live view.
+
+        The view shares the engine's arrays and generator (writing
+        through it advances the device); its ``stats`` are a snapshot.
+        """
+        k = self._row(index)
+        s = self._s
+        dev = self._build_view(k)
+        dev.stats = DeviceStats(
+            writes=int(s.st_writes[k]),
+            reads=int(s.st_reads[k]),
+            tec_corrections=int(s.st_tec[k]),
+            wearout_marks=int(s.st_marks[k]),
+            write_retries=int(s.st_retries[k]),
+        )
+        return dev
 
     def params(self, index: int) -> DeviceParams:
         """Drawn operating point of global device ``index``."""
-        k = index - self.first_device
-        if not 0 <= k < self.n_devices:
-            raise IndexError(f"device {index} not in this engine's range")
+        self._row(index)  # range check
         return device_params(self.config, self.entropy, index)
 
     def alive_mask(self) -> np.ndarray:
@@ -281,25 +280,6 @@ class SoaFleetEngine:
         """Bytes held by the population state arrays (telemetry)."""
         return self._s.nbytes
 
-    def _device_digest(self, k: int) -> str:
-        s = self._s
-        cell = cell_state_digest(
-            s.lr0[k],
-            s.alpha[k],
-            s.alpha_esc[k],
-            s.t_prog[k],
-            s.target[k],
-            s.writes[k],
-            s.endurance[k],
-            s.fault[k],
-            s.pending_mode[k],
-        )
-        payloads = [
-            np.ascontiguousarray(s.marked[k, b]).tobytes()
-            for b in range(self.config.n_blocks)
-        ]
-        return device_state_digest(cell, s.slc[k], s.written[k], payloads)
-
     def state_digest(self) -> str:
         """SHA-256 over every device's full state plus fleet bookkeeping."""
         h = hashlib.sha256()
@@ -307,7 +287,7 @@ class SoaFleetEngine:
         h.update(np.ascontiguousarray(self._alive).tobytes())
         s = self._s
         for k in range(self.n_devices):
-            h.update(self._device_digest(k).encode("ascii"))
+            h.update(self._build_view(k).state_digest().encode("ascii"))
             for b in np.flatnonzero(s.has_stored[k]):
                 h.update(int(b).to_bytes(4, "little"))
                 h.update(np.ascontiguousarray(s.stored[k, b]).tobytes())
@@ -357,9 +337,9 @@ class SoaFleetEngine:
     ) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Per-device ``(k, blocks, bits)`` demand-write segments.
 
-        Consumes exactly the draws the object engine's phase A consumes:
-        the trace slice from the data stream, then one payload per write
-        op in trace order (reads are counted, never served).
+        Consumes exactly the draws a lone device's epoch consumes: the
+        trace slice from the data stream, then one payload per write op
+        in trace order (reads are counted, never served).
         """
         cfg = self.config
         n_ops = cfg.ops_per_epoch
@@ -453,7 +433,7 @@ class SoaFleetEngine:
         c[_C_SILENT] += int(silent.sum())
         f_states, f_checks = self._batch.encode(data, s.marked[okd, okb])
         # Refresh waves: slot w = each device's w-th scrubbed-ok block
-        # (block-ascending within a device, as the object engine's loop).
+        # (block-ascending within a device, as a lone device's scrub).
         starts = np.flatnonzero(np.r_[True, okd[1:] != okd[:-1]])
         seg_len = np.diff(np.r_[starts, okd.size])
         slots = np.arange(okd.size) - np.repeat(starts, seg_len)
@@ -482,7 +462,7 @@ class SoaFleetEngine:
         the truncated-normal uniforms, then the exponent normal, then
         the escalation normal (the two normal calls merge into one when
         the ziggurat self-check passed) — so the streams stay aligned
-        with the object engine's.
+        with a lone device's.
         """
         nm = self._n_mlc
         w = devs.size
@@ -551,12 +531,11 @@ class SoaFleetEngine:
         return np.searchsorted(self._thresholds, lr, side="right")
 
     # ------------------------------------------------------------------
-    # Slow path: scalar-exact port of the object engine's epoch with
-    # faults, retries, marks, and deaths, operating on the SoA arrays.
+    # Slow path: faults, retries, marks, and deaths, through one
+    # PCMDevice view per device over its population rows.
     def _slow_epoch(
         self, alive: np.ndarray, t0: float, t1: float, c: np.ndarray
     ) -> None:
-        cfg = self.config
         s = self._s
         # Phase C below may partial-program cells (retries, force-highest
         # on marked pairs) without touching ``_tprog_row``, so this very
@@ -570,7 +549,6 @@ class SoaFleetEngine:
         plan = self._draw_epoch_plan(alive, c)
 
         # Phase B: batch encode against each block's current layout.
-        w_states = w_checks = None
         if plan:
             dev_rows = np.repeat(
                 np.array([k for k, _, _ in plan], dtype=np.int64),
@@ -587,91 +565,62 @@ class SoaFleetEngine:
         r = 0
         for k, blocks, bits in plan:
             dirty: set[int] = set()
-            dead = False
-            for j in range(blocks.size):
-                if dead:
-                    r += 1
-                    continue
-                b = int(blocks[j])
-                mk0 = int(s.st_marks[k])
+            for j, b in enumerate(blocks.tolist()):
+                # A write that marked a pair leaves the block's later
+                # pre-encoded rows stale: those re-encode in the device.
+                pre = () if b in dirty else (w_states[r + j], w_checks[r + j])
                 try:
-                    if b in dirty:
-                        # Layout changed since the batch encode: the
-                        # pre-encoded row is stale; take the scalar path.
-                        self._write_encoded(k, b, bits[j], t0)
-                    else:
-                        assert w_states is not None and w_checks is not None
-                        self._write_encoded(
-                            k, b, bits[j], t0, states=w_states[r], check=w_checks[r]
-                        )
+                    if self._write(k, b, bits[j], t0, *pre):
+                        dirty.add(b)
                 except SpareExhausted:
                     self._alive[k] = False
                     c[_C_DEATHS] += 1
-                    dead = True
-                    r += 1
-                    continue
-                if int(s.st_marks[k]) != mk0:
-                    dirty.add(b)
+                    break
                 s.stored[k, b] = bits[j]
                 s.has_stored[k, b] = True
-                r += 1
+            r += blocks.size
         c[_C_WRITES] += int((s.st_writes - writes0)[alive].sum())
         cells_after_c = s.writes.sum(axis=1)
         c[_C_CELL_WRITE] += int((cells_after_c - cells0)[alive].sum())
 
-        # Phase D: scrub — sense everything, decode in one batch, refresh.
+        # Phase D: scrub — sense everything, decode in one batch, refresh
+        # block-ascending within each device.
         survivors = alive[self._alive[alive]]
         refresh0 = s.st_writes.copy()
         wr = s.written[survivors]
         sdevs = np.repeat(survivors, wr.sum(axis=1))
         sblks = np.nonzero(wr)[1]
-        r2 = sdevs.size
-        if r2:
+        if sdevs.size:
             sensed = self._sense_rows(sdevs, sblks, t1, pin=True)
             dec = self._batch.decode(sensed, s.slc[sdevs, sblks])
-            ok = np.flatnonzero(~dec.uncorrectable)
-            f_states = f_checks = None
-            if ok.size:
-                f_states, f_checks = self._batch.encode(
-                    dec.data_bits[ok], s.marked[sdevs[ok], sblks[ok]]
-                )
-            enc_row = {int(j): pos for pos, j in enumerate(ok)}
-            j = 0
-            while j < r2:
-                k = int(sdevs[j])
-                dead = False
-                while j < r2 and int(sdevs[j]) == k:
-                    b = int(sblks[j])
-                    if dead:
-                        j += 1
-                        continue
-                    s.st_reads[k] += 1
-                    c[_C_READS] += 1
-                    c[_C_SENSED] += self._n_mlc
-                    if dec.uncorrectable[j]:
-                        c[_C_UNCORRECTABLE] += 1
-                        j += 1
-                        continue
-                    s.st_tec[k] += int(dec.tec_corrected[j])
-                    data = dec.data_bits[j]
-                    if s.has_stored[k, b] and not np.array_equal(
-                        data, s.stored[k, b]
-                    ):
-                        c[_C_SILENT] += 1
-                    pos = enc_row[j]
-                    assert f_states is not None and f_checks is not None
-                    try:
-                        self._write_encoded(
-                            k, b, data, t1, states=f_states[pos], check=f_checks[pos]
-                        )
-                    except SpareExhausted:
-                        self._alive[k] = False
-                        c[_C_DEATHS] += 1
-                        dead = True
-                        j += 1
-                        continue
-                    s.stored[k, b] = data
-                    j += 1
+            ok = ~dec.uncorrectable
+            f_states, f_checks = self._batch.encode(
+                dec.data_bits[ok], s.marked[sdevs[ok], sblks[ok]]
+            )
+            enc_row = np.cumsum(ok) - 1
+            dead = -1
+            for j, (k, b) in enumerate(zip(sdevs.tolist(), sblks.tolist())):
+                if k == dead:
+                    continue
+                s.st_reads[k] += 1
+                c[_C_READS] += 1
+                c[_C_SENSED] += self._n_mlc
+                if not ok[j]:
+                    c[_C_UNCORRECTABLE] += 1
+                    continue
+                s.st_tec[k] += int(dec.tec_corrected[j])
+                data = dec.data_bits[j]
+                if s.has_stored[k, b] and not np.array_equal(data, s.stored[k, b]):
+                    c[_C_SILENT] += 1
+                pos = enc_row[j]
+                try:
+                    self._write(k, b, data, t1, f_states[pos], f_checks[pos])
+                except SpareExhausted:
+                    self._alive[k] = False
+                    c[_C_DEATHS] += 1
+                    dead = k
+                    continue
+                s.stored[k, b] = data
         c[_C_REFRESHES] += int((s.st_writes - refresh0)[survivors].sum())
         c[_C_CELL_REFRESH] += int(
             (s.writes.sum(axis=1) - cells_after_c)[survivors].sum()
@@ -682,16 +631,7 @@ class SoaFleetEngine:
 
         self._any_fault = bool(s.fault.any())
 
-    # ------------------------------------------------------------------
-    # Scalar per-device primitives (ports of PCMDevice/CellArray methods
-    # over rows of the population arrays; draw orders are identical).
-    def _block_view(self, k: int, b: int) -> MarkAndSpareBlock:
-        """A MarkAndSpareBlock whose marked mask *is* the SoA row."""
-        blk = MarkAndSpareBlock(self._ms_config)
-        blk._marked = self._s.marked[k, b]
-        return blk
-
-    def _write_encoded(
+    def _write(
         self,
         k: int,
         b: int,
@@ -699,88 +639,54 @@ class SoaFleetEngine:
         t_now: float,
         states: np.ndarray | None = None,
         check: np.ndarray | None = None,
-    ) -> None:
-        """Port of :meth:`PCMDevice.write_encoded` for device row ``k``."""
+    ) -> bool:
+        """:meth:`PCMDevice.write_encoded` on row ``k``'s view.
+
+        Folds the view's stats into the ``st_*`` arrays (also when the
+        write raises :class:`SpareExhausted`); returns whether the write
+        marked a new pair.
+        """
+        dev = self._views.get(k)
+        if dev is None:
+            dev = self._views[k] = self._build_view(k)
+        try:
+            dev.write_encoded(b, data_bits, t_now, states, check)
+        finally:
+            st = dev.stats
+            s = self._s
+            s.st_writes[k] += st.writes
+            s.st_retries[k] += st.write_retries
+            s.st_marks[k] += st.wearout_marks
+            marked = st.wearout_marks > 0
+            dev.stats = DeviceStats()
+        return marked
+
+    def _build_view(self, k: int) -> PCMDevice:
+        """Row ``k`` as a :class:`PCMDevice` over the population arrays."""
         s = self._s
-        s.st_writes[k] += 1
-        blk = self._block_view(k, b)
-        bits = np.asarray(data_bits).astype(np.uint8)
-        base = b * self._n_mlc
-        idx = np.arange(base, base + self._n_mlc)
-        codec = self._batch.codec
-        for attempt in range(self._n_spare_pairs + 1):
-            if attempt or states is None or check is None:
-                states, check = codec.encode(bits, blk)
-            ok = self._cell_program(k, idx, np.asarray(states, dtype=np.int64), t_now)
-            s.slc[k, b] = check
-            bad = np.nonzero(~ok)[0]
-            if bad.size == 0:
-                s.written[k, b] = True
-                return
-            s.st_retries[k] += 1
-            pair = int(bad[0]) // 2
-            already = pair in set(blk.marked_pairs.tolist())
-            if not already:
-                blk.mark(pair)  # raises SpareExhausted when out
-                s.st_marks[k] += 1
-            # Force both cells of the marked pair toward S4 (INV).
-            pc = idx[2 * pair : 2 * pair + 2]
-            self._cell_force_highest(k, pc, t_now)
-        raise SpareExhausted(f"block {b}: wearout beyond spare budget")
+        factor = float(self._drift_factor[k])
+        array = CellArray.over_state(
+            (
+                s.lr0[k],
+                s.alpha[k],
+                s.alpha_esc[k],
+                s.t_prog[k],
+                s.target[k],
+                s.writes[k],
+                s.endurance[k],
+                s.fault[k],
+                s.pending_mode[k],
+            ),
+            design=_scale_drift(self._base, factor),
+            rng=self._g_dev[k],
+            wearout=_scale_wearout(self.config, float(self._endurance_scale[k])),
+            schedule=_scale_schedule(PAPER_ESCALATION, factor),
+        )
+        return PCMDevice.over_state(
+            array, self._batch.codec, s.slc[k], s.written[k], s.marked[k]
+        )
 
-    def _cell_program(
-        self, k: int, idx: np.ndarray, st: np.ndarray, t_now: float
-    ) -> np.ndarray:
-        """Port of :meth:`CellArray.program` on device ``k``'s row."""
-        s = self._s
-        writes = s.writes[k]
-        fault = s.fault[k]
-        writes[idx] += 1
-        newly_dead = (writes[idx] >= s.endurance[k][idx]) & (fault[idx] == _HEALTHY)
-        if np.any(newly_dead):
-            dead = idx[newly_dead]
-            fault[dead] = s.pending_mode[k][dead]
 
-        healthy = fault[idx] == _HEALTHY
-        ok_idx = idx[healthy]
-        ok_st = st[healthy]
-        if ok_idx.size:
-            g = self._g_dev[k]
-            z_r = truncated_normal(
-                g, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA,
-                ok_idx.size,
-            )
-            s.lr0[k][ok_idx] = programmed_log_resistance(
-                self._mu_lr[ok_st], self._sg_lr[ok_st], z_r
-            )
-            z = g.standard_normal(ok_idx.size)
-            alpha = programmed_alpha(self._mu_a[k][ok_st], self._sg_a[k][ok_st], z)
-            s.alpha[k][ok_idx] = alpha
-            fresh = g.standard_normal(ok_idx.size)
-            s.alpha_esc[k][ok_idx] = independent_escalated_alpha(
-                fresh, self._mu_esc[k], self._sg_esc[k]
-            )
-            s.t_prog[k][ok_idx] = t_now
-            s.target[k][ok_idx] = ok_st
-
-        verify_ok = healthy.copy()
-        # A stuck-reset cell passes verify iff the target is the top state.
-        stuck_reset = fault[idx] == _STUCK_RESET
-        verify_ok |= stuck_reset & (st == self._top)
-        return verify_ok
-
-    def _cell_force_highest(self, k: int, idx: np.ndarray, t_now: float) -> np.ndarray:
-        """Port of :meth:`CellArray.force_highest` on device ``k``'s row."""
-        s = self._s
-        fault = s.fault[k]
-        stuck_set = fault[idx] == _STUCK_SET
-        if np.any(stuck_set):
-            revived = self._g_dev[k].random(int(stuck_set.sum())) < self.config.p_revive
-            tgt = idx[stuck_set][revived]
-            fault[tgt] = _STUCK_RESET
-        stuck_reset = fault[idx] == _STUCK_RESET
-        healthy = fault[idx] == _HEALTHY
-        h_idx = idx[healthy]
-        if h_idx.size:
-            self._cell_program(k, h_idx, np.full(h_idx.size, self._top), t_now)
-        return healthy | stuck_reset
+#: The fleet engine's public name (``SoaFleetEngine`` stays importable
+#: under its own name for existing callers).
+FleetEngine = SoaFleetEngine

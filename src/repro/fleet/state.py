@@ -5,8 +5,9 @@ One :class:`SoaFleetState` holds everything ``n`` devices' worth of
 arrays with the device as the leading axis: per-cell physics as
 ``(n, n_blocks * cells_per_block)``, per-block controller state as
 ``(n, n_blocks, ...)``.  Dtypes mirror :class:`~repro.cells.cell_array.CellArray`
-field-for-field — the canonical digests hash raw bytes, so an ``int8``
-where the object engine keeps ``int64`` would already break the
+field-for-field: slow epochs run :class:`CellArray` directly on row
+views of these arrays, and the canonical digests hash raw bytes, so an
+``int8`` where ``CellArray`` keeps ``int64`` would already break the
 bit-identity contract.
 
 The container is deliberately dumb: all epoch semantics live in
@@ -68,7 +69,7 @@ class SoaFleetState:
         self.has_stored = np.zeros((n, n_blocks), dtype=bool)
 
         # Per-device cumulative stats (DeviceStats columns; ``refreshes``
-        # stays zero in the fleet path, same as the object engine).
+        # stays zero in the fleet path, which counts refreshes per epoch).
         self.st_writes = np.zeros(n, dtype=np.int64)
         self.st_reads = np.zeros(n, dtype=np.int64)
         self.st_tec = np.zeros(n, dtype=np.int64)

@@ -1,18 +1,24 @@
 """Fleet vs single-device differential and fan-out invariance.
 
 The fleet engine's whole claim is that it adds *zero* physics of its
-own: an ``n_devices=1`` fleet must be bit-identical to driving a plain
+own: every device of a fleet must be bit-identical to driving a plain
 :class:`~repro.core.device.PCMDevice` through the same epoch schedule by
 hand — same cell states (state digest), same :class:`DeviceStats`, same
-decode outcomes, same death epoch.  ``drive_single`` below is that
-independent sequential reference: it uses only the public single-device
-API (``write``/``read``), never the batch codec or any fleet internals.
+decode outcomes, same death epoch, same per-epoch counters.
+``drive_single`` below is that independent sequential reference: it uses
+only the public single-device API (``write``/``read``), never the batch
+codec or any fleet internals.  ``assert_matches_reference`` holds a
+whole engine (any device window) to it; the population suites in
+``test_fleet_soa.py`` reuse it.
 
 On top of the differential, the fan-out contract: fleet counts are
 invariant to epoch batching (``advance(a); advance(b)`` ==
 ``advance(a+b)``), shard size, shards-per-task grouping, and worker
 count — properties checked both directly and via hypothesis.
 """
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,7 +27,9 @@ from hypothesis import strategies as st
 
 from repro.core.device import PCMDevice, SpareExhausted, UncorrectableBlock
 from repro.fleet import (
+    COUNTERS,
     FLEET_SPAWN_KEY,
+    N_COUNTERS,
     FleetConfig,
     FleetEngine,
     counter_index,
@@ -43,7 +51,10 @@ def drive_single(config, entropy, index):
 
     Reproduces the fleet's epoch schedule (demand writes at ``t0``, a
     scrub read + refresh of every written block at ``t1``) using only
-    ``PCMDevice.write``/``read`` — the pre-fleet scalar path.
+    ``PCMDevice.write``/``read`` — the pre-fleet scalar path.  Returns
+    ``(device, stored, counts, alive)`` where ``counts`` is the device's
+    ``(n_epochs, N_COUNTERS)`` matrix, built from ``DeviceStats`` deltas
+    and ``array.total_writes()``.
     """
     p = device_params(config, entropy, index)
     dev = PCMDevice(
@@ -58,12 +69,18 @@ def drive_single(config, entropy, index):
     g = block_rng(entropy, (FLEET_SPAWN_KEY, KEY_DATA, index))
     stored = {}
     alive = True
-    counts = dict(reads_requested=0, uncorrectable=0, silent=0, deaths=0)
+    counts = np.zeros((config.n_epochs, N_COUNTERS), dtype=np.int64)
+
+    def add(e, name, n):
+        counts[e, counter_index(name)] += n
+
     for e in range(config.n_epochs):
         if not alive:
             break
         t0 = e * config.epoch_seconds
         t1 = t0 + config.epoch_seconds
+        s0 = dataclasses.replace(dev.stats)
+        cells0 = dev.array.total_writes()
         is_write, addr = draw_ops(
             p.workload,
             config.ops_per_epoch,
@@ -76,35 +93,83 @@ def drive_single(config, entropy, index):
             if w:
                 ops.append((int(b), g.integers(0, 2, config.data_bits, dtype=np.uint8)))
             else:
-                counts["reads_requested"] += 1
+                add(e, "reads_requested", 1)
         for b, bits in ops:
             try:
                 dev.write(b, bits, t0)
             except SpareExhausted:
                 alive = False
-                counts["deaths"] += 1
+                add(e, "deaths", 1)
                 break
             stored[b] = bits.copy()
-        if not alive:
-            break
-        for b in np.nonzero(dev.written_mask())[0]:
-            b = int(b)
-            try:
-                out = dev.read(b, t1)
-            except UncorrectableBlock:
-                counts["uncorrectable"] += 1
-                continue
-            data = out.data_bits
-            if not np.array_equal(data, stored[b]):
-                counts["silent"] += 1
-            try:
-                dev.write(b, data, t1)
-            except SpareExhausted:
-                alive = False
-                counts["deaths"] += 1
-                break
-            stored[b] = data.copy()
+        add(e, "writes", dev.stats.writes - s0.writes)
+        add(e, "cell_programs_write", dev.array.total_writes() - cells0)
+        s1 = dataclasses.replace(dev.stats)
+        cells1 = dev.array.total_writes()
+        if alive:
+            for b in np.nonzero(dev.written_mask())[0]:
+                b = int(b)
+                try:
+                    out = dev.read(b, t1)
+                except UncorrectableBlock:
+                    add(e, "uncorrectable", 1)
+                    continue
+                data = out.data_bits
+                if not np.array_equal(data, stored[b]):
+                    add(e, "silent", 1)
+                try:
+                    dev.write(b, data, t1)
+                except SpareExhausted:
+                    alive = False
+                    add(e, "deaths", 1)
+                    break
+                stored[b] = data.copy()
+        reads = dev.stats.reads - s1.reads
+        add(e, "reads", reads)
+        add(e, "cells_sensed", reads * dev.cells_per_block)
+        add(e, "refreshes", dev.stats.writes - s1.writes)
+        add(e, "cell_programs_refresh", dev.array.total_writes() - cells1)
+        add(e, "tec_corrections", dev.stats.tec_corrections - s0.tec_corrections)
+        add(e, "wearout_marks", dev.stats.wearout_marks - s0.wearout_marks)
+        add(e, "write_retries", dev.stats.write_retries - s0.write_retries)
     return dev, stored, counts, alive
+
+
+def assert_matches_reference(engine, config, entropy):
+    """Advance ``engine`` through the config's epochs, pinning it to
+    :func:`drive_single` for every device in its window: the fleet
+    counters epoch by epoch, then each device's state digest, stats and
+    alive flag, and the engine's whole-state digest (stored data too).
+    An engine reports counters summed over its devices, so each device's
+    own ``(n_epochs, N_COUNTERS)`` matrix is pinned through a one-device
+    engine of the same class.  Returns the reference's fleet-total
+    count matrix.
+    """
+    indices = range(engine.first_device, engine.first_device + engine.n_devices)
+    refs = [drive_single(config, entropy, i) for i in indices]
+    want = sum(counts for _, _, counts, _ in refs)
+    for e in range(config.n_epochs):
+        got = engine.advance(1)[0]
+        assert dict(zip(COUNTERS, got.tolist())) == dict(
+            zip(COUNTERS, want[e].tolist())
+        ), f"counters diverged in epoch {e}"
+    alive = np.array([ref_alive for _, _, _, ref_alive in refs])
+    assert (engine.alive_mask() == alive).all()
+    h = hashlib.sha256()
+    h.update(config.n_epochs.to_bytes(8, "little"))
+    h.update(alive.tobytes())
+    for i, (dev, stored, counts, _) in zip(indices, refs):
+        solo = type(engine)(config, entropy, i, 1).advance(config.n_epochs)
+        assert (solo == counts).all(), f"device {i} counters"
+        view = engine.device(i)
+        assert view.state_digest() == dev.state_digest(), f"device {i} state"
+        assert view.stats == dev.stats, f"device {i} stats"
+        h.update(dev.state_digest().encode("ascii"))
+        for b in sorted(stored):
+            h.update(int(b).to_bytes(4, "little"))
+            h.update(stored[b].tobytes())
+    assert engine.state_digest() == h.hexdigest()
+    return want
 
 
 class TestSingleDeviceDifferential:
@@ -113,31 +178,17 @@ class TestSingleDeviceDifferential:
     @pytest.mark.parametrize("index", range(STRESS.n_devices))
     def test_bit_identical_stress(self, index):
         entropy = seed_entropy(42)
-        ref_dev, _stored, ref_counts, ref_alive = drive_single(STRESS, entropy, index)
-
         engine = FleetEngine(STRESS, entropy, first_device=index, n_devices=1)
-        counts = engine.advance(STRESS.n_epochs).sum(axis=0)
-
-        assert engine.device(index).state_digest() == ref_dev.state_digest()
-        assert engine.device(index).stats == ref_dev.stats
-        for name, want in ref_counts.items():
-            assert counts[counter_index(name)] == want, name
-        assert bool(engine.alive_mask()[0]) == ref_alive
+        assert_matches_reference(engine, STRESS, entropy)
 
     def test_bit_identical_default_config(self):
         # Paper-faithful endurance: no deaths, pure clean-path physics.
         config = FleetConfig(n_devices=3, n_epochs=4)
         entropy = seed_entropy(7)
         for index in range(config.n_devices):
-            ref_dev, _stored, ref_counts, ref_alive = drive_single(
-                config, entropy, index
-            )
             engine = FleetEngine(config, entropy, first_device=index, n_devices=1)
-            counts = engine.advance(config.n_epochs).sum(axis=0)
-            assert engine.device(index).state_digest() == ref_dev.state_digest()
-            assert engine.device(index).stats == ref_dev.stats
-            assert ref_alive and bool(engine.alive_mask()[0])
-            assert counts[counter_index("deaths")] == 0
+            assert_matches_reference(engine, config, entropy)
+            assert engine.alive_mask().all()
 
     def test_stress_config_exercises_failure_paths(self):
         """The differential above is only meaningful if the stress fleet

@@ -1,37 +1,31 @@
-"""SoA engine pinned bit-identical to the object engine.
+"""Whole populations pinned to the single-device reference.
 
-The object engine (``ObjectFleetEngine``) is the semantic reference:
-one ``PCMDevice`` per device, scalar epoch loop.  The SoA engine re-
-implements the same epoch on flat population arrays, and the contract
-is *bit*-identity — same per-device RNG streams consumed in the same
-per-device order, so state digests, ``DeviceStats``, death epochs, and
-count matrices all match exactly, epoch by epoch.  These tests pin that
-contract directly (engine vs engine), at the summary level through
-``fleet_mc``, via hypothesis over seeds and shard offsets, and through
-a chaos crash-resume whose reference run uses the *other* engine.
+The fleet engine keeps a population in flat arrays, programs fault-free
+epochs in vectorized waves, and runs wear epochs through per-device
+``PCMDevice`` views of those arrays.  The contract is *bit*-identity
+with driving each device alone (``drive_single``): same per-device RNG
+streams consumed in the same per-device order, so state digests,
+``DeviceStats``, death epochs, and per-epoch counters all match.  These
+tests pin that for whole populations — stress and default configs, via
+hypothesis over seeds and shard windows, and at the summary level
+through ``fleet_mc`` — and pin that a paper-faithful fleet never leaves
+the vectorized fast path.
 
 The batched-RNG fast paths (``repro.fleet.fastrng``) are also pinned
 here against the scalar draws they replace.
 """
-
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.scheduler import CampaignScheduler
-from repro.campaign.spec import builtin_campaign
-from repro.campaign.store import RunStore
-from repro.chaos import FaultPlan, FaultSpec, InjectedCrash, activate
+from repro.core.device import PCMDevice
 from repro.fleet import (
-    FLEET_ENGINE_ENV,
     FLEET_SPAWN_KEY,
     FleetConfig,
-    FleetEngine,
-    ObjectFleetEngine,
     SoaFleetEngine,
+    counter_index,
     fleet_mc,
     stress_config,
 )
@@ -42,85 +36,32 @@ from repro.fleet.fastrng import (
     merged_normals_ok,
     payload_fast_ok,
 )
-from repro.montecarlo.results_cache import ResultsCache
 from repro.montecarlo.rng import block_rng, seed_entropy
+from tests.fleet.test_fleet_differential import assert_matches_reference, drive_single
 
 #: Wear-accelerated: marks, retries, stale-row re-encodes, and deaths
 #: all occur, so the slow path is exercised — not just the fast path.
 STRESS = stress_config(n_devices=8, n_epochs=6)
 
 
-def assert_engines_identical(a, b, n_epochs):
-    """Advance both engines epoch by epoch asserting full bit-identity."""
-    assert a.state_digest() == b.state_digest(), "initial state diverged"
-    for e in range(n_epochs):
-        ca = a.advance(1)
-        cb = b.advance(1)
-        assert (ca == cb).all(), f"counts diverged in epoch {e}"
-        assert (a.alive_mask() == b.alive_mask()).all(), f"deaths diverged in {e}"
-        assert a.state_digest() == b.state_digest(), f"state diverged in epoch {e}"
-    for k in np.flatnonzero(a.alive_mask()):
-        index = a.first_device + int(k)
-        assert a.device(index).stats == b.device(index).stats
-        assert a.device(index).state_digest() == b.device(index).state_digest()
-
-
-class TestEngineFactory:
-    def test_default_is_soa(self, monkeypatch):
-        monkeypatch.delenv(FLEET_ENGINE_ENV, raising=False)
-        engine = FleetEngine(STRESS, seed_entropy(0))
-        assert isinstance(engine, SoaFleetEngine)
-
-    def test_explicit_object(self):
-        engine = FleetEngine(STRESS, seed_entropy(0), engine="object")
-        assert isinstance(engine, ObjectFleetEngine)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ENGINE_ENV, "object")
-        assert isinstance(FleetEngine(STRESS, seed_entropy(0)), ObjectFleetEngine)
-        monkeypatch.setenv(FLEET_ENGINE_ENV, "soa")
-        assert isinstance(FleetEngine(STRESS, seed_entropy(0)), SoaFleetEngine)
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ENGINE_ENV, "object")
-        engine = FleetEngine(STRESS, seed_entropy(0), engine="soa")
-        assert isinstance(engine, SoaFleetEngine)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            FleetEngine(STRESS, seed_entropy(0), engine="vectorized")
-
-
 class TestPopulationDifferential:
-    """SoA == object across whole populations, epoch by epoch."""
+    """Every device of a population == its single-device reference."""
 
     def test_stress_population(self):
         entropy = seed_entropy(42)
-        assert_engines_identical(
-            ObjectFleetEngine(STRESS, entropy),
-            SoaFleetEngine(STRESS, entropy),
-            STRESS.n_epochs,
-        )
+        assert_matches_reference(SoaFleetEngine(STRESS, entropy), STRESS, entropy)
 
     def test_default_config_population(self):
         config = FleetConfig(n_devices=6, n_epochs=4)
         entropy = seed_entropy(7)
-        assert_engines_identical(
-            ObjectFleetEngine(config, entropy),
-            SoaFleetEngine(config, entropy),
-            config.n_epochs,
-        )
+        assert_matches_reference(SoaFleetEngine(config, entropy), config, entropy)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=6, deadline=None)
     def test_any_seed_stress(self, seed):
         config = stress_config(n_devices=5, n_epochs=4)
         entropy = seed_entropy(seed)
-        assert_engines_identical(
-            ObjectFleetEngine(config, entropy),
-            SoaFleetEngine(config, entropy),
-            config.n_epochs,
-        )
+        assert_matches_reference(SoaFleetEngine(config, entropy), config, entropy)
 
     @given(
         first=st.integers(min_value=0, max_value=50),
@@ -128,15 +69,26 @@ class TestPopulationDifferential:
     )
     @settings(max_examples=6, deadline=None)
     def test_any_shard_window(self, first, n):
-        """Bit-identity holds for any global device window, so sharded
-        campaigns may mix engines freely."""
+        """Bit-identity holds for any global device window, so any
+        sharding of a campaign reproduces the same devices."""
         config = stress_config(n_devices=64, n_epochs=3)
         entropy = seed_entropy(3)
-        assert_engines_identical(
-            ObjectFleetEngine(config, entropy, first, n),
-            SoaFleetEngine(config, entropy, first, n),
-            config.n_epochs,
+        assert_matches_reference(
+            SoaFleetEngine(config, entropy, first, n), config, entropy
         )
+
+    @pytest.mark.parametrize("preset", [stress_config, FleetConfig])
+    def test_drift_error_population(self, preset):
+        """Long epochs on the naive 3LC mapping drift cells across
+        thresholds, so the scrub's TEC, uncorrectable and silent paths
+        are pinned too, on the slow (stress) and fast (default) paths."""
+        config = preset(n_devices=8, n_epochs=4, epoch_seconds=1e11, design="3LCn")
+        entropy = seed_entropy(5)
+        want = assert_matches_reference(
+            SoaFleetEngine(config, entropy), config, entropy
+        ).sum(axis=0)
+        for name in ("tec_corrections", "uncorrectable", "silent"):
+            assert want[counter_index(name)] > 0, name
 
     def test_epoch_batch_invariance_soa(self):
         entropy = seed_entropy(13)
@@ -149,24 +101,32 @@ class TestPopulationDifferential:
 
 
 class TestSummaryEquality:
-    def test_fleet_mc_engine_invariant(self):
+    def test_fleet_mc_matches_single_device_reference(self):
         config = stress_config(n_devices=11, n_epochs=3)
-        soa = fleet_mc(config, seed=0, jobs=1, engine="soa")
-        obj = fleet_mc(config, seed=0, jobs=1, engine="object")
-        assert (soa.counts == obj.counts).all()
-        assert soa.to_dict() == obj.to_dict()
+        summary = fleet_mc(config, seed=0, jobs=1, shard_devices=4)
+        want = sum(
+            drive_single(config, summary.entropy, i)[2]
+            for i in range(config.n_devices)
+        )
+        assert (summary.counts == want).all()
 
-    def test_engine_absent_from_cache_key(self, tmp_path):
-        """Both engines produce identical counts, so one engine's cache
-        entries serve the other verbatim."""
-        config = stress_config(n_devices=9, n_epochs=3)
-        cache = ResultsCache(cache_dir=tmp_path / "cache")
-        warm = fleet_mc(config, seed=0, jobs=1, cache=cache, engine="object")
-        misses = cache.stats.misses
-        assert misses > 0
-        served = fleet_mc(config, seed=0, jobs=1, cache=cache, engine="soa")
-        assert cache.stats.misses == misses  # no recompute
-        assert (served.counts == warm.counts).all()
+
+class TestFastPathOnly:
+    def test_default_endurance_fleet_never_goes_slow(self, monkeypatch):
+        """A paper-faithful fleet (the ``fleet_fresh`` benchmark shape)
+        runs every epoch on the vectorized fast path and never builds a
+        per-device ``PCMDevice`` view."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("left the fast path")
+
+        monkeypatch.setattr(SoaFleetEngine, "_slow_epoch", forbidden)
+        monkeypatch.setattr(PCMDevice, "over_state", forbidden)
+        config = FleetConfig(n_devices=256, n_epochs=4)
+        engine = SoaFleetEngine(config, seed_entropy(0))
+        counts = engine.advance(config.n_epochs)
+        assert counts.sum() > 0
+        assert engine._views == {}
 
 
 class TestFastRng:
@@ -202,62 +162,3 @@ class TestFastRng:
 
     def test_merged_normals_self_check(self):
         assert isinstance(merged_normals_ok(), bool)
-
-
-class TestChaosResumeSoa:
-    """Crash-resume on the SoA path, byte-equal to an *object-engine*
-    clean run — crash recovery and engine equivalence in one check."""
-
-    N_DEVICES = 30
-
-    def _spec(self):
-        return builtin_campaign("fleet", n_samples=self.N_DEVICES, seed=0)
-
-    def _run_clean(self, run_dir, cache_dir):
-        result = CampaignScheduler(
-            self._spec(),
-            RunStore(run_dir),
-            cache=ResultsCache(cache_dir=cache_dir),
-            sleep=lambda _t: None,
-        ).run()
-        assert result.ok
-        return result
-
-    def test_soa_crash_resume_matches_object_clean_run(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FLEET_ENGINE_ENV, "object")
-        self._run_clean(tmp_path / "ref", tmp_path / "ref-cache")
-
-        monkeypatch.setenv(FLEET_ENGINE_ENV, "soa")
-        plan = FaultPlan(
-            faults=(FaultSpec.make("fleet.epoch", occurrence=1, action="crash"),),
-            seed=0,
-        )
-        store = RunStore(tmp_path / "faulted")
-        crashes = 0
-        with activate(plan):
-            for attempt in range(4):
-                scheduler = CampaignScheduler(
-                    self._spec(),
-                    store,
-                    cache=ResultsCache(cache_dir=tmp_path / "faulted-cache"),
-                    sleep=lambda _t: None,
-                )
-                try:
-                    result = scheduler.run(resume=attempt > 0)
-                except InjectedCrash:
-                    crashes += 1
-                    continue
-                break
-            else:
-                raise AssertionError("no recovery within 4 restarts")
-        assert result.ok and crashes == 1
-
-        ref = RunStore(tmp_path / "ref")
-        for job_id in sorted(ref.completed_jobs()):
-            assert (
-                store.result_path(job_id).read_bytes()
-                == ref.result_path(job_id).read_bytes()
-            )
-        assert result.results["fleet-population"] == json.loads(
-            ref.result_path("fleet-population").read_text()
-        )
