@@ -210,9 +210,11 @@ class PCMDevice:
 
         ``states``/``check`` — when given together — must equal
         ``codec3.encode(data_bits, block_state)`` under the block's
-        *current* marked layout; batch callers (:mod:`repro.fleet`)
-        encode many blocks in one :class:`BatchThreeOnTwoCodec` pass and
-        hand each row here.  The write-and-verify retry loop re-encodes
+        *current* marked layout.  Two callers pre-encode with
+        :class:`BatchThreeOnTwoCodec`: the fleet engine
+        (:mod:`repro.fleet`) encodes many blocks in one pass, and the
+        service's :class:`~repro.service.device.VirtualDevice` encodes
+        each write's block.  The write-and-verify retry loop re-encodes
         scalarly whenever wearout reshuffles the layout, so supplying a
         pre-encoded first attempt is bit-identical to :meth:`write`.
         """

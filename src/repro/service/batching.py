@@ -13,8 +13,7 @@ The layering is sans-io:
 - :func:`execute_batch` — runs one batch of :class:`IoOp` against the
   device engine, coalescing reads into a single
   :meth:`~repro.coding.batch.BatchThreeOnTwoCodec.decode` per block
-  geometry and write *encodes* into one
-  :meth:`~repro.coding.batch.BatchThreeOnTwoCodec.encode` per wave;
+  geometry and running writes one at a time in queue order;
 - :class:`DynamicBatcher` — the asyncio front: wakes on size or
   deadline, executes batches on a single worker thread (which also
   serializes every other touch of engine state), resolves futures.
@@ -22,8 +21,8 @@ The layering is sans-io:
 **Bit-identity.**  ``execute_batch(ops)`` produces exactly the
 responses and device state of executing the same ops one at a time in
 queue order: reads are stateless given the bound timestamps, write
-randomness is addressed per ``(block, epoch)``, and writes to the same
-block within one batch are executed in queue order (wave partitioning).
+randomness is addressed per ``(block, epoch)``, and writes within one
+batch are executed in queue order.
 ``tests/service/test_batch_queue.py`` holds the two paths together.
 """
 
@@ -240,7 +239,7 @@ def _execute_reads(ops: list[IoOp]) -> None:
 
 
 def _write_one(op: IoOp) -> dict:
-    """Execute one write op (the per-op slow path and retry handler)."""
+    """Execute one write op, turning spare exhaustion into its error code."""
     dev = op.device
     try:
         assert op.bits is not None
@@ -256,32 +255,15 @@ def _write_one(op: IoOp) -> dict:
 
 
 def _execute_writes(ops: list[IoOp]) -> None:
-    """Write path: batch-encode per wave, program per row.
+    """Write path: each write runs on its own, in queue order.
 
-    Ops are partitioned into *waves* with unique ``(device, block)``
-    pairs, preserving queue order within each block, so a second write
-    to the same block always sees the state (marks, epoch) the first
-    one left behind — exactly as sequential execution would.
-
-    The wave's first-attempt encodes run as one
-    :meth:`BatchThreeOnTwoCodec.encode` call; rows whose write-and-verify
-    needs marking retries drop to the per-op loop (rare: wear events).
+    A write's randomness is addressed by its ``(block, epoch)`` and each
+    block's state is its own, so queue order is all the bit-identity
+    contract needs: a second write to the same block sees the state
+    (marks, epoch) the first one left behind.
     """
-    waves: list[list[IoOp]] = []
-    seen_in_wave: list[set[tuple[str, int]]] = []
     for op in ops:
-        key = (op.device.device_id, op.block)
-        for wave, seen in zip(waves, seen_in_wave):
-            if key not in seen:
-                wave.append(op)
-                seen.add(key)
-                break
-        else:
-            waves.append([op])
-            seen_in_wave.append({key})
-    for wave in waves:
-        for op in wave:
-            op.result = _write_one(op)
+        op.result = _write_one(op)
 
 
 def execute_batch(ops: Sequence[IoOp]) -> list[dict]:
@@ -295,8 +277,7 @@ def execute_batch(ops: Sequence[IoOp]) -> list[dict]:
       freely among themselves;
     - writes mutate wear state, so within one segment they run before
       the reads (a read behind a write to the same block must observe
-      it) and same-block writes keep queue order (wave partitioning in
-      :func:`_execute_writes`);
+      it) and keep queue order among themselves;
     - the only FIFO hazard left — a *write* submitted behind a *read* of
       the same block — forces a segment boundary, so the read still
       senses the pre-write cells.

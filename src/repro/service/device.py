@@ -4,9 +4,17 @@ Each :class:`VirtualDevice` is a persistent simulated MLC-PCM device:
 ``n_blocks`` 3-ON-2 blocks of drifting cells (the paper's 354-cell
 Figure-9 geometry by default), a per-device :class:`VirtualClock` that
 only advances by explicit request, accumulated mark-and-spare wear, and
-cumulative request statistics.  The arrays are laid out ``(n_blocks,
-n_cells)`` so a batch of read requests senses and decodes as a handful
-of vectorized passes through :class:`~repro.coding.batch.BatchThreeOnTwoCodec`.
+cumulative request statistics.
+
+The cells, SLC check bits, written mask and mark-and-spare layouts live
+in one :class:`~repro.core.device.PCMDevice` view (built with
+:meth:`PCMDevice.over_state`, as the fleet engine's wear epochs do), so
+writes run :meth:`PCMDevice.write_encoded` and reads sense through
+:meth:`CellArray.log_resistance`.  This class adds only addressing,
+validation, the virtual clock, per-block write epochs, request
+statistics and error codes.  Reads of many blocks sense as one
+vectorized pass and decode through the shared
+:class:`~repro.coding.batch.BatchThreeOnTwoCodec`.
 
 **Determinism contract.**  Device state after any request history is a
 pure function of ``(device seed, the ordered per-block request
@@ -14,21 +22,16 @@ sequence, the virtual timestamps)`` — *not* of wall-clock time, request
 interleaving across blocks, or how the dynamic batcher happened to
 group requests.  Three mechanisms enforce this:
 
-- every write draws its program noise from a private generator
-  addressed by ``(seed, SERVICE_SPAWN_KEY, block, epoch)`` via
+- before every write the view's cell generator is replaced by a private
+  one addressed by ``(seed, SERVICE_SPAWN_KEY, block, epoch)`` via
   :func:`repro.montecarlo.rng.block_rng`, where ``epoch`` counts writes
-  to that block — so the draw stream is independent of what other
-  requests ran in between;
+  to that block — so the draws a write makes (program noise for its
+  healthy cells, revival of stuck-set cells in marked pairs) depend on
+  that block's history only;
 - endurance budgets and failure modes are sampled once at device
   creation from their own spawn keys;
 - virtual timestamps are bound at request *submission*, before the
   batcher reorders anything.
-
-The physics mirrors :class:`repro.cells.cell_array.CellArray` (write
-distributions, drift-tier escalation, stuck-cell pinning) and the
-write-and-verify / mark-and-spare loop mirrors
-:meth:`repro.core.device.PCMDevice.write`; the difference is purely the
-addressing of randomness and the batch-friendly array layout.
 """
 
 from __future__ import annotations
@@ -40,16 +43,17 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.cells.cell_array import CellArray
 from repro.cells.drift import PAPER_ESCALATION, TieredDrift
 from repro.cells.faults import FaultMode, WearoutModel
-from repro.cells.params import T0_SECONDS, WRITE_TRUNCATION_SIGMA
 from repro.coding.batch import BatchThreeOnTwoCodec
 from repro.coding.blockcodec import ThreeOnTwoBlockCodec
 from repro.core.designs import three_level_optimal
-from repro.montecarlo.rng import block_rng, truncated_normal
+from repro.core.device import DeviceStats, PCMDevice
+from repro.montecarlo.rng import block_rng
 from repro.service.clock import VirtualClock
 from repro.service.codes import ServiceError
-from repro.wearout.mark_and_spare import MarkAndSpareBlock, SpareExhausted
+from repro.wearout.mark_and_spare import SpareExhausted
 
 __all__ = [
     "SERVICE_SPAWN_KEY",
@@ -68,10 +72,6 @@ SERVICE_SPAWN_KEY = 0x5EC0
 _KEY_ENDURANCE = 0
 _KEY_MODES = 1
 _KEY_WRITE = 2
-
-_HEALTHY = FaultMode.HEALTHY.value
-_STUCK_RESET = FaultMode.STUCK_RESET.value
-_STUCK_SET = FaultMode.STUCK_SET.value
 
 # One BatchThreeOnTwoCodec per block geometry, shared across devices:
 # the packed parity masks are a few hundred KB and identical for every
@@ -126,48 +126,50 @@ class VirtualDevice:
     ):
         if n_blocks < 1:
             raise ServiceError("E_BAD_REQUEST", "need at least one block")
-        if len(schedule.tiers) > 1:
-            raise ValueError("VirtualDevice supports at most one escalation tier")
         self.device_id = device_id
         self.seed = int(seed)
         self.n_blocks = int(n_blocks)
         self.data_bits = int(data_bits)
         self.n_spare_pairs = int(n_spare_pairs)
         self.codec = shared_codec(data_bits, n_spare_pairs)
-        self.design = three_level_optimal()
-        self.schedule = schedule
-        self.wearout = wearout or WearoutModel()
         self.clock = VirtualClock()
         self.stats = VirtualDeviceStats()
 
         scalar = self.codec.codec
         self.n_cells = scalar.n_mlc_cells
         self.n_slc_cells = scalar.n_slc_cells
-        n, c = self.n_blocks, self.n_cells
-
-        # Per-cell physics state, (n_blocks, n_cells).
-        self._lr0 = np.full((n, c), self.design.states[0].mu_lr)
-        self._alpha = np.zeros((n, c))
-        self._alpha_esc = np.zeros((n, c))
-        self._writes = np.zeros((n, c), dtype=np.int64)
-        self._fault = np.full((n, c), _HEALTHY, dtype=np.int8)
+        n = self.n_blocks * self.n_cells
+        design = three_level_optimal()
+        wearout = wearout or WearoutModel()
         rng_end = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_ENDURANCE))
-        self._endurance = self.wearout.sample_endurance(rng_end, n * c).reshape(n, c)
         rng_modes = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_MODES))
-        self._pending_mode = self.wearout.sample_modes(rng_modes, n * c).reshape(n, c)
-
-        # Per-block controller state.
-        self._t_prog = np.zeros(n)
-        self._slc = np.zeros((n, self.n_slc_cells), dtype=np.uint8)
-        self._written = np.zeros(n, dtype=bool)
-        self._epoch = np.zeros(n, dtype=np.int64)
-        self._ms = [scalar.new_block_state() for _ in range(n)]
-
-        # Cached per-state program/drift parameter vectors.
-        self._mu_lr = np.array([s.mu_lr for s in self.design.states])
-        self._sg_lr = np.array([s.sigma_lr for s in self.design.states])
-        self._mu_a = np.array([s.drift.mu_alpha for s in self.design.states])
-        self._sg_a = np.array([s.drift.sigma_alpha for s in self.design.states])
+        # Block b owns cells [b * n_cells, (b + 1) * n_cells), the
+        # PCMDevice layout.  The generator passed here is never drawn
+        # from: write_block installs the write's own before programming.
+        array = CellArray.over_state(
+            (
+                np.full(n, design.states[0].mu_lr),
+                np.zeros(n),
+                np.zeros(n),
+                np.zeros(n),
+                np.zeros(n, dtype=np.int64),
+                np.zeros(n, dtype=np.int64),
+                wearout.sample_endurance(rng_end, n),
+                np.full(n, FaultMode.HEALTHY.value, dtype=np.int8),
+                wearout.sample_modes(rng_modes, n),
+            ),
+            design=design,
+            rng=rng_end,
+            wearout=wearout,
+            schedule=schedule,
+        )
+        self._slc = np.zeros((self.n_blocks, self.n_slc_cells), dtype=np.uint8)
+        self._written = np.zeros(self.n_blocks, dtype=bool)
+        self._marked = np.zeros((self.n_blocks, scalar.ms_config.n_pairs), dtype=bool)
+        self.device = PCMDevice.over_state(
+            array, scalar, self._slc, self._written, self._marked
+        )
+        self._epoch = np.zeros(self.n_blocks, dtype=np.int64)
 
     # -- validation ----------------------------------------------------
     def check_block(self, block: int) -> int:
@@ -201,141 +203,53 @@ class VirtualDevice:
         return t
 
     # -- write path ----------------------------------------------------
-    def _program_row(
-        self, block: int, states: np.ndarray, t: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Program one block's cells at virtual time ``t``; verify mask.
-
-        Draws are made for *every* cell (then applied to the healthy
-        subset) so the stream a write consumes never depends on how many
-        cells happen to be worn — the per-write RNG contract.
-        """
-        c = self.n_cells
-        writes = self._writes[block]
-        writes += 1
-        newly_dead = (writes >= self._endurance[block]) & (self._fault[block] == _HEALTHY)
-        if np.any(newly_dead):
-            self._fault[block][newly_dead] = self._pending_mode[block][newly_dead]
-
-        z_r = truncated_normal(
-            rng, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA, c
-        )
-        z = rng.standard_normal(c)
-        fresh = rng.standard_normal(c)
-
-        st = states.astype(np.int64)
-        healthy = self._fault[block] == _HEALTHY
-        lr0 = self._mu_lr[st] + self._sg_lr[st] * z_r
-        alpha = np.maximum(self._mu_a[st] + self._sg_a[st] * z, 0.0)
-        self._lr0[block][healthy] = lr0[healthy]
-        self._alpha[block][healthy] = alpha[healthy]
-        if self.schedule.tiers:
-            tier = self.schedule.tiers[0]
-            esc = self.schedule.escalated_alpha(tier, alpha, z, 0.0, z_fresh=fresh)
-            self._alpha_esc[block][healthy] = esc[healthy]
-        self._t_prog[block] = t
-
-        verify = healthy.copy()
-        stuck_reset = self._fault[block] == _STUCK_RESET
-        verify |= stuck_reset & (st == self.design.n_levels - 1)
-        return verify
-
-    def _revive_pair(self, block: int, pair: int, rng: np.random.Generator) -> None:
-        """Reverse-current revival of a marked pair's stuck-set cells.
-
-        Two uniforms are always drawn (stream invariance); revived cells
-        become permanently stuck-reset, i.e. they read as S4 — exactly
-        what an INV mark needs.
-        """
-        cells = slice(2 * pair, 2 * pair + 2)
-        u = rng.random(2)
-        pair_faults = self._fault[block, cells]
-        revived = (pair_faults == _STUCK_SET) & (u < self.wearout.p_revive)
-        pair_faults[revived] = _STUCK_RESET
-
     def write_block(self, block: int, bits: np.ndarray, t: float) -> dict:
         """Encode + program one block with write-and-verify at time ``t``.
 
-        Mirrors :meth:`repro.core.device.PCMDevice.write`: each verify
-        failure marks the containing pair INV and relays the data around
-        it, up to the spare budget.  Raises
-        :class:`~repro.wearout.mark_and_spare.SpareExhausted` past it
-        (the block is left unreadable until rewritten after remapping).
+        Runs :meth:`PCMDevice.write_encoded` under the write's own
+        generator, with the first attempt encoded by the batch codec.
+        Raises :class:`~repro.wearout.mark_and_spare.SpareExhausted` when
+        wear outruns the spare budget; the block is then unreadable
+        until a later write succeeds.
         """
         block = self.check_block(block)
         epoch = int(self._epoch[block])
         self._epoch[block] = epoch + 1
-        rng = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_WRITE, block, epoch))
-        ms = self._ms[block]
-        self.stats.writes += 1
-        retries = 0
-        marks = 0
+        dev = self.device
+        dev.array.rng = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_WRITE, block, epoch))
+        states, check = self.codec.encode(bits[None, :], self._marked[block : block + 1])
         try:
-            for _ in range(self.n_spare_pairs + 1):
-                states, checks = self.codec.encode(bits[None, :], [ms])
-                ok = self._program_row(block, states[0], t, rng)
-                self._slc[block] = checks[0]
-                bad = np.nonzero(~ok)[0]
-                if bad.size == 0:
-                    self._written[block] = True
-                    self.stats.write_retries += retries
-                    self.stats.wearout_marks += marks
-                    return {
-                        "code": "OK",
-                        "block": block,
-                        "t": t,
-                        "epoch": epoch,
-                        "retries": retries,
-                        "marked_pairs": ms.n_marked,
-                    }
-                retries += 1
-                pair = int(bad[0]) // 2
-                if not bool(ms._marked[pair]):
-                    ms.mark(pair)  # raises SpareExhausted when out of budget
-                    marks += 1
-                self._revive_pair(block, pair, rng)
-            raise SpareExhausted(f"block {block}: wearout beyond spare budget")
+            dev.write_encoded(block, bits, t, states[0], check[0])
         except SpareExhausted:
             self._written[block] = False
-            self.stats.write_retries += retries
-            self.stats.wearout_marks += marks
             self.stats.spare_exhausted_writes += 1
             raise
+        finally:
+            st = dev.stats
+            self.stats.writes += st.writes
+            self.stats.write_retries += st.write_retries
+            self.stats.wearout_marks += st.wearout_marks
+            dev.stats = DeviceStats()
+        return {
+            "code": "OK",
+            "block": block,
+            "t": t,
+            "epoch": epoch,
+            "retries": st.write_retries,
+            "marked_pairs": int(self._marked[block].sum()),
+        }
 
     # -- read path -----------------------------------------------------
-    def drifted_lr(self, blocks: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Drifted log10 resistance of whole block rows at virtual times.
+    def sense_rows(self, blocks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sensed cell states + SLC check bits for a batch of reads.
 
-        Vectorized mirror of
-        :meth:`repro.cells.cell_array.CellArray.log_resistance` over
-        ``(len(blocks), n_cells)`` with per-row timestamps.
+        Row ``i`` is block ``blocks[i]`` sensed at virtual time ``ts[i]``.
         """
         blocks = np.asarray(blocks, dtype=np.int64)
         ts = np.asarray(ts, dtype=float)
-        lr0 = self._lr0[blocks]
-        alpha = self._alpha[blocks]
-        dt = np.maximum(ts[:, None] - self._t_prog[blocks][:, None], 0.0) + T0_SECONDS
-        L = np.log10(dt / T0_SECONDS)
-        lr = lr0 + alpha * L
-        if self.schedule.tiers:
-            tier = self.schedule.tiers[0]
-            b = tier.lr_break
-            crossed = (lr0 < b) & (lr > b)
-            if np.any(crossed):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    L_cross = np.where(crossed & (alpha > 0), (b - lr0) / alpha, np.inf)
-                esc = b + self._alpha_esc[blocks] * np.maximum(L - L_cross, 0.0)
-                lr = np.where(crossed & np.isfinite(L_cross), esc, lr)
-        fault = self._fault[blocks]
-        lr = np.where(fault == _STUCK_RESET, self.design.states[-1].mu_lr, lr)
-        lr = np.where(fault == _STUCK_SET, self.design.states[0].mu_lr, lr)
-        return lr
-
-    def sense_rows(self, blocks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sensed cell states + SLC check bits for a batch of reads."""
-        blocks = np.asarray(blocks, dtype=np.int64)
-        states = self.design.sense(self.drifted_lr(blocks, ts)).astype(np.uint8)
-        return states, self._slc[blocks]
+        cells = blocks[:, None] * self.n_cells + np.arange(self.n_cells)
+        lr = self.device.array.log_resistance(ts[:, None], cells)
+        return self.device.design.sense(lr).astype(np.uint8), self._slc[blocks]
 
     def require_written(self, block: int) -> None:
         if not bool(self._written[block]):
@@ -347,7 +261,7 @@ class VirtualDevice:
 
     # -- introspection -------------------------------------------------
     def describe(self) -> dict:
-        marks = np.array([ms.n_marked for ms in self._ms], dtype=np.int64)
+        marks = self._marked.sum(axis=1)
         return {
             "id": self.device_id,
             "seed": self.seed,
@@ -362,7 +276,7 @@ class VirtualDevice:
                 "marked_pairs_total": int(marks.sum()),
                 "marked_pairs_max": int(marks.max()),
                 "blocks_at_budget": int((marks >= self.n_spare_pairs).sum()),
-                "stuck_cells": int((self._fault != _HEALTHY).sum()),
+                "stuck_cells": int(self.device.array.stuck_mask().sum()),
             },
             "stats": self.stats.snapshot(),
         }
@@ -370,25 +284,15 @@ class VirtualDevice:
     def state_digest(self) -> str:
         """SHA-256 over the full simulated state, for differential checks.
 
+        Covers the :class:`PCMDevice` view's digest (cells, check bits,
+        written mask, marks), the per-block write epochs and the clock.
         Two devices that served bit-identical request histories (in any
         batching arrangement) must produce equal digests; the
         bench/CI cross-check is built on this.
         """
         h = hashlib.sha256()
-        for arr in (
-            self._lr0,
-            self._alpha,
-            self._alpha_esc,
-            self._writes,
-            self._fault,
-            self._t_prog,
-            self._slc,
-            self._written,
-            self._epoch,
-        ):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        for ms in self._ms:
-            h.update(np.ascontiguousarray(ms._marked).tobytes())
+        h.update(self.device.state_digest().encode("ascii"))
+        h.update(np.ascontiguousarray(self._epoch).tobytes())
         h.update(np.float64(self.clock.now()).tobytes())
         return h.hexdigest()
 

@@ -8,6 +8,7 @@ twin :class:`VirtualDevice` driven directly through the batch kernels.
 """
 
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.service.batching import IoOp, execute_batch
 from repro.service.client import ServiceClient, ServiceResponseError
 from repro.service.codes import CODES
 from repro.service.device import VirtualDevice
+from repro.service.jobs import JobManager
 from repro.service.wire import bits_to_hex
 
 
@@ -210,13 +212,34 @@ class TestJobs:
     def test_bler_job(self, client):
         accepted = client.submit_job("bler", cers=[1e-3], n_blocks=200, seed=1)
         assert accepted["code"] == "ACCEPTED"
-        assert accepted["state"] in ("queued", "running")
+        assert accepted["state"] == "queued"
         job = self._poll(client, accepted["job_id"])
         assert job["state"] == "done"
         (point,) = job["result"]["points"]
         assert point["cer"] == 1e-3
         assert point["n_blocks"] == 200
         assert 0.0 <= point["bler"] <= 1.0
+
+    def test_accepted_is_queued_when_the_job_finishes_first(self, tmp_path):
+        # A pool that runs each job to completion inside submit(): the
+        # ACCEPTED reply must still describe the job as handed over.
+        class InlinePool:
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True):
+                pass
+
+        jobs = JobManager(tmp_path)
+        jobs._pool.shutdown()
+        jobs._pool = InlinePool()
+        accepted = jobs.submit("bler", {"cers": [1e-3], "n_blocks": 20, "seed": 1})
+        assert accepted["code"] == "ACCEPTED"
+        assert accepted["state"] == "queued"
+        assert "result" not in accepted
+        assert jobs.get(accepted["job_id"])["state"] == "done"
 
     def test_job_listing(self, client):
         accepted = client.submit_job("bler", cers=[1e-3], n_blocks=50, seed=2)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cells.faults import WearoutModel
+from repro.core.device import PCMDevice
+from repro.montecarlo.rng import block_rng
 from repro.service.codes import ServiceError
-from repro.service.device import DeviceRegistry, VirtualDevice
+from repro.service.device import SERVICE_SPAWN_KEY, DeviceRegistry, VirtualDevice
 from repro.wearout.mark_and_spare import SpareExhausted
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
@@ -22,6 +24,12 @@ def _read_data(device: VirtualDevice, block: int, t: float) -> np.ndarray:
     decoded = device.codec.decode(states, slc)
     assert not decoded.uncorrectable[0]
     return decoded.data_bits[0]
+
+
+def _log_resistance(device: VirtualDevice, block: int, t: float) -> np.ndarray:
+    """Drifted log10 resistance of one block's cells at virtual time ``t``."""
+    cells = np.arange(block * device.n_cells, (block + 1) * device.n_cells)
+    return device.device.array.log_resistance(t, cells)
 
 
 class TestDeterminism:
@@ -48,9 +56,9 @@ class TestDeterminism:
         # new epoch: the analog state must differ even if data matches.
         dev = VirtualDevice("dev", 5, 2)
         dev.write_block(0, _payload(1), t=0.0)
-        lr_first = dev.drifted_lr(np.array([0]), np.array([0.0])).copy()
+        lr_first = _log_resistance(dev, 0, 0.0)
         dev.write_block(0, _payload(1), t=0.0)
-        lr_second = dev.drifted_lr(np.array([0]), np.array([0.0]))
+        lr_second = _log_resistance(dev, 0, 0.0)
         assert not np.array_equal(lr_first, lr_second)
 
 
@@ -64,8 +72,8 @@ class TestDrift:
     def test_resistance_drifts_upward(self):
         dev = VirtualDevice("dev", 3, 4)
         dev.write_block(0, _payload(0), t=0.0)
-        lr_now = dev.drifted_lr(np.array([0]), np.array([0.0]))
-        lr_year = dev.drifted_lr(np.array([0]), np.array([SECONDS_PER_YEAR]))
+        lr_now = _log_resistance(dev, 0, 0.0)
+        lr_year = _log_resistance(dev, 0, SECONDS_PER_YEAR)
         # Drift only ever increases log-resistance (alpha >= 0).
         assert (lr_year >= lr_now - 1e-12).all()
         assert lr_year.mean() > lr_now.mean()
@@ -84,9 +92,14 @@ class TestDrift:
         # fully determined by the timestamps, not by wall time.
         dev = VirtualDevice("dev", 13, 2)
         dev.write_block(0, _payload(2), t=0.0)
-        lr_a = dev.drifted_lr(np.array([0]), np.array([1e4]))
-        lr_b = dev.drifted_lr(np.array([0]), np.array([1e4]))
+        digest = dev.state_digest()
+        lr_a = _log_resistance(dev, 0, 1e4)
+        sensed_a = dev.sense_rows(np.array([0]), np.array([1e4]))
+        lr_b = _log_resistance(dev, 0, 1e4)
+        sensed_b = dev.sense_rows(np.array([0]), np.array([1e4]))
         assert np.array_equal(lr_a, lr_b)
+        assert all(np.array_equal(a, b) for a, b in zip(sensed_a, sensed_b))
+        assert dev.state_digest() == digest
 
 
 class TestVirtualTime:
@@ -156,6 +169,90 @@ class TestWearout:
             out = dev.write_block(0, _payload(i), t=0.0)
             assert out["marked_pairs"] == 0
             assert out["retries"] == 0
+
+
+class TestPCMDeviceReplay:
+    """A service device is a PCMDevice plus addressing and bookkeeping.
+
+    Replaying a history on a standalone :class:`PCMDevice` — same
+    creation-time endurance and failure modes, the same per-(block,
+    epoch) generator installed before each write — must leave the same
+    cells, marks and check bits, and sense the same states after drift.
+    """
+
+    MIXED = WearoutModel(
+        mean_endurance=200.0, endurance_sigma=0.6, p_stuck_reset=0.5, p_revive=0.5
+    )
+
+    @staticmethod
+    def _reference(dev: VirtualDevice, wearout: WearoutModel) -> PCMDevice:
+        ref = PCMDevice(dev.n_blocks, wearout=wearout)
+        n = dev.n_blocks * dev.n_cells
+        ref.array._endurance[:] = wearout.sample_endurance(
+            block_rng(dev.seed, (SERVICE_SPAWN_KEY, 0)), n
+        )
+        ref.array._pending_mode[:] = wearout.sample_modes(
+            block_rng(dev.seed, (SERVICE_SPAWN_KEY, 1)), n
+        )
+        return ref
+
+    @staticmethod
+    def _write_both(dev, ref, epochs, block, bits, t):
+        ref.array.rng = block_rng(dev.seed, (SERVICE_SPAWN_KEY, 2, block, epochs[block]))
+        epochs[block] += 1
+        outcomes = []
+        for write in (dev.write_block, ref.write):
+            try:
+                write(block, bits, t)
+                outcomes.append("ok")
+            except SpareExhausted:
+                outcomes.append("exhausted")
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    @staticmethod
+    def _assert_same_state(dev, ref, t):
+        blocks = np.arange(dev.n_blocks)
+        states, checks = dev.sense_rows(blocks, np.full(blocks.size, t))
+        assert np.array_equal(states.ravel(), ref.array.sense(t))
+        for b in blocks:
+            assert np.array_equal(checks[b], ref.check_bits(b))
+            assert np.array_equal(
+                dev.device.block_state(b).marked_pairs, ref.block_state(b).marked_pairs
+            )
+        assert dev.device.array.state_digest() == ref.array.state_digest()
+
+    def test_healthy_history(self):
+        wearout = WearoutModel()
+        dev = VirtualDevice("dev", 31, 4, wearout=wearout)
+        ref = self._reference(dev, wearout)
+        epochs = [0] * dev.n_blocks
+        history = [(b, _payload(b), 0.0) for b in range(4)]
+        history += [(1, _payload(9), 50.0), (3, _payload(10), 80.0), (1, _payload(11), 90.0)]
+        for block, bits, t in history:
+            self._write_both(dev, ref, epochs, block, bits, t)
+        for t in (100.0, SECONDS_PER_YEAR, 10 * SECONDS_PER_YEAR):
+            self._assert_same_state(dev, ref, t)
+        last = {block: bits for block, bits, _ in history}
+        for b, bits in last.items():
+            data = _read_data(dev, b, SECONDS_PER_YEAR)
+            assert np.array_equal(data, ref.read(b, SECONDS_PER_YEAR).data_bits)
+            assert np.array_equal(data, bits)
+
+    @pytest.mark.parametrize("wearout", [TestWearout.WEAROUT, MIXED], ids=["reset", "mixed"])
+    def test_wearout_history(self, wearout):
+        dev = VirtualDevice("dev", 7, 2, wearout=wearout)
+        ref = self._reference(dev, wearout)
+        epochs = [0] * dev.n_blocks
+        outcomes = []
+        for i in range(300):
+            t = 10.0 * i
+            outcomes.append(self._write_both(dev, ref, epochs, i % 2, _payload(i), t))
+            self._assert_same_state(dev, ref, t + SECONDS_PER_YEAR)
+        assert dev.stats.wearout_marks >= 1
+        assert dev.stats.wearout_marks == ref.stats.wearout_marks
+        assert dev.stats.write_retries == ref.stats.write_retries
+        assert "exhausted" in outcomes
 
 
 class TestValidation:
