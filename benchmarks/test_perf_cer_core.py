@@ -1,20 +1,13 @@
 """Vectorized CER core vs the pre-PR scalar path (engineering benchmark).
 
-Three comparisons, all against genuinely pre-PR baselines and all
-asserting bit-identical (analytic) or count-identical (MC) results:
+Two comparisons, both against genuinely pre-PR baselines:
 
 1. **Analytic kernels** — the frozen pre-PR scalar quadrature
    (``_prepr_analytic``, one Python-loop quadrature per (state, time) /
    (design, time) pair) vs the batched time-axis/candidate-axis kernels,
    on the Figure-3 state rows, the Figure-8 design set, and an
    optimizer-style 3LC candidate grid.
-2. **MC task fusion** — the pre-fusion per-block sort+searchsorted
-   reduction vs the fused executor, same draws, identical ``int64``
-   counts.  Fusion is roughly neutral on wall-clock here (the per-block
-   sort saving is offset by the larger working set on this
-   memory-bandwidth-bound box; see ``_FUSE_BLOCKS``) — the win of PR 6
-   is the analytic path, and this part documents that honestly.
-3. **End-to-end figure sweeps** — the pre-PR Fig-3/Fig-8 pipeline
+2. **End-to-end figure sweeps** — the pre-PR Fig-3/Fig-8 pipeline
    (Monte Carlo at the sweep defaults, plus the scalar analytic floor)
    vs the new ``engine="analytic"`` batched path.  This is where the
    ``REPRO_CER_SPEEDUP_FLOOR`` (default 10x) acceptance floor applies.
@@ -32,7 +25,6 @@ import numpy as np
 
 import _prepr_analytic as prepr
 from _report import emit_json
-from repro.cells.params import TABLE1
 from repro.core.designs import all_designs, four_level_naive
 from repro.mapping.constraints import DesignSpace
 from repro.mapping.optimizer import design_from_interior_mus
@@ -40,9 +32,6 @@ from repro.montecarlo.analytic import (
     analytic_design_cer_batch,
     analytic_state_cer_batch,
 )
-from repro.montecarlo.cer import critical_log_times, sample_state_cells
-from repro.montecarlo.executor import RNG_BLOCK, StateRun, plan_blocks, run_counts
-from repro.montecarlo.rng import block_rng
 from repro.montecarlo.sweep import PAPER_TIME_GRID_S, fig3_state_sweep, fig8_design_sweep
 
 SWEEP_SAMPLES = int(os.environ.get("REPRO_CER_SWEEP_SAMPLES", 10_000_000))
@@ -140,45 +129,6 @@ def _bench_optimizer_grid() -> dict:
     }
 
 
-def _prefusion_counts(run: StateRun, L_grid: np.ndarray, schedule) -> np.ndarray:
-    """The pre-PR per-block reduction: sort + searchsorted per RNG block."""
-    n_tiers = 0
-    if schedule.mode == "independent" and np.isfinite(run.tau):
-        n_tiers = len(schedule.tiers_between(-np.inf, run.tau))
-    counts = np.zeros(len(L_grid), dtype=np.int64)
-    for i, size in enumerate(plan_blocks(run.n_samples)):
-        rng = block_rng(run.entropy, run.prefix + (i,))
-        lr0, alpha, z = sample_state_cells(run.state, size, rng)
-        tier_z = None
-        if n_tiers:
-            tier_z = [rng.standard_normal(size) for _ in range(n_tiers)]
-        L_star = critical_log_times(
-            lr0, alpha, z, run.state.drift.mu_alpha, run.tau, schedule, tier_z
-        )
-        L_star.sort()
-        counts += np.searchsorted(L_star, L_grid, side="right")
-    return counts
-
-
-def _bench_mc_fusion() -> dict:
-    from repro.cells.drift import PAPER_ESCALATION
-
-    L = np.log10(np.asarray(sorted(PAPER_TIME_GRID_S)))
-    run = StateRun(TABLE1["S2"], 5.5, 2_000_000, 11, ())
-
-    ref, t_old = _timed(lambda: _prefusion_counts(run, L, PAPER_ESCALATION))
-    new, t_new = _timed(lambda: run_counts([run], L, schedule=PAPER_ESCALATION)[0])
-    assert np.array_equal(ref, new), "fused MC counts must be bit-identical"
-    return {
-        "n_samples": run.n_samples,
-        "rng_block": RNG_BLOCK,
-        "per_block_s": round(t_old, 4),
-        "fused_s": round(t_new, 4),
-        "speedup": round(t_old / t_new, 2),
-        "bit_identical_counts": True,
-    }
-
-
 def _bench_end_to_end() -> dict:
     mc3, t_mc3 = _timed(
         lambda: fig3_state_sweep(n_samples=SWEEP_SAMPLES, engine="mc")
@@ -222,7 +172,6 @@ def test_cer_core_speedups():
     fig3 = _bench_fig3_kernel()
     fig8 = _bench_fig8_kernel()
     grid = _bench_optimizer_grid()
-    fusion = _bench_mc_fusion()
     end_to_end = _bench_end_to_end()
 
     emit_json(
@@ -233,7 +182,6 @@ def test_cer_core_speedups():
             "analytic_fig3_kernel": fig3,
             "analytic_fig8_kernel": fig8,
             "optimizer_grid_scan": grid,
-            "mc_task_fusion": fusion,
             "figure_sweeps_end_to_end": end_to_end,
         },
     )

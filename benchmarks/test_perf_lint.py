@@ -2,11 +2,10 @@
 
 The two-pass analyzer's perf contract is structural, not a constant:
 pass 1 parses every file exactly once and pass 2 (all six project rule
-packs plus the eight per-file rules) reuses those ASTs, so the number
+packs plus the seven per-file rules) reuses those ASTs, so the number
 of ``ast.parse`` calls equals the file count no matter how many rules
 run.  This benchmark proves that by counting ``ast.parse`` invocations
-during a real repo-wide run, times both the whole-program pass and the
-serial per-file engine for comparison, and lands the numbers in
+during a real repo-wide run, times the pass, and lands the numbers in
 ``results/BENCH_lint.json``.
 """
 
@@ -14,7 +13,7 @@ import ast
 import time
 
 from _report import emit_json
-from repro.lint import load_config, run_paths, run_whole_program
+from repro.lint import load_config, run_whole_program
 
 import pathlib
 
@@ -45,7 +44,7 @@ def test_whole_program_parses_each_file_once():
     finally:
         ast.parse = real_parse
 
-    assert result.exit_code == 0, "repo must stay clean under --all"
+    assert result.exit_code == 0, "repo must stay clean"
     assert result.files_checked > 100
     # The structural contract: one parse per file, however many rules.
     assert parse_calls == result.files_checked, (
@@ -54,12 +53,6 @@ def test_whole_program_parses_each_file_once():
     )
     assert whole_s < WALL_CEILING_S
 
-    # Per-file engine, serial, for scale (it also parses once per file,
-    # but runs only the 8 per-file rules and builds no model).
-    t0 = time.perf_counter()
-    per_file = run_paths(PATHS, config, jobs=1)
-    per_file_s = time.perf_counter() - t0
-
     emit_json(
         "BENCH_lint",
         {
@@ -67,10 +60,6 @@ def test_whole_program_parses_each_file_once():
             "ast_parse_calls": parse_calls,
             "parse_per_file": round(parse_calls / result.files_checked, 3),
             "whole_program_wall_s": round(whole_s, 3),
-            "per_file_serial_wall_s": round(per_file_s, 3),
-            "whole_program_overhead_x": round(
-                whole_s / max(per_file_s, 1e-9), 2
-            ),
             "suppressed": result.suppressed,
             "violations": len(result.violations),
         },

@@ -10,37 +10,32 @@ machine-checked invariants:
 
 - per-rule AST visitors with stable codes (``RPL001``…), each documented
   in ``docs/LINTING.md`` with the invariant it protects;
-- a two-pass **whole-program** mode (``--all``): pass 1 parses every
-  file once into a :class:`~repro.lint.model.ProjectModel` (symbol
-  tables, resolved import graph, async/call summaries); pass 2 runs the
-  RPL010-015 packs over it — asyncio concurrency, RNG provenance
-  dataflow, cache-key completeness, and declarative layering contracts;
+- one two-pass **whole-program** run: pass 1 parses every file once
+  into a :class:`~repro.lint.model.ProjectModel` (symbol tables,
+  resolved import graph, async/call summaries); pass 2 runs the
+  per-file rules over the cached ASTs and the RPL010-015 packs over the
+  model — asyncio concurrency, RNG provenance dataflow, cache-key
+  completeness, and declarative layering contracts;
 - ``# repro-lint: disable=RPLxxx -- reason`` inline suppressions,
   applied identically to per-file and project findings;
 - a ``[tool.repro-lint]`` pyproject config block (excludes, per-path
   rule enables, severity and per-rule option overrides, ``layers``
-  contracts, default ``paths``, ratchet ``baseline``);
-- a committed baseline + ratchet (``--baseline`` /
-  ``--update-baseline``) so legacy findings are held constant while new
-  ones fail the build;
-- ``--fix`` for the rewrites safe enough to automate;
-- file-parallel execution with deterministic output ordering;
-- text, JSON, and SARIF reporters (schemas in ``docs/LINTING.md``).
+  contracts, default ``paths``);
+- text and JSON reporters (schema in ``docs/LINTING.md``).
 
-Run it as ``python -m repro.lint [paths...]`` (add ``--all`` for the
-whole-program pass); it exits nonzero iff an error-severity violation
-survives suppression and the baseline.
+Run it as ``python -m repro.lint [paths...]``; it exits nonzero iff an
+error-severity violation survives suppression.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import apply_baseline, build_baseline, load_baseline
-from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import LintResult, lint_file, run_paths, run_whole_program
-from repro.lint.fixes import fix_file, fix_source
-from repro.lint.model import ProjectModel, build_model
+# The rule registry loads first: the rules import config, which imports
+# rules.base, so entering the cycle at config would fail.
 from repro.lint.rules import all_project_rules, all_rules
 from repro.lint.rules.base import ProjectRule, Rule, Severity, Violation
+from repro.lint.config import LintConfig, load_config
+from repro.lint.engine import LintResult, run_whole_program
+from repro.lint.model import ProjectModel, build_model
 
 __all__ = [
     "LintConfig",
@@ -52,14 +47,7 @@ __all__ = [
     "Violation",
     "all_project_rules",
     "all_rules",
-    "apply_baseline",
-    "build_baseline",
     "build_model",
-    "fix_file",
-    "fix_source",
-    "lint_file",
     "load_config",
-    "load_baseline",
-    "run_paths",
     "run_whole_program",
 ]

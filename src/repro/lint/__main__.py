@@ -1,8 +1,8 @@
 """CLI entry: ``python -m repro.lint [paths...]``.
 
-Per-file mode (the default) runs RPL001-008 file-parallel.  Whole-
-program mode (``--all``) builds the project model first and adds the
-RPL010-015 packs, the ratchet baseline, and ``--fix``.
+Every run is the whole-program pass: the project model is built once
+and every enabled rule (per-file RPL001-007, project RPL010-015) runs
+over it.
 
 Exit status: 0 — clean (warnings allowed); 1 — at least one
 error-severity violation (or an unparseable file); 2 — usage or
@@ -15,16 +15,9 @@ import argparse
 import pathlib
 import sys
 
-from repro.lint.baseline import write_baseline
 from repro.lint.config import ConfigError, LintConfig, load_config
-from repro.lint.engine import discover_files, run_paths, run_whole_program
-from repro.lint.fixes import fix_paths
-from repro.lint.reporters import (
-    render_json,
-    render_rule_list,
-    render_sarif,
-    render_text,
-)
+from repro.lint.engine import run_whole_program
+from repro.lint.reporters import render_json, render_rule_list, render_text
 
 __all__ = ["main"]
 
@@ -35,9 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for the repro codebase: RNG "
             "discipline, cache-key salting, wall-clock hygiene, lock "
-            "discipline, and general determinism hazards.  With --all, "
-            "a two-pass whole-program analysis adds asyncio concurrency, "
-            "RNG provenance dataflow, and architecture layering rules."
+            "discipline, general determinism hazards, asyncio "
+            "concurrency, RNG provenance dataflow, and architecture "
+            "layering, in one whole-program pass."
         ),
     )
     parser.add_argument(
@@ -48,27 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "list, else the current directory)",
     )
     parser.add_argument(
-        "--all",
-        action="store_true",
-        dest="whole_program",
-        help="whole-program mode: build the project model and run the "
-        "RPL010-015 packs in addition to the per-file rules",
-    )
-    parser.add_argument(
         "-f",
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for per-file mode (default: min(cpus, 8); "
-        "1 = serial; --all always runs in-process)",
     )
     parser.add_argument(
         "--select",
@@ -79,25 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--disable",
         metavar="CODES",
         help="comma-separated codes to skip (adds to config disable)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="ratchet baseline file for --all (default: the config "
-        "'baseline' key; pass '' to disable)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="with --all: rewrite the baseline to accept current "
-        "findings, then exit 0 (the ratchet check forbids growth)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply automated fixes (unused-import removal, make_rng "
-        "rewrites) before linting; prints each applied fix",
     )
     parser.add_argument(
         "--config",
@@ -137,25 +95,11 @@ def _resolve_paths(args, config: LintConfig) -> list[str]:
     return ["."]
 
 
-def _resolve_baseline(args, config: LintConfig) -> str | None:
-    if args.baseline is not None:
-        return args.baseline or None  # '' disables
-    if config.baseline:
-        return str(pathlib.Path(config.root) / config.baseline)
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_rules:
         print(render_rule_list())
         return 0
-    if (args.update_baseline or args.fix) and not args.whole_program:
-        print(
-            "repro.lint: --update-baseline/--fix require --all",
-            file=sys.stderr,
-        )
-        return 2
     try:
         if args.no_config:
             config = LintConfig()
@@ -168,35 +112,10 @@ def main(argv: list[str] | None = None) -> int:
         config.select = _codes(args.select)
     if args.disable:
         config.disable = [*config.disable, *_codes(args.disable)]
-    paths = _resolve_paths(args, config)
-    if not args.whole_program:
-        result = run_paths(paths, config, jobs=args.jobs)
-    else:
-        if args.fix:
-            for fixed in fix_paths(discover_files(paths, config), config):
-                for line in fixed.applied:
-                    print(f"fixed: {line}")
-        baseline = _resolve_baseline(args, config)
-        if args.update_baseline:
-            result = run_whole_program(paths, config)
-            payload = write_baseline(
-                baseline or str(pathlib.Path(config.root) / "lint_baseline.json"),
-                result.violations,
-            )
-            if not args.quiet:
-                print(
-                    f"baseline updated: {payload['total']} finding(s) accepted"
-                )
-            return 0
-        result = run_whole_program(paths, config, baseline=baseline)
+    result = run_whole_program(_resolve_paths(args, config), config)
     if not args.quiet:
-        if args.format == "json":
-            report = render_json(result)
-        elif args.format == "sarif":
-            report = render_sarif(result)
-        else:
-            report = render_text(result)
-        print(report)
+        render = render_json if args.format == "json" else render_text
+        print(render(result))
     return result.exit_code
 
 

@@ -6,8 +6,7 @@ Example (all keys optional)::
     exclude = ["tests/fixtures/**"]          # glob, fnmatch-style
     select = ["RPL001", "RPL004"]            # default: every rule
     disable = ["RPL005"]
-    paths = ["src", "tests"]                 # default roots for --all
-    baseline = "lint_baseline.json"          # ratchet file (whole-program)
+    paths = ["src", "tests"]                 # default roots for pathless runs
 
     [tool.repro-lint.layers]                 # RPL015 contracts
     "repro.montecarlo" = { deny = ["repro.service"] }
@@ -24,8 +23,7 @@ Example (all keys optional)::
 Globs are matched with :func:`fnmatch.fnmatch` against the file's
 POSIX path relative to the config root (the directory holding
 ``pyproject.toml``), so ``*`` crosses directory separators and
-``tests/**`` and ``tests/*`` are equivalent.  The config object is a
-plain picklable dataclass: worker processes receive it by value.
+``tests/**`` and ``tests/*`` are equivalent.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ _TOP_KEYS = {
     "per-path",
     "rules",
     "paths",
-    "baseline",
     "layers",
 }
 
@@ -88,10 +85,8 @@ class LintConfig:
     severity: dict[str, str] = dataclasses.field(default_factory=dict)
     per_path: dict[str, dict[str, list[str]]] = dataclasses.field(default_factory=dict)
     rule_options: dict[str, dict[str, Any]] = dataclasses.field(default_factory=dict)
-    #: Default roots for ``--all`` / pathless whole-program runs.
+    #: Default roots for pathless runs.
     paths: list[str] = dataclasses.field(default_factory=list)
-    #: Ratchet baseline file, relative to ``root`` (None: no baseline).
-    baseline: str | None = None
     #: RPL015 contracts: module-prefix -> {"deny": [module prefixes]}.
     layers: dict[str, dict[str, list[str]]] = dataclasses.field(
         default_factory=dict
@@ -168,12 +163,6 @@ def _parse(section: Mapping[str, Any], root: pathlib.Path) -> LintConfig:
         cfg.rule_options[code.upper()] = dict(options)
     if "paths" in section:
         cfg.paths = _str_list(section["paths"], "paths")
-    if "baseline" in section:
-        _require(
-            isinstance(section["baseline"], str),
-            f"'baseline' must be a string path, got {section['baseline']!r}",
-        )
-        cfg.baseline = section["baseline"]
     layers = section.get("layers", {})
     _require(isinstance(layers, Mapping), "'layers' must be a table")
     for module, contract in layers.items():

@@ -1,35 +1,28 @@
-"""Lint engine: file discovery, per-file rule dispatch, parallel map.
+"""Lint engine: file discovery and the two-pass whole-program run.
 
-One file is one unit of work: read, tokenize suppressions, parse, run
-every enabled rule, filter suppressed findings.  Files fan out to a
-process pool (``ast.parse`` is CPU-bound) and results are re-sorted by
-``(path, line, col, code)``, so output is byte-identical for any
-``--jobs`` value — the linter holds itself to the same determinism
-contract it enforces.
+Pass 1 parses every discovered file exactly once into a
+:class:`~repro.lint.model.ProjectModel`; pass 2 runs the per-file rules
+over the cached ASTs and the project rules over the model.  Findings
+are filtered through inline suppressions and sorted by
+``(path, line, col, code)``, so output is deterministic.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import os
 import pathlib
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.config import LintConfig
 from repro.lint.model import ModuleInfo, ProjectModel, build_model
 from repro.lint.rules import ProjectRule, Rule, all_project_rules, all_rules
 from repro.lint.rules.base import Severity, Violation
-from repro.lint.suppress import Suppressions
 
 __all__ = [
     "FileContext",
     "LintResult",
     "discover_files",
-    "lint_file",
-    "run_paths",
     "run_whole_program",
 ]
 
@@ -58,8 +51,6 @@ class LintResult:
     violations: list[Violation]
     files_checked: int
     suppressed: int
-    #: Pre-existing findings absorbed by the ratchet baseline.
-    baselined: int = 0
 
     @property
     def errors(self) -> int:
@@ -107,102 +98,6 @@ def discover_files(
             seen.add(r)
             out.append(c)
     return sorted(out, key=lambda p: _rel_posix(p, pathlib.Path(config.root)))
-
-
-def lint_file(
-    path: str | os.PathLike,
-    config: LintConfig,
-    rules: Sequence[Rule] | None = None,
-) -> tuple[list[Violation], int]:
-    """Lint one file; returns ``(violations, n_suppressed)``."""
-    rules = list(rules) if rules is not None else all_rules()
-    p = pathlib.Path(path)
-    rel = _rel_posix(p, pathlib.Path(config.root))
-    try:
-        source = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        unreadable = Violation(
-            path=rel,
-            line=1,
-            col=0,
-            code=PARSE_ERROR_CODE,
-            rule="unreadable-file",
-            severity=Severity.ERROR,
-            message=f"cannot read file: {exc}",
-        )
-        return [unreadable], 0
-    ctx = FileContext(path=str(p), rel_posix=rel, source=source, config=config)
-    try:
-        tree = ast.parse(source, filename=str(p))
-    except SyntaxError as exc:
-        parse_error = Violation(
-            path=rel,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            code=PARSE_ERROR_CODE,
-            rule="syntax-error",
-            severity=Severity.ERROR,
-            message=f"cannot parse: {exc.msg}",
-        )
-        return [parse_error], 0
-    suppressions = Suppressions.from_source(source)
-    enabled = config.enabled_codes([r.code for r in rules], rel)
-    violations: list[Violation] = []
-    suppressed = 0
-    for rule in rules:
-        if rule.code not in enabled:
-            continue
-        for violation in rule.check(tree, ctx):
-            if suppressions.is_suppressed(violation.code, violation.line):
-                suppressed += 1
-            else:
-                violations.append(violation)
-    violations.sort(key=Violation.sort_key)
-    return violations, suppressed
-
-
-def _lint_one(args: tuple[str, LintConfig]) -> tuple[list[Violation], int]:
-    # Top-level function so ProcessPoolExecutor can pickle the task.
-    path, config = args
-    return lint_file(path, config)
-
-
-def run_paths(
-    paths: Sequence[str | os.PathLike],
-    config: LintConfig | None = None,
-    jobs: int | None = None,
-) -> LintResult:
-    """Lint every Python file under ``paths`` (file-parallel).
-
-    ``jobs=None`` picks ``min(cpu_count, 8)``; ``jobs<=1`` or a handful
-    of files runs serially.  If the pool cannot start (restricted
-    sandboxes), the run silently degrades to serial — results are
-    identical by construction.
-    """
-    config = config if config is not None else LintConfig()
-    files = discover_files(paths, config)
-    tasks = [(str(f), config) for f in files]
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, 8)
-    results: list[tuple[list[Violation], int]]
-    if jobs <= 1 or len(tasks) < 4:
-        results = [_lint_one(t) for t in tasks]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(tasks) // (jobs * 4))
-                results = list(pool.map(_lint_one, tasks, chunksize=chunk))
-        except (OSError, PermissionError, RuntimeError):
-            results = [_lint_one(t) for t in tasks]
-    violations: list[Violation] = []
-    suppressed = 0
-    for file_violations, file_suppressed in results:
-        violations.extend(file_violations)
-        suppressed += file_suppressed
-    violations.sort(key=Violation.sort_key)
-    return LintResult(
-        violations=violations, files_checked=len(files), suppressed=suppressed
-    )
 
 
 def _lint_module(
@@ -253,7 +148,6 @@ def run_whole_program(
     paths: Sequence[str | os.PathLike],
     config: LintConfig | None = None,
     *,
-    baseline: str | os.PathLike | None = None,
     file_rules: Sequence[Rule] | None = None,
     project_rules: Sequence[ProjectRule] | None = None,
     model: ProjectModel | None = None,
@@ -265,12 +159,10 @@ def run_whole_program(
     cached ASTs and the whole-program rules against the model, so the
     total parse count equals the file count regardless of how many
     rules are enabled.  Inline suppressions and per-path config apply
-    to project findings exactly as they do to per-file ones, and a
-    ``baseline`` file absorbs accepted findings (counted in
-    ``LintResult.baselined``) without hiding regressions.
+    to project findings exactly as they do to per-file ones.
 
-    Pass callers may hand in a prebuilt ``model`` (the CLI's ``--fix``
-    reuses one run's model for the report).
+    Callers may hand in a prebuilt ``model`` to run several rule
+    selections over one parse.
     """
     config = config if config is not None else LintConfig()
     file_rules = list(file_rules) if file_rules is not None else all_rules()
@@ -301,13 +193,8 @@ def run_whole_program(
             else:
                 violations.append(violation)
     violations.sort(key=Violation.sort_key)
-    baselined = 0
-    if baseline is not None:
-        counts = load_baseline(baseline)
-        violations, baselined = apply_baseline(violations, counts)
     return LintResult(
         violations=violations,
         files_checked=len(model.modules),
         suppressed=suppressed,
-        baselined=baselined,
     )

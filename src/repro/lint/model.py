@@ -1,6 +1,6 @@
 """Pass 1 of the whole-program analyzer: the project model.
 
-Per-file AST rules (RPL001–008) see one file at a time; the concurrency
+Per-file AST rules (RPL001–007) see one file at a time; the concurrency
 and determinism contracts they protect are *program* properties — a
 coroutine is only blocking if something it transitively calls blocks, an
 RNG is only traceable if the function that built it is known, a layering

@@ -1,15 +1,14 @@
-"""Reporters: human text, machine JSON, and SARIF.
+"""Reporters: human text and machine JSON.
 
-The JSON document (``schema_version`` 2) is stable for CI consumption;
+The JSON document (``schema_version`` 3) is stable for CI consumption;
 its shape is documented in ``docs/LINTING.md`` and pinned by
 ``tests/test_lint_engine.py``::
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "tool": "repro.lint",
       "files_checked": <int>,
       "suppressed": <int>,
-      "baselined": <int>,
       "violations": [
         {"path": str, "line": int, "col": int, "code": "RPLnnn",
          "rule": str, "severity": "error"|"warning", "message": str},
@@ -20,13 +19,8 @@ its shape is documented in ``docs/LINTING.md`` and pinned by
       "exit_code": 0|1
     }
 
-Schema history: v1 had no ``baselined`` field (pre-ratchet).
-
-The SARIF reporter emits a minimal SARIF 2.1.0 log — one run, one
-result per violation, one ``rules`` descriptor per distinct code — for
-upload to code-scanning UIs.  ``level`` maps error→"error",
-warning→"warning"; positions are 1-based per the SARIF spec (our
-0-based columns shift by one).
+Schema history: v1 had no ``baselined`` field; v2 added it for the
+ratchet baseline; v3 dropped it with the baseline.
 """
 
 from __future__ import annotations
@@ -41,20 +35,12 @@ from repro.lint.rules import all_project_rules, all_rules
 __all__ = [
     "SCHEMA_VERSION",
     "render_json",
-    "render_sarif",
     "render_text",
     "render_rule_list",
     "to_json_dict",
-    "to_sarif_dict",
 ]
 
-SCHEMA_VERSION = 2
-
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+SCHEMA_VERSION = 3
 
 
 def render_text(result: LintResult) -> str:
@@ -69,8 +55,6 @@ def render_text(result: LintResult) -> str:
     )
     if result.suppressed:
         summary += f", {result.suppressed} suppressed"
-    if result.baselined:
-        summary += f", {result.baselined} baselined"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -82,7 +66,6 @@ def to_json_dict(result: LintResult) -> dict[str, Any]:
         "tool": "repro.lint",
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "violations": [v.to_dict() for v in result.violations],
         "summary": {
             "total": len(result.violations),
@@ -98,72 +81,11 @@ def render_json(result: LintResult) -> str:
     return json.dumps(to_json_dict(result), indent=2, sort_keys=False)
 
 
-def to_sarif_dict(result: LintResult) -> dict[str, Any]:
-    """Minimal SARIF 2.1.0 log for one lint run."""
-    known = {r.code: r for r in [*all_rules(), *all_project_rules()]}
-    used_codes = sorted({v.code for v in result.violations})
-    descriptors = []
-    for code in used_codes:
-        rule = known.get(code)
-        descriptors.append(
-            {
-                "id": code,
-                "name": rule.name if rule else code,
-                "shortDescription": {
-                    "text": rule.rationale if rule else "parse error"
-                },
-            }
-        )
-    results = [
-        {
-            "ruleId": v.code,
-            "ruleIndex": used_codes.index(v.code),
-            "level": v.severity.value,
-            "message": {"text": v.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": v.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": v.line,
-                            "startColumn": v.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for v in result.violations
-    ]
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.lint",
-                        "informationUri": "https://example.invalid/repro-lint",
-                        "rules": descriptors,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-
-
-def render_sarif(result: LintResult) -> str:
-    return json.dumps(to_sarif_dict(result), indent=2, sort_keys=False)
-
-
 def render_rule_list() -> str:
     """``--list-rules`` output: code, name, severity, rationale.
 
-    Whole-program rules (run only under ``--all``) are listed after the
-    per-file rules, marked ``[project]``.
+    Whole-program rules are listed after the per-file rules, marked
+    ``[project]``.
     """
     lines = []
     for rule in all_rules():

@@ -2,8 +2,8 @@
 
 Two registries, matching the two analysis passes:
 
-- :func:`all_rules` — per-file rules (RPL001-008), runnable on a single
-  source file with no cross-file knowledge;
+- :func:`all_rules` — per-file rules (RPL001-007), which look at one
+  parsed file with no cross-file knowledge;
 - :func:`all_project_rules` — whole-program rules (RPL010-015), which
   run against the pass-1 :class:`repro.lint.model.ProjectModel`.
 """
@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from repro.lint.rules.base import ProjectRule, Rule, Severity, Violation
 from repro.lint.rules.rpl001_rng import BannedRandomRule
-from repro.lint.rules.rpl002_cache_key import CacheKeyVersionRule
 from repro.lint.rules.rpl003_wallclock import WallClockRule
 from repro.lint.rules.rpl004_lock import LockDisciplineRule
 from repro.lint.rules.rpl005_float_eq import FloatEqualityRule
 from repro.lint.rules.rpl006_except import ExceptionSwallowRule
 from repro.lint.rules.rpl007_shell import ShellInvocationRule
-from repro.lint.rules.rpl008_mutable_defaults import MutableDefaultRule
 from repro.lint.rules.rpl010_blocking import BlockingInCoroutineRule
 from repro.lint.rules.rpl011_await_lock import AwaitUnderLockRule
 from repro.lint.rules.rpl012_task_retention import FireAndForgetTaskRule
@@ -37,13 +35,11 @@ __all__ = [
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     BannedRandomRule,
-    CacheKeyVersionRule,
     WallClockRule,
     LockDisciplineRule,
     FloatEqualityRule,
     ExceptionSwallowRule,
     ShellInvocationRule,
-    MutableDefaultRule,
 )
 
 _PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (

@@ -64,7 +64,7 @@ class Rule:
     Subclasses set the class attributes and implement :meth:`check`,
     returning violations for a parsed file.  Rules must be pure
     functions of ``(tree, context)`` — no filesystem access, no global
-    state — so the engine can fan files out to worker processes.
+    state — so a run is a deterministic function of the sources.
 
     ``default_options`` documents every knob the rule reads from its
     ``[tool.repro-lint.rules.<code>]`` config table; user config is
@@ -103,18 +103,13 @@ class ProjectRule(Rule):
 
     A project rule sees the :class:`~repro.lint.model.ProjectModel`
     built by pass 1 — every module's AST, import edges, and function
-    summaries at once — instead of one file.  It therefore runs only in
-    whole-program mode (``--all``); :meth:`check` is a no-op so the
-    per-file engine can share one registry without special-casing.
+    summaries at once — in :meth:`check_project`, instead of one file.
 
     Implementations stay pure functions of ``(model,)`` — the model owns
     the config — and report through :meth:`project_violation` so path
     rendering, severity overrides, and suppression filtering behave
     exactly like per-file rules.
     """
-
-    def check(self, tree: ast.Module, ctx: "FileContext") -> list[Violation]:
-        return []  # whole-program only; nothing to say about one file
 
     def check_project(self, model: "ProjectModel") -> list[Violation]:
         raise NotImplementedError

@@ -1,14 +1,18 @@
-"""RPL014 — cache-key completeness across engine version constants.
+"""RPL014 — cache keys must be salted with every engine version constant.
 
-RPL002 checks that a key builder mentions ``ENGINE_VERSION``; it cannot
-know that the results being cached *also* depend on the batched
-datapath, whose semantics are versioned by
-``repro.coding.batch.DATAPATH_VERSION``.  This rule closes that gap
-with the project model: for every ``hashlib``-hashing key builder, it
-finds the modules that actually *call* it (those are the engines whose
-outputs the key addresses), collects every public ``*_VERSION``
-constant defined in or imported by those caller modules, and requires
-the builder to fold each one into the key.
+The persistent result cache (:mod:`repro.montecarlo.results_cache`)
+promises that bumping a version constant invalidates every stale entry.
+That only holds if every function hashing key material mixes the right
+versions in; an unsalted key silently serves results computed by an old
+engine.
+
+Every ``hashlib``-hashing key builder (a function named ``*_key``,
+``key`` or ``*cache_key*``) must reference ``ENGINE_VERSION``, the
+floor every key owes.  On top of that, the rule uses the project model
+to find the modules that actually *call* the builder (those are the
+engines whose outputs the key addresses), collects every public
+``*_VERSION`` constant defined in or imported by those caller modules,
+and requires the builder to fold each one into the key.
 
 Concretely: ``bler_counts_key`` is called from ``bler_mc``, which
 imports both the executor (``ENGINE_VERSION``) and the batch datapath
@@ -16,9 +20,8 @@ imports both the executor (``ENGINE_VERSION``) and the batch datapath
 codec module with its own ``CODEC_VERSION`` is covered the day
 ``bler_mc`` starts importing it, with no rule change.
 
-A builder nobody in the project calls falls back to the RPL002
-contract (its own module's version surface), so dead-looking helpers
-still get checked.
+A builder nobody in the project calls falls back to its own module's
+version surface, so dead-looking helpers still get checked.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from repro.lint.rules.base import ProjectRule, Severity, Violation, qualified_na
 
 __all__ = ["CacheKeyCompletenessRule"]
 
+#: The version constant every key builder must reference, whoever calls it.
+_FLOOR_VERSION = "ENGINE_VERSION"
+
 
 class CacheKeyCompletenessRule(ProjectRule):
     code = "RPL014"
@@ -43,7 +49,7 @@ class CacheKeyCompletenessRule(ProjectRule):
         "engine changes"
     )
     default_options = {
-        # Builder name patterns (same family as RPL002).
+        # Builder name patterns.
         "name_patterns": ["*_key", "key", "*cache_key*"],
         # Caller modules considered engine code.
         "paths": ["src/*"],
@@ -62,6 +68,7 @@ class CacheKeyCompletenessRule(ProjectRule):
             for caller in sorted(caller_modules):
                 for const, origin in self._version_surface(model, caller).items():
                     required.setdefault(const, origin)
+            required.setdefault(_FLOOR_VERSION, "required of every key")
             referenced = self._referenced_names(fn)
             missing = sorted(set(required) - referenced)
             if missing:
@@ -75,9 +82,9 @@ class CacheKeyCompletenessRule(ProjectRule):
                         fn.lineno,
                         fn.col,
                         f"cache-key builder {fn.name}() omits version "
-                        f"constant(s) {detail} in scope of its callers; "
-                        "stale entries will survive changes to those "
-                        "engines — fold every version into the key payload",
+                        f"constant(s) {detail}; stale entries will survive "
+                        "changes to those engines — fold every version "
+                        "into the key payload",
                     )
                 )
         return out

@@ -1,4 +1,4 @@
-"""RPL002: cache-key builder without the ENGINE_VERSION salt."""
+"""RPL014: cache-key builder without the ENGINE_VERSION salt."""
 import hashlib
 import json
 

@@ -7,10 +7,10 @@ Three promises are held here:
    to <= 1e-12 relative over random feasible designs, schedules, and time
    grids (in practice the kernels are bit-identical — the broadcasts
    preserve the scalar path's per-element float operations).
-2. **Block-fused MC evaluation** returns bit-identical ``int64`` counts
-   to the pre-fusion per-block sort + ``searchsorted`` reduction, for any
-   fuse-group size, and leaves the persistent cache keys unchanged (a
-   warm cache written before the fusion serves with zero misses).
+2. **The MC executor** returns bit-identical ``int64`` counts to a
+   frozen per-block sort + ``searchsorted`` oracle, and leaves the
+   persistent cache keys unchanged (a warm cache written before block
+   fusion was introduced, and since removed, serves with zero misses).
 3. **Vectorized sensing policies** reproduce the per-threshold loops
    exactly (golden pins captured before the rewrite).
 """
@@ -138,7 +138,7 @@ class TestBatchedAnalytic:
 
 
 def _eval_blocks_reference(task) -> np.ndarray:
-    """The pre-fusion per-block reduction, frozen as the test oracle."""
+    """The per-block reduction, frozen as the test oracle."""
     counts = np.zeros(len(task.L_grid), dtype=np.int64)
     for offset, size in enumerate(task.sizes):
         rng = block_rng(task.entropy, task.prefix + (task.first_block + offset,))
@@ -154,7 +154,7 @@ def _eval_blocks_reference(task) -> np.ndarray:
     return counts
 
 
-class TestFusedExecutor:
+class TestBlockExecutor:
     L = np.log10(np.sort(np.array([32.0, 2.0**15, 2.0**20, 2.0**30, 2.0**40])))
 
     def test_engine_version_unchanged(self):
@@ -168,7 +168,7 @@ class TestFusedExecutor:
         seed=st.integers(0, 2**31),
         sched=st.sampled_from(sorted(SCHEDULES)),
     )
-    def test_fused_counts_bit_identical(self, name, tau, n, seed, sched):
+    def test_counts_bit_identical_to_oracle(self, name, tau, n, seed, sched):
         schedule = SCHEDULES[sched]
         run = StateRun(TABLE1[name], tau, n, seed, (1,))
         new = run_counts([run], self.L, schedule=schedule)[0]
@@ -190,16 +190,6 @@ class TestFusedExecutor:
         ref = _eval_blocks_reference(task)
         assert new.dtype == np.int64
         assert np.array_equal(new, ref)
-
-    def test_fuse_group_size_never_affects_counts(self, monkeypatch):
-        run = StateRun(TABLE1["S2"], 5.5, 123_456, 5, ())
-        ref = None
-        for fuse in (1, 3, 8, 128):
-            monkeypatch.setattr(executor, "_FUSE_BLOCKS", fuse)
-            counts = run_counts([run], self.L)[0]
-            if ref is None:
-                ref = counts
-            assert np.array_equal(ref, counts), fuse
 
     def test_golden_counts_tier_crossing(self):
         r = state_cer(TABLE1["S3"], 5.5, [4.0, 1024.0, 2.0**20], 34_567, seed=7)
@@ -238,7 +228,7 @@ class TestWarmCacheAcrossFusion:
             four_level_naive(), [32.0, 1024.0, 2.0**20], 30_000, seed=42,
             cache=warm_cache,
         )
-        assert blocks_evaluated() == before, "fusion invalidated the warm cache"
+        assert blocks_evaluated() == before, "the pre-fusion warm cache missed"
         assert [int(c) for c in (r.cer * r.n_samples).round()] == [33, 275, 2029]
 
     def test_state_run_zero_misses(self, warm_cache):

@@ -1,30 +1,16 @@
-"""Whole-program pass integration: baseline/ratchet, SARIF, fixes, CLI.
+"""Whole-program pass integration: a minimal project, JSON report, CLI.
 
 Also pins the repo's ``[tool.repro-lint.layers]`` table exactly:
 deleting any layer edge from ``pyproject.toml`` silently legalizes a
 cross-layer dependency, so the table's full contents are asserted here.
 """
 
-import json
 import pathlib
 import textwrap
 
-import pytest
-
-from repro.lint import (
-    LintConfig,
-    Severity,
-    Violation,
-    apply_baseline,
-    build_baseline,
-    fix_source,
-    load_baseline,
-    load_config,
-    run_whole_program,
-)
+from repro.lint import load_config, run_whole_program
 from repro.lint.__main__ import main
-from repro.lint.baseline import write_baseline
-from repro.lint.reporters import SCHEMA_VERSION, to_json_dict, to_sarif_dict
+from repro.lint.reporters import SCHEMA_VERSION, to_json_dict
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -62,13 +48,6 @@ EXPECTED_LAYERS = {
 }
 
 
-def _violation(path="src/a.py", line=3, code="RPL012"):
-    return Violation(
-        path=path, line=line, col=4, code=code, rule="r",
-        severity=Severity.ERROR, message="m",
-    )
-
-
 class TestRepoLayerContract:
     def test_layers_table_pinned_exactly(self):
         config = load_config(REPO_ROOT)
@@ -77,43 +56,6 @@ class TestRepoLayerContract:
     def test_repo_defaults_for_whole_program(self):
         config = load_config(REPO_ROOT)
         assert config.paths == ["src", "tests", "benchmarks"]
-        assert config.baseline == "lint_baseline.json"
-
-
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        vs = [_violation(), _violation(line=9), _violation(code="RPL010")]
-        payload = write_baseline(tmp_path / "b.json", vs)
-        assert payload["total"] == 3
-        assert load_baseline(tmp_path / "b.json") == {
-            "src/a.py::RPL010": 1,
-            "src/a.py::RPL012": 2,
-        }
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        (tmp_path / "b.json").write_text('{"schema": 99, "counts": {}}')
-        with pytest.raises(ValueError):
-            load_baseline(tmp_path / "b.json")
-
-    def test_apply_absorbs_up_to_count(self):
-        vs = [_violation(line=n) for n in (3, 9, 20)]
-        kept, absorbed = apply_baseline(vs, {"src/a.py::RPL012": 2})
-        assert absorbed == 2
-        # Lowest lines absorbed first; the regression (excess) survives.
-        assert [v.line for v in kept] == [20]
-
-    def test_apply_is_line_insensitive(self):
-        moved = [_violation(line=999)]
-        kept, absorbed = apply_baseline(moved, {"src/a.py::RPL012": 1})
-        assert kept == [] and absorbed == 1
-
-    def test_ratchet_comparison(self):
-        old = build_baseline([_violation(), _violation(line=9)])
-        new = build_baseline([_violation()])
-        assert new["total"] <= old["total"]
 
 
 def make_project(tmp_path: pathlib.Path, *, bad_tasks: int = 1) -> pathlib.Path:
@@ -123,7 +65,6 @@ def make_project(tmp_path: pathlib.Path, *, bad_tasks: int = 1) -> pathlib.Path:
             """\
             [tool.repro-lint]
             paths = ["src"]
-            baseline = "lint_baseline.json"
             """
         )
     )
@@ -148,168 +89,18 @@ class TestWholeProgramRun:
         assert [v.code for v in result.violations] == ["RPL012"]
         assert result.exit_code == 1
 
-    def test_baseline_absorbs_then_ratchets(self, tmp_path):
+    def test_json_document_schema_v3(self, tmp_path):
         make_project(tmp_path)
         config = load_config(tmp_path)
-        baseline = tmp_path / "lint_baseline.json"
-        first = run_whole_program([tmp_path / "src"], config)
-        write_baseline(baseline, first.violations)
-        clean = run_whole_program(
-            [tmp_path / "src"], config, baseline=baseline
-        )
-        assert clean.exit_code == 0 and clean.baselined == 1
-        # A second dropped task is a regression the baseline must not eat.
-        make_project(tmp_path, bad_tasks=2)
-        regressed = run_whole_program(
-            [tmp_path / "src"], config, baseline=baseline
-        )
-        assert regressed.exit_code == 1
-        assert [v.code for v in regressed.violations] == ["RPL012"]
-
-    def test_json_document_counts_baselined(self, tmp_path):
-        make_project(tmp_path)
-        config = load_config(tmp_path)
-        baseline = tmp_path / "lint_baseline.json"
-        write_baseline(
-            baseline, run_whole_program([tmp_path / "src"], config).violations
-        )
-        doc = to_json_dict(
-            run_whole_program([tmp_path / "src"], config, baseline=baseline)
-        )
-        assert doc["schema_version"] == SCHEMA_VERSION == 2
-        assert doc["baselined"] == 1 and doc["exit_code"] == 0
+        doc = to_json_dict(run_whole_program([tmp_path / "src"], config))
+        assert doc["schema_version"] == SCHEMA_VERSION == 3
+        assert "baselined" not in doc
+        assert doc["summary"]["by_code"] == {"RPL012": 1}
+        assert doc["exit_code"] == 1
 
 
 class TestCli:
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
+    def test_pathless_run_lints_config_paths(self, tmp_path):
         make_project(tmp_path)
-        assert (
-            main(["--all", "--update-baseline", "--config", str(tmp_path)])
-            == 0
-        )
-        assert (tmp_path / "lint_baseline.json").is_file()
-        assert main(["--all", "--config", str(tmp_path), "-q"]) == 0
-
-    def test_all_fails_without_baseline(self, tmp_path):
-        make_project(tmp_path)
-        # '' disables the configured baseline.
-        code = main(
-            ["--all", "--config", str(tmp_path), "--baseline", "", "-q"]
-        )
-        assert code == 1
-
-    def test_fix_requires_all(self):
-        assert main(["--fix", "src"]) == 2
-
-    def test_sarif_format(self, tmp_path, capsys):
-        make_project(tmp_path)
-        code = main(
-            ["--all", "--config", str(tmp_path), "--baseline", "",
-             "-f", "sarif"]
-        )
-        assert code == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["tool"]["driver"]["name"] == "repro.lint"
-        assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["RPL012"]
-
-
-class TestSarifShape:
-    def test_minimal_log(self, tmp_path):
-        make_project(tmp_path)
-        config = load_config(tmp_path)
-        result = run_whole_program([tmp_path / "src"], config)
-        doc = to_sarif_dict(result)
-        assert set(doc) == {"$schema", "version", "runs"}
-        run = doc["runs"][0]
-        rules = run["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["RPL012"]
-        assert rules[0]["name"] == "fire-and-forget-task"
-        res = run["results"][0]
-        assert res["level"] == "error"
-        loc = res["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "src/app.py"
-        region = loc["region"]
-        # SARIF columns are 1-based; ours are 0-based AST offsets.
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-
-    def test_empty_run_has_no_results(self):
-        from repro.lint import LintResult
-
-        doc = to_sarif_dict(
-            LintResult(violations=[], files_checked=0, suppressed=0)
-        )
-        assert doc["runs"][0]["results"] == []
-        assert doc["runs"][0]["tool"]["driver"]["rules"] == []
-
-
-class TestFixes:
-    CFG = LintConfig(root=".")
-
-    def test_removes_unused_import(self):
-        fixed, applied = fix_source(
-            "import os\nimport json\n\nprint(json.dumps({}))\n",
-            "src/x.py",
-            self.CFG,
-        )
-        assert "import os" not in fixed and "import json" in fixed
-        assert any("unused import 'os'" in a for a in applied)
-
-    def test_partial_from_import(self):
-        fixed, _ = fix_source(
-            "from typing import Any, Mapping\nx: Any = 1\n",
-            "src/x.py",
-            self.CFG,
-        )
-        assert "from typing import Any\n" in fixed
-        assert "Mapping" not in fixed
-
-    def test_all_reexport_kept(self):
-        source = "import numpy\n__all__ = ['numpy']\n"
-        fixed, applied = fix_source(source, "src/x.py", self.CFG)
-        assert fixed == source and applied == []
-
-    def test_init_py_untouched(self):
-        source = "import os\n"
-        fixed, applied = fix_source(source, "src/pkg/__init__.py", self.CFG)
-        assert fixed == source and applied == []
-
-    def test_future_import_kept(self):
-        source = "from __future__ import annotations\nx = 1\n"
-        fixed, _ = fix_source(source, "src/x.py", self.CFG)
-        assert "from __future__ import annotations" in fixed
-
-    def test_make_rng_rewrite_with_import(self):
-        fixed, applied = fix_source(
-            "import numpy as np\n\n\n"
-            "def build(seed):\n"
-            "    return np.random.default_rng(seed)\n",
-            "src/engine.py",
-            self.CFG,
-        )
-        assert "make_rng(seed)" in fixed
-        assert "from repro.montecarlo.rng import make_rng" in fixed
-        # numpy became unused and was cleaned up in the same pass.
-        assert "import numpy" not in fixed
-        assert any("make_rng" in a for a in applied)
-
-    def test_unseeded_not_rewritten(self):
-        source = (
-            "import numpy as np\n\ng = np.random.default_rng()\nprint(g)\n"
-        )
-        fixed, _ = fix_source(source, "src/engine.py", self.CFG)
-        assert "default_rng()" in fixed and "make_rng" not in fixed
-
-    def test_outside_restricted_paths_untouched(self):
-        source = (
-            "import numpy as np\n\n\n"
-            "def build(seed):\n"
-            "    return np.random.default_rng(seed)\n"
-        )
-        fixed, _ = fix_source(source, "tests/engine.py", self.CFG)
-        assert fixed == source
-
-    def test_syntax_error_left_alone(self):
-        source = "def f(:\n"
-        fixed, applied = fix_source(source, "src/x.py", self.CFG)
-        assert fixed == source and applied == []
+        assert main(["--config", str(tmp_path), "-q"]) == 1
+        assert main(["--config", str(tmp_path), "-q", "--disable", "RPL012"]) == 0

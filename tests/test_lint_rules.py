@@ -5,40 +5,48 @@ Each rule RPLnnn has three fixtures under ``tests/fixtures/lint/rules``:
 flag), ``rplnnn_suppressed.py`` (same hazard with a justified inline
 waiver — zero violations, nonzero suppressed count).
 
-Whole-program rules (RPL010-015) follow the same layout; their fixtures
-are self-contained single-file projects run through
-:func:`repro.lint.run_whole_program` with that one rule enabled.
+Every fixture runs through :func:`repro.lint.run_whole_program`:
+per-file rules (RPL001-007) with the per-file pack only, whole-program
+rules (RPL010-015) on self-contained single-file projects with that one
+rule enabled.
 """
 
 import pathlib
 
 import pytest
 
-from repro.lint import LintConfig, all_project_rules, lint_file, run_whole_program
+from repro.lint import LintConfig, all_project_rules, run_whole_program
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint" / "rules"
 
 #: code -> number of violations its bad fixture must produce.
 EXPECTED_BAD = {
     "RPL001": 3,
-    "RPL002": 1,
     "RPL003": 2,
     "RPL004": 3,
     "RPL005": 2,
     "RPL006": 2,
     "RPL007": 2,
-    "RPL008": 2,
 }
 
-#: project rule code -> violations its bad fixture must produce.
-EXPECTED_PROJECT_BAD = {
-    "RPL010": 3,
-    "RPL011": 2,
-    "RPL012": 2,
-    "RPL013": 2,
-    "RPL014": 1,
-    "RPL015": 2,
+#: project fixture stem -> (rule code, violations its bad fixture must
+#: produce).  RPL014 also runs on the fixtures of RPL002, the per-file
+#: rule it absorbed: a key builder with no version constant in scope
+#: still owes ENGINE_VERSION.
+PROJECT_FIXTURES = {
+    "rpl002": ("RPL014", 1),
+    "rpl010": ("RPL010", 3),
+    "rpl011": ("RPL011", 2),
+    "rpl012": ("RPL012", 2),
+    "rpl013": ("RPL013", 2),
+    "rpl014": ("RPL014", 1),
+    "rpl015": ("RPL015", 2),
 }
+
+
+def _project_case_id(stem: str) -> str:
+    code = PROJECT_FIXTURES[stem][0]
+    return code if code.lower() == stem else f"{code}-{stem}"
 
 
 def fixture_config() -> LintConfig:
@@ -72,6 +80,14 @@ def project_fixture_config() -> LintConfig:
     )
 
 
+def lint_fixture(path: pathlib.Path, config: LintConfig | None = None):
+    """(violations, suppressed) for the per-file rules on one fixture."""
+    result = run_whole_program(
+        [path], config or fixture_config(), project_rules=[]
+    )
+    return result.violations, result.suppressed
+
+
 def lint_project_fixture(path: pathlib.Path, code: str):
     """(violations, suppressed) for one project rule on one fixture."""
     rules = [r for r in all_project_rules() if r.code == code]
@@ -82,20 +98,22 @@ def lint_project_fixture(path: pathlib.Path, code: str):
     return result.violations, result.suppressed
 
 
-@pytest.mark.parametrize("code", sorted(EXPECTED_PROJECT_BAD))
+@pytest.mark.parametrize("stem", sorted(PROJECT_FIXTURES), ids=_project_case_id)
 class TestProjectRuleFixtures:
-    def test_bad_fixture_flags(self, code):
-        path = FIXTURES / f"{code.lower()}_bad.py"
-        violations, _ = lint_project_fixture(path, code)
-        assert [v.code for v in violations] == [code] * EXPECTED_PROJECT_BAD[code]
+    def test_bad_fixture_flags(self, stem):
+        code, expected = PROJECT_FIXTURES[stem]
+        violations, _ = lint_project_fixture(FIXTURES / f"{stem}_bad.py", code)
+        assert [v.code for v in violations] == [code] * expected
 
-    def test_good_fixture_clean(self, code):
-        path = FIXTURES / f"{code.lower()}_good.py"
+    def test_good_fixture_clean(self, stem):
+        code, _ = PROJECT_FIXTURES[stem]
+        path = FIXTURES / f"{stem}_good.py"
         violations, suppressed = lint_project_fixture(path, code)
         assert violations == [] and suppressed == 0
 
-    def test_suppressed_fixture(self, code):
-        path = FIXTURES / f"{code.lower()}_suppressed.py"
+    def test_suppressed_fixture(self, stem):
+        code, _ = PROJECT_FIXTURES[stem]
+        path = FIXTURES / f"{stem}_suppressed.py"
         violations, suppressed = lint_project_fixture(path, code)
         assert violations == []
         assert suppressed >= 1
@@ -130,18 +148,17 @@ class TestProjectRuleDetails:
 @pytest.mark.parametrize("code", sorted(EXPECTED_BAD))
 class TestPerRuleFixtures:
     def test_bad_fixture_flags(self, code):
-        path = FIXTURES / f"{code.lower()}_bad.py"
-        violations, _ = lint_file(path, fixture_config())
+        violations, _ = lint_fixture(FIXTURES / f"{code.lower()}_bad.py")
         assert [v.code for v in violations] == [code] * EXPECTED_BAD[code]
 
     def test_good_fixture_clean(self, code):
         path = FIXTURES / f"{code.lower()}_good.py"
-        violations, suppressed = lint_file(path, fixture_config())
+        violations, suppressed = lint_fixture(path)
         assert violations == [] and suppressed == 0
 
     def test_suppressed_fixture(self, code):
         path = FIXTURES / f"{code.lower()}_suppressed.py"
-        violations, suppressed = lint_file(path, fixture_config())
+        violations, suppressed = lint_fixture(path)
         assert violations == []
         assert suppressed >= 1
 
@@ -157,7 +174,7 @@ class TestRuleDetails:
         )
         cfg = fixture_config()
         cfg.root = str(tmp_path)
-        violations, _ = lint_file(f, cfg)
+        violations, _ = lint_fixture(f, cfg)
         assert [v.code for v in violations] == ["RPL001", "RPL001"]
 
     def test_rpl001_allowlisted_module_exempt(self, tmp_path):
@@ -167,11 +184,11 @@ class TestRuleDetails:
             root=str(tmp_path),
             rule_options={"RPL001": {"restricted": ["*"], "allow": ["rng.py"]}},
         )
-        violations, _ = lint_file(f, cfg)
+        violations, _ = lint_fixture(f, cfg)
         assert violations == []
 
     def test_rpl004_violation_names_the_attribute(self):
-        violations, _ = lint_file(FIXTURES / "rpl004_bad.py", fixture_config())
+        violations, _ = lint_fixture(FIXTURES / "rpl004_bad.py")
         messages = " ".join(v.message for v in violations)
         assert "self.results" in messages and "self.states" in messages
 
@@ -183,5 +200,5 @@ class TestRuleDetails:
             root=str(tmp_path),
             rule_options={"RPL005": {"allow_zero_literal": False}},
         )
-        assert lint_file(f, lax)[0] == []
-        assert [v.code for v in lint_file(f, strict)[0]] == ["RPL005"]
+        assert lint_fixture(f, lax)[0] == []
+        assert [v.code for v in lint_fixture(f, strict)[0]] == ["RPL005"]

@@ -5,93 +5,130 @@ The acceptance bar for the linter: the repository's own ``src``,
 ``[tool.repro-lint]`` config (every waiver inline and justified), while
 a seeded fixture tree still fails — the rules are green because the
 code is clean, not because they are toothless.
+
+The repo is parsed and linted once per module (the ``repo`` fixture);
+every repo-wide test reads that one run.
 """
 
+import dataclasses
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
-from repro.lint import build_model, load_baseline, load_config, run_paths, run_whole_program
+import pytest
+
+from repro.lint import (
+    LintResult,
+    ProjectModel,
+    all_project_rules,
+    all_rules,
+    build_model,
+    load_config,
+    run_whole_program,
+)
 from repro.lint.__main__ import main
 from repro.lint.engine import discover_files
+from repro.lint.suppress import _PATTERN
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TREE = ROOT / "tests" / "fixtures" / "lint" / "tree"
 REPO_PATHS = [ROOT / "src", ROOT / "tests", ROOT / "benchmarks"]
 
+#: The seeded tree's one finding per rule (RPL014 via rpl002_cache_key.py).
+TREE_CODES = ["RPL001", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007", "RPL014"]
 
-def repo_result():
+
+@dataclasses.dataclass
+class RepoRun:
+    model: ProjectModel
+    result: LintResult
+
+
+@pytest.fixture(scope="module")
+def repo() -> RepoRun:
     config = load_config(ROOT)
-    return run_paths(REPO_PATHS, config)
-
-
-def repo_whole_program():
-    config = load_config(ROOT)
-    return run_whole_program(REPO_PATHS, config)
+    model = build_model(discover_files(REPO_PATHS, config), config)
+    return RepoRun(model, run_whole_program(REPO_PATHS, config, model=model))
 
 
 class TestSelfHost:
-    def test_repo_lints_clean(self):
-        result = repo_result()
+    def test_repo_lints_clean(self, repo):
         report = "\n".join(
-            f"{v.path}:{v.line}: {v.code} {v.message}" for v in result.violations
+            f"{v.path}:{v.line}: {v.code} {v.message}" for v in repo.result.violations
         )
-        assert result.exit_code == 0, f"repo must lint clean:\n{report}"
+        assert repo.result.exit_code == 0, f"repo must lint clean:\n{report}"
 
-    def test_repo_run_actually_checked_files(self):
-        result = repo_result()
-        assert result.files_checked > 100
+    def test_repo_run_actually_checked_files(self, repo):
+        assert repo.result.files_checked > 100
         # The justified telemetry waivers in campaign/events.py.
-        assert result.suppressed >= 3
+        assert repo.result.suppressed >= 3
 
     def test_fixture_violations_are_excluded_not_silenced(self):
         config = load_config(ROOT)
         rel = TREE.relative_to(ROOT).as_posix() + "/rpl001_rng.py"
         assert config.is_excluded(rel)
 
+    def test_every_waiver_has_a_reason(self, repo):
+        # docs/LINTING.md policy: a waiver without a `-- reason` does not
+        # survive review.  Fixtures are excluded from the model.
+        waivers, unjustified = 0, []
+        for mod in repo.model.modules.values():
+            if "repro-lint:" not in mod.source:
+                continue
+            tokens = tokenize.generate_tokens(io.StringIO(mod.source).readline)
+            for tok in tokens:
+                if tok.type != tokenize.COMMENT:
+                    continue
+                match = _PATTERN.search(tok.string)
+                if match is None:
+                    continue
+                waivers += 1
+                if not (match.group("reason") or "").strip():
+                    unjustified.append(f"{mod.rel_posix}:{tok.start[0]}")
+        assert waivers >= 3
+        assert unjustified == []
+
+
+@pytest.fixture(scope="module")
+def project_only(repo) -> LintResult:
+    """The repo under the whole-program (project) rules alone."""
+    config = load_config(ROOT)
+    return run_whole_program(REPO_PATHS, config, file_rules=[], model=repo.model)
+
 
 class TestWholeProgramSelfHost:
-    def test_repo_clean_under_whole_program_pass(self):
-        result = repo_whole_program()
+    def test_repo_clean_under_whole_program_pass(self, project_only):
         report = "\n".join(
-            f"{v.path}:{v.line}: {v.code} {v.message}" for v in result.violations
+            f"{v.path}:{v.line}: {v.code} {v.message}"
+            for v in project_only.violations
         )
-        assert result.exit_code == 0, f"whole-program pass must be clean:\n{report}"
+        assert project_only.exit_code == 0, (
+            f"whole-program pass must be clean:\n{report}"
+        )
 
-    def test_new_rules_need_zero_waivers(self):
+    def test_new_rules_need_zero_waivers(self, project_only):
         # The asyncio/determinism/layering packs self-host with NO
         # inline waivers: the service routes every kernel call through
         # the executor seam and retains its flush task, so nothing to
         # excuse.  If a future change needs one, this count is the
         # place it gets accounted for.
-        per_file = repo_result()
-        combined = repo_whole_program()
-        waivers_for_new_rules = combined.suppressed - per_file.suppressed
-        assert waivers_for_new_rules == 0
+        assert project_only.suppressed == 0
 
-    def test_committed_baseline_is_empty(self):
-        # Ratchet floor: the repo owes zero findings.  Any regression
-        # must be fixed (or explicitly waived inline), never baselined.
-        counts = load_baseline(ROOT / "lint_baseline.json")
-        assert counts == {}
-
-    def test_analysis_actually_sees_the_service(self):
+    def test_analysis_actually_sees_the_service(self, repo):
         # Guard against a silently-empty model making "clean" vacuous:
         # the async surface under analysis must be substantial.
-        config = load_config(ROOT)
-        files = discover_files([ROOT / "src"], config)
-        model = build_model(list(files), config)
-        coroutines = [
-            f for f in model.functions.values() if f.is_coroutine
+        src = [
+            f
+            for m in repo.model.modules.values()
+            if m.rel_posix.startswith("src/")
+            for f in m.functions.values()
         ]
-        assert len(coroutines) >= 20
-        spawns = [
-            s
-            for f in model.functions.values()
-            for s in f.task_spawns
-        ]
+        assert len([f for f in src if f.is_coroutine]) >= 20
+        spawns = [s for f in src for s in f.task_spawns]
         # The batcher's flush task is spawned — and retained.
         assert spawns and all(s.retained for s in spawns)
 
@@ -99,36 +136,32 @@ class TestWholeProgramSelfHost:
 class TestMainEntry:
     def test_main_on_seeded_tree(self, capsys, monkeypatch):
         monkeypatch.chdir(TREE)
-        code = main([".", "--format", "json", "--jobs", "1"])
+        code = main([".", "--format", "json"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["summary"]["by_code"] == {
-            f"RPL00{i}": 1 for i in range(1, 9)
-        }
+        assert doc["summary"]["by_code"] == dict.fromkeys(TREE_CODES, 1)
 
     def test_main_quiet_suppresses_body(self, capsys, monkeypatch):
         monkeypatch.chdir(TREE)
-        code = main([".", "--quiet", "--jobs", "1"])
+        code = main([".", "--quiet"])
         assert code == 1
         assert capsys.readouterr().out == ""
 
     def test_main_disable_flag(self, capsys, monkeypatch):
         monkeypatch.chdir(TREE)
-        codes = ",".join(f"RPL00{i}" for i in range(1, 9))
-        assert main([".", "--disable", codes, "--jobs", "1"]) == 0
+        assert main([".", "--disable", ",".join(TREE_CODES)]) == 0
 
     def test_list_rules_covers_catalog(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for i in range(1, 9):
-            assert f"RPL00{i}" in out
-        for i in range(10, 16):
-            assert f"RPL0{i}" in out
+        for rule in [*all_rules(), *all_project_rules()]:
+            assert rule.code in out
+        assert "RPL002" not in out and "RPL008" not in out
 
     def test_main_all_on_repo_exits_zero(self):
-        # The acceptance bar: `python -m repro.lint --all` on the repo,
-        # with the committed config and baseline, is clean.
-        assert main(["--all", "--quiet", "--config", str(ROOT)]) == 0
+        # The acceptance bar: a pathless `python -m repro.lint` on the
+        # repo, with the committed config, is clean.
+        assert main(["--quiet", "--config", str(ROOT)]) == 0
 
 
 class TestModuleInvocation:
