@@ -5,7 +5,8 @@ multiple epochs by default — through :func:`repro.fleet.mc.fleet_mc`,
 plus a 10x-smaller probe fleet of the same shape.  Records devices/sec,
 an epoch-scaling ratio against the probe, and memory telemetry
 (process-tree peak RSS plus the population state bytes per device) in
-``results/BENCH_fleet.json``.
+``results/BENCH_fleet.json``, with the machine (core count, numpy
+version) it ran on.
 
 Env knobs, so CI smoke and local runs can right-size it:
 
@@ -18,6 +19,7 @@ Env knobs, so CI smoke and local runs can right-size it:
 import os
 import time
 
+import numpy as np
 from _report import emit_json, peak_rss_bytes
 from repro.fleet import FleetConfig, FleetEngine, fleet_mc
 from repro.montecarlo.rng import seed_entropy
@@ -69,6 +71,7 @@ def test_fleet_population_throughput():
             "n_epochs": EPOCHS,
             "jobs": JOBS,
             "cpu_count": os.cpu_count() or 1,
+            "numpy": np.__version__,
             "total_s": round(t_full, 2),
             "devices_per_s": round(devices_per_s, 1),
             "device_epochs_per_s": round(de_per_s, 1),

@@ -14,10 +14,15 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import repro
 
 OUT = pathlib.Path(__file__).resolve().parent / "API.md"
+
+#: The per-process address in a default repr (``<function f at 0x7f…>``),
+#: which would make every regeneration differ.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+>")
 
 
 def _first_paragraph(doc: str | None) -> str:
@@ -101,7 +106,8 @@ def render() -> str:
                 lines.append(_first_paragraph(obj.__doc__))
                 lines.append("")
             else:
-                lines.append(f"- constant `{name}` = `{obj!r}`"[:200])
+                shown = _ADDRESS.sub(">", repr(obj))
+                lines.append(f"- constant `{name}` = `{shown}`"[:200])
                 lines.append("")
     return "\n".join(lines) + "\n"
 

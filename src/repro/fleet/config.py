@@ -125,6 +125,18 @@ class FleetConfig:
             raise ValueError("ops_per_epoch must be >= 0")
         if self.epoch_seconds <= 0:
             raise ValueError("epoch_seconds must be positive")
+        if self.data_bits < 8 or self.data_bits % 8:
+            raise ValueError("data_bits must be a positive multiple of 8")
+        if not self.mean_endurance > 0:
+            raise ValueError("mean_endurance must be positive")
+        for name in ("p_stuck_reset", "p_revive"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.write_fraction is not None and not 0.0 <= self.write_fraction <= 1.0:
+            raise ValueError("write_fraction must be None or in [0, 1]")
+        for name in ("endurance_sigma", "alpha_jitter_sigma", "endurance_jitter_sigma"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not self.temp_buckets:
             raise ValueError("need at least one temperature bucket")
         if not self.workload_mix:

@@ -50,12 +50,9 @@ preserved, and sensing draws no randomness.  An ``n_devices=1`` fleet is
 therefore bit-identical to driving a plain :class:`PCMDevice` through
 the same epoch schedule; ``tests/fleet/test_fleet_differential.py``
 holds every device of whole populations to that reference (state
-digest, stats, alive mask, and all per-epoch counters).
-
-The batched generator seeding and payload draws come from
-:mod:`repro.fleet.fastrng`; each is verified against numpy once per
-process and silently falls back to the scalar constructions when the
-installed numpy disagrees.
+digest, stats, alive mask, and all per-epoch counters).  Every draw is
+a public :class:`numpy.random.Generator` call on the device's own
+stream, built by :func:`~repro.montecarlo.rng.block_rng`.
 """
 
 from __future__ import annotations
@@ -89,14 +86,8 @@ from repro.fleet.config import (
     hetero_draws,
 )
 from repro.fleet.engine import N_COUNTERS, _batch_codec, counter_index
-from repro.fleet.fastrng import (
-    FastSeeder,
-    draw_payloads,
-    merged_normals_ok,
-    payload_fast_ok,
-)
 from repro.fleet.state import SoaFleetState, alive_indices
-from repro.montecarlo.rng import truncated_normal_from_uniform
+from repro.montecarlo.rng import block_rng, truncated_normal_from_uniform
 from repro.workloads.synthetic import draw_ops_fast
 
 __all__ = ["FleetEngine", "SoaFleetEngine"]
@@ -176,11 +167,14 @@ class SoaFleetEngine:
         s = self._s
         self._alive = np.ones(n, dtype=bool)
 
-        seeder = FastSeeder.shared()
-        idx = np.arange(self.first_device, self.first_device + n, dtype=np.int64)
-        g_het = seeder.generators(self.entropy, (FLEET_SPAWN_KEY, KEY_HETERO), idx)
-        self._g_dev = seeder.generators(self.entropy, (FLEET_SPAWN_KEY, KEY_DEVICE), idx)
-        self._g_data = seeder.generators(self.entropy, (FLEET_SPAWN_KEY, KEY_DATA), idx)
+        idx = range(self.first_device, self.first_device + n)
+
+        def streams(key: int) -> list[np.random.Generator]:
+            return [block_rng(self.entropy, (FLEET_SPAWN_KEY, key, i)) for i in idx]
+
+        g_het = streams(KEY_HETERO)
+        self._g_dev = streams(KEY_DEVICE)
+        self._g_data = streams(KEY_DATA)
 
         # Per-device drawn operating points (the hetero stream's four
         # draws, in the frozen order of config.hetero_draws).
@@ -191,8 +185,6 @@ class SoaFleetEngine:
         self._mu_esc = np.empty(n)
         self._sg_esc = np.empty(n)
         self._workload: list[str] = []
-        payload_fast = payload_fast_ok() and config.data_bits % 8 == 0
-        self._payload_fast: list[bool] = []
         nc = config.n_blocks * self._n_mlc
         for k in range(n):
             bucket, alpha_jitter, endurance_scale, workload = hetero_draws(
@@ -206,7 +198,6 @@ class SoaFleetEngine:
             self._mu_esc[k] = tier.mu_alpha * factor
             self._sg_esc[k] = tier.sigma_alpha * factor
             self._workload.append(workload)
-            self._payload_fast.append(payload_fast and workload == "stream")
             # CellArray init draws, from the device stream in its order:
             # endurance budgets first, then pending failure modes.
             g = self._g_dev[k]
@@ -232,7 +223,6 @@ class SoaFleetEngine:
         self._any_fault = False
         self._tprog_uniform = True
         self._tprog_row = np.zeros((n, config.n_blocks))
-        self._merged_normals = merged_normals_ok()
         #: Slow-epoch PCMDevice views, by local device row, built on first use.
         self._views: dict[int, PCMDevice] = {}
 
@@ -338,8 +328,12 @@ class SoaFleetEngine:
         """Per-device ``(k, blocks, bits)`` demand-write segments.
 
         Consumes exactly the draws a lone device's epoch consumes: the
-        trace slice from the data stream, then one payload per write op
-        in trace order (reads are counted, never served).
+        trace slice from the data stream, then the payloads of its write
+        ops in trace order (reads are counted, never served).  One
+        ``(m, data_bits)`` draw yields the same bits and end state as
+        ``m`` per-write draws: numpy's bounded ``uint8`` sampler spends
+        one 32-bit word per four values, and ``data_bits`` is a multiple
+        of eight.
         """
         cfg = self.config
         n_ops = cfg.ops_per_epoch
@@ -356,12 +350,7 @@ class SoaFleetEngine:
             reads_req += n_ops - m
             if m == 0:
                 continue
-            if self._payload_fast[k]:
-                bits = draw_payloads(g, m, cfg.data_bits)
-            else:
-                bits = np.empty((m, cfg.data_bits), dtype=np.uint8)
-                for j in range(m):
-                    bits[j] = g.integers(0, 2, cfg.data_bits, dtype=np.uint8)
+            bits = g.integers(0, 2, (m, cfg.data_bits), dtype=np.uint8)
             plan.append((k, addr[w], bits))
         c[_C_READS_REQ] += reads_req
         return plan
@@ -459,26 +448,19 @@ class SoaFleetEngine:
 
         Per device this consumes exactly the draws
         :meth:`CellArray.program` consumes for a fully healthy block —
-        the truncated-normal uniforms, then the exponent normal, then
-        the escalation normal (the two normal calls merge into one when
-        the ziggurat self-check passed) — so the streams stay aligned
-        with a lone device's.
+        the truncated-normal uniforms, then the exponent normals, then
+        the escalation normals, in the same three calls — so the streams
+        stay aligned with a lone device's.
         """
         nm = self._n_mlc
         w = devs.size
         u = np.empty((w, nm))
         zz = np.empty((w, 2 * nm))
-        if self._merged_normals:
-            for j in range(w):
-                g = self._g_dev[int(devs[j])]
-                u[j] = g.random(nm)
-                zz[j] = g.standard_normal(2 * nm)
-        else:
-            for j in range(w):
-                g = self._g_dev[int(devs[j])]
-                u[j] = g.random(nm)
-                zz[j, :nm] = g.standard_normal(nm)
-                zz[j, nm:] = g.standard_normal(nm)
+        for j in range(w):
+            g = self._g_dev[int(devs[j])]
+            u[j] = g.random(nm)
+            zz[j, :nm] = g.standard_normal(nm)
+            zz[j, nm:] = g.standard_normal(nm)
         z_r = truncated_normal_from_uniform(
             u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
         )

@@ -155,12 +155,7 @@ def zipfian_trace(
     if skew <= 0:
         raise ValueError("skew must be positive")
     rng = make_rng(seed)
-    ranks = np.arange(1, footprint_lines + 1, dtype=float)
-    probs = ranks**-skew
-    probs /= probs.sum()
-    # Shuffle rank->address so hot lines are scattered across banks.
-    perm = rng.permutation(footprint_lines)
-    addr = perm[rng.choice(footprint_lines, size=n, p=probs)]
+    addr = _zipf_addresses(n, footprint_lines, skew, rng)
     is_write = rng.random(n) < write_fraction
     return Trace(
         name=name,
@@ -217,48 +212,37 @@ _STREAM_CACHE: dict[
     tuple[int, int, float | None], tuple[np.ndarray, np.ndarray]
 ] = {}
 
-#: Zipf ``(probs, cdf)`` tables per ``(footprint, skew)``.
-_ZIPF_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-#: One-time self-check result for the ``Generator.choice`` replication.
-_FAST_CHOICE_OK: bool | None = None
+#: Zipf rank CDFs per ``(footprint, skew)``.
+_ZIPF_CACHE: dict[tuple[int, float], np.ndarray] = {}
 
 
-def _zipf_tables(footprint_lines: int, skew: float) -> tuple[np.ndarray, np.ndarray]:
+def _zipf_cdf(footprint_lines: int, skew: float) -> np.ndarray:
     key = (footprint_lines, skew)
-    hit = _ZIPF_CACHE.get(key)
-    if hit is None:
+    cdf = _ZIPF_CACHE.get(key)
+    if cdf is None:
         ranks = np.arange(1, footprint_lines + 1, dtype=float)
         probs = ranks**-skew
         probs /= probs.sum()
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        hit = (probs, cdf)
-        _ZIPF_CACHE[key] = hit
-    return hit
+        _ZIPF_CACHE[key] = cdf
+    return cdf
 
 
-def _fast_choice_ok() -> bool:
-    """Does searchsorted-over-cdf replicate ``Generator.choice`` here?
+def _zipf_addresses(
+    n: int, footprint_lines: int, skew: float, rng: np.random.Generator
+) -> np.ndarray:
+    """``n`` Zipf-ranked line addresses over a shuffled footprint.
 
-    ``choice(k, size=n, p=probs)`` is documented behavior but its draw
-    strategy is an implementation detail; verify once per process that
-    ``cdf.searchsorted(rng.random(n), side="right")`` reproduces both
-    the values and the generator end state, and fall back to ``choice``
-    itself otherwise.
+    One permutation (rank -> address, so hot lines are scattered across
+    banks), then one uniform per access mapped through the rank CDF:
+    the same values and generator end state as
+    ``rng.choice(footprint_lines, size=n, p=probs)``, which builds the
+    same CDF and inverts it the same way.
     """
-    global _FAST_CHOICE_OK
-    if _FAST_CHOICE_OK is None:
-        probs, cdf = _zipf_tables(7, 0.99)
-        a = np.random.default_rng(12345)  # repro-lint: disable=RPL001 -- throwaway self-check generator, never enters simulation state
-        b = np.random.default_rng(12345)  # repro-lint: disable=RPL001 -- throwaway self-check generator, never enters simulation state
-        want = a.choice(7, size=32, p=probs)
-        got = cdf.searchsorted(b.random(32), side="right")
-        _FAST_CHOICE_OK = bool(
-            np.array_equal(want, got)
-            and a.bit_generator.state == b.bit_generator.state
-        )
-    return _FAST_CHOICE_OK
+    cdf = _zipf_cdf(footprint_lines, skew)
+    perm = rng.permutation(footprint_lines)
+    return perm[cdf.searchsorted(rng.random(n), side="right")]
 
 
 def draw_ops_fast(
@@ -272,11 +256,9 @@ def draw_ops_fast(
 
     Consumes *exactly* the same generator draws in the same order as
     :func:`draw_ops` (the fleet differential suite pins this), but skips
-    the :class:`Trace` construction, caches the RNG-free stream pattern
-    and the Zipf tables, and replicates ``Generator.choice`` with a
-    ``searchsorted`` over the cached CDF (guarded by a one-time
-    self-check; see :func:`_fast_choice_ok`).  Returned arrays may be
-    cache-shared — treat them as read-only.
+    the :class:`Trace` construction and caches the RNG-free stream
+    pattern.  Returned arrays may be cache-shared — treat them as
+    read-only.
     """
     if kind not in TRACE_KINDS:
         raise ValueError(f"unknown trace kind {kind!r} (known: {TRACE_KINDS})")
@@ -296,13 +278,7 @@ def draw_ops_fast(
         return hit
     if kind == "zipfian" and footprint_lines >= 2:
         wf = 0.1 if write_fraction is None else float(write_fraction)
-        probs, cdf = _zipf_tables(footprint_lines, 0.99)
-        perm = rng.permutation(footprint_lines)
-        if _fast_choice_ok():
-            picks = cdf.searchsorted(rng.random(n_ops), side="right")
-        else:
-            picks = rng.choice(footprint_lines, size=n_ops, p=probs)
-        addr = perm[picks]
+        addr = _zipf_addresses(n_ops, footprint_lines, 0.99, rng)
         is_write = rng.random(n_ops) < wf
         return is_write, addr
     wf = 0.2 if write_fraction is None else float(write_fraction)

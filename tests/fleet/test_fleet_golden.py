@@ -22,6 +22,7 @@ import pytest
 from repro.fleet import (
     FLEET_VERSION,
     FleetConfig,
+    config_from_params,
     fleet_counts_key,
     fleet_mc,
     stress_config,
@@ -137,3 +138,45 @@ class TestKeySalting:
         default = FleetConfig(n_devices=10, n_epochs=3)
         stress = self.CONFIG
         assert fleet_counts_key(default, 0, 0, 4) != fleet_counts_key(stress, 0, 0, 4)
+
+
+class TestConfigValidation:
+    """Out-of-range inputs are rejected at the shared front door instead
+    of each getting its own cache key (or failing deep in the engine)."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("write_fraction", 2.0),
+            ("write_fraction", -0.5),
+            ("p_stuck_reset", 3.0),
+            ("p_stuck_reset", -0.1),
+            ("p_revive", 1.5),
+            ("mean_endurance", 0.0),
+            ("mean_endurance", -5.0),
+            ("endurance_sigma", -0.25),
+            ("alpha_jitter_sigma", -0.1),
+            ("endurance_jitter_sigma", -0.2),
+            ("data_bits", 510),
+            ("data_bits", 0),
+        ],
+    )
+    def test_out_of_range_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FleetConfig(**{field: value})
+
+    @pytest.mark.parametrize("preset", ["default", "stress"])
+    def test_config_from_params_validates(self, preset):
+        with pytest.raises(ValueError, match="write_fraction"):
+            config_from_params(
+                {"preset": preset, "write_fraction": 2.0}, n_devices=4, n_epochs=2
+            )
+
+    @pytest.mark.parametrize("write_fraction", [None, 0.0, 1.0])
+    def test_boundaries_accepted(self, write_fraction):
+        FleetConfig(
+            write_fraction=write_fraction,
+            p_stuck_reset=0.0,
+            p_revive=1.0,
+            endurance_sigma=0.0,
+        )

@@ -11,8 +11,10 @@ hypothesis over seeds and shard windows, and at the summary level
 through ``fleet_mc`` — and pin that a paper-faithful fleet never leaves
 the vectorized fast path.
 
-The batched-RNG fast paths (``repro.fleet.fastrng``) are also pinned
-here against the scalar draws they replace.
+The reference draws one payload per write and its traffic through
+``draw_ops``; the engine draws an epoch's payloads in one call and its
+traffic through ``draw_ops_fast``.  Single-profile populations at each
+``write_fraction`` pin both device by device.
 """
 
 import numpy as np
@@ -22,21 +24,13 @@ from hypothesis import strategies as st
 
 from repro.core.device import PCMDevice
 from repro.fleet import (
-    FLEET_SPAWN_KEY,
     FleetConfig,
     SoaFleetEngine,
     counter_index,
     fleet_mc,
     stress_config,
 )
-from repro.fleet.config import KEY_DATA, KEY_DEVICE
-from repro.fleet.fastrng import (
-    FastSeeder,
-    draw_payloads,
-    merged_normals_ok,
-    payload_fast_ok,
-)
-from repro.montecarlo.rng import block_rng, seed_entropy
+from repro.montecarlo.rng import seed_entropy
 from tests.fleet.test_fleet_differential import assert_matches_reference, drive_single
 
 #: Wear-accelerated: marks, retries, stale-row re-encodes, and deaths
@@ -90,6 +84,28 @@ class TestPopulationDifferential:
         for name in ("tec_corrections", "uncorrectable", "silent"):
             assert want[counter_index(name)] > 0, name
 
+    @pytest.mark.parametrize("write_fraction", [None, 0.5])
+    @pytest.mark.parametrize("kind", ["stream", "random", "zipfian"])
+    @pytest.mark.parametrize("preset", [stress_config, FleetConfig])
+    def test_single_profile_population(self, preset, kind, write_fraction):
+        """Every device runs one traffic profile, at the profile's own
+        write mix and at an explicit one, on the slow (stress) and fast
+        (default) paths."""
+        config = preset(
+            n_devices=6,
+            n_epochs=4,
+            ops_per_epoch=16,
+            workload_mix=((1.0, kind),),
+            write_fraction=write_fraction,
+        )
+        entropy = seed_entropy(11)
+        want = assert_matches_reference(
+            SoaFleetEngine(config, entropy), config, entropy
+        )
+        # More writes than devices in an epoch: some device drew several
+        # payloads in one call.
+        assert (want[:, counter_index("writes")] > config.n_devices).any()
+
     def test_epoch_batch_invariance_soa(self):
         entropy = seed_entropy(13)
         whole = SoaFleetEngine(STRESS, entropy)
@@ -127,38 +143,3 @@ class TestFastPathOnly:
         counts = engine.advance(config.n_epochs)
         assert counts.sum() > 0
         assert engine._views == {}
-
-
-class TestFastRng:
-    """Batched seeding/draw fast paths pinned to the scalar reference."""
-
-    def test_fast_seeder_matches_block_rng(self):
-        seeder = FastSeeder.shared()
-        entropy = seed_entropy(99)
-        idx = np.arange(17, 29)
-        gens = seeder.generators(entropy, (FLEET_SPAWN_KEY, KEY_DEVICE), idx)
-        for i, g in zip(idx, gens):
-            ref = block_rng(entropy, (FLEET_SPAWN_KEY, KEY_DEVICE, int(i)))
-            assert (
-                g.integers(0, 2**63, 8).tolist()
-                == ref.integers(0, 2**63, 8).tolist()
-            )
-            assert g.bit_generator.state == ref.bit_generator.state
-
-    def test_payload_fast_path_matches_scalar_draws(self):
-        if not payload_fast_ok():
-            pytest.skip("payload fast path disabled on this numpy build")
-        entropy = seed_entropy(5)
-        fast = block_rng(entropy, (FLEET_SPAWN_KEY, KEY_DATA, 0))
-        ref = block_rng(entropy, (FLEET_SPAWN_KEY, KEY_DATA, 0))
-        got = draw_payloads(fast, 4, 512)
-        want = np.stack([ref.integers(0, 2, 512, dtype=np.uint8) for _ in range(4)])
-        assert (got == want).all()
-        # Stream-equivalent end state: same PCG position, no buffered
-        # half-word (``uinteger`` is scratch whenever ``has_uint32`` is 0).
-        a, b = fast.bit_generator.state, ref.bit_generator.state
-        assert a["state"] == b["state"]
-        assert a["has_uint32"] == b["has_uint32"] == 0
-
-    def test_merged_normals_self_check(self):
-        assert isinstance(merged_normals_ok(), bool)

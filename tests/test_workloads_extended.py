@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.latency import PAPER_AREA_MODEL
+from repro.montecarlo.rng import make_rng
 from repro.workloads.synthetic import interleave, stream_trace, zipfian_trace
 from repro.workloads.tracefile import load_trace, save_trace
 
@@ -35,6 +36,20 @@ class TestZipfian:
         # hottest lines hit several different banks (mod 8)
         hot_lines = np.argsort(counts)[::-1][:16]
         assert len(set(int(l) % 8 for l in hot_lines)) >= 4
+
+    @pytest.mark.parametrize("footprint", [2, 3, 7, 1000])
+    def test_addresses_match_generator_choice(self, footprint):
+        """The inverse-CDF pick draws what ``Generator.choice`` draws,
+        and leaves the generator in the same state."""
+        got_rng, ref_rng = make_rng(footprint), make_rng(footprint)
+        tr = zipfian_trace(500, footprint, seed=got_rng)
+        probs = np.arange(1, footprint + 1, dtype=float) ** -0.99
+        probs /= probs.sum()
+        perm = ref_rng.permutation(footprint)
+        want = perm[ref_rng.choice(footprint, size=500, p=probs)]
+        ref_rng.random(500)  # the write mask
+        assert (tr.line_addr == want).all()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_validation(self):
         with pytest.raises(ValueError):
