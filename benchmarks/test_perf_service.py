@@ -1,32 +1,80 @@
 """Service throughput/latency benchmark + the batching identity check.
 
-Boots the full service in-process (stdlib HTTP server, dynamic batcher,
-virtual-time devices), runs the synthetic-client load harness against
-it, and emits ``results/BENCH_service.json``: requests/s, blocks/s,
-p50/p99 latency per endpoint, the dynamic-batching histogram, and the
-differential verdict — HTTP responses and final device state digest must
-be bit-identical to driving a twin :class:`VirtualDevice` directly
+Boots the full service as ``python -m repro serve --port 0`` in its own
+process (stdlib HTTP server, dynamic batcher, virtual-time devices), so
+the load's client threads never share the server's GIL.  Runs the
+synthetic-client load harness against it and emits
+``results/BENCH_service.json``: requests/s, blocks/s, p50/p99 latency
+per endpoint, the dynamic-batching histogram, the machine, and the
+differential verdict — HTTP responses and final device state digest
+must be bit-identical to driving a twin :class:`VirtualDevice` directly
 through the batch kernels.
 
-Env knobs for slower machines: ``REPRO_SERVICE_CLIENTS`` (default 8),
+Env knobs for slower machines: ``REPRO_SERVICE_CLIENTS`` (default 16),
 ``REPRO_SERVICE_BLOCKS`` (blocks per client, default 16),
 ``REPRO_SERVICE_ROUNDS`` (write+read rounds, default 4).
 """
 
+import contextlib
 import os
+import pathlib
+import platform
+import re
+import signal
+import subprocess
+import sys
+import threading
 
 import numpy as np
 
 from _report import emit_json
-from repro.service.app import ServiceConfig, ServiceRunner
 from repro.service.batching import IoOp, execute_batch
 from repro.service.client import ServiceClient
 from repro.service.device import VirtualDevice
 from repro.service.loadgen import run_load
 
-N_CLIENTS = int(os.environ.get("REPRO_SERVICE_CLIENTS", 8))
+N_CLIENTS = int(os.environ.get("REPRO_SERVICE_CLIENTS", 16))
 BLOCKS_PER_CLIENT = int(os.environ.get("REPRO_SERVICE_BLOCKS", 16))
 N_ROUNDS = int(os.environ.get("REPRO_SERVICE_ROUNDS", 4))
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@contextlib.contextmanager
+def _serve():
+    """Run ``python -m repro serve --port 0``; yield its base URL.
+
+    On exit the server gets SIGINT and must drain and exit 0.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+            ),
+        },
+    )
+    try:
+        for line in proc.stderr:
+            match = re.search(r"listening on (http://\S+)", line)
+            if match:
+                break
+        else:
+            raise RuntimeError("server exited before listening")
+        threading.Thread(target=proc.stderr.read, daemon=True).start()
+        yield match.group(1)
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            code = proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    assert code == 0, f"server exited with {code}"
 
 
 def _differential_verdict(base_url: str, seed: int = 20130901) -> dict:
@@ -76,32 +124,28 @@ def _differential_verdict(base_url: str, seed: int = 20130901) -> dict:
 
 
 def test_service_throughput_and_bit_identity():
-    runner = ServiceRunner(
-        ServiceConfig(port=0, batch_max=64, batch_deadline_ms=2.0)
-    )
-    runner.start()
-    try:
+    with _serve() as base_url:
         load = run_load(
-            runner.base_url,
+            base_url,
             n_clients=N_CLIENTS,
             blocks_per_client=BLOCKS_PER_CLIENT,
             n_rounds=N_ROUNDS,
             seed=1,
         )
-        differential = _differential_verdict(runner.base_url)
-        with ServiceClient(runner.base_url) as client:
+        differential = _differential_verdict(base_url)
+        with ServiceClient(base_url) as client:
             http_metrics = client.metrics()["http"]
-    finally:
-        runner.stop()
 
     # The service exists to serve correct data: zero tolerance here.
     assert load["errors"] == 0
     assert load["payload_mismatches"] == 0
     assert differential["responses_identical"]
     assert differential["digest_identical"]
-    # Dynamic batching must actually coalesce under concurrent load.
+    # Dynamic batching must actually coalesce under concurrent load:
+    # with 4+ clients, ops queue while a batch runs and share the next.
     hist = load["batching"]["batch_size_hist"]
-    assert sum(int(n) * c for n, c in hist.items()) >= load["requests_total"]
+    if N_CLIENTS >= 4:
+        assert max(int(n) for n in hist) > 1, hist
 
     latency_endpoints = {
         name: stats
@@ -114,5 +158,10 @@ def test_service_throughput_and_bit_identity():
             "load": load,
             "differential": differential,
             "http_block_endpoints": latency_endpoints,
+            "env": {
+                "cpu_count": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
         },
     )

@@ -18,7 +18,7 @@ Examples::
     python -m repro availability --interval-min 17
     python -m repro capacity
     python -m repro simulate --workload STREAM --accesses 30000
-    python -m repro serve --port 8341 --batch-max 64 --batch-deadline-ms 2
+    python -m repro serve --port 8341 --batch-max 64
 
 The Monte Carlo commands (``cer --mc-samples``, ``retention
 --mc-verify``, ``sweep``, ``bler --empirical``, ``campaign``) accept
@@ -503,7 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         seed=args.seed,
         batch_max=args.batch_max,
-        batch_deadline_ms=args.batch_deadline_ms,
         queue_depth=args.queue_depth,
         mc_jobs=args.jobs,
         job_workers=args.job_workers,
@@ -806,11 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument(
         "--batch-max", type=int, default=64,
-        help="flush a batch as soon as it holds this many block ops",
-    )
-    v.add_argument(
-        "--batch-deadline-ms", type=float, default=2.0,
-        help="flush a partial batch when its oldest op is this old",
+        help="most block ops in one batch; a batch is whatever queued "
+        "while the engine ran the previous one",
     )
     v.add_argument(
         "--queue-depth", type=int, default=1024,

@@ -1,11 +1,12 @@
 """RPL010 — blocking call inside a coroutine (direct or transitive).
 
 The service's "bit-identical to unbatched" guarantee rests on its event
-loop staying responsive: the flush loop must observe deadlines, and
-request futures must resolve in submission order.  A coroutine that
-calls ``time.sleep``, sync file/subprocess I/O, or — worse — drops
-straight into the numpy-heavy Monte Carlo / coding kernels stalls every
-other request on the loop.  The sanctioned seam is the executor
+loop staying responsive: the flush loop must start the next batch the
+moment the engine thread is free, requests must keep queueing while a
+batch runs, and request futures must resolve in submission order.  A
+coroutine that calls ``time.sleep``, sync file/subprocess I/O, or —
+worse — drops straight into the numpy-heavy Monte Carlo / coding
+kernels stalls every other request on the loop.  The sanctioned seam is the executor
 (``run_in_executor`` / ``run_serialized`` / ``asyncio.to_thread``):
 callables passed there produce no call edge, so routing work through
 the seam is exactly what makes this rule pass.
@@ -54,7 +55,7 @@ class BlockingInCoroutineRule(ProjectRule):
     severity = Severity.ERROR
     rationale = (
         "a blocking call on the event loop stalls the batching queue's "
-        "deadline flush and every concurrent request; route work through "
+        "next flush and every concurrent request; route work through "
         "the executor seam instead"
     )
     default_options = {

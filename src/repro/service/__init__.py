@@ -15,9 +15,9 @@ machinery to take those requests concurrently:
   results are independent of request interleaving);
 - :mod:`repro.service.batching` — the dynamic batching queue: concurrent
   read/write requests coalesce into single
-  :class:`~repro.coding.batch.BatchThreeOnTwoCodec` calls, flushed by
-  size or deadline under an injectable clock, provably bit-identical to
-  sequential execution;
+  :class:`~repro.coding.batch.BatchThreeOnTwoCodec` calls, flushed
+  whenever the engine thread is free (a batch is whatever queued while
+  the previous one ran), provably bit-identical to sequential execution;
 - :mod:`repro.service.http` — a dependency-free asyncio HTTP/1.1 server
   (keep-alive, routing, JSON bodies); the optional ``repro[service]``
   extra swaps in a production ASGI stack (:mod:`repro.service.asgi`);
@@ -40,7 +40,7 @@ the determinism contract.
 
 from repro.service.app import ServiceApp, ServiceConfig, ServiceRunner
 from repro.service.batching import BatchQueue, DynamicBatcher, QueueFull
-from repro.service.clock import ManualClock, VirtualClock
+from repro.service.clock import VirtualClock
 from repro.service.codes import CODES, EventCode, ServiceError
 from repro.service.device import DeviceRegistry, VirtualDevice
 from repro.service.jobs import JobManager
@@ -53,7 +53,6 @@ __all__ = [
     "DynamicBatcher",
     "EventCode",
     "JobManager",
-    "ManualClock",
     "QueueFull",
     "ServiceApp",
     "ServiceConfig",

@@ -53,7 +53,6 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port is reported at start
     seed: int = 0  # base seed for devices created without an explicit one
     batch_max: int = 64
-    batch_deadline_ms: float = 2.0
     queue_depth: int = 1024
     mc_jobs: int | None = 1  # parallelism inside one BLER/campaign job
     job_workers: int = 2  # concurrent jobs
@@ -62,8 +61,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if self.batch_deadline_ms < 0:
-            raise ValueError("batch_deadline_ms must be >= 0")
         if self.queue_depth < self.batch_max:
             raise ValueError("queue_depth must be >= batch_max")
 
@@ -121,7 +118,6 @@ class ServiceApp:
         self.telemetry = Telemetry()
         queue = BatchQueue(
             max_batch=self.config.batch_max,
-            deadline_s=self.config.batch_deadline_ms / 1e3,
             max_depth=self.config.queue_depth,
         )
         self.batcher = DynamicBatcher(queue)

@@ -1,22 +1,23 @@
 """Dynamic batching: coalesce concurrent I/O into the batch kernels.
 
 The hot path of the service.  Concurrent block read/write requests land
-in a :class:`BatchQueue` and are flushed as one batch when either the
-size threshold fills or the oldest request's deadline expires — the
-classic dynamic-batching tradeoff (throughput vs tail latency) under an
-injectable clock so the policy is unit-testable without sleeping.
+in a :class:`BatchQueue` and are flushed as one batch whenever the
+engine thread is free: a batch is whatever queued while the previous
+one ran, capped at ``max_batch``.  Batch size follows load, with no
+timer: an idle server runs a lone request at once, and a busy one
+coalesces more per batch.
 
 The layering is sans-io:
 
-- :class:`BatchQueue` — pure data structure: submit / readiness /
-  take-batch, no asyncio, clock injected as a callable;
+- :class:`BatchQueue` — pure data structure: submit / take-batch with
+  backpressure, no asyncio;
 - :func:`execute_batch` — runs one batch of :class:`IoOp` against the
   device engine, coalescing reads into a single
   :meth:`~repro.coding.batch.BatchThreeOnTwoCodec.decode` per block
   geometry and running writes one at a time in queue order;
-- :class:`DynamicBatcher` — the asyncio front: wakes on size or
-  deadline, executes batches on a single worker thread (which also
-  serializes every other touch of engine state), resolves futures.
+- :class:`DynamicBatcher` — the asyncio front: flushes whenever the
+  engine is free, executes batches on a single worker thread (which
+  also serializes every other touch of engine state), resolves futures.
 
 **Bit-identity.**  ``execute_batch(ops)`` produces exactly the
 responses and device state of executing the same ops one at a time in
@@ -31,7 +32,6 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
@@ -76,7 +76,7 @@ class BatchStats:
     submitted: int = 0
     rejected: int = 0
     flushes_size: int = 0
-    flushes_deadline: int = 0
+    flushes_idle: int = 0
     flushes_drain: int = 0
     batch_size_hist: collections.Counter = dataclasses.field(
         default_factory=collections.Counter
@@ -89,7 +89,9 @@ class BatchStats:
             "rejected": self.rejected,
             "flushes": {
                 "size": self.flushes_size,
-                "deadline": self.flushes_deadline,
+                "idle": self.flushes_idle,
+                # Always 0 (no deadline trigger); perfbench/wl_service.py reads it.
+                "deadline": 0,
                 "drain": self.flushes_drain,
             },
             "batch_size_hist": {str(s): self.batch_size_hist[s] for s in sizes},
@@ -97,28 +99,17 @@ class BatchStats:
 
 
 class BatchQueue:
-    """FIFO of pending ops with size/deadline flush policy (sans-io)."""
+    """FIFO of pending ops with a batch-size cap and backpressure (sans-io)."""
 
-    def __init__(
-        self,
-        *,
-        max_batch: int = 64,
-        deadline_s: float = 0.002,
-        max_depth: int = 1024,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, *, max_batch: int = 64, max_depth: int = 1024):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if deadline_s < 0.0:
-            raise ValueError("deadline_s must be >= 0")
         if max_depth < max_batch:
             raise ValueError("max_depth must be >= max_batch")
         self.max_batch = int(max_batch)
-        self.deadline_s = float(deadline_s)
         self.max_depth = int(max_depth)
-        self.clock = clock
         self.stats = BatchStats()
-        self._pending: collections.deque[tuple[IoOp, float]] = collections.deque()
+        self._pending: collections.deque[IoOp] = collections.deque()
 
     @property
     def depth(self) -> int:
@@ -131,42 +122,26 @@ class BatchQueue:
             raise QueueFull(
                 f"batch queue at capacity ({self.max_depth} pending requests)"
             )
-        self._pending.append((op, self.clock()))
+        self._pending.append(op)
         self.stats.submitted += 1
 
-    def next_deadline(self) -> float | None:
-        """Clock time at which the oldest pending op must flush."""
-        if not self._pending:
-            return None
-        return self._pending[0][1] + self.deadline_s
-
-    def ready(self, now: float | None = None) -> bool:
-        """True when a batch should flush (size filled or deadline hit)."""
-        if not self._pending:
-            return False
-        if len(self._pending) >= self.max_batch:
-            return True
-        if now is None:
-            now = self.clock()
-        return now >= self._pending[0][1] + self.deadline_s
-
-    def take(self, *, reason: str = "size") -> list[IoOp]:
+    def take(self, *, drain: bool = False) -> list[IoOp]:
         """Pop up to ``max_batch`` ops in FIFO order and record stats.
 
-        ``reason`` labels the flush trigger (``size`` / ``deadline`` /
-        ``drain``) in the stats; callers decide *when*, the queue only
-        records *what*.
+        The flush counts as ``drain`` at shutdown, else as ``size`` when
+        it took a full batch and ``idle`` when it took a partial one.
+        Callers decide *when*, the queue only records *what*.
         """
         n = min(len(self._pending), self.max_batch)
-        batch = [self._pending.popleft()[0] for _ in range(n)]
+        batch = [self._pending.popleft() for _ in range(n)]
         if batch:
             self.stats.batch_size_hist[len(batch)] += 1
-            if reason == "size":
-                self.stats.flushes_size += 1
-            elif reason == "deadline":
-                self.stats.flushes_deadline += 1
-            else:
+            if drain:
                 self.stats.flushes_drain += 1
+            elif n == self.max_batch:
+                self.stats.flushes_size += 1
+            else:
+                self.stats.flushes_idle += 1
         return batch
 
 
@@ -309,16 +284,18 @@ def execute_batch(ops: Sequence[IoOp]) -> list[dict]:
 class DynamicBatcher:
     """Event-loop face of the batching queue.
 
-    One background task watches the queue and flushes on readiness
-    (size) or at the oldest op's deadline; batches execute on a single
-    dedicated worker thread, so the event loop never blocks on numpy and
-    *all* engine-state access is serialized.  Control operations that
-    touch device state without being block I/O (create/describe/digest/
-    clock/delete) go through :meth:`run_serialized` on the same thread.
+    One background task flushes the queue whenever the engine is free:
+    it takes what is pending, runs it, and repeats, so ops that arrive
+    while a batch runs form the next one.  Batches execute on a single
+    dedicated worker thread, so the event loop never blocks on numpy
+    (and keeps accepting requests while a batch runs) and *all*
+    engine-state access is serialized.  Control operations that touch
+    device state without being block I/O (create/describe/digest/clock/
+    delete) go through :meth:`run_serialized` on the same thread.
 
     ``hold()`` is a test seam: while held, nothing flushes, so tests can
     deterministically fill the queue (e.g. to exercise backpressure)
-    without racing the flush loop.
+    without racing the flush loop.  ``close()`` drains even when held.
     """
 
     def __init__(self, queue: BatchQueue | None = None):
@@ -327,6 +304,7 @@ class DynamicBatcher:
             max_workers=1, thread_name_prefix="repro-engine"
         )
         self._wake = asyncio.Event()
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._task: asyncio.Task | None = None
         self._closed = False
         self._held = False
@@ -334,7 +312,8 @@ class DynamicBatcher:
     # -- lifecycle -----------------------------------------------------
     def _ensure_task(self) -> None:
         if self._task is None or self._task.done():
-            self._task = asyncio.get_running_loop().create_task(self._run())
+            self._loop = asyncio.get_running_loop()
+            self._task = self._loop.create_task(self._run())
 
     async def close(self) -> None:
         """Drain: flush every pending op, then stop the loop and pool."""
@@ -345,11 +324,15 @@ class DynamicBatcher:
         self._pool.shutdown(wait=True)
 
     def hold(self) -> None:
+        """Stop flushing (the batch already running finishes); any thread."""
         self._held = True
 
     def release(self) -> None:
+        """Resume flushing; safe to call from any thread."""
         self._held = False
-        self._wake.set()
+        if self._loop is not None:
+            # asyncio.Event is not thread-safe: set it on the loop's thread.
+            self._loop.call_soon_threadsafe(self._wake.set)
 
     # -- submission ----------------------------------------------------
     async def submit(self, op: IoOp) -> dict:
@@ -381,28 +364,13 @@ class DynamicBatcher:
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            if self._closed and self.queue.depth == 0:
-                return
-            if not self._held and (self.queue.ready() or self._closed):
-                if self.queue.depth >= self.queue.max_batch:
-                    reason = "size"
-                elif self.queue.ready():
-                    reason = "deadline"
-                else:
-                    reason = "drain"
-                batch = self.queue.take(reason=reason)
-                if batch:
-                    await self._execute(loop, batch)
+            self._wake.clear()  # before the checks, so no wake-up is lost
+            if self.queue.depth and (self._closed or not self._held):
+                await self._execute(loop, self.queue.take(drain=self._closed))
                 continue
-            deadline = self.queue.next_deadline()
-            timeout: float | None = None
-            if deadline is not None and not self._held:
-                timeout = max(0.0, deadline - self.queue.clock())
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
+            if self._closed:
+                return
+            await self._wake.wait()
 
     async def _execute(self, loop: asyncio.AbstractEventLoop, batch: list[IoOp]) -> None:
         try:

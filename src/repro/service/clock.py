@@ -1,25 +1,18 @@
-"""Clocks for the service: virtual device time and injectable deadlines.
+"""Virtual device time: the only clock the simulation sees.
 
-Two different notions of time coexist in the service and must never be
-conflated:
-
-- **Virtual time** (:class:`VirtualClock`) is *simulation* time — the
-  ``t`` of the drift law ``lr(t) = lr0 + alpha * log10(t / t0)``.  It
-  advances only by explicit request (``POST /v1/devices/<id>/clock``),
-  so device state is a pure function of the request history and never of
-  when the server happened to run.  One instance lives per device.
-- **Deadline time** is the monotonic clock the dynamic batcher uses to
-  decide when a partially filled batch must flush.  It is injectable
-  (:class:`ManualClock` in tests, ``time.monotonic`` in production) and
-  never enters any simulation result — it only shapes *when* work runs,
-  and the per-write counter RNG makes results independent of that.
+**Virtual time** (:class:`VirtualClock`) is *simulation* time — the
+``t`` of the drift law ``lr(t) = lr0 + alpha * log10(t / t0)``.  It
+advances only by explicit request (``POST /v1/devices/<id>/clock``), so
+device state is a pure function of the request history and never of
+when the server happened to run.  One instance lives per device.  Wall
+time only shapes *when* the batcher runs work (whenever its engine
+thread is free), and the per-write counter RNG makes results
+independent of that.
 """
 
 from __future__ import annotations
 
-import time
-
-__all__ = ["ManualClock", "VirtualClock"]
+__all__ = ["VirtualClock"]
 
 
 class VirtualClock:
@@ -53,29 +46,3 @@ class VirtualClock:
             )
         self._now = float(t)
         return self._now
-
-
-class ManualClock:
-    """A hand-cranked monotonic clock for deterministic batcher tests.
-
-    Call it like ``time.monotonic``; advance it explicitly.  The batch
-    queue takes any zero-argument callable returning seconds, so tests
-    pass an instance where production passes ``time.monotonic``.
-    """
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    def __call__(self) -> float:
-        return self._now
-
-    def advance(self, dt: float) -> float:
-        if dt < 0.0:
-            raise ValueError(f"cannot advance by a negative dt ({dt})")
-        self._now += float(dt)
-        return self._now
-
-
-#: The production deadline clock (re-exported so call sites read
-#: ``clock=MONOTONIC`` instead of a bare ``time.monotonic``).
-MONOTONIC = time.monotonic

@@ -1,13 +1,15 @@
 """Batching queue and batch-execution semantics.
 
-The load-bearing suite of the service: flush policy under a hand-cranked
-clock (no sleeps), FIFO and backpressure behaviour, and — the contract
-everything else rests on — *bit identity* between batched and sequential
-execution, including the adversarial arrangements (several writes to the
-same block in one batch, reads submitted before and after those writes).
+The load-bearing suite of the service: the work-conserving flush policy
+(no timers, no sleeps), FIFO and backpressure behaviour, and — the
+contract everything else rests on — *bit identity* between batched and
+sequential execution, including the adversarial arrangements (several
+writes to the same block in one batch, reads submitted before and after
+those writes).
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from repro.service.batching import (
     QueueFull,
     execute_batch,
 )
-from repro.service.clock import ManualClock
 from repro.service.codes import ServiceError
 from repro.service.device import VirtualDevice
 from repro.service.wire import bits_to_hex
@@ -38,51 +39,23 @@ def _read(device: VirtualDevice, block: int, t: float = 0.0) -> IoOp:
 
 
 # ---------------------------------------------------------------------------
-# BatchQueue policy (sans-io, ManualClock)
+# BatchQueue (sans-io)
 # ---------------------------------------------------------------------------
 
 class TestBatchQueue:
     def test_flush_by_size(self):
-        clock = ManualClock()
-        q = BatchQueue(max_batch=3, deadline_s=10.0, clock=clock)
+        q = BatchQueue(max_batch=3)
         dev = VirtualDevice("d", 0, 4)
-        for i in range(2):
+        for i in range(4):
             q.submit(_read(dev, i))
-        assert not q.ready()  # 2 < max_batch and deadline far away
-        q.submit(_read(dev, 2))
-        assert q.ready()  # size threshold reached, clock never moved
-        batch = q.take(reason="size")
-        assert [op.block for op in batch] == [0, 1, 2]
+        batch = q.take()
+        assert [op.block for op in batch] == [0, 1, 2]  # capped at max_batch
+        assert q.depth == 1
         assert q.stats.flushes_size == 1
         assert q.stats.batch_size_hist[3] == 1
 
-    def test_flush_by_deadline(self):
-        clock = ManualClock()
-        q = BatchQueue(max_batch=64, deadline_s=0.5, clock=clock)
-        dev = VirtualDevice("d", 0, 4)
-        q.submit(_read(dev, 0))
-        assert not q.ready()
-        clock.advance(0.49)
-        assert not q.ready()
-        clock.advance(0.02)  # oldest op is now past its deadline
-        assert q.ready()
-        batch = q.take(reason="deadline")
-        assert len(batch) == 1
-        assert q.stats.flushes_deadline == 1
-
-    def test_deadline_tracks_oldest_op(self):
-        clock = ManualClock()
-        q = BatchQueue(max_batch=64, deadline_s=1.0, clock=clock)
-        dev = VirtualDevice("d", 0, 4)
-        q.submit(_read(dev, 0))
-        clock.advance(0.8)
-        q.submit(_read(dev, 1))  # newer op must not push the deadline out
-        assert q.next_deadline() == pytest.approx(1.0)
-        clock.advance(0.3)
-        assert q.ready()
-
     def test_fifo_order_across_takes(self):
-        q = BatchQueue(max_batch=2, deadline_s=0.0, clock=ManualClock())
+        q = BatchQueue(max_batch=2)
         dev = VirtualDevice("d", 0, 8)
         for i in range(5):
             q.submit(_read(dev, i))
@@ -91,7 +64,7 @@ class TestBatchQueue:
         assert order == [0, 1, 2, 3, 4]
 
     def test_backpressure(self):
-        q = BatchQueue(max_batch=2, deadline_s=1.0, max_depth=3, clock=ManualClock())
+        q = BatchQueue(max_batch=2, max_depth=3)
         dev = VirtualDevice("d", 0, 8)
         for i in range(3):
             q.submit(_read(dev, i))
@@ -105,8 +78,6 @@ class TestBatchQueue:
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchQueue(max_batch=0)
-        with pytest.raises(ValueError):
-            BatchQueue(deadline_s=-1.0)
         with pytest.raises(ValueError):
             BatchQueue(max_batch=8, max_depth=4)
 
@@ -252,17 +223,26 @@ class TestBitIdentity:
 # DynamicBatcher (asyncio)
 # ---------------------------------------------------------------------------
 
+async def _until(cond) -> None:
+    """Yield to the loop until ``cond()`` holds (no sleeps, bounded)."""
+    for _ in range(1000):
+        if cond():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("condition never held")
+
+
 class TestDynamicBatcher:
     def test_size_flush_coalesces(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=4, deadline_s=60.0))
+            batcher = DynamicBatcher(BatchQueue(max_batch=4))
             try:
                 writes = [batcher.submit(_write(dev, b, seed=b)) for b in range(4)]
                 results = await asyncio.wait_for(asyncio.gather(*writes), timeout=10)
                 assert [r["code"] for r in results] == ["OK"] * 4
-                # One size-triggered flush of exactly 4 — the 60s deadline
-                # proves it wasn't time that flushed it.
+                # All four queue before the flush task first runs: one
+                # full batch, flushed by size.
                 assert batcher.queue.stats.flushes_size == 1
                 assert batcher.queue.stats.batch_size_hist[4] == 1
             finally:
@@ -270,16 +250,53 @@ class TestDynamicBatcher:
 
         asyncio.run(scenario())
 
-    def test_deadline_flush(self):
+    def test_lone_op_on_idle_batcher_runs_at_once(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=64, deadline_s=0.01))
+            batcher = DynamicBatcher(BatchQueue(max_batch=64))
             try:
-                op = _write(dev, 0, seed=1)
-                result = await asyncio.wait_for(batcher.submit(op), timeout=10)
+                result = await asyncio.wait_for(
+                    batcher.submit(_write(dev, 0, seed=1)), timeout=10
+                )
                 assert result["code"] == "OK"
-                assert batcher.queue.stats.flushes_deadline >= 1
+                # A batch of one, taken at once because the engine was free.
+                stats = batcher.queue.stats
+                assert dict(stats.batch_size_hist) == {1: 1}
+                assert stats.flushes_idle == 1
             finally:
+                await batcher.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "n, sizes", [(5, {1: 1, 5: 1}), (11, {1: 1, 8: 1, 3: 1})]
+    )
+    def test_ops_queued_while_engine_busy_form_the_next_batch(self, n, sizes):
+        async def scenario():
+            dev = VirtualDevice("d", 0, 32)
+            batcher = DynamicBatcher(BatchQueue(max_batch=8))
+            gate = threading.Event()
+            try:
+                blocker = asyncio.ensure_future(batcher.run_serialized(gate.wait))
+                # The first op is taken at once and waits behind the
+                # blocked engine thread, so the flush loop is busy...
+                first = asyncio.ensure_future(batcher.submit(_write(dev, 0, seed=0)))
+                await _until(lambda: batcher.queue.stats.batch_size_hist[1] == 1)
+                # ...while n more ops queue up behind it.
+                rest = [
+                    asyncio.ensure_future(batcher.submit(_write(dev, b, seed=b)))
+                    for b in range(1, n + 1)
+                ]
+                await _until(lambda: batcher.queue.depth == n)
+                gate.set()
+                results = await asyncio.wait_for(
+                    asyncio.gather(blocker, first, *rest), timeout=10
+                )
+                assert [r["code"] for r in results[1:]] == ["OK"] * (n + 1)
+                # The n queued ops run as the next batch, split at the cap.
+                assert dict(batcher.queue.stats.batch_size_hist) == sizes
+            finally:
+                gate.set()
                 await batcher.close()
 
         asyncio.run(scenario())
@@ -288,7 +305,7 @@ class TestDynamicBatcher:
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
             batcher = DynamicBatcher(
-                BatchQueue(max_batch=2, deadline_s=0.0, max_depth=2)
+                BatchQueue(max_batch=2, max_depth=2)
             )
             batcher.hold()
             try:
@@ -312,7 +329,7 @@ class TestDynamicBatcher:
     def test_uncorrectable_surfaces_as_service_error(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=1, deadline_s=0.0))
+            batcher = DynamicBatcher(BatchQueue(max_batch=1))
             try:
                 with pytest.raises(ServiceError) as excinfo:
                     await asyncio.wait_for(batcher.submit(_read(dev, 0)), timeout=10)
@@ -325,13 +342,13 @@ class TestDynamicBatcher:
     def test_close_drains_pending_ops(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=64, deadline_s=120.0))
+            batcher = DynamicBatcher(BatchQueue(max_batch=64))
             pending = [
                 asyncio.ensure_future(batcher.submit(_write(dev, b, seed=b)))
                 for b in range(3)
             ]
             await asyncio.sleep(0)
-            await batcher.close()  # deadline far away: close must flush
+            await batcher.close()  # before the flush task ran: close must flush
             results = await asyncio.gather(*pending)
             assert [r["code"] for r in results] == ["OK"] * 3
             assert batcher.queue.stats.flushes_drain >= 1
@@ -344,7 +361,7 @@ class TestDynamicBatcher:
     def test_run_serialized(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=1, deadline_s=0.0))
+            batcher = DynamicBatcher(BatchQueue(max_batch=1))
             try:
                 described = await batcher.run_serialized(dev.describe)
                 assert described["n_blocks"] == 8

@@ -29,7 +29,7 @@ def _payload_hex(seed: int, n_bits: int = 512) -> str:
 
 @pytest.fixture(scope="module")
 def server():
-    runner = ServiceRunner(ServiceConfig(port=0, batch_deadline_ms=1.0))
+    runner = ServiceRunner(ServiceConfig(port=0))
     runner.start()
     yield runner
     runner.stop()
@@ -271,7 +271,7 @@ class TestJobs:
 class TestBackpressure:
     def test_queue_full_503(self):
         runner = ServiceRunner(
-            ServiceConfig(port=0, batch_max=2, queue_depth=2, batch_deadline_ms=1.0)
+            ServiceConfig(port=0, batch_max=2, queue_depth=2)
         )
         runner.start()
         try:
@@ -312,7 +312,7 @@ class TestHttpDifferential:
 
     def test_http_matches_direct_device(self):
         seed, n_blocks = 424242, 8
-        runner = ServiceRunner(ServiceConfig(port=0, batch_deadline_ms=0.5))
+        runner = ServiceRunner(ServiceConfig(port=0))
         runner.start()
         try:
             with ServiceClient(runner.base_url) as c:
