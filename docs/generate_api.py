@@ -45,7 +45,7 @@ def _module_members(mod) -> list[tuple[str, object]]:
     for name in names if names is not None else sorted(vars(mod)):
         if name.startswith("_"):
             continue
-        obj = getattr(mod, name, None)
+        obj = inspect.unwrap(getattr(mod, name, None))  # e.g. lru_cache wrappers
         if obj is None:
             continue
         if inspect.isclass(obj) or inspect.isfunction(obj):

@@ -32,6 +32,7 @@ __all__ = [
     "drifted_log_resistance",
     "programmed_alpha",
     "programmed_log_resistance",
+    "sensed_log_resistance",
 ]
 
 _HEALTHY = FaultMode.HEALTHY.value
@@ -72,8 +73,8 @@ def drifted_log_resistance(
     ``L = log10(dt / t0)`` may be per-cell or a scalar broadcast over the
     cells (a block programmed in one shot shares its program time).
     Cells that drift across ``lr_break`` continue at their pre-drawn
-    escalated exponent from the crossing point on; fault pinning is the
-    caller's business.
+    escalated exponent from the crossing point on; fault pinning is
+    :func:`sensed_log_resistance`'s business.
     """
     lr = lr0 + alpha * L
     started_below = lr0 < lr_break
@@ -86,6 +87,34 @@ def drifted_log_resistance(
         esc = lr_break + alpha_esc * np.maximum(L - L_cross, 0.0)
         lr = np.where(crossed & np.isfinite(L_cross), esc, lr)
     return lr
+
+
+def sensed_log_resistance(
+    t_now: float | np.ndarray,
+    t_prog: np.ndarray,
+    lr0: np.ndarray,
+    alpha: np.ndarray,
+    alpha_esc: np.ndarray,
+    fault: np.ndarray,
+    design: LevelDesign,
+    schedule: TieredDrift,
+) -> np.ndarray:
+    """The log10 resistance a sense at ``t_now`` measures.
+
+    Takes per-cell state already gathered by the caller
+    (:meth:`CellArray.log_resistance` gathers by cell index, the fleet
+    engine's scrub by ``(device, block)`` rows): healthy cells follow
+    :func:`drifted_log_resistance` from their program time; stuck cells
+    pin to the top (stuck-reset) or bottom (stuck-set) state's mean.
+    """
+    dt = np.maximum(t_now - t_prog, 0.0) + T0_SECONDS
+    L = np.log10(dt / T0_SECONDS)
+    if schedule.tiers:
+        lr = drifted_log_resistance(lr0, alpha, alpha_esc, L, schedule.tiers[0].lr_break)
+    else:
+        lr = lr0 + alpha * L
+    lr = np.where(fault == _STUCK_RESET, design.states[-1].mu_lr, lr)
+    return np.where(fault == _STUCK_SET, design.states[0].mu_lr, lr)
 
 
 class CellArray:
@@ -294,23 +323,16 @@ class CellArray:
         idx = (
             np.arange(self.n) if indices is None else np.asarray(indices, dtype=np.int64)
         )
-        dt = np.maximum(t_now - self._t_prog[idx], 0.0) + T0_SECONDS
-        L = np.log10(dt / T0_SECONDS)
-        lr0 = self._lr0[idx]
-        alpha = self._alpha[idx]
-        if self.schedule.tiers:
-            lr = drifted_log_resistance(
-                lr0, alpha, self._alpha_esc[idx], L, self.schedule.tiers[0].lr_break
-            )
-        else:
-            lr = lr0 + alpha * L
-        # Stuck cells pin their resistance.
-        top_lr = self.design.states[-1].mu_lr
-        bot_lr = self.design.states[0].mu_lr
-        fault = self._fault[idx]
-        lr = np.where(fault == _STUCK_RESET, top_lr, lr)
-        lr = np.where(fault == _STUCK_SET, bot_lr, lr)
-        return lr
+        return sensed_log_resistance(
+            t_now,
+            self._t_prog[idx],
+            self._lr0[idx],
+            self._alpha[idx],
+            self._alpha_esc[idx],
+            self._fault[idx],
+            self.design,
+            self.schedule,
+        )
 
     def sense(
         self,

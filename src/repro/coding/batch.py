@@ -38,6 +38,7 @@ records the scalar-vs-batch throughput in ``results/BENCH_datapath.json``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +64,7 @@ __all__ = [
     "BatchBCHResult",
     "BatchDecodedBlocks",
     "BatchThreeOnTwoCodec",
+    "batch_codec",
     "pack_bits",
     "unpack_bits",
 ]
@@ -563,3 +565,17 @@ class BatchThreeOnTwoCodec:
                 pair_values[i] = (
                     3 * row_states[0::2] + row_states[1::2]
                 ).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=8)
+def batch_codec(data_bits: int, n_spare_pairs: int) -> BatchThreeOnTwoCodec:
+    """The process-wide batch codec for one block geometry.
+
+    Building one precomputes the packed GF(2) parity masks and the
+    discrete-log locator (a few hundred KB, identical for every caller
+    of the geometry), so fleet shards, BLER-MC tasks in a pool worker
+    and service devices all share this instance.
+    """
+    return BatchThreeOnTwoCodec(
+        ThreeOnTwoBlockCodec(data_bits=data_bits, n_spare_pairs=n_spare_pairs)
+    )

@@ -4,8 +4,7 @@ The engine itself is :class:`~repro.fleet.soa.SoaFleetEngine` (public
 name ``FleetEngine``); see :mod:`repro.fleet.soa` for its epoch phases
 and bit-identity contract.  What lives here is what its callers and the
 shard cache share with it: the per-epoch :data:`COUNTERS` layout, the
-energy model's per-cell constants, the per-process batch codec, and
-:data:`FLEET_VERSION`.
+energy model's per-cell constants, and :data:`FLEET_VERSION`.
 
 Bump :data:`FLEET_VERSION` when changing anything observable in the
 engine or in :mod:`repro.fleet.config` (draw orders, phase structure,
@@ -13,11 +12,6 @@ counter semantics): per-shard cache keys are salted with it.
 """
 
 from __future__ import annotations
-
-import functools
-
-from repro.coding.batch import BatchThreeOnTwoCodec
-from repro.coding.blockcodec import ThreeOnTwoBlockCodec
 
 __all__ = [
     "FLEET_VERSION",
@@ -75,9 +69,3 @@ def counter_index(name: str) -> int:
     except KeyError:
         raise ValueError(f"unknown counter {name!r} (known: {COUNTERS})") from None
 
-
-@functools.lru_cache(maxsize=4)
-def _batch_codec(data_bits: int) -> BatchThreeOnTwoCodec:
-    # One codec per geometry per process: building it precomputes the
-    # packed GF(2) masks and discrete-log locator every shard reuses.
-    return BatchThreeOnTwoCodec(ThreeOnTwoBlockCodec(data_bits=data_bits))

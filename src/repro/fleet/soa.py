@@ -7,8 +7,8 @@ index ``i`` (global, fleet-wide) is a pure function of
 ``(config, entropy, i)``: its heterogeneity, physics stream, and data
 stream are all addressed by spawn keys under
 :data:`~repro.fleet.config.FLEET_SPAWN_KEY`, so any sharding of the
-fleet over engines and processes reproduces the same devices.  Each
-epoch of virtual time runs four phases:
+fleet over engines and processes reproduces the same devices.  Every
+epoch of virtual time runs one body of four phases:
 
 A. **Traffic** — every alive device draws ``ops_per_epoch`` accesses
    from its workload profile plus fresh payload bits for each write,
@@ -22,27 +22,31 @@ B. **Batch encode** — all demand-write payloads of the epoch, across
    each block's current marked layout.
 C. **Program** — each device executes its writes in trace order.
 D. **Scrub** — at the epoch's end every written block of every
-   surviving device is sensed in one fused drift + threshold pass (no
-   RNG draws) and decoded in one batch pass; successful decodes are
-   re-encoded in a second batch pass and rewritten (drift-resetting
-   refresh).  Uncorrectable blocks and silent corruptions (decode
-   succeeded, data differs from what was last written) are counted.
+   surviving device is sensed through
+   :func:`~repro.cells.cell_array.sensed_log_resistance`, the drift and
+   stuck-cell pinning :meth:`CellArray.sense` applies (no RNG draws),
+   and decoded in one batch pass; successful decodes are re-encoded in
+   a second batch pass and rewritten block-ascending within each device
+   (drift-resetting refresh).  Uncorrectable blocks and silent
+   corruptions (decode succeeded, data differs from what was last
+   written) are counted.
 
-**Fast and slow epochs.**  While no cell in the population has reached
-its endurance budget (tracked with a cheap wear upper bound against the
-population's minimum endurance), an epoch provably cannot produce
-faults, verify failures, retries, marks, or deaths, so phases C and D
-program whole blocks in *waves*: wave ``w`` programs the ``w``-th write
+**The programming step** of C and of D's refresh is the one thing an
+epoch chooses, from state alone (which keeps ``advance(a); advance(b)``
+equal to ``advance(a + b)``).  While no cell in the population has
+reached its endurance budget (tracked with a cheap wear upper bound
+against the population's minimum endurance), an epoch provably cannot
+produce faults, verify failures, retries, marks, or deaths, so it
+programs whole blocks in *waves*: wave ``w`` programs the ``w``-th row
 of every device at once, drawing from each device's own generator in
-its own order.  Once wear makes faults possible, the epoch is *slow*:
-every write goes through :meth:`PCMDevice.write_encoded` on a
-per-device :class:`~repro.core.device.PCMDevice` view whose cells,
-check bits, written mask, and mark-and-spare layouts are the device's
-rows of the population arrays and whose generator is the device's own.
-The write-and-verify, mark-and-spare, and death semantics are thus the
-single-device code itself.  Views are built only when an epoch first
-goes slow.  The split is decided per epoch from state alone, which keeps
-``advance(a); advance(b)`` equal to ``advance(a + b)``.
+its own order.  Otherwise every row goes through
+:meth:`PCMDevice.write_encoded` on a per-device
+:class:`~repro.core.device.PCMDevice` view whose cells, check bits,
+written mask, and mark-and-spare layouts are the device's rows of the
+population arrays and whose generator is the device's own, so
+write-and-verify, mark-and-spare, and death are the single-device code
+itself; a device stops at :class:`SpareExhausted`, and the rest of its
+epoch is dropped.  A view is built on its device's first such write.
 
 **Bit-identity contract.**  Devices are independent, so work may be
 reordered across devices as long as each device's own draw order is
@@ -63,13 +67,14 @@ import numpy as np
 
 from repro.cells.cell_array import (
     CellArray,
-    drifted_log_resistance,
     programmed_alpha,
     programmed_log_resistance,
+    sensed_log_resistance,
 )
 from repro.cells.drift import PAPER_ESCALATION, independent_escalated_alpha
-from repro.cells.faults import FaultMode
-from repro.cells.params import T0_SECONDS, WRITE_TRUNCATION_SIGMA
+from repro.cells.faults import WearoutModel
+from repro.cells.params import WRITE_TRUNCATION_SIGMA
+from repro.coding.batch import batch_codec
 from repro.core.designs import design_by_name
 from repro.core.device import DeviceStats, PCMDevice, SpareExhausted
 from repro.fleet.config import (
@@ -85,15 +90,13 @@ from repro.fleet.config import (
     device_params,
     hetero_draws,
 )
-from repro.fleet.engine import N_COUNTERS, _batch_codec, counter_index
+from repro.fleet.engine import N_COUNTERS, counter_index
 from repro.fleet.state import SoaFleetState, alive_indices
 from repro.montecarlo.rng import block_rng, truncated_normal_from_uniform
+from repro.wearout.mark_and_spare import MarkAndSpareConfig
 from repro.workloads.synthetic import draw_ops_fast
 
 __all__ = ["FleetEngine", "SoaFleetEngine"]
-
-_STUCK_RESET = FaultMode.STUCK_RESET.value
-_STUCK_SET = FaultMode.STUCK_SET.value
 
 _C_WRITES = counter_index("writes")
 _C_READS_REQ = counter_index("reads_requested")
@@ -136,7 +139,7 @@ class SoaFleetEngine:
             )
         self.n_devices = n
         self._epoch = 0
-        self._batch = _batch_codec(config.data_bits)
+        self._batch = batch_codec(config.data_bits, MarkAndSpareConfig.n_spare_pairs)
         codec = self._batch.codec
         self._n_mlc = codec.n_mlc_cells
 
@@ -145,16 +148,12 @@ class SoaFleetEngine:
             raise ValueError("the fleet engine models 3LC devices")
         tier = PAPER_ESCALATION.tiers[0]
         self._base = base
-        self._thresholds = np.asarray(base.thresholds)
-        self._top_lr = base.states[-1].mu_lr
-        self._bot_lr = base.states[0].mu_lr
         # Write distributions are heterogeneity-free (only drift rates
         # and wear budgets vary per device; see repro.fleet.config).
         self._mu_lr = np.array([s.mu_lr for s in base.states])
         self._sg_lr = np.array([s.sigma_lr for s in base.states])
         base_mu_a = np.array([s.drift.mu_alpha for s in base.states])
         base_sg_a = np.array([s.drift.sigma_alpha for s in base.states])
-        self._lr_break = tier.lr_break
 
         self._s = SoaFleetState(
             n,
@@ -179,12 +178,12 @@ class SoaFleetEngine:
         # Per-device drawn operating points (the hetero stream's four
         # draws, in the frozen order of config.hetero_draws).
         self._drift_factor = np.empty(n)
-        self._endurance_scale = np.empty(n)
         self._mu_a = np.empty((n, base.n_levels))
         self._sg_a = np.empty((n, base.n_levels))
         self._mu_esc = np.empty(n)
         self._sg_esc = np.empty(n)
         self._workload: list[str] = []
+        self._wearout: list[WearoutModel] = []
         nc = config.n_blocks * self._n_mlc
         for k in range(n):
             bucket, alpha_jitter, endurance_scale, workload = hetero_draws(
@@ -192,38 +191,24 @@ class SoaFleetEngine:
             )
             factor = float(config.temp_buckets[bucket][1]) * alpha_jitter
             self._drift_factor[k] = factor
-            self._endurance_scale[k] = endurance_scale
             self._mu_a[k] = base_mu_a * factor
             self._sg_a[k] = base_sg_a * factor
             self._mu_esc[k] = tier.mu_alpha * factor
             self._sg_esc[k] = tier.sigma_alpha * factor
             self._workload.append(workload)
-            # CellArray init draws, from the device stream in its order:
-            # endurance budgets first, then pending failure modes.
-            g = self._g_dev[k]
-            lg = g.normal(
-                np.log10(config.mean_endurance * endurance_scale),
-                config.endurance_sigma,
-                nc,
-            )
-            s.endurance[k] = np.power(10.0, lg)
-            reset = g.random(nc) < config.p_stuck_reset
-            s.pending_mode[k] = np.where(reset, _STUCK_RESET, _STUCK_SET).astype(
-                np.int8
-            )
-        s.lr0[:] = self._bot_lr  # fresh cells sit at the lowest level
+            # CellArray's init draws, from the device stream in its order.
+            wearout = _scale_wearout(config, endurance_scale)
+            self._wearout.append(wearout)
+            s.endurance[k] = wearout.sample_endurance(self._g_dev[k], nc)
+            s.pending_mode[k] = wearout.sample_modes(self._g_dev[k], nc)
+        s.lr0[:] = base.states[0].mu_lr  # fresh cells sit at the lowest level
 
-        # Fast-epoch machinery: a cheap per-cell wear upper bound against
-        # the population's minimum endurance proves fault-freeness; a
-        # per-(device, block) program time serves fused sensing while
-        # every block was programmed whole (always true before the first
-        # slow epoch).
+        # A cheap per-cell wear upper bound against the population's
+        # minimum endurance proves an epoch fault-free.
         self._min_endurance = float(s.endurance.min())
         self._writes_bound = 0
         self._any_fault = False
-        self._tprog_uniform = True
-        self._tprog_row = np.zeros((n, config.n_blocks))
-        #: Slow-epoch PCMDevice views, by local device row, built on first use.
+        #: PCMDevice views, by local device row, built on first use.
         self._views: dict[int, PCMDevice] = {}
 
     # ------------------------------------------------------------------
@@ -278,7 +263,7 @@ class SoaFleetEngine:
         s = self._s
         for k in range(self.n_devices):
             h.update(self._build_view(k).state_digest().encode("ascii"))
-            for b in np.flatnonzero(s.has_stored[k]):
+            for b in np.flatnonzero(s.written[k]):
                 h.update(int(b).to_bytes(4, "little"))
                 h.update(np.ascontiguousarray(s.stored[k, b]).tobytes())
         return h.hexdigest()
@@ -301,6 +286,8 @@ class SoaFleetEngine:
 
     def _advance_one(self) -> np.ndarray:
         cfg = self.config
+        s = self._s
+        nm = self._n_mlc
         c = np.zeros(N_COUNTERS, dtype=np.int64)
         t0 = self._epoch * cfg.epoch_seconds
         t1 = t0 + cfg.epoch_seconds
@@ -308,24 +295,92 @@ class SoaFleetEngine:
         # An epoch adds at most ops_per_epoch + 1 writes to any cell, so
         # while the wear bound stays below the population's minimum
         # endurance no fault (hence no retry, mark, or death) can occur.
-        fast = (
+        fault_free = (
             not self._any_fault
             and self._writes_bound + cfg.ops_per_epoch + 1 < self._min_endurance
         )
-        if fast:
-            self._fast_epoch(alive, t0, t1, c)
-        else:
-            self._slow_epoch(alive, t0, t1, c)
+        program = self._program_waves if fault_free else self._program_views
+        tally0 = self._tally()
+
+        # A: traffic.  B: one batch encode of the epoch's demand writes.
+        # C: program them, in trace order within each device.
+        devs, blks, bits = self._draw_epoch_plan(alive, c)
+        states, checks = self._batch.encode(bits, s.marked[devs, blks])
+        program(devs, blks, bits, states, checks, t0)
+        tally1 = self._tally()
+
+        # D: scrub every written block of every surviving device — sense,
+        # one batch decode, one batch re-encode, refresh.
+        survivors = alive[self._alive[alive]]
+        wr = s.written[survivors]
+        sdevs = np.repeat(survivors, wr.sum(axis=1))
+        sblks = np.nonzero(wr)[1]
+        # Sensing reads only what heterogeneity leaves alone (thresholds,
+        # the state means stuck cells pin to, the escalation break), so
+        # the base design senses every device.
+        rows = (sdevs, sblks)
+        lr = sensed_log_resistance(
+            t1,
+            s.t_prog_3[rows],
+            s.lr0_3[rows],
+            s.alpha_3[rows],
+            s.alpha_esc_3[rows],
+            s.fault_3[rows],
+            self._base,
+            PAPER_ESCALATION,
+        )
+        dec = self._batch.decode(self._base.sense(lr), s.slc[rows])
+        ok = ~dec.uncorrectable
+        silent = ok & np.any(dec.data_bits != s.stored[rows], axis=1)
+        data = dec.data_bits[ok]
+        states, checks = self._batch.encode(data, s.marked[sdevs[ok], sblks[ok]])
+        done = np.ones(sdevs.size, dtype=bool)
+        done[ok] = program(sdevs[ok], sblks[ok], data, states, checks, t1)
+        # A device whose refresh ran out of spares stops its scrub there.
+        reached = self._reached(sdevs, done)
+        np.add.at(s.st_reads, sdevs[reached], 1)
+        tec = np.where(ok & reached, dec.tec_corrected, 0)
+        np.add.at(s.st_tec, sdevs, tec)
+        tally2 = self._tally()
+
+        n_read = int(reached.sum())
+        c[_C_READS] = n_read
+        c[_C_SENSED] = n_read * nm
+        c[_C_UNCORRECTABLE] = int((reached & ~ok).sum())
+        c[_C_TEC] = int(tec.sum())
+        c[_C_SILENT] = int((reached & silent).sum())
+        c[[_C_WRITES, _C_CELL_WRITE]] = (tally1 - tally0)[:2]
+        c[[_C_REFRESHES, _C_CELL_REFRESH]] = (tally2 - tally1)[:2]
+        c[[_C_MARKS, _C_RETRIES]] = (tally2 - tally0)[2:]
+        c[_C_DEATHS] = alive.size - int(np.count_nonzero(self._alive))
+        self._any_fault = bool(s.fault.any())
         self._writes_bound += cfg.ops_per_epoch + 1
         self._epoch += 1
         return c
 
+    def _tally(self) -> np.ndarray:
+        """Population totals of block writes, cell programs, marks, retries."""
+        s = self._s
+        return np.array(
+            [s.st_writes.sum(), s.writes.sum(), s.st_marks.sum(), s.st_retries.sum()]
+        )
+
+    def _reached(self, devs: np.ndarray, done: np.ndarray) -> np.ndarray:
+        """Rows (grouped by device) that their device got to: all rows up
+        to and including its first undone one, where its spares ran out."""
+        failed = np.flatnonzero(~done)
+        dead, first = np.unique(devs[failed], return_index=True)
+        limit = np.full(self.n_devices, devs.size)
+        limit[dead] = failed[first]
+        return np.arange(devs.size) <= limit[devs]
+
     # ------------------------------------------------------------------
-    # Phase A (shared): traffic + payload draws, per device in order.
+    # Phase A: traffic + payload draws, per device in order.
     def _draw_epoch_plan(
         self, alive: np.ndarray, c: np.ndarray
-    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Per-device ``(k, blocks, bits)`` demand-write segments.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The epoch's demand writes as ``(devs, blks, bits)`` rows,
+        grouped by device, in trace order within each.
 
         Consumes exactly the draws a lone device's epoch consumes: the
         trace slice from the data stream, then the payloads of its write
@@ -337,311 +392,128 @@ class SoaFleetEngine:
         """
         cfg = self.config
         n_ops = cfg.ops_per_epoch
-        plan: list[tuple[int, np.ndarray, np.ndarray]] = []
+        devs: list[int] = []
+        blks = [np.empty(0, dtype=np.int64)]
+        bits = [np.empty((0, cfg.data_bits), dtype=np.uint8)]
         reads_req = 0
-        for kk in alive:
-            k = int(kk)
+        for k in alive.tolist():
             g = self._g_data[k]
             is_write, addr = draw_ops_fast(
                 self._workload[k], n_ops, cfg.n_blocks, g, cfg.write_fraction
             )
             w = np.flatnonzero(is_write)
-            m = w.size
-            reads_req += n_ops - m
-            if m == 0:
-                continue
-            bits = g.integers(0, 2, (m, cfg.data_bits), dtype=np.uint8)
-            plan.append((k, addr[w], bits))
-        c[_C_READS_REQ] += reads_req
-        return plan
+            reads_req += n_ops - w.size
+            if w.size:
+                devs += [k] * w.size
+                blks.append(addr[w])
+                bits.append(g.integers(0, 2, (w.size, cfg.data_bits), dtype=np.uint8))
+        c[_C_READS_REQ] = reads_req
+        return np.array(devs, dtype=np.int64), np.concatenate(blks), np.concatenate(bits)
 
     # ------------------------------------------------------------------
-    # Fast path: provably fault-free epoch, straight-line array code.
-    def _fast_epoch(
-        self, alive: np.ndarray, t0: float, t1: float, c: np.ndarray
-    ) -> None:
-        cfg = self.config
-        s = self._s
-        plan = self._draw_epoch_plan(alive, c)
-
-        if plan:
-            sizes = [blocks.size for _, blocks, _ in plan]
-            dev_rows = np.repeat(
-                np.array([k for k, _, _ in plan], dtype=np.int64), sizes
-            )
-            blk_rows = np.concatenate([blocks for _, blocks, _ in plan])
-            bits_mat = np.vstack([bits for _, _, bits in plan])
-            # Phase B: one batch encode of the epoch's demand writes.
-            w_states, w_checks = self._batch.encode(
-                bits_mat, s.marked[dev_rows, blk_rows]
-            )
-            # Phase C: program in waves (wave w = write slot w of every
-            # device; within-device trace order is preserved).
-            slots = np.concatenate([np.arange(m) for m in sizes])
-            for w in range(max(sizes)):
-                sel = np.flatnonzero(slots == w)
-                devs = dev_rows[sel]
-                blks = blk_rows[sel]
-                self._program_wave(devs, blks, w_states[sel], t0)
-                s.slc[devs, blks] = w_checks[sel]
-                s.written[devs, blks] = True
-                s.stored[devs, blks] = bits_mat[sel]
-                s.has_stored[devs, blks] = True
-                s.st_writes[devs] += 1
-            r = dev_rows.size
-            c[_C_WRITES] += r
-            c[_C_CELL_WRITE] += r * self._n_mlc
-
-        # Phase D: scrub every written block of every device — fused
-        # drift + sense (no RNG), one batch decode, one batch re-encode,
-        # refresh in waves.
-        wr = s.written[alive]
-        per_dev = wr.sum(axis=1)
-        sdevs = np.repeat(alive, per_dev)
-        sblks = np.nonzero(wr)[1]
-        r2 = sdevs.size
-        if r2 == 0:
-            return
-        sensed = self._sense_rows(sdevs, sblks, t1, pin=False)
-        dec = self._batch.decode(sensed, s.slc[sdevs, sblks])
-        c[_C_READS] += r2
-        c[_C_SENSED] += r2 * self._n_mlc
-        np.add.at(s.st_reads, sdevs, 1)
-        unc = dec.uncorrectable
-        c[_C_UNCORRECTABLE] += int(unc.sum())
-        ok = np.flatnonzero(~unc)
-        if ok.size == 0:
-            return
-        okd = sdevs[ok]
-        okb = sblks[ok]
-        tec = dec.tec_corrected[ok]
-        c[_C_TEC] += int(tec.sum())
-        np.add.at(s.st_tec, okd, tec)
-        data = dec.data_bits[ok]
-        silent = ~np.all(data == s.stored[okd, okb], axis=1)
-        c[_C_SILENT] += int(silent.sum())
-        f_states, f_checks = self._batch.encode(data, s.marked[okd, okb])
-        # Refresh waves: slot w = each device's w-th scrubbed-ok block
-        # (block-ascending within a device, as a lone device's scrub).
-        starts = np.flatnonzero(np.r_[True, okd[1:] != okd[:-1]])
-        seg_len = np.diff(np.r_[starts, okd.size])
-        slots = np.arange(okd.size) - np.repeat(starts, seg_len)
-        for w in range(int(seg_len.max())):
-            sel = np.flatnonzero(slots == w)
-            devs = okd[sel]
-            blks = okb[sel]
-            self._program_wave(devs, blks, f_states[sel], t1)
-            s.slc[devs, blks] = f_checks[sel]
-            s.stored[devs, blks] = data[sel]
-            s.st_writes[devs] += 1
-        c[_C_REFRESHES] += ok.size
-        c[_C_CELL_REFRESH] += ok.size * self._n_mlc
-
-    def _program_wave(
+    # The programming step: ``program(devs, blks, bits, states, checks,
+    # t_now)`` writes rows grouped by device, each device's in order,
+    # from batch-encoded first attempts; it commits the cells, check
+    # bits, written mask and stored data of every row it completes and
+    # returns which rows those are.
+    def _program_waves(
         self,
         devs: np.ndarray,
         blks: np.ndarray,
+        bits: np.ndarray,
         states: np.ndarray,
+        checks: np.ndarray,
         t_now: float,
-    ) -> None:
-        """Program one whole block per device, all devices at once.
+    ) -> np.ndarray:
+        """Fault-free programming: wave ``w`` writes every device's
+        ``w``-th row at once, so every row completes.
 
-        Per device this consumes exactly the draws
+        Per device a row consumes exactly the draws
         :meth:`CellArray.program` consumes for a fully healthy block —
         the truncated-normal uniforms, then the exponent normals, then
         the escalation normals, in the same three calls — so the streams
         stay aligned with a lone device's.
         """
+        s = self._s
         nm = self._n_mlc
-        w = devs.size
-        u = np.empty((w, nm))
-        zz = np.empty((w, 2 * nm))
-        for j in range(w):
-            g = self._g_dev[int(devs[j])]
-            u[j] = g.random(nm)
-            zz[j, :nm] = g.standard_normal(nm)
-            zz[j, nm:] = g.standard_normal(nm)
-        z_r = truncated_normal_from_uniform(
-            u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
-        )
-        st = states.astype(np.int64)
-        lr0 = programmed_log_resistance(self._mu_lr[st], self._sg_lr[st], z_r)
-        alpha = programmed_alpha(
-            self._mu_a[devs[:, None], st], self._sg_a[devs[:, None], st], zz[:, :nm]
-        )
-        esc = independent_escalated_alpha(
-            zz[:, nm:], self._mu_esc[devs][:, None], self._sg_esc[devs][:, None]
-        )
-        s = self._s
-        s.lr0_3[devs, blks] = lr0
-        s.alpha_3[devs, blks] = alpha
-        s.alpha_esc_3[devs, blks] = esc
-        s.t_prog_3[devs, blks] = t_now
-        s.target_3[devs, blks] = st
-        s.writes_3[devs, blks] += 1
-        self._tprog_row[devs, blks] = t_now
-
-    def _sense_rows(
-        self, sdevs: np.ndarray, sblks: np.ndarray, t_now: float, *, pin: bool
-    ) -> np.ndarray:
-        """Fused drift + threshold for many ``(device, block)`` rows.
-
-        Row-uniform program times (every block so far programmed in one
-        shot) let the log-time factor collapse to one value per row;
-        after any slow epoch partial programs exist and the per-cell
-        times and fault pinning take over.  Either way this is the same
-        arithmetic :meth:`CellArray.log_resistance` runs per block.
-        """
-        s = self._s
-        if self._tprog_uniform:
-            dt = np.maximum(t_now - self._tprog_row[sdevs, sblks], 0.0) + T0_SECONDS
-            ell: np.ndarray = np.log10(dt / T0_SECONDS)[:, None]
-        else:
-            dt = np.maximum(t_now - s.t_prog_3[sdevs, sblks], 0.0) + T0_SECONDS
-            ell = np.log10(dt / T0_SECONDS)
-        lr = drifted_log_resistance(
-            s.lr0_3[sdevs, sblks],
-            s.alpha_3[sdevs, sblks],
-            s.alpha_esc_3[sdevs, sblks],
-            ell,
-            self._lr_break,
-        )
-        if pin:
-            fault = s.fault_3[sdevs, sblks]
-            lr = np.where(fault == _STUCK_RESET, self._top_lr, lr)
-            lr = np.where(fault == _STUCK_SET, self._bot_lr, lr)
-        return np.searchsorted(self._thresholds, lr, side="right")
-
-    # ------------------------------------------------------------------
-    # Slow path: faults, retries, marks, and deaths, through one
-    # PCMDevice view per device over its population rows.
-    def _slow_epoch(
-        self, alive: np.ndarray, t0: float, t1: float, c: np.ndarray
-    ) -> None:
-        s = self._s
-        # Phase C below may partial-program cells (retries, force-highest
-        # on marked pairs) without touching ``_tprog_row``, so this very
-        # epoch's scrub must already read per-cell program times.
-        self._tprog_uniform = False
-        marks0 = s.st_marks.copy()
-        retries0 = s.st_retries.copy()
-        tec0 = s.st_tec.copy()
-        cells0 = s.writes.sum(axis=1)
-
-        plan = self._draw_epoch_plan(alive, c)
-
-        # Phase B: batch encode against each block's current layout.
-        if plan:
-            dev_rows = np.repeat(
-                np.array([k for k, _, _ in plan], dtype=np.int64),
-                [blocks.size for _, blocks, _ in plan],
+        start = np.flatnonzero(np.r_[True, devs[1:] != devs[:-1]])
+        seg = np.diff(np.r_[start, devs.size])
+        slot = np.arange(devs.size) - np.repeat(start, seg)
+        for w in range(int(seg.max(initial=0))):
+            sel = np.flatnonzero(slot == w)
+            d = devs[sel]
+            b = blks[sel]
+            u = np.empty((sel.size, nm))
+            zz = np.empty((sel.size, 2 * nm))
+            for j, k in enumerate(d.tolist()):
+                g = self._g_dev[k]
+                u[j] = g.random(nm)
+                zz[j, :nm] = g.standard_normal(nm)
+                zz[j, nm:] = g.standard_normal(nm)
+            z_r = truncated_normal_from_uniform(
+                u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
             )
-            blk_rows = np.concatenate([blocks for _, blocks, _ in plan])
-            w_states, w_checks = self._batch.encode(
-                np.vstack([bits for _, _, bits in plan]),
-                s.marked[dev_rows, blk_rows],
+            st = states[sel].astype(np.int64)
+            s.lr0_3[d, b] = programmed_log_resistance(self._mu_lr[st], self._sg_lr[st], z_r)
+            s.alpha_3[d, b] = programmed_alpha(
+                self._mu_a[d[:, None], st], self._sg_a[d[:, None], st], zz[:, :nm]
             )
-
-        # Phase C: program device by device, trace order within each.
-        writes0 = s.st_writes.copy()
-        r = 0
-        for k, blocks, bits in plan:
-            dirty: set[int] = set()
-            for j, b in enumerate(blocks.tolist()):
-                # A write that marked a pair leaves the block's later
-                # pre-encoded rows stale: those re-encode in the device.
-                pre = () if b in dirty else (w_states[r + j], w_checks[r + j])
-                try:
-                    if self._write(k, b, bits[j], t0, *pre):
-                        dirty.add(b)
-                except SpareExhausted:
-                    self._alive[k] = False
-                    c[_C_DEATHS] += 1
-                    break
-                s.stored[k, b] = bits[j]
-                s.has_stored[k, b] = True
-            r += blocks.size
-        c[_C_WRITES] += int((s.st_writes - writes0)[alive].sum())
-        cells_after_c = s.writes.sum(axis=1)
-        c[_C_CELL_WRITE] += int((cells_after_c - cells0)[alive].sum())
-
-        # Phase D: scrub — sense everything, decode in one batch, refresh
-        # block-ascending within each device.
-        survivors = alive[self._alive[alive]]
-        refresh0 = s.st_writes.copy()
-        wr = s.written[survivors]
-        sdevs = np.repeat(survivors, wr.sum(axis=1))
-        sblks = np.nonzero(wr)[1]
-        if sdevs.size:
-            sensed = self._sense_rows(sdevs, sblks, t1, pin=True)
-            dec = self._batch.decode(sensed, s.slc[sdevs, sblks])
-            ok = ~dec.uncorrectable
-            f_states, f_checks = self._batch.encode(
-                dec.data_bits[ok], s.marked[sdevs[ok], sblks[ok]]
+            s.alpha_esc_3[d, b] = independent_escalated_alpha(
+                zz[:, nm:], self._mu_esc[d][:, None], self._sg_esc[d][:, None]
             )
-            enc_row = np.cumsum(ok) - 1
-            dead = -1
-            for j, (k, b) in enumerate(zip(sdevs.tolist(), sblks.tolist())):
-                if k == dead:
-                    continue
-                s.st_reads[k] += 1
-                c[_C_READS] += 1
-                c[_C_SENSED] += self._n_mlc
-                if not ok[j]:
-                    c[_C_UNCORRECTABLE] += 1
-                    continue
-                s.st_tec[k] += int(dec.tec_corrected[j])
-                data = dec.data_bits[j]
-                if s.has_stored[k, b] and not np.array_equal(data, s.stored[k, b]):
-                    c[_C_SILENT] += 1
-                pos = enc_row[j]
-                try:
-                    self._write(k, b, data, t1, f_states[pos], f_checks[pos])
-                except SpareExhausted:
-                    self._alive[k] = False
-                    c[_C_DEATHS] += 1
-                    dead = k
-                    continue
-                s.stored[k, b] = data
-        c[_C_REFRESHES] += int((s.st_writes - refresh0)[survivors].sum())
-        c[_C_CELL_REFRESH] += int(
-            (s.writes.sum(axis=1) - cells_after_c)[survivors].sum()
-        )
-        c[_C_MARKS] += int((s.st_marks - marks0)[alive].sum())
-        c[_C_RETRIES] += int((s.st_retries - retries0)[alive].sum())
-        c[_C_TEC] += int((s.st_tec - tec0)[alive].sum())
+            s.t_prog_3[d, b] = t_now
+            s.target_3[d, b] = st
+            s.writes_3[d, b] += 1
+            s.slc[d, b] = checks[sel]
+            s.written[d, b] = True
+            s.stored[d, b] = bits[sel]
+            s.st_writes[d] += 1
+        return np.ones(devs.size, dtype=bool)
 
-        self._any_fault = bool(s.fault.any())
-
-    def _write(
+    def _program_views(
         self,
-        k: int,
-        b: int,
-        data_bits: np.ndarray,
+        devs: np.ndarray,
+        blks: np.ndarray,
+        bits: np.ndarray,
+        states: np.ndarray,
+        checks: np.ndarray,
         t_now: float,
-        states: np.ndarray | None = None,
-        check: np.ndarray | None = None,
-    ) -> bool:
-        """:meth:`PCMDevice.write_encoded` on row ``k``'s view.
+    ) -> np.ndarray:
+        """Row by row through :meth:`PCMDevice.write_encoded` on each
+        device's view, folding the view's stats into the ``st_*`` columns.
 
-        Folds the view's stats into the ``st_*`` arrays (also when the
-        write raises :class:`SpareExhausted`); returns whether the write
-        marked a new pair.
+        A write that marks a pair leaves its block's later pre-encoded
+        rows stale: those re-encode in the device.  A device whose spares
+        run out dies there; its later rows stay undone.
         """
-        dev = self._views.get(k)
-        if dev is None:
-            dev = self._views[k] = self._build_view(k)
-        try:
-            dev.write_encoded(b, data_bits, t_now, states, check)
-        finally:
-            st = dev.stats
-            s = self._s
+        s = self._s
+        done = np.zeros(devs.size, dtype=bool)
+        stale: set[tuple[int, int]] = set()
+        dead = -1
+        for j, (k, b) in enumerate(zip(devs.tolist(), blks.tolist())):
+            if k == dead:
+                continue
+            view = self._views.get(k)
+            if view is None:
+                view = self._views[k] = self._build_view(k)
+            pre = () if (k, b) in stale else (states[j], checks[j])
+            try:
+                view.write_encoded(b, bits[j], t_now, *pre)
+            except SpareExhausted:
+                self._alive[k] = False
+                dead = k
+            st = view.stats
+            view.stats = DeviceStats()
             s.st_writes[k] += st.writes
             s.st_retries[k] += st.write_retries
             s.st_marks[k] += st.wearout_marks
-            marked = st.wearout_marks > 0
-            dev.stats = DeviceStats()
-        return marked
+            if k == dead:
+                continue
+            if st.wearout_marks:
+                stale.add((k, b))
+            s.stored[k, b] = bits[j]
+            done[j] = True
+        return done
 
     def _build_view(self, k: int) -> PCMDevice:
         """Row ``k`` as a :class:`PCMDevice` over the population arrays."""
@@ -661,7 +533,7 @@ class SoaFleetEngine:
             ),
             design=_scale_drift(self._base, factor),
             rng=self._g_dev[k],
-            wearout=_scale_wearout(self.config, float(self._endurance_scale[k])),
+            wearout=self._wearout[k],
             schedule=_scale_schedule(PAPER_ESCALATION, factor),
         )
         return PCMDevice.over_state(

@@ -5,7 +5,7 @@ One :class:`SoaFleetState` holds everything ``n`` devices' worth of
 arrays with the device as the leading axis: per-cell physics as
 ``(n, n_blocks * cells_per_block)``, per-block controller state as
 ``(n, n_blocks, ...)``.  Dtypes mirror :class:`~repro.cells.cell_array.CellArray`
-field-for-field: slow epochs run :class:`CellArray` directly on row
+field-for-field: the engine runs :class:`CellArray` directly on row
 views of these arrays, and the canonical digests hash raw bytes, so an
 ``int8`` where ``CellArray`` keeps ``int64`` would already break the
 bit-identity contract.
@@ -64,9 +64,8 @@ class SoaFleetState:
         self.slc = np.zeros((n, n_blocks, n_slc), dtype=np.uint8)
         self.written = np.zeros((n, n_blocks), dtype=bool)
         self.marked = np.zeros((n, n_blocks, n_pairs), dtype=bool)
-        #: last data known written per (device, block) — silent-error oracle.
+        #: last data written per (device, block) — silent-error oracle.
         self.stored = np.zeros((n, n_blocks, data_bits), dtype=np.uint8)
-        self.has_stored = np.zeros((n, n_blocks), dtype=bool)
 
         # Per-device cumulative stats (DeviceStats columns; ``refreshes``
         # stays zero in the fleet path, which counts refreshes per epoch).
@@ -106,7 +105,6 @@ class SoaFleetState:
                 self.written,
                 self.marked,
                 self.stored,
-                self.has_stored,
                 self.st_writes,
                 self.st_reads,
                 self.st_tec,

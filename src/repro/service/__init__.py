@@ -19,8 +19,7 @@ machinery to take those requests concurrently:
   whenever the engine thread is free (a batch is whatever queued while
   the previous one ran), provably bit-identical to sequential execution;
 - :mod:`repro.service.http` — a dependency-free asyncio HTTP/1.1 server
-  (keep-alive, routing, JSON bodies); the optional ``repro[service]``
-  extra swaps in a production ASGI stack (:mod:`repro.service.asgi`);
+  (keep-alive, routing, JSON bodies);
 - :mod:`repro.service.app` — the endpoint layer: device CRUD, block
   read/write, virtual-clock control, campaign/BLER job submission and
   polling, ``/metrics``;

@@ -46,8 +46,7 @@ import numpy as np
 from repro.cells.cell_array import CellArray
 from repro.cells.drift import PAPER_ESCALATION, TieredDrift
 from repro.cells.faults import FaultMode, WearoutModel
-from repro.coding.batch import BatchThreeOnTwoCodec
-from repro.coding.blockcodec import ThreeOnTwoBlockCodec
+from repro.coding.batch import batch_codec
 from repro.core.designs import three_level_optimal
 from repro.core.device import DeviceStats, PCMDevice
 from repro.montecarlo.rng import block_rng
@@ -60,7 +59,6 @@ __all__ = [
     "DeviceRegistry",
     "VirtualDevice",
     "VirtualDeviceStats",
-    "shared_codec",
 ]
 
 #: Root of the service's SeedSequence spawn-key domain.  Distinct from
@@ -72,26 +70,6 @@ SERVICE_SPAWN_KEY = 0x5EC0
 _KEY_ENDURANCE = 0
 _KEY_MODES = 1
 _KEY_WRITE = 2
-
-# One BatchThreeOnTwoCodec per block geometry, shared across devices:
-# the packed parity masks are a few hundred KB and identical for every
-# device with the same (data_bits, n_spare_pairs).
-_CODEC_CACHE: dict[tuple[int, int], BatchThreeOnTwoCodec] = {}
-_CODEC_LOCK = threading.Lock()
-
-
-def shared_codec(data_bits: int, n_spare_pairs: int) -> BatchThreeOnTwoCodec:
-    """The process-wide batch codec for one block geometry."""
-    key = (int(data_bits), int(n_spare_pairs))
-    with _CODEC_LOCK:
-        codec = _CODEC_CACHE.get(key)
-        if codec is None:
-            codec = BatchThreeOnTwoCodec(
-                ThreeOnTwoBlockCodec(data_bits=key[0], n_spare_pairs=key[1])
-            )
-            _CODEC_CACHE[key] = codec
-        return codec
-
 
 @dataclasses.dataclass
 class VirtualDeviceStats:
@@ -131,7 +109,7 @@ class VirtualDevice:
         self.n_blocks = int(n_blocks)
         self.data_bits = int(data_bits)
         self.n_spare_pairs = int(n_spare_pairs)
-        self.codec = shared_codec(data_bits, n_spare_pairs)
+        self.codec = batch_codec(self.data_bits, self.n_spare_pairs)
         self.clock = VirtualClock()
         self.stats = VirtualDeviceStats()
 

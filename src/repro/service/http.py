@@ -9,9 +9,11 @@ paths (``/v1/devices/{device_id}``) bound to async handlers returning
 ``(status, payload)``, and everything else (devices, batching, jobs)
 lives in :mod:`repro.service.app`.
 
-Production deployments that want a real ASGI stack can mount
-:func:`repro.service.asgi.create_asgi_app` under uvicorn instead; this
-server exists so tests, CI, and the default CLI path need nothing.
+An error answered before a request's body was consumed (a line longer
+than the stream limit, too many header bytes, a bad or oversized
+``Content-Length``, any ``Transfer-Encoding``) closes the connection:
+the unread bytes are not a request boundary, so the stream cannot carry
+another request.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class HttpServer:
                 keep_alive = await self._handle_one(reader, writer)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer went away mid-request; nothing to answer
         finally:
             writer.close()
@@ -130,7 +132,13 @@ class HttpServer:
     async def _handle_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
-        request_line = await reader.readline()
+        try:
+            request_line = await reader.readline()
+        except ValueError:  # longer than the stream limit (asyncio's LimitOverrunError)
+            await self._send_error(
+                writer, "HTTP/1.1", ServiceError("E_PAYLOAD_TOO_LARGE", "request line too long")
+            )
+            return False
         if not request_line:
             return False
         try:
@@ -149,19 +157,25 @@ class HttpServer:
         keep_alive = _wants_keep_alive(version, headers)
 
         start = self.telemetry.timer()
-        endpoint = f"{method} {target.split('?', 1)[0]}"
+        path = target.split("?", 1)[0]
+        endpoint = f"{method} {path}"
+        body_read = False
         try:
-            body = await _read_body(reader, headers)
-            path = target.split("?", 1)[0]
+            length = _content_length(headers)
+            raw = await reader.readexactly(length) if length else b""
+            body_read = True
+            body = _parse_json(raw)
             endpoint, handler, params = self.router.resolve(method, path)
             status, payload = await handler(params, body)
-        except ServiceError as exc:
-            self.telemetry.observe(endpoint, self.telemetry.elapsed(start), error=True)
-            await self._send_json(writer, version, exc.http_status, exc.payload(), keep_alive)
-            return keep_alive
         except Exception as exc:
+            err = (
+                exc
+                if isinstance(exc, ServiceError)
+                else ServiceError("E_INTERNAL", f"{type(exc).__name__}: {exc}")
+            )
+            # An unread body is not a request boundary: answer, then close.
+            keep_alive = keep_alive and body_read
             self.telemetry.observe(endpoint, self.telemetry.elapsed(start), error=True)
-            err = ServiceError("E_INTERNAL", f"{type(exc).__name__}: {exc}")
             await self._send_json(writer, version, err.http_status, err.payload(), keep_alive)
             return keep_alive
         self.telemetry.observe(endpoint, self.telemetry.elapsed(start))
@@ -199,7 +213,10 @@ async def _read_headers(reader: asyncio.StreamReader) -> tuple[dict[str, str], b
     headers: dict[str, str] = {}
     total = 0
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:  # one line longer than the stream limit
+            return headers, True
         total += len(line)
         if total > MAX_HEADER_BYTES:
             return headers, True
@@ -209,7 +226,11 @@ async def _read_headers(reader: asyncio.StreamReader) -> tuple[dict[str, str], b
         headers[name.strip().lower()] = value.strip()
 
 
-async def _read_body(reader: asyncio.StreamReader, headers: dict[str, str]) -> Any:
+def _content_length(headers: dict[str, str]) -> int:
+    if "transfer-encoding" in headers:
+        raise ServiceError(
+            "E_BAD_REQUEST", "Transfer-Encoding is not supported; send Content-Length"
+        )
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
@@ -222,9 +243,12 @@ async def _read_body(reader: asyncio.StreamReader, headers: dict[str, str]) -> A
             "E_PAYLOAD_TOO_LARGE",
             f"body of {length} bytes exceeds the {MAX_BODY_BYTES} byte limit",
         )
-    if length == 0:
+    return length
+
+
+def _parse_json(raw: bytes) -> Any:
+    if not raw:
         return None
-    raw = await reader.readexactly(length)
     try:
         return json.loads(raw)
     except ValueError:

@@ -130,16 +130,65 @@ class TestSummaryEquality:
 class TestFastPathOnly:
     def test_default_endurance_fleet_never_goes_slow(self, monkeypatch):
         """A paper-faithful fleet (the ``fleet_fresh`` benchmark shape)
-        runs every epoch on the vectorized fast path and never builds a
-        per-device ``PCMDevice`` view."""
+        programs every epoch in waves: it never builds a per-device
+        ``PCMDevice`` view or calls the per-device write."""
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("left the fast path")
+            raise AssertionError("left the wave programming step")
 
-        monkeypatch.setattr(SoaFleetEngine, "_slow_epoch", forbidden)
         monkeypatch.setattr(PCMDevice, "over_state", forbidden)
+        monkeypatch.setattr(PCMDevice, "write_encoded", forbidden)
         config = FleetConfig(n_devices=256, n_epochs=4)
         engine = SoaFleetEngine(config, seed_entropy(0))
         counts = engine.advance(config.n_epochs)
         assert counts.sum() > 0
         assert engine._views == {}
+
+
+#: Fault-free epochs, then wear: a ~40-cycle endurance against a wear
+#: bound of ops_per_epoch + 1 = 7 writes per epoch switches the engine
+#: from wave programming to device views at epoch 2, and stuck-reset
+#: cells that never revive bring marks and deaths soon after.
+SWITCH = FleetConfig(
+    n_devices=8,
+    n_epochs=10,
+    mean_endurance=40.0,
+    endurance_sigma=0.05,
+    p_stuck_reset=1.0,
+    p_revive=0.0,
+)
+
+
+class TestProgrammingSwitch:
+    """One population programmed in waves, then through device views."""
+
+    def test_switch_population_matches_reference(self, monkeypatch):
+        used: dict[int, list[tuple[int, str]]] = {}
+        for name in ("_program_waves", "_program_views"):
+
+            def spy(self, *args, _real=getattr(SoaFleetEngine, name), _name=name):
+                used.setdefault(id(self), []).append((self.epoch, _name))
+                return _real(self, *args)
+
+            monkeypatch.setattr(SoaFleetEngine, name, spy)
+        entropy = seed_entropy(42)
+        engine = SoaFleetEngine(SWITCH, entropy)
+        want = assert_matches_reference(engine, SWITCH, entropy).sum(axis=0)
+        steps: dict[int, set[str]] = {}
+        for epoch, name in used[id(engine)]:
+            steps.setdefault(epoch, set()).add(name)
+        assert [steps[e] for e in range(SWITCH.n_epochs)] == (
+            [{"_program_waves"}] * 2 + [{"_program_views"}] * 8
+        )
+        assert want[counter_index("wearout_marks")] > 0
+        assert want[counter_index("deaths")] > 0
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 6])
+    def test_split_advance_across_switch(self, cut):
+        entropy = seed_entropy(42)
+        whole = SoaFleetEngine(SWITCH, entropy)
+        split = SoaFleetEngine(SWITCH, entropy)
+        all_at_once = whole.advance(SWITCH.n_epochs)
+        parts = np.vstack([split.advance(cut), split.advance(SWITCH.n_epochs - cut)])
+        assert (all_at_once == parts).all()
+        assert whole.state_digest() == split.state_digest()

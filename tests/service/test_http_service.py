@@ -7,6 +7,7 @@ HTTP responses and the final state digest must be bit-identical to a
 twin :class:`VirtualDevice` driven directly through the batch kernels.
 """
 
+import socket
 import time
 from concurrent.futures import Future
 
@@ -85,6 +86,58 @@ class TestMetaEndpoints:
         assert health["count"] >= 1
         assert "p50_ms" in health
         assert "batch_size_hist" in m["batching"]
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes on one connection; return all the server sent back
+    before it closed the connection (or went quiet for two seconds)."""
+    host, port = server.address
+    received = []
+    with socket.create_connection((host, port), timeout=2.0) as sock:
+        try:
+            sock.sendall(request)
+            while chunk := sock.recv(65536):
+                received.append(chunk)
+        except (socket.timeout, ConnectionError):
+            pass
+    return b"".join(received)
+
+
+class TestWireFraming:
+    """Errors answered before a request's body is read close the
+    connection, so unread bytes are never parsed as a next request."""
+
+    @pytest.mark.parametrize(
+        "framing, status, code",
+        [
+            ("Content-Length: 1048577", 413, "E_PAYLOAD_TOO_LARGE"),
+            ("Content-Length: -1", 400, "E_BAD_REQUEST"),
+            ("Content-Length: ten", 400, "E_BAD_REQUEST"),
+            ("Transfer-Encoding: chunked", 400, "E_BAD_REQUEST"),
+        ],
+    )
+    def test_rejected_body_closes_connection(self, server, framing, status, code):
+        smuggled = b"POST /v1/devices HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+        head = f"POST /v1/devices HTTP/1.1\r\n{framing}\r\n\r\n".encode()
+        reply = _raw_exchange(server, head + smuggled)
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply[:80]
+        assert b"Connection: close" in reply
+        assert code.encode() in reply
+        assert reply.count(b"HTTP/1.1 ") == 1, "the unread body was served"
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_line_over_stream_limit_413(self, server, request_bytes):
+        reply = _raw_exchange(server, request_bytes)
+        assert reply.startswith(b"HTTP/1.1 413 "), reply[:80]
+        assert b"Connection: close" in reply
+        assert b"E_PAYLOAD_TOO_LARGE" in reply
 
 
 class TestDeviceLifecycle:
