@@ -1,9 +1,12 @@
-"""Batched, bit-packed datapath kernels: decode N blocks per call.
+"""The 3-ON-2 block codec (Figure 9): bit-packed kernels over N blocks.
 
-The scalar codecs (:class:`repro.coding.bch.BCH`,
-:class:`repro.coding.blockcodec.ThreeOnTwoBlockCodec`) walk Figure 9's
-read path one 512-bit block at a time.  This module runs the same path
-over ``(n_blocks, ...)`` arrays in a handful of NumPy passes:
+:class:`BatchThreeOnTwoCodec` is the one implementation of the paper's
+3LC write and read paths.  It owns the block geometry (3-ON-2 pairs,
+mark-and-spare spares, BCH-1 over the TEC view, SLC check bits) and runs
+encode/decode over ``(n_blocks, ...)`` arrays in a handful of NumPy
+passes; the single-block API,
+:class:`repro.coding.blockcodec.ThreeOnTwoBlockCodec`, is one-row calls
+into the same kernels.
 
 - **Bit packing** — codewords become rows of ``uint64`` words
   (:func:`pack_bits`), so a GF(2) matrix-vector product collapses to
@@ -11,48 +14,50 @@ over ``(n_blocks, ...)`` arrays in a handful of NumPy passes:
 - **Zero-syndrome dispatch** — a received word is error-free iff its
   remainder modulo the generator polynomial is zero
   (:meth:`repro.coding.bch.BCH.position_remainders`), and at datapath
-  CERs almost every block is clean.  The batch decoder computes all N
+  CERs almost every block is clean.  The decoder computes all N
   remainders with ``n_check`` masked popcounts and only touches the
   (rare) nonzero rows again.
 - **t = 1 vectorized correction** — for BCH-1 the remainder *is* the
   syndrome ``S1 = alpha^deg`` of the single error, so a discrete-log
   table lookup yields every error position at once; no Berlekamp-Massey,
-  no Chien search.  For ``t > 1`` the nonzero-remainder rows fall back to
-  the scalar decoder (still skipping the clean majority).
+  no Chien search.
 - **LUT symbol stages** — 3-ON-2 pair encode/decode, the invalid-"10"
   TEC-pattern screen, and mark-and-spare squeezing
   (:func:`repro.wearout.mark_and_spare.correct_values_batch`) are table
   gathers and stable sorts over integer arrays.
 
-Everything returns structured outcome arrays (decoded bits, per-block
+Decode returns structured outcome arrays (decoded bits, per-block
 ``tec_corrected`` / ``hec_pairs_dropped``, an ``uncorrectable`` mask with
-the failing stage) and is bit-identical to looping the scalar codecs —
-the hypothesis differential suite in ``tests/test_batch_datapath.py``
-holds the two paths together.
+the failing stage).  ``tests/codec_reference.py`` composes the paper's
+scalar primitives (:mod:`repro.core.three_on_two`, the scalar
+:class:`~repro.coding.bch.BCH`, :func:`~repro.wearout.mark_and_spare.
+correct_values`) into a block-at-a-time reference, and the hypothesis
+differentials plus a golden digest in ``tests/test_batch_datapath.py``
+hold the kernels to it.
 
 The empirical BLER engine (:mod:`repro.montecarlo.bler_mc`) drives these
 kernels at ~1e6 blocks per run; ``benchmarks/test_perf_datapath_batch.py``
-records the scalar-vs-batch throughput in ``results/BENCH_datapath.json``.
+records one-block-API-vs-batch throughput in
+``results/BENCH_datapath.json``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Sequence
 
 import numpy as np
 
 from repro.chaos.registry import fault_point
-from repro.coding.bch import BCH, BCHDecodeFailure
-from repro.coding.blockcodec import ThreeOnTwoBlockCodec
+from repro.coding.bch import BCH
 from repro.core.three_on_two import (
     BITS_PER_PAIR,
     INV_VALUE,
     INVALID_TEC_VALUE,
     TEC_VALUE_TO_STATE,
+    pairs_needed,
 )
-from repro.wearout.mark_and_spare import MarkAndSpareBlock, correct_values_batch
+from repro.wearout.mark_and_spare import MarkAndSpareConfig, correct_values_batch
 
 __all__ = [
     "DATAPATH_VERSION",
@@ -60,13 +65,12 @@ __all__ = [
     "FAIL_TEC",
     "FAIL_INVALID_PATTERN",
     "FAIL_HEC",
+    "FAIL_STAGES",
     "BatchBCH",
-    "BatchBCHResult",
     "BatchDecodedBlocks",
     "BatchThreeOnTwoCodec",
     "batch_codec",
     "pack_bits",
-    "unpack_bits",
 ]
 
 #: Salt for persistent BLER-MC cache keys (alongside the executor's
@@ -79,6 +83,18 @@ FAIL_NONE = 0  #: decoded fine
 FAIL_TEC = 1  #: BCH reported an uncorrectable pattern (Figure 9 stage 1)
 FAIL_INVALID_PATTERN = 2  #: post-ECC "10" cell view: multi-error escape
 FAIL_HEC = 3  #: more INV pairs than spares (mark-and-spare exhausted)
+
+#: Each failing stage's ``(name, message)``: the name is what ``/metrics``
+#: and service error payloads report, the message what a one-block decode
+#: raises :class:`~repro.coding.blockcodec.UncorrectableBlock` with.
+FAIL_STAGES = {
+    FAIL_TEC: ("TEC", "TEC failure: BCH syndrome points outside the block"),
+    FAIL_INVALID_PATTERN: (
+        "INVALID_PATTERN",
+        "invalid TEC cell pattern '10' after correction (multi-error escape)",
+    ),
+    FAIL_HEC: ("HEC", "HEC failure: more marked pairs than spare pairs"),
+}
 
 #: Rows per internal decode chunk: large enough to amortize per-call
 #: numpy overhead, small enough that a chunk's inter-stage temporaries
@@ -104,74 +120,41 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: ``(n_rows, n_bits)`` uint8 rows."""
-    w = np.ascontiguousarray(words, dtype=np.uint64)
-    return np.unpackbits(w.view(np.uint8), axis=1)[:, :n_bits]
-
-
-def _masked_parity(packed: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """GF(2) dot product of every packed row with one packed mask row."""
-    return (
-        np.bitwise_count(packed & mask[None, :]).sum(axis=1, dtype=np.int64) & 1
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchBCHResult:
-    """Outcome arrays of one batch decode (no exceptions: masks instead).
-
-    ``data`` holds each row's first ``k`` (message) bits after
-    correction; rows flagged ``uncorrectable`` carry the *received* data
-    bits unchanged (the scalar decoder raises there).  ``n_corrected``
-    counts corrected bit errors per row.
-    """
-
-    data: np.ndarray  # (n_rows, k) uint8
-    n_corrected: np.ndarray  # (n_rows,) int64
-    uncorrectable: np.ndarray  # (n_rows,) bool
-
-
 class BatchBCH:
-    """Vectorized encoder/decoder over a scalar :class:`BCH` code.
+    """Packed systematic encoder and single-error locator of a BCH-1 code.
 
     Precomputes one packed GF(2) mask per check bit from the code's
-    position-remainder table; encode and syndrome evaluation are then
-    ``n_check`` masked popcounts over the packed rows, independent of the
-    batch size's Python overhead.
+    position-remainder table, so encoding is ``n_check`` masked
+    popcounts over the packed rows, and inverts the table so that
+    locating a single error is one gather.
     """
 
     def __init__(self, code: BCH):
+        if code.t != 1:
+            raise ValueError(f"not a single-error code: t={code.t}")
         self.code = code
         remainders = code.position_remainders()
-        # Bit-column matrix: row b holds bit b of every position's
-        # remainder (the GF(2) check matrix in remainder form).
+        # Bit-column matrix: row b holds bit b of every data position's
+        # remainder (the GF(2) generator matrix in remainder form).
         cols = (
-            (remainders[None, :] >> np.arange(code.n_check)[:, None]) & 1
+            (remainders[None, : code.k] >> np.arange(code.n_check)[:, None]) & 1
         ).astype(np.uint8)
-        self._syndrome_masks = pack_bits(cols)
-        self._encode_masks = pack_bits(cols[:, : code.k])
-        self._n_words = self._syndrome_masks.shape[1]
-        if code.t == 1:
-            # For one error the remainder is S1 = alpha^deg itself, and
-            # position i contributes remainder `remainders[i]`: invert
-            # the table once and correction is a single gather.
-            locate = np.full(1 << code.m, -1, dtype=np.int64)
-            locate[remainders] = np.arange(code.n)
-            locate[0] = -1  # zero is "no error", never a location
-            self._t1_locate: np.ndarray | None = locate
-        else:
-            self._t1_locate = None
+        self._encode_masks = pack_bits(cols)
+        # For one error the remainder is S1 = alpha^deg itself, and
+        # position i contributes remainder `remainders[i]`: invert the
+        # table once and correction is a single gather.
+        locate = np.full(1 << code.m, -1, dtype=np.int64)
+        locate[remainders] = np.arange(code.n)
+        locate[0] = -1  # zero is "no error", never a location
+        self._t1_locate = locate
 
     def t1_error_positions(self, nonzero_remainders: np.ndarray) -> np.ndarray:
-        """Error position for each nonzero remainder of a ``t = 1`` code.
+        """Error position for each nonzero remainder.
 
         ``-1`` marks remainders whose syndrome points outside the
         shortened word: detectably uncorrectable, exactly the patterns
         for which the scalar Chien search finds no root in range.
         """
-        if self._t1_locate is None:
-            raise ValueError(f"not a single-error code: t={self.code.t}")
         return self._t1_locate[np.asarray(nonzero_remainders, dtype=np.int64)]
 
     def check_bits(self, data: np.ndarray) -> np.ndarray:
@@ -185,79 +168,23 @@ class BatchBCH:
         for b in range(nc):
             # Remainder bit b lands at check-bit array index nc - 1 - b
             # (the scalar encoder's ordering).
-            checks[:, nc - 1 - b] = _masked_parity(packed, self._encode_masks[b])
+            checks[:, nc - 1 - b] = (
+                np.bitwise_count(packed & self._encode_masks[b][None, :]).sum(
+                    axis=1, dtype=np.int64
+                )
+                & 1
+            )
         return checks
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        """Systematic batch encode: ``[data | check]`` rows."""
-        d = np.ascontiguousarray(data, dtype=np.uint8)
-        return np.concatenate([d, self.check_bits(d)], axis=1)
-
-    def remainders(self, received: np.ndarray) -> np.ndarray:
-        """Remainder of every row modulo the generator, as integers.
-
-        Zero iff the row is a codeword (all ``2t`` syndromes vanish), so
-        this one pass implements the zero-syndrome dispatch.
-        """
-        r = np.ascontiguousarray(received, dtype=np.uint8)
-        if r.ndim != 2 or r.shape[1] != self.code.n:
-            raise ValueError(f"expected (n_rows, {self.code.n}) bits, got {r.shape}")
-        packed = pack_bits(r)
-        rem = np.zeros(r.shape[0], dtype=np.int64)
-        for b in range(self.code.n_check):
-            rem |= _masked_parity(packed, self._syndrome_masks[b]) << b
-        return rem
-
-    def decode(self, received: np.ndarray) -> BatchBCHResult:
-        """Batch bounded-distance decode; bit-identical to scalar loops.
-
-        Zero-remainder rows return immediately untouched.  With ``t = 1``
-        the nonzero rows are corrected by one discrete-log gather (rows
-        whose syndrome points outside the shortened word are flagged
-        uncorrectable, exactly where the scalar Chien search finds no
-        root).  With ``t > 1`` only the nonzero rows take the scalar
-        Berlekamp-Massey + Chien path.
-        """
-        r = np.ascontiguousarray(received, dtype=np.uint8)
-        rem = self.remainders(r)
-        n_rows = r.shape[0]
-        n_corrected = np.zeros(n_rows, dtype=np.int64)
-        uncorrectable = np.zeros(n_rows, dtype=bool)
-        dirty = np.nonzero(rem)[0]
-        if dirty.size:
-            r = r.copy()
-            if self._t1_locate is not None:
-                pos = self._t1_locate[rem[dirty]]
-                bad = pos < 0
-                uncorrectable[dirty[bad]] = True
-                hit_rows = dirty[~bad]
-                r[hit_rows, pos[~bad]] ^= 1
-                n_corrected[hit_rows] = 1
-            else:
-                for i in dirty:
-                    try:
-                        data_i, n_i = self.code.decode(r[i])
-                    except BCHDecodeFailure:
-                        uncorrectable[i] = True
-                    else:
-                        r[i, : self.code.k] = data_i
-                        n_corrected[i] = n_i
-        return BatchBCHResult(
-            data=r[:, : self.code.k],
-            n_corrected=n_corrected,
-            uncorrectable=uncorrectable,
-        )
 
 
 @dataclasses.dataclass(frozen=True)
 class BatchDecodedBlocks:
     """Structured outcome of a batch Figure-9 read (see fail codes).
 
-    Rows with ``uncorrectable`` set correspond exactly to the blocks for
-    which the scalar :meth:`ThreeOnTwoBlockCodec.decode` raises
-    :class:`~repro.coding.blockcodec.UncorrectableBlock`; their
-    ``data_bits`` content is unspecified.  All other rows are
-    bit-identical to the scalar decode.
+    Rows with ``uncorrectable`` set are the blocks the design cannot
+    correct (a one-block decode raises
+    :class:`~repro.coding.blockcodec.UncorrectableBlock` there); their
+    ``data_bits`` content is unspecified.
     """
 
     data_bits: np.ndarray  # (n_blocks, data_bits) uint8
@@ -268,25 +195,32 @@ class BatchDecodedBlocks:
 
 
 class BatchThreeOnTwoCodec:
-    """Batched mirror of :class:`ThreeOnTwoBlockCodec` (Sections 6.1-6.5).
+    """The paper's full 3-ON-2 block design (Sections 6.1-6.5), batched.
 
-    Wraps a scalar codec (its geometry and BCH-1 instance are shared) and
-    runs encode/decode over ``(n_blocks, ...)`` arrays.
+    ``data_bits`` bits fill ``ceil(data_bits / 3)`` 3-ON-2 pairs, followed
+    by ``n_spare_pairs`` mark-and-spare spares; BCH-1 protects the TEC
+    view of all those cells with its check bits in drift-immune SLC
+    cells.  The defaults are the paper's 64B block: 171 + 6 pairs (354
+    cells) and 10 check bits.
     """
 
-    def __init__(self, codec: ThreeOnTwoBlockCodec | None = None):
-        if codec is None:
-            codec = ThreeOnTwoBlockCodec()
-        self.codec = codec
-        self.bch = BatchBCH(codec.tec)
-        cfg = codec.ms_config
-        self._n_pairs = cfg.n_pairs
-        self._padded_bits = cfg.n_data_pairs * BITS_PER_PAIR
+    def __init__(self, data_bits: int = 512, n_spare_pairs: int = 6):
+        self.data_bits = data_bits
+        self.ms_config = MarkAndSpareConfig(
+            n_data_pairs=pairs_needed(data_bits),
+            n_spare_pairs=n_spare_pairs,
+        )
+        self.n_mlc_cells = self.ms_config.n_cells
+        self.tec = BCH(10, 1, 2 * self.n_mlc_cells)
+        self.n_slc_cells = self.tec.n_check
+        self.bch = BatchBCH(self.tec)
+        self._n_pairs = self.ms_config.n_pairs
+        self._padded_bits = self.ms_config.n_data_pairs * BITS_PER_PAIR
         # Split parity masks for the state-domain remainder: even codeword
         # positions hold each cell's high TEC bit (1 iff S4), odd its low
         # bit (1 iff >= S2).  Packing the two planes separately lets
         # decode skip materializing the (n_blocks, 708) bit matrix.
-        code = codec.tec
+        code = self.tec
         remainders = code.position_remainders()
         cols = (
             (remainders[None, : code.k] >> np.arange(code.n_check)[:, None]) & 1
@@ -301,122 +235,71 @@ class BatchThreeOnTwoCodec:
         self._check_powers = 1 << np.arange(code.n_check - 1, -1, -1)
 
     # ------------------------------------------------------------------
-    def _marked_matrix(
-        self,
-        n_blocks: int,
-        blocks: (
-            MarkAndSpareBlock
-            | Sequence[MarkAndSpareBlock | None]
-            | np.ndarray
-            | None
-        ),
-    ) -> np.ndarray | None:
-        """Per-row marked-pair mask, or ``None`` when every block is fresh."""
-        if blocks is None:
-            return None
-        if isinstance(blocks, np.ndarray):
-            # Raw (n_blocks, n_pairs) bool mask: the structure-of-arrays
-            # engine hands its marked plane in directly, no objects.
-            if blocks.shape != (n_blocks, self._n_pairs) or blocks.dtype != bool:
-                raise ValueError(
-                    f"expected a ({n_blocks}, {self._n_pairs}) bool marked "
-                    f"mask, got {blocks.dtype} {blocks.shape}"
-                )
-            return blocks if blocks.any() else None
-        if isinstance(blocks, MarkAndSpareBlock):
-            row = np.zeros(self._n_pairs, dtype=bool)
-            row[blocks.marked_pairs] = True
-            if not row.any():
-                return None
-            return np.broadcast_to(row, (n_blocks, self._n_pairs))
-        if len(blocks) != n_blocks:
-            raise ValueError(
-                f"got {len(blocks)} block states for {n_blocks} data rows"
-            )
-        marked = np.zeros((n_blocks, self._n_pairs), dtype=bool)
-        for i, block in enumerate(blocks):
-            if block is not None:
-                marked[i, block.marked_pairs] = True
-        return marked if marked.any() else None
-
     def encode(
-        self,
-        data_bits: np.ndarray,
-        blocks: (
-            MarkAndSpareBlock
-            | Sequence[MarkAndSpareBlock | None]
-            | np.ndarray
-            | None
-        ) = None,
+        self, data_bits: np.ndarray, marked: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batch write path: ``(n_blocks, data_bits)`` -> states + checks.
+        """Write path: ``(n_blocks, data_bits)`` -> states + check bits.
 
-        ``blocks`` carries the marked-pair layouts: one shared
-        :class:`MarkAndSpareBlock`, a per-row sequence (``None`` entries
-        mean fresh), a raw ``(n_blocks, n_pairs)`` bool marked mask, or
-        ``None`` for all-fresh.  Bit-identical to looping the scalar
-        :meth:`ThreeOnTwoBlockCodec.encode`.
+        ``marked`` is the ``(n_blocks, n_pairs)`` bool mark-and-spare
+        layout (``None``: every block fresh).  Data values fill the
+        unmarked pairs in order, marked pairs hold INV and unused spares
+        value 0.  Returns ``(n_blocks, n_mlc_cells)`` uint8 states and
+        ``(n_blocks, n_slc_cells)`` uint8 check bits.
         """
         bits = np.ascontiguousarray(data_bits, dtype=np.uint8)
-        if bits.ndim != 2 or bits.shape[1] != self.codec.data_bits:
+        if bits.ndim != 2 or bits.shape[1] != self.data_bits:
             raise ValueError(
-                f"expected (n_blocks, {self.codec.data_bits}) bits, got {bits.shape}"
+                f"expected (n_blocks, {self.data_bits}) bits, got {bits.shape}"
             )
         n_blocks = bits.shape[0]
+        if marked is not None:
+            if marked.shape != (n_blocks, self._n_pairs) or marked.dtype != bool:
+                raise ValueError(
+                    f"expected a ({n_blocks}, {self._n_pairs}) bool marked "
+                    f"mask, got {marked.dtype} {marked.shape}"
+                )
+            if not marked.any():
+                marked = None
         padded = np.zeros((n_blocks, self._padded_bits), dtype=np.uint8)
         padded[:, : bits.shape[1]] = bits
         values = (
             padded[:, 0::3] * 4 + padded[:, 1::3] * 2 + padded[:, 2::3]
         )
-        marked = self._marked_matrix(n_blocks, blocks)
         physical = np.zeros((n_blocks, self._n_pairs), dtype=np.uint8)
         if marked is None:
             physical[:, : values.shape[1]] = values
         else:
             physical[marked] = INV_VALUE
             # Stable argsort: unmarked pair indices first, in order — the
-            # scalar layout() scatter, vectorized.
+            # data skip the marked pairs.
             order = np.argsort(marked, axis=1, kind="stable")
             np.put_along_axis(physical, order[:, : values.shape[1]], values, axis=1)
         states = np.empty((n_blocks, 2 * self._n_pairs), dtype=np.uint8)
         states[:, 0::2] = physical // 3
         states[:, 1::2] = physical % 3
-        tec_bits = self._tec_word(states, check_bits=None)
+        # TEC bit view (S1=00, S2=01, S4=11) by strided comparisons
+        # instead of a table gather: fancy indexing over tens of
+        # millions of cells is the batch layer's single largest cost, a
+        # pair of boolean writes is ~10x cheaper.
+        tec_bits = np.empty((n_blocks, 2 * states.shape[1]), dtype=np.uint8)
+        tec_bits[:, 0::2] = states == 2
+        tec_bits[:, 1::2] = states >= 1
         return states, self.bch.check_bits(tec_bits)
-
-    def _tec_word(
-        self, states: np.ndarray, check_bits: np.ndarray | None
-    ) -> np.ndarray:
-        """TEC bit view of uint8 state rows (S1=00, S2=01, S4=11).
-
-        Strided comparisons instead of a table gather: fancy indexing
-        over tens of millions of cells is the batch layer's single
-        largest cost, a pair of boolean writes is ~10x cheaper.
-        """
-        n_cells = states.shape[1]
-        n = 2 * n_cells + (0 if check_bits is None else check_bits.shape[1])
-        word = np.empty((states.shape[0], n), dtype=np.uint8)
-        word[:, 0 : 2 * n_cells : 2] = states == 2
-        word[:, 1 : 2 * n_cells : 2] = states >= 1
-        if check_bits is not None:
-            word[:, 2 * n_cells :] = check_bits
-        return word
 
     # ------------------------------------------------------------------
     def decode(self, states: np.ndarray, slc_check_bits: np.ndarray) -> BatchDecodedBlocks:
-        """Batch Figure-9 read path: TEC -> mark-and-spare -> symbols.
+        """Figure-9 read path: TEC -> mark-and-spare -> symbols.
 
         Stage failures become ``fail_stage`` codes instead of exceptions;
-        the first failing stage wins, matching the scalar decoder's
-        raise order.  The whole pipeline runs in the cell-state domain on
-        ``uint8`` arrays; only rows with a nonzero BCH remainder (rare in
-        a datapath read) are revisited to patch the corrected cell.
+        the first failing stage wins.  The whole pipeline runs in the
+        cell-state domain on ``uint8`` arrays; only rows with a nonzero
+        BCH remainder (rare in a datapath read) are revisited to patch
+        the corrected cell.
         """
-        codec = self.codec
         s = np.asarray(states)
-        if s.ndim != 2 or s.shape[1] != codec.n_mlc_cells:
+        if s.ndim != 2 or s.shape[1] != self.n_mlc_cells:
             raise ValueError(
-                f"expected (n_blocks, {codec.n_mlc_cells}) states, got {s.shape}"
+                f"expected (n_blocks, {self.n_mlc_cells}) states, got {s.shape}"
             )
         if s.dtype != np.uint8:
             if np.any((s < 0) | (s > 2)):
@@ -425,9 +308,9 @@ class BatchThreeOnTwoCodec:
         elif np.any(s > 2):
             raise ValueError("three-level state indices must be in [0, 2]")
         checks = np.ascontiguousarray(slc_check_bits, dtype=np.uint8)
-        if checks.ndim != 2 or checks.shape != (s.shape[0], codec.n_slc_cells):
+        if checks.ndim != 2 or checks.shape != (s.shape[0], self.n_slc_cells):
             raise ValueError(
-                f"expected ({s.shape[0]}, {codec.n_slc_cells}) check bits, "
+                f"expected ({s.shape[0]}, {self.n_slc_cells}) check bits, "
                 f"got {checks.shape}"
             )
         n_blocks = s.shape[0]
@@ -450,7 +333,7 @@ class BatchThreeOnTwoCodec:
                 fail[lo:hi],
             )
         return BatchDecodedBlocks(
-            data_bits=bits[:, : codec.data_bits],
+            data_bits=bits[:, : self.data_bits],
             tec_corrected=tec_corrected,
             hec_pairs_dropped=n_inv,
             uncorrectable=fail != FAIL_NONE,
@@ -475,10 +358,8 @@ class BatchThreeOnTwoCodec:
         matrix; pair values are read straight off the *received*
         states and only nonzero-remainder rows are patched afterwards.
         """
-        codec = self.codec
         n_blocks = s.shape[0]
-        code = self.bch.code
-        plane_bytes = -(-codec.n_mlc_cells // 8)
+        plane_bytes = -(-self.n_mlc_cells // 8)
         buf = np.zeros((n_blocks, 16 * self._plane_words), dtype=np.uint8)
         buf[:, :plane_bytes] = np.packbits(s >> 1, axis=1)  # high bit: S4
         buf[:, 8 * self._plane_words : 8 * self._plane_words + plane_bytes] = (
@@ -487,7 +368,7 @@ class BatchThreeOnTwoCodec:
         packed = buf.view(np.uint64)
         rem = checks.astype(np.int64) @ self._check_powers
         and_buf = np.empty_like(packed)
-        for b in range(code.n_check):
+        for b in range(self.n_slc_cells):
             np.bitwise_and(packed, self._parity_masks[b][None, :], out=and_buf)
             rem ^= (
                 np.bitwise_count(and_buf).sum(axis=1, dtype=np.int64) & 1
@@ -495,11 +376,11 @@ class BatchThreeOnTwoCodec:
         pair_values = s[:, 0::2] * 3 + s[:, 1::2]
         dirty = np.nonzero(rem)[0]
         if dirty.size:
-            self._patch_dirty(rem, dirty, s, checks, pair_values, fail, tec_corrected)
+            self._patch_dirty(rem, dirty, s, pair_values, fail, tec_corrected)
 
         # Stage 2 — hard error correction (mark-and-spare squeeze).
         data_values, chunk_inv, exhausted = correct_values_batch(
-            pair_values, codec.ms_config
+            pair_values, self.ms_config
         )
         n_inv[:] = chunk_inv
         fail[(fail == FAIL_NONE) & exhausted] = FAIL_HEC
@@ -514,68 +395,47 @@ class BatchThreeOnTwoCodec:
         rem: np.ndarray,
         dirty: np.ndarray,
         s: np.ndarray,
-        checks: np.ndarray,
         pair_values: np.ndarray,
         fail: np.ndarray,
         tec_corrected: np.ndarray,
     ) -> None:
-        """Apply BCH corrections to the nonzero-remainder rows in place.
+        """Apply BCH-1 corrections to the nonzero-remainder rows in place.
 
         Updates ``pair_values`` / ``fail`` / ``tec_corrected`` for the
         ``dirty`` rows so the stage-2 squeeze can stay on the all-rows
         fast path.  Also runs the post-ECC invalid-"10" screen: a single
-        bit flip only ever touches one cell, so for ``t = 1`` checking
-        the corrected cell is exhaustive (received states cannot encode
-        "10").
+        bit flip only ever touches one cell, so checking the corrected
+        cell is exhaustive (received states cannot encode "10").
         """
-        n_tec_bits = 2 * self.codec.n_mlc_cells
-        if self.bch._t1_locate is not None:
-            pos = self.bch.t1_error_positions(rem[dirty])
-            bad = pos < 0
-            fail[dirty[bad]] = FAIL_TEC
-            good = dirty[~bad]
-            gpos = pos[~bad]
-            tec_corrected[good] = 1
-            in_data = gpos < n_tec_bits
-            rows = good[in_data]
-            p = gpos[in_data]  # flipped check bits never touch a cell
-            cell = p // 2
-            old = s[rows, cell].astype(np.int64)
-            tec_val = old + (old == 2)  # states -> TEC values {0, 1, 3}
-            tec_val ^= np.where(p % 2 == 0, 2, 1)  # flip high or low bit
-            fail[rows[tec_val == INVALID_TEC_VALUE]] = FAIL_INVALID_PATTERN
-            new_state = TEC_VALUE_TO_STATE[tec_val]
-            even = cell % 2 == 0
-            s_first = np.where(even, new_state, s[rows, cell - 1])
-            s_second = np.where(even, s[rows, (cell + 1) % s.shape[1]], new_state)
-            pair_values[rows, cell // 2] = (3 * s_first + s_second).astype(np.uint8)
-        else:  # pragma: no cover - the 3-ON-2 TEC code always has t = 1
-            received = self._tec_word(s[dirty], checks[dirty])
-            for j, i in enumerate(dirty):
-                try:
-                    data_i, n_i = self.bch.code.decode(received[j])
-                except BCHDecodeFailure:
-                    fail[i] = FAIL_TEC
-                    continue
-                tec_corrected[i] = n_i
-                tec_vals = data_i[0::2].astype(np.int64) * 2 + data_i[1::2]
-                if np.any(tec_vals == INVALID_TEC_VALUE):
-                    fail[i] = FAIL_INVALID_PATTERN
-                row_states = TEC_VALUE_TO_STATE[tec_vals]
-                pair_values[i] = (
-                    3 * row_states[0::2] + row_states[1::2]
-                ).astype(np.uint8)
+        pos = self.bch.t1_error_positions(rem[dirty])
+        bad = pos < 0
+        fail[dirty[bad]] = FAIL_TEC
+        good = dirty[~bad]
+        gpos = pos[~bad]
+        tec_corrected[good] = 1
+        in_data = gpos < 2 * self.n_mlc_cells
+        rows = good[in_data]
+        p = gpos[in_data]  # flipped check bits never touch a cell
+        cell = p // 2
+        old = s[rows, cell].astype(np.int64)
+        tec_val = old + (old == 2)  # states -> TEC values {0, 1, 3}
+        tec_val ^= np.where(p % 2 == 0, 2, 1)  # flip high or low bit
+        fail[rows[tec_val == INVALID_TEC_VALUE]] = FAIL_INVALID_PATTERN
+        new_state = TEC_VALUE_TO_STATE[tec_val]
+        even = cell % 2 == 0
+        s_first = np.where(even, new_state, s[rows, cell - 1])
+        s_second = np.where(even, s[rows, (cell + 1) % s.shape[1]], new_state)
+        pair_values[rows, cell // 2] = (3 * s_first + s_second).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=8)
 def batch_codec(data_bits: int, n_spare_pairs: int) -> BatchThreeOnTwoCodec:
-    """The process-wide batch codec for one block geometry.
+    """The process-wide codec for one block geometry.
 
     Building one precomputes the packed GF(2) parity masks and the
     discrete-log locator (a few hundred KB, identical for every caller
-    of the geometry), so fleet shards, BLER-MC tasks in a pool worker
-    and service devices all share this instance.
+    of the geometry), so fleet shards, BLER-MC tasks in a pool worker,
+    service devices and every :class:`ThreeOnTwoBlockCodec` of the
+    geometry share this instance.
     """
-    return BatchThreeOnTwoCodec(
-        ThreeOnTwoBlockCodec(data_bits=data_bits, n_spare_pairs=n_spare_pairs)
-    )
+    return BatchThreeOnTwoCodec(data_bits=data_bits, n_spare_pairs=n_spare_pairs)

@@ -6,7 +6,9 @@ Two codecs assemble the paper's complete designs:
   in 171 3-ON-2 pairs (342 cells) + 6 spare pairs (12 cells) for
   mark-and-spare, protected by BCH-1 over the 708-bit TEC view with its
   10 check bits in drift-immune SLC cells.  364 cells total,
-  1.406 bits/cell (Section 6.5).
+  1.406 bits/cell (Section 6.5).  The design is implemented once, by the
+  batch kernels of :mod:`repro.coding.batch`; this class is their
+  one-block API (one-row encode/decode calls).
 - :class:`FourLevelBlockCodec` — the optimized 4LC baseline: 512 data
   bits Gray-coded into 256 cells, BCH-10 (100 check bits in 50 cells,
   part of the codeword and therefore self-protected against drift), and
@@ -25,17 +27,12 @@ import dataclasses
 
 import numpy as np
 
+from repro.coding.batch import FAIL_NONE, FAIL_STAGES, batch_codec
 from repro.coding.bch import BCH, BCHDecodeFailure
 from repro.coding.gray import bits_to_states, states_to_bits
 from repro.coding.smart import RotationSmartCode
-from repro.core import three_on_two as t32
 from repro.wearout.ecp import ECPConfig, ECPTable, ecp_cells_mlc
-from repro.wearout.mark_and_spare import (
-    MarkAndSpareBlock,
-    MarkAndSpareConfig,
-    SpareExhausted,
-    correct_values,
-)
+from repro.wearout.mark_and_spare import MarkAndSpareBlock
 
 __all__ = [
     "DecodedBlock",
@@ -59,17 +56,20 @@ class DecodedBlock:
 
 
 class ThreeOnTwoBlockCodec:
-    """The paper's full 3-ON-2 block design (Sections 6.1-6.5)."""
+    """The paper's full 3-ON-2 block design (Sections 6.1-6.5), one block.
+
+    Geometry and both paths belong to the shared
+    :func:`~repro.coding.batch.batch_codec` kernel of the geometry;
+    :meth:`encode` and :meth:`decode` are one-row calls into it.
+    """
 
     def __init__(self, data_bits: int = 512, n_spare_pairs: int = 6):
+        self.kernel = batch_codec(data_bits, n_spare_pairs)
         self.data_bits = data_bits
-        self.ms_config = MarkAndSpareConfig(
-            n_data_pairs=t32.pairs_needed(data_bits),
-            n_spare_pairs=n_spare_pairs,
-        )
-        self.n_mlc_cells = self.ms_config.n_cells
-        self.tec = BCH(10, 1, 2 * self.n_mlc_cells)
-        self.n_slc_cells = self.tec.n_check
+        self.ms_config = self.kernel.ms_config
+        self.tec = self.kernel.tec
+        self.n_mlc_cells = self.kernel.n_mlc_cells
+        self.n_slc_cells = self.kernel.n_slc_cells
         self.total_cells = self.n_mlc_cells + self.n_slc_cells
 
     @property
@@ -83,26 +83,19 @@ class ThreeOnTwoBlockCodec:
     def encode(
         self, data_bits: np.ndarray, block: MarkAndSpareBlock | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Data bits -> ``(mlc_states, slc_check_bits)``.
+        """Data bits -> ``(mlc_states, slc_check_bits)``, both uint8.
 
         ``block`` carries the marked-pair layout; omitted means a fresh
         (failure-free) block.
         """
-        bits = np.asarray(data_bits).astype(np.uint8)
+        bits = np.asarray(data_bits)
         if bits.shape != (self.data_bits,):
             raise ValueError(f"expected {self.data_bits} bits, got {bits.shape}")
         # Explicit None check: a block state defining __bool__/__len__
         # (e.g. "no marks yet" ~ falsy) must never be silently replaced.
-        if block is None:
-            block = self.new_block_state()
-        padded = np.zeros(self.ms_config.n_data_pairs * t32.BITS_PER_PAIR, dtype=np.uint8)
-        padded[: bits.size] = bits
-        values = t32.bits_to_values(padded)
-        physical = block.layout(values)
-        states = t32.encode_values(physical)
-        tec_bits = t32.states_to_tec_bits(states)
-        codeword = self.tec.encode(tec_bits)
-        return states, codeword[self.tec.k :]
+        marked = None if block is None else block.marked_mask[None, :]
+        states, check = self.kernel.encode(bits[None, :], marked)
+        return states[0], check[0]
 
     def decode(
         self,
@@ -110,44 +103,22 @@ class ThreeOnTwoBlockCodec:
         slc_check_bits: np.ndarray,
     ) -> DecodedBlock:
         """Figure 9 read path: TEC -> mark-and-spare -> symbol decode."""
-        s = np.asarray(states, dtype=np.int64)
+        s = np.asarray(states)
         if s.shape != (self.n_mlc_cells,):
             raise ValueError(f"expected {self.n_mlc_cells} states, got {s.shape}")
-        check = np.asarray(slc_check_bits).astype(np.uint8)
+        check = np.asarray(slc_check_bits)
         if check.shape != (self.n_slc_cells,):
             raise ValueError(
                 f"expected {self.n_slc_cells} check bits, got {check.shape}"
             )
-        # Stage 1 - transient error correction over the 2-bit cell view.
-        received = np.concatenate([t32.states_to_tec_bits(s), check])
-        try:
-            tec_bits, n_corrected = self.tec.decode(received)
-        except BCHDecodeFailure as exc:
-            raise UncorrectableBlock(f"TEC failure: {exc}") from exc
-        # No valid encoding contains the cell pattern "10" (S1=00, S2=01,
-        # S4=11), so one surviving BCH correction is a multi-error escape
-        # that landed on a BCH codeword outside the TEC image: detectable,
-        # not correctable.
-        grouped = tec_bits.reshape(-1, 2)
-        if np.any((grouped[:, 0] == 1) & (grouped[:, 1] == 0)):
-            raise UncorrectableBlock(
-                "invalid TEC cell pattern '10' after correction "
-                "(multi-error escape)"
-            )
-        corrected_states = t32.tec_bits_to_states(tec_bits)
-        # Stage 2 - hard error correction (mark-and-spare).
-        values = t32.decode_values(corrected_states)
-        n_inv = int(np.sum(values == t32.INV_VALUE))
-        try:
-            data_values = correct_values(values, self.ms_config)
-        except SpareExhausted as exc:
-            raise UncorrectableBlock(f"HEC failure: {exc}") from exc
-        # Stage 3 - symbol decoding to binary.
-        bits = t32.values_to_bits(data_values)[: self.data_bits]
+        out = self.kernel.decode(s[None, :], check[None, :])
+        stage = int(out.fail_stage[0])
+        if stage != FAIL_NONE:
+            raise UncorrectableBlock(FAIL_STAGES[stage][1])
         return DecodedBlock(
-            data_bits=bits.astype(np.uint8),
-            tec_corrected=n_corrected,
-            hec_pairs_dropped=n_inv,
+            data_bits=out.data_bits[0],
+            tec_corrected=int(out.tec_corrected[0]),
+            hec_pairs_dropped=int(out.hec_pairs_dropped[0]),
         )
 
 

@@ -210,13 +210,14 @@ class PCMDevice:
 
         ``states``/``check`` — when given together — must equal
         ``codec3.encode(data_bits, block_state)`` under the block's
-        *current* marked layout.  Two callers pre-encode with
-        :class:`BatchThreeOnTwoCodec`: the fleet engine
-        (:mod:`repro.fleet`) encodes many blocks in one pass, and the
-        service's :class:`~repro.service.device.VirtualDevice` encodes
-        each write's block.  The write-and-verify retry loop re-encodes
-        scalarly whenever wearout reshuffles the layout, so supplying a
-        pre-encoded first attempt is bit-identical to :meth:`write`.
+        *current* marked layout: the fleet engine (:mod:`repro.fleet`)
+        hands in rows it encoded for many blocks in one
+        :class:`~repro.coding.batch.BatchThreeOnTwoCodec` pass.  Every
+        other attempt (the first when none is supplied, and each retry
+        of the write-and-verify loop after wearout reshuffles the
+        layout) is a one-row ``codec3.encode`` call into the same
+        kernel, so a pre-encoded first attempt is bit-identical to
+        :meth:`write`.
         """
         if self.cell_kind != "3LC" or self.codec3 is None:
             raise ValueError("write_encoded is the 3LC program path")

@@ -74,7 +74,7 @@ from repro.cells.cell_array import (
 from repro.cells.drift import PAPER_ESCALATION, independent_escalated_alpha
 from repro.cells.faults import WearoutModel
 from repro.cells.params import WRITE_TRUNCATION_SIGMA
-from repro.coding.batch import batch_codec
+from repro.coding.blockcodec import ThreeOnTwoBlockCodec
 from repro.core.designs import design_by_name
 from repro.core.device import DeviceStats, PCMDevice, SpareExhausted
 from repro.fleet.config import (
@@ -139,8 +139,9 @@ class SoaFleetEngine:
             )
         self.n_devices = n
         self._epoch = 0
-        self._batch = batch_codec(config.data_bits, MarkAndSpareConfig.n_spare_pairs)
-        codec = self._batch.codec
+        codec = ThreeOnTwoBlockCodec(config.data_bits, MarkAndSpareConfig.n_spare_pairs)
+        self._codec = codec
+        self._batch = codec.kernel
         self._n_mlc = codec.n_mlc_cells
 
         base = design_by_name(config.design)
@@ -537,7 +538,7 @@ class SoaFleetEngine:
             schedule=_scale_schedule(PAPER_ESCALATION, factor),
         )
         return PCMDevice.over_state(
-            array, self._batch.codec, s.slc[k], s.written[k], s.marked[k]
+            array, self._codec, s.slc[k], s.written[k], s.marked[k]
         )
 
 

@@ -92,7 +92,7 @@ def _eval_bler_task(task: _BlerTask) -> np.ndarray:
     """
     fault_point("executor.task", item=task.item, first_block=task.first_block)
     bc = batch_codec(task.data_bits, task.n_spare_pairs)
-    n_cells = bc.codec.n_mlc_cells
+    n_cells = bc.n_mlc_cells
     counts = np.zeros((len(task.cers), 2), dtype=np.int64)
     for offset, size in enumerate(task.sizes):
         rng = block_rng(task.entropy, (BLER_SPAWN_KEY, task.first_block + offset))

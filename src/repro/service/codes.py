@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.coding.batch import FAIL_STAGES
+
 __all__ = ["CODES", "EventCode", "ServiceError", "code_for_fail_stage"]
 
 
@@ -62,15 +64,14 @@ _CATALOG = (
 #: The catalog by name (insertion order is the documentation order).
 CODES: dict[str, EventCode] = {c.name: c for c in _CATALOG}
 
-#: Decode ``fail_stage`` values -> human-readable stage names (the
-#: numeric codes are :data:`repro.coding.batch.FAIL_TEC` and friends).
-_FAIL_STAGE_NAMES = {1: "TEC", 2: "INVALID_PATTERN", 3: "HEC"}
-
-
 def code_for_fail_stage(fail_stage: int) -> tuple[str, str]:
-    """Map a batch-decode ``fail_stage`` to ``(code name, stage name)``."""
-    stage = _FAIL_STAGE_NAMES.get(int(fail_stage), f"STAGE_{int(fail_stage)}")
-    return "E_UNCORRECTABLE", stage
+    """Map a batch-decode ``fail_stage`` to ``(code name, stage name)``.
+
+    Stage names come from :data:`repro.coding.batch.FAIL_STAGES`.
+    """
+    stage = int(fail_stage)
+    name = FAIL_STAGES[stage][0] if stage in FAIL_STAGES else f"STAGE_{stage}"
+    return "E_UNCORRECTABLE", name
 
 
 class ServiceError(Exception):

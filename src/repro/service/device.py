@@ -46,7 +46,7 @@ import numpy as np
 from repro.cells.cell_array import CellArray
 from repro.cells.drift import PAPER_ESCALATION, TieredDrift
 from repro.cells.faults import FaultMode, WearoutModel
-from repro.coding.batch import batch_codec
+from repro.coding.blockcodec import ThreeOnTwoBlockCodec
 from repro.core.designs import three_level_optimal
 from repro.core.device import DeviceStats, PCMDevice
 from repro.montecarlo.rng import block_rng
@@ -109,13 +109,13 @@ class VirtualDevice:
         self.n_blocks = int(n_blocks)
         self.data_bits = int(data_bits)
         self.n_spare_pairs = int(n_spare_pairs)
-        self.codec = batch_codec(self.data_bits, self.n_spare_pairs)
+        codec = ThreeOnTwoBlockCodec(self.data_bits, self.n_spare_pairs)
+        self.codec = codec.kernel
         self.clock = VirtualClock()
         self.stats = VirtualDeviceStats()
 
-        scalar = self.codec.codec
-        self.n_cells = scalar.n_mlc_cells
-        self.n_slc_cells = scalar.n_slc_cells
+        self.n_cells = codec.n_mlc_cells
+        self.n_slc_cells = codec.n_slc_cells
         n = self.n_blocks * self.n_cells
         design = three_level_optimal()
         wearout = wearout or WearoutModel()
@@ -143,9 +143,9 @@ class VirtualDevice:
         )
         self._slc = np.zeros((self.n_blocks, self.n_slc_cells), dtype=np.uint8)
         self._written = np.zeros(self.n_blocks, dtype=bool)
-        self._marked = np.zeros((self.n_blocks, scalar.ms_config.n_pairs), dtype=bool)
+        self._marked = np.zeros((self.n_blocks, codec.ms_config.n_pairs), dtype=bool)
         self.device = PCMDevice.over_state(
-            array, scalar, self._slc, self._written, self._marked
+            array, codec, self._slc, self._written, self._marked
         )
         self._epoch = np.zeros(self.n_blocks, dtype=np.int64)
 
@@ -185,19 +185,18 @@ class VirtualDevice:
         """Encode + program one block with write-and-verify at time ``t``.
 
         Runs :meth:`PCMDevice.write_encoded` under the write's own
-        generator, with the first attempt encoded by the batch codec.
-        Raises :class:`~repro.wearout.mark_and_spare.SpareExhausted` when
-        wear outruns the spare budget; the block is then unreadable
-        until a later write succeeds.
+        generator.  Raises
+        :class:`~repro.wearout.mark_and_spare.SpareExhausted` when wear
+        outruns the spare budget; the block is then unreadable until a
+        later write succeeds.
         """
         block = self.check_block(block)
         epoch = int(self._epoch[block])
         self._epoch[block] = epoch + 1
         dev = self.device
         dev.array.rng = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_WRITE, block, epoch))
-        states, check = self.codec.encode(bits[None, :], self._marked[block : block + 1])
         try:
-            dev.write_encoded(block, bits, t, states[0], check[0])
+            dev.write_encoded(block, bits, t)
         except SpareExhausted:
             self._written[block] = False
             self.stats.spare_exhausted_writes += 1

@@ -13,7 +13,9 @@ An error answered before a request's body was consumed (a line longer
 than the stream limit, too many header bytes, a bad or oversized
 ``Content-Length``, any ``Transfer-Encoding``) closes the connection:
 the unread bytes are not a request boundary, so the stream cannot carry
-another request.
+another request.  A connection that does not deliver a whole request
+within :data:`REQUEST_READ_TIMEOUT_S` (a stalled client, or an idle
+keep-alive) is closed without an answer.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ __all__ = ["HttpServer", "Router"]
 #: 128 hex chars), hostile to abuse.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
+#: Seconds a connection gets to deliver one whole request (request line,
+#: headers, body), counted from when the server starts waiting for it —
+#: so an idle keep-alive connection is closed after this long too.
+REQUEST_READ_TIMEOUT_S = 30.0
 
 #: Reason phrases for the statuses the code catalog uses.
 _REASONS = {
@@ -117,11 +123,14 @@ class HttpServer:
     ) -> None:
         try:
             while True:
-                keep_alive = await self._handle_one(reader, writer)
+                async with asyncio.timeout(REQUEST_READ_TIMEOUT_S) as deadline:
+                    keep_alive = await self._handle_one(reader, writer, deadline)
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer went away mid-request; nothing to answer
+        except TimeoutError:
+            pass  # request not delivered in time (or idle): close, no answer
         finally:
             writer.close()
             try:
@@ -130,7 +139,10 @@ class HttpServer:
                 pass  # already torn down; close is best-effort
 
     async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        deadline: asyncio.Timeout,
     ) -> bool:
         try:
             request_line = await reader.readline()
@@ -163,6 +175,7 @@ class HttpServer:
         try:
             length = _content_length(headers)
             raw = await reader.readexactly(length) if length else b""
+            deadline.reschedule(None)  # request read: the handler runs unbounded
             body_read = True
             body = _parse_json(raw)
             endpoint, handler, params = self.router.resolve(method, path)

@@ -176,6 +176,11 @@ class MarkAndSpareBlock:
         return np.nonzero(self._marked)[0]
 
     @property
+    def marked_mask(self) -> np.ndarray:
+        """``(n_pairs,)`` bool layout: which physical pairs are marked."""
+        return self._marked
+
+    @property
     def spares_left(self) -> int:
         """Unused spare-pair budget (0 means the next mark exhausts the block)."""
         return self.config.n_spare_pairs - self.n_marked

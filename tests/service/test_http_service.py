@@ -14,6 +14,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from repro.service import http
 from repro.service.app import ServiceConfig, ServiceRunner
 from repro.service.batching import IoOp, execute_batch
 from repro.service.client import ServiceClient, ServiceResponseError
@@ -138,6 +139,48 @@ class TestWireFraming:
         assert reply.startswith(b"HTTP/1.1 413 "), reply[:80]
         assert b"Connection: close" in reply
         assert b"E_PAYLOAD_TOO_LARGE" in reply
+
+
+def _read_until_closed(sock: socket.socket) -> tuple[bytes, bool]:
+    """Everything the server sends, and whether it closed the connection
+    (False: it went quiet for the socket's timeout instead)."""
+    received = []
+    try:
+        while chunk := sock.recv(65536):
+            received.append(chunk)
+    except socket.timeout:
+        return b"".join(received), False
+    except ConnectionError:
+        pass
+    return b"".join(received), True
+
+
+class TestReadDeadline:
+    """A connection that does not deliver a whole request within
+    REQUEST_READ_TIMEOUT_S is closed, idle keep-alives included."""
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(http, "REQUEST_READ_TIMEOUT_S", 0.5)
+
+    def test_partial_request_line_is_closed(self, server):
+        with socket.create_connection(server.address, timeout=3.0) as sock:
+            sock.sendall(b"GET /heal")
+            start = time.monotonic()
+            reply, closed = _read_until_closed(sock)
+        assert closed and reply == b""
+        assert time.monotonic() - start < 2.5
+
+    def test_idle_keep_alive_is_closed_after_an_answer(self, server):
+        with socket.create_connection(server.address, timeout=3.0) as sock:
+            # Delivered in two parts, both inside the deadline: answered.
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            time.sleep(0.1)
+            sock.sendall(b"Host: test\r\n\r\n")
+            reply, closed = _read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 200 "), reply[:80]
+        assert b"Connection: keep-alive" in reply
+        assert closed
 
 
 class TestDeviceLifecycle:

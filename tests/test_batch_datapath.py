@@ -1,71 +1,67 @@
-"""Batched bit-packed datapath kernels vs the scalar codecs.
+"""The 3-ON-2 batch kernels against the block-at-a-time reference.
 
-The batch layer (:mod:`repro.coding.batch`) promises *bit-identical*
-results to looping the scalar codecs over every block — including which
-blocks fail, at which stage, and what silently miscorrects.  These tests
-hold it to that across random error patterns, marked-pair layouts, spare
-exhaustion, multi-error escapes, and chunk boundaries.
+:mod:`repro.coding.batch` is the program's one 3-ON-2 codec (the
+one-block :class:`ThreeOnTwoBlockCodec` is one-row calls into it).
+These tests hold it *bit-identical* to :mod:`tests.codec_reference`,
+which composes the paper's scalar primitives — including which blocks
+fail, at which stage, and what silently miscorrects — across random
+error patterns, marked-pair layouts, spare exhaustion, multi-error
+escapes and chunk boundaries, and pin both to a golden digest so the
+two cannot drift together.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cells.faults import WearoutModel
 from repro.coding.batch import (
     FAIL_HEC,
     FAIL_INVALID_PATTERN,
     FAIL_NONE,
+    FAIL_STAGES,
     FAIL_TEC,
     BatchBCH,
     BatchThreeOnTwoCodec,
     pack_bits,
-    unpack_bits,
 )
 from repro.coding.bch import BCH, BCHDecodeFailure
 from repro.coding.blockcodec import ThreeOnTwoBlockCodec, UncorrectableBlock
 from repro.core import three_on_two as t32
+from repro.core.device import PCMDevice, SpareExhausted
+from repro.service.codes import code_for_fail_stage
+from tests.codec_reference import ReferenceCodec
 
 
 @pytest.fixture(scope="module")
 def codec():
-    return ThreeOnTwoBlockCodec()
+    return ReferenceCodec()
 
 
 @pytest.fixture(scope="module")
-def batch(codec):
-    return BatchThreeOnTwoCodec(codec)
+def batch():
+    return BatchThreeOnTwoCodec()
 
 
 def scalar_reference(codec, states, checks):
-    """Loop the scalar codec; map raises onto the batch outcome arrays."""
+    """Loop the reference codec into the batch outcome arrays."""
     n, data_bits = states.shape[0], codec.data_bits
     data = np.zeros((n, data_bits), dtype=np.uint8)
     tec = np.zeros(n, dtype=np.int64)
     inv = np.zeros(n, dtype=np.int64)
     fail = np.zeros(n, dtype=np.uint8)
     for i in range(n):
-        try:
-            out = codec.decode(states[i], checks[i])
-        except UncorrectableBlock as exc:
-            msg = str(exc)
-            if msg.startswith("TEC failure"):
-                fail[i] = FAIL_TEC
-            elif msg.startswith("invalid TEC cell pattern"):
-                fail[i] = FAIL_INVALID_PATTERN
-            elif msg.startswith("HEC failure"):
-                fail[i] = FAIL_HEC
-            else:  # pragma: no cover - no other scalar failure exists
-                raise
-        else:
-            data[i] = out.data_bits
-            tec[i] = out.tec_corrected
-            inv[i] = out.hec_pairs_dropped
+        bits, tec[i], inv[i], fail[i] = codec.decode(states[i], checks[i])
+        if bits is not None:
+            data[i] = bits
     return data, tec, inv, fail
 
 
 def assert_matches_scalar(codec, batch, states, checks):
-    """The batch decode must agree with the scalar loop row for row."""
+    """The batch decode must agree with the reference loop row for row."""
     got = batch.decode(states, checks)
     data, tec, inv, fail = scalar_reference(codec, states, checks)
     ok = fail == FAIL_NONE
@@ -87,6 +83,11 @@ def encode_blocks(codec, rng, n_blocks, blocks=None):
     return data, states, checks
 
 
+def marked_mask(blocks):
+    """``(n_blocks, n_pairs)`` bool layouts of mark-and-spare block states."""
+    return np.array([blk.marked_mask for blk in blocks])
+
+
 class TestPackBits:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -95,7 +96,8 @@ class TestPackBits:
             words = pack_bits(bits)
             assert words.dtype == np.uint64
             assert words.shape == (5, -(-n_bits // 64))
-            assert np.array_equal(unpack_bits(words, n_bits), bits)
+            unpacked = np.unpackbits(words.view(np.uint8), axis=1)[:, :n_bits]
+            assert np.array_equal(unpacked, bits)
 
     def test_popcount_matches_sum(self):
         rng = np.random.default_rng(1)
@@ -109,7 +111,7 @@ class TestPackBits:
 
 
 class TestBatchBCH:
-    """The vectorized code agrees with the scalar code bit for bit."""
+    """The packed encoder and the t = 1 locator agree with the scalar code."""
 
     @pytest.fixture(scope="class")
     def scalar(self):
@@ -122,60 +124,43 @@ class TestBatchBCH:
     def test_encode_matches_scalar(self, scalar, vec):
         rng = np.random.default_rng(2)
         data = rng.integers(0, 2, size=(17, scalar.k), dtype=np.uint8)
-        got = vec.encode(data)
+        got = vec.check_bits(data)
         for i in range(data.shape[0]):
-            assert np.array_equal(got[i], scalar.encode(data[i]))
+            assert np.array_equal(got[i], scalar.encode(data[i])[scalar.k :])
 
     @pytest.mark.parametrize("n_err", [0, 1, 2, 3])
     def test_decode_matches_scalar(self, scalar, vec, n_err):
+        """Locating by remainder == the scalar Berlekamp-Massey + Chien."""
         rng = np.random.default_rng(3 + n_err)
         data = rng.integers(0, 2, size=(40, scalar.k), dtype=np.uint8)
-        received = vec.encode(data)
+        received = np.concatenate([data, vec.check_bits(data)], axis=1)
+        table = scalar.position_remainders()
         for row in received:
-            row[rng.choice(scalar.n, n_err, replace=False)] ^= 1
-        got = vec.decode(received)
-        for i in range(received.shape[0]):
+            flips = rng.choice(scalar.n, n_err, replace=False)
+            row[flips] ^= 1
+            rem = int(np.bitwise_xor.reduce(table[flips])) if n_err else 0
             try:
-                want, n = scalar.decode(received[i])
+                want, n = scalar.decode(row)
             except BCHDecodeFailure:
-                assert got.uncorrectable[i]
-            else:
-                assert not got.uncorrectable[i]
-                assert np.array_equal(got.data[i], want)
-                assert got.n_corrected[i] == n
-        if n_err == 0:
-            assert not got.uncorrectable.any()
-            assert np.array_equal(got.data, data)
-
-    def test_t_above_one_falls_back_to_scalar_loop(self):
-        scalar = BCH(10, 10, 512)
-        vec = BatchBCH(scalar)
-        rng = np.random.default_rng(9)
-        data = rng.integers(0, 2, size=(6, scalar.k), dtype=np.uint8)
-        received = vec.encode(data)
-        for i, n_err in enumerate((0, 1, 5, 10, 11, 14)):
-            received[i, rng.choice(scalar.n, n_err, replace=False)] ^= 1
-        got = vec.decode(received)
-        for i in range(received.shape[0]):
-            try:
-                want, n = scalar.decode(received[i])
-            except BCHDecodeFailure:
-                assert got.uncorrectable[i], i
-            else:
-                assert np.array_equal(got.data[i], want)
-                assert got.n_corrected[i] == n
-        with pytest.raises(ValueError):
-            vec.t1_error_positions(np.array([1]))
+                assert rem and vec.t1_error_positions(np.array([rem]))[0] == -1
+                continue
+            fixed = row.copy()
+            if rem:
+                pos = vec.t1_error_positions(np.array([rem]))[0]
+                assert pos >= 0
+                fixed[pos] ^= 1
+            assert np.array_equal(fixed[: scalar.k], want)
+            assert n == (1 if rem else 0)
 
     def test_shape_validation(self, vec, scalar):
         with pytest.raises(ValueError):
-            vec.encode(np.zeros((2, scalar.k - 1), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            vec.decode(np.zeros((2, scalar.n + 1), dtype=np.uint8))
+            vec.check_bits(np.zeros((2, scalar.k - 1), dtype=np.uint8))
+        with pytest.raises(ValueError, match="single-error"):
+            BatchBCH(BCH(10, 10, 512))
 
 
 class TestDifferential:
-    """Hypothesis: batch == scalar loop under arbitrary corruption."""
+    """Hypothesis: batch == reference loop under arbitrary corruption."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -312,11 +297,11 @@ class TestChunkBoundaries:
         assert np.array_equal(out.data_bits, data)
         assert not out.uncorrectable.any()
         assert np.array_equal(np.nonzero(out.tec_corrected)[0], np.array(probe))
-        # Scalar spot-check on the straddling rows.
+        # Reference spot-check on the straddling rows.
         for i in probe:
-            ref = codec.decode(states[i], checks[i])
-            assert np.array_equal(ref.data_bits, data[i])
-            assert ref.tec_corrected == 1
+            bits, n_corrected, _, fail = codec.decode(states[i], checks[i])
+            assert fail == FAIL_NONE and np.array_equal(bits, data[i])
+            assert n_corrected == 1
 
     def test_batch_encode_matches_scalar(self, codec, batch):
         rng = np.random.default_rng(15)
@@ -334,7 +319,7 @@ class TestChunkBoundaries:
                 blk.mark(int(p))
             blocks.append(blk)
         data, states, checks = encode_blocks(codec, rng, 4, blocks)
-        got_states, got_checks = batch.encode(data, blocks)
+        got_states, got_checks = batch.encode(data, marked_mask(blocks))
         assert np.array_equal(got_states, states)
         assert np.array_equal(got_checks, checks)
 
@@ -357,4 +342,153 @@ class TestValidation:
         with pytest.raises(ValueError):
             batch.encode(data[:, :-1])
         with pytest.raises(ValueError):
-            batch.encode(data, [codec.new_block_state()])  # wrong count
+            batch.encode(data, marked_mask([codec.new_block_state()]))  # wrong count
+        with pytest.raises(ValueError):
+            batch.encode(data, marked_mask([codec.new_block_state()] * 2).astype(np.uint8))
+
+
+#: Message prefix of each failing stage's UncorrectableBlock.
+PREFIXES = {
+    FAIL_TEC: "TEC failure",
+    FAIL_INVALID_PATTERN: "invalid TEC cell pattern",
+    FAIL_HEC: "HEC failure",
+}
+
+
+def one_block_decode(api):
+    """The one-block API's decode in the reference's outcome form."""
+
+    def decode(states, checks):
+        try:
+            out = api.decode(states, checks)
+        except UncorrectableBlock as exc:
+            stages = [c for c, p in PREFIXES.items() if str(exc).startswith(p)]
+            assert len(stages) == 1, str(exc)
+            return None, 0, 0, stages[0]
+        return out.data_bits, out.tec_corrected, out.hec_pairs_dropped, FAIL_NONE
+
+    return decode
+
+
+def golden_outcomes(encode, decode):
+    """sha256 over encode outputs and decode outcomes of seeded blocks.
+
+    Covers fresh and marked layouts with 0/1/2 cell errors, check-bit
+    errors, a constructed invalid-"10" escape and spare exhaustion.
+    Returns the hex digest and the set of fail stages the cases reached.
+    """
+    ref = ReferenceCodec()
+    rng = np.random.default_rng(20)
+    h = hashlib.sha256()
+    stages = set()
+
+    def encoded(n_marks):
+        blk = ref.new_block_state()
+        for p in rng.choice(ref.ms_config.n_pairs, n_marks, replace=False):
+            blk.mark(int(p))
+        data = rng.integers(0, 2, ref.data_bits, dtype=np.uint8)
+        states, checks = encode(data, blk if n_marks else None)
+        states = np.array(states, dtype=np.uint8)
+        checks = np.array(checks, dtype=np.uint8)
+        h.update(states.tobytes() + checks.tobytes())
+        return states, checks
+
+    def record(states, checks):
+        bits, tec, inv, fail = decode(states, checks)
+        stages.add(int(fail))
+        h.update(bytes([fail]))
+        if fail == FAIL_NONE:
+            h.update(np.asarray(bits, dtype=np.uint8).tobytes())
+            h.update(f"{int(tec)},{int(inv)}".encode())
+
+    for n_marks in (0, 1, 6):
+        for n_err in (0, 1, 2):
+            for _ in range(4):
+                states, checks = encoded(n_marks)
+                for cell in rng.choice(ref.n_mlc_cells, n_err, replace=False):
+                    states[cell] = (states[cell] + rng.integers(1, 3)) % 3
+                record(states, checks)
+    for n_flips in (1, 2):
+        states, checks = encoded(2)
+        checks[rng.choice(ref.n_slc_cells, n_flips, replace=False)] ^= 1
+        record(states, checks)
+    # Invalid "10": two check-bit flips whose remainders XOR to the
+    # high-bit remainder of an S1 cell steer BCH-1 into writing "10".
+    states, checks = encoded(0)
+    rem = ref.tec.position_remainders()
+    k, nc = ref.tec.k, ref.tec.n_check
+    cell = next(
+        int(c) for c in np.nonzero(states == 0)[0]
+        if bin(int(rem[2 * int(c)])).count("1") == 2
+    )
+    checks[[j for j in range(nc) if int(rem[k + j]) & int(rem[2 * cell])]] ^= 1
+    record(states, checks)
+    # Spare exhaustion: a 7th INV pair under matching check bits.
+    states, checks = encoded(6)
+    pair = int(np.nonzero(states.reshape(-1, 2).sum(axis=1) < 4)[0][0])
+    states[2 * pair : 2 * pair + 2] = 2
+    checks = ref.tec.encode(t32.states_to_tec_bits(states))[k:]
+    record(states, checks)
+    return h.hexdigest(), stages
+
+
+#: ``golden_outcomes`` of the 3-ON-2 codec; the block-at-a-time scalar
+#: composition the program shipped before the kernels became its only
+#: codec produced the same digest.
+GOLDEN_DIGEST = "a72421ba567639946d70eaec199c9a1455b889f7ef1753a434935206374d7709"
+
+
+class TestGoldenPin:
+    """Kernel and reference both reproduce one recorded digest."""
+
+    def test_reference_matches_golden(self):
+        ref = ReferenceCodec()
+        digest, stages = golden_outcomes(ref.encode, ref.decode)
+        assert stages == {FAIL_NONE, FAIL_TEC, FAIL_INVALID_PATTERN, FAIL_HEC}
+        assert digest == GOLDEN_DIGEST
+
+    def test_one_block_api_matches_golden(self):
+        api = ThreeOnTwoBlockCodec()
+        digest, _ = golden_outcomes(api.encode, one_block_decode(api))
+        assert digest == GOLDEN_DIGEST
+
+    def test_stage_names(self):
+        """Service error payloads and ``/metrics`` name stages from FAIL_STAGES."""
+        assert {code: code_for_fail_stage(code) for code in FAIL_STAGES} == {
+            FAIL_TEC: ("E_UNCORRECTABLE", "TEC"),
+            FAIL_INVALID_PATTERN: ("E_UNCORRECTABLE", "INVALID_PATTERN"),
+            FAIL_HEC: ("E_UNCORRECTABLE", "HEC"),
+        }
+
+
+class TestOneImplementation:
+    def test_3lc_path_never_calls_the_scalar_bch(self, monkeypatch):
+        """The one-block API and PCMDevice run only the batch kernels."""
+
+        def scalar_bch(*args, **kwargs):
+            raise AssertionError("scalar BCH on the 3-ON-2 path")
+
+        monkeypatch.setattr(BCH, "encode", scalar_bch)
+        monkeypatch.setattr(BCH, "decode", scalar_bch)
+        rng = np.random.default_rng(21)
+        data = rng.integers(0, 2, 512, dtype=np.uint8)
+        api = ThreeOnTwoBlockCodec()
+        blk = api.new_block_state()
+        blk.mark(3)
+        states, checks = api.encode(data, blk)
+        states[0] = 1 if states[0] == 0 else 2 - states[0] // 2  # one bit flip
+        out = api.decode(states, checks)
+        assert np.array_equal(out.data_bits, data)
+        assert (out.tec_corrected, out.hec_pairs_dropped) == (1, 1)
+
+        dev = PCMDevice(
+            2, "3LC", seed=4,
+            wearout=WearoutModel(mean_endurance=20, endurance_sigma=0.3),
+        )
+        for t in range(40):
+            try:
+                dev.write(0, data, float(t))
+            except SpareExhausted:
+                break
+            assert np.array_equal(dev.read(0, t + 0.5).data_bits, data)
+        assert dev.stats.write_retries > 0
