@@ -7,12 +7,12 @@ thirty ad-hoc scripts.  The package splits the problem into:
 
 - :mod:`repro.campaign.spec` — the declarative spec (dict / TOML) and the
   built-in campaigns (``fig3``, ``fig8``, ``fig3_fig8``, ``retention``,
-  ``smoke``);
+  ``bler``, ``fleet``, ``smoke``);
 - :mod:`repro.campaign.plan` — expansion of a spec into a validated DAG
   of jobs with a deterministic topological order;
-- :mod:`repro.campaign.jobs` — the job-kind registry: each kind maps its
-  params onto the existing engines (``state_cer``/``design_cer``/sweeps/
-  ``optimize_mapping``/``retention_time_s``);
+- :mod:`repro.campaign.jobs` — the job kinds, each declaring its params
+  once and mapping them onto the existing engines; specs, ``POST
+  /v1/jobs`` and the CLI's compute subcommands all go through it;
 - :mod:`repro.campaign.scheduler` — bounded-concurrency execution with
   per-job retry + exponential backoff, failure isolation (failed jobs
   block their dependents, everything else completes), and crash-safe

@@ -1,11 +1,12 @@
 """Render a completed campaign run into ``results/`` tables.
 
 Reads the run directory (manifest + persisted job results + event log)
-and writes one plain-text table per job plus a campaign ``SUMMARY.txt``
-under ``<out_dir>/campaign_<name>/`` — the same artifact style as the
-``benchmarks/`` harness, so EXPERIMENTS.md can be refreshed from either
-path.  Also used by ``repro campaign report`` / ``status`` for terminal
-output.
+and writes one plain-text file per job plus a campaign ``SUMMARY.txt``
+under ``<out_dir>/campaign_<name>/``.  :func:`render_result` holds the
+one text form of each kind's result; the CLI's compute subcommands
+print it too, so a report shows a result exactly as ``repro sweep``,
+``retention``, ``bler --empirical``, ``fleet`` or ``capacity`` does.
+Also used by ``repro campaign report`` / ``status`` for terminal output.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from typing import Any, Mapping, Sequence
 from repro.campaign.events import read_events
 from repro.campaign.store import RunStore
 
-__all__ = ["render_job", "render_summary", "write_report"]
-
-
-def _sci(x: float) -> str:
-    if x == 0.0:
-        return "0"
-    return f"{x:.2E}"
+__all__ = ["render_job", "render_result", "render_summary", "write_report"]
 
 
 def _table(
@@ -50,92 +45,137 @@ def _time_labels(times_s: Sequence[float]) -> list[str]:
     return [f"{t:.3G}s" for t in times_s]
 
 
-def _render_sweep(job_id: str, result: Mapping[str, Any]) -> str:
-    labels = _time_labels(result["times_s"])
-    names = list(result["series"])
-    rows = [
-        [label] + [_sci(result["series"][n][i]) for n in names]
-        for i, label in enumerate(labels)
-    ]
-    return _table(f"{job_id}: CER vs time", ["time"] + names, rows)
+def _render_sweep(result: Mapping[str, Any]) -> str:
+    series = result["series"]
+    lines = ["  ".join(["time".rjust(9)] + [n.rjust(9) for n in series])]
+    for i, label in enumerate(_time_labels(result["times_s"])):
+        row = [f"{series[n][i]:.2E}".rjust(9) for n in series]
+        lines.append("  ".join([label.rjust(9)] + row))
+    n = result["n_samples"] // len(series)
+    lines.append(f"({n:,} cells/curve, MC floor {1.0 / n:.1E})")
+    return "\n".join(lines) + "\n"
 
 
-def _render_cer(job_id: str, result: Mapping[str, Any]) -> str:
-    labels = _time_labels(result["times_s"])
-    rows = [[label, _sci(c)] for label, c in zip(labels, result["cer"])]
-    design = result["design"]["name"]
-    title = f"{job_id}: {design} CER ({result['n_samples']:,} MC cells)"
-    if "state" in result:
-        title = f"{job_id}: {design}/{result['state']} state CER"
-    return _table(title, ["time", "CER"], rows)
+def _render_cer(result: Mapping[str, Any]) -> str:
+    name = result["design"]["name"] + (f"/{result['state']}" if "state" in result else "")
+    return f"{name} CER\n" + _render_sweep({**result, "series": {name: result["cer"]}})
 
 
-def _render_mapping(job_id: str, result: Mapping[str, Any]) -> str:
+def _render_mapping(result: Mapping[str, Any]) -> str:
     d = result["design"]
     lines = [
-        f"{job_id}: optimized mapping {d['name']}",
+        f"optimized mapping {d['name']}",
         f"  levels:     {' '.join(f'{m:.4f}' for m in d['mu_lrs'])}",
         f"  thresholds: {' '.join(f'{t:.4f}' for t in d['thresholds'])}",
         f"  occupancy:  {' '.join(f'{p:.2f}' for p in d['occupancy'])}",
-        f"  CER at eval times: {_sci(result['cer_at_eval'])} "
-        f"(naive start {_sci(result['start_cer'])}, "
+        f"  CER at eval times: {result['cer_at_eval']:.2E} "
+        f"(naive start {result['start_cer']:.2E}, "
         f"improvement x{result['improvement']:.3G})",
     ]
     if result.get("mc_cer_at_eval") is not None:
-        lines.append(f"  MC confirmation: {_sci(result['mc_cer_at_eval'])}")
+        lines.append(f"  MC confirmation: {result['mc_cer_at_eval']:.2E}")
     return "\n".join(lines) + "\n"
 
 
-def _render_retention(job_id: str, result: Mapping[str, Any]) -> str:
-    years = result["retention_years"]
-    if years >= 1:
-        horizon = f"{years:.1f} years"
-    elif result["retention_s"] >= 86400:
-        horizon = f"{result['retention_s'] / 86400:.1f} days"
+def _render_retention(r: Mapping[str, Any]) -> str:
+    if r["retention_years"] >= 1:
+        horizon = f"{r['retention_years']:.1f} years"
+    elif r["retention_s"] >= 86400:
+        horizon = f"{r['retention_s'] / 86400:.1f} days"
     else:
-        horizon = f"{result['retention_s'] / 60:.1f} minutes"
+        horizon = f"{r['retention_s'] / 60:.1f} minutes"
     lines = [
-        f"{job_id}: {result['design']['name']} + BCH-{result['ecc_t']} "
-        f"({result['n_cells']} cells): refresh every {horizon}",
-        f"  CER {_sci(result['cer_at_retention'])}, "
-        f"BLER {_sci(result['bler_at_retention'])} "
-        f"vs target {_sci(result['target_bler'])}",
-        f"  nonvolatile (>10 years): "
-        f"{'yes' if result['nonvolatile'] else 'no'}",
+        f"{r['design']['name']} + BCH-{r['ecc_t']} ({r['n_cells']} cells): refresh "
+        f"every {horizon} (CER {r['cer_at_retention']:.2E}, "
+        f"BLER {r['bler_at_retention']:.2E} vs target {r['target_bler']:.2E})",
+        f"nonvolatile (>10 years): {'yes' if r['nonvolatile'] else 'no'}",
     ]
-    if "mc_cer_at_retention" in result:
-        lines.append(f"  MC check: {_sci(result['mc_cer_at_retention'])}")
+    if "mc_cer_at_retention" in r:
+        n = r["n_samples"]
+        lines.append(
+            f"MC check at retention: CER {r['mc_cer_at_retention']:.2E} "
+            f"({n:,} cells, floor {1.0 / n:.1E}) "
+            f"vs analytic {r['cer_at_retention']:.2E}"
+        )
     return "\n".join(lines) + "\n"
 
 
-def _render_capacity(job_id: str, result: Mapping[str, Any]) -> str:
-    rows = [
-        [name, c["data_cells"], c["overhead_cells"], c["total_cells"],
-         f"{c['bits_per_cell']:.3f}"]
-        for name, c in result["capacities"].items()
-    ]
-    return _table(
-        f"{job_id}: Table-3 storage densities",
-        ["design", "data", "overhead", "total", "bits/cell"],
-        rows,
+def _render_bler(res: Mapping[str, Any]) -> str:
+    lines = [f"{'CER':>10} {'empirical':>11} {'95% CI':>26} {'analytic':>11} {'in CI':>5}"]
+    for pt in res["points"]:
+        lo, hi = pt["ci95"]
+        lines.append(
+            f"{pt['cer']:>10.3E} {pt['bler']:>11.4E} "
+            f"[{lo:.4E}, {hi:.4E}] {pt['analytic']:>11.4E} "
+            f"{'yes' if pt['analytic_in_ci'] else 'NO':>5}"
+        )
+    lines.append(
+        f"({res['n_blocks']:,} blocks/point through the batched 3-ON-2 "
+        f"datapath, {res['n_mlc_cells']} MLC cells/block; "
+        f"{sum(pt['n_silent'] for pt in res['points']):,} silent escapes total)"
     )
+    return "\n".join(lines) + "\n"
+
+
+def _render_fleet(d: Mapping[str, Any]) -> str:
+    t = d["totals"]
+    life = "  ".join(
+        f"{k}={'>' + str(d['n_epochs'] - 1) if v is None else v}"
+        for k, v in d["lifetime_epochs"].items()
+    )
+    lines = [
+        f"  demand writes {t['writes']:,}  refreshes {t['refreshes']:,}  "
+        f"maintenance reads {t['reads']:,}",
+        f"  wearout marks {t['wearout_marks']:,}  retries {t['write_retries']:,}  "
+        f"deaths {d['n_dead']:,} ({d['n_dead'] / d['n_devices']:.1%})",
+        f"  uncorrectable {t['uncorrectable']:,}  silent {t['silent']:,} "
+        f"(rate {d['silent_error_rate']:.2E}/read)",
+        f"  lifetime epochs: {life}",
+        "  hazard/epoch:    " + "  ".join(f"{h:.3f}" for h in d["hazard"]),
+        f"  energy: writes {d['write_energy_nj'] / 1e3:.1f} uJ, "
+        f"maintenance {d['refresh_energy_nj'] / 1e3:.1f} uJ",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _render_capacity(result: Mapping[str, Any]) -> str:
+    return "".join(
+        f"{name:>12}: {c['data_cells']} data + {c['overhead_cells']} overhead "
+        f"= {c['total_cells']} cells -> {c['bits_per_cell']:.3f} bits/cell\n"
+        for name, c in result["capacities"].items()
+    )
+
+
+_RENDERERS = {
+    "fig3_sweep": _render_sweep,
+    "fig8_sweep": _render_sweep,
+    "state_cer": _render_cer,
+    "design_cer": _render_cer,
+    "mapping_opt": _render_mapping,
+    "retention": _render_retention,
+    "bler_mc": _render_bler,
+    "fleet": _render_fleet,
+    "capacity": _render_capacity,
+}
+
+
+def render_result(kind: str, result: Mapping[str, Any]) -> str:
+    """One ``kind`` job's result as text (JSON for a kind without a table).
+
+    The CLI's compute subcommands print these, so a campaign report and
+    the CLI show a result the same way.
+    """
+    render = _RENDERERS.get(kind)
+    if render is None:
+        import json
+
+        return json.dumps(dict(result), indent=2, sort_keys=True) + "\n"
+    return render(result)
 
 
 def render_job(job_id: str, kind: str, result: Mapping[str, Any]) -> str:
     """Human-readable rendering of one completed job's result."""
-    if kind in ("fig3_sweep", "fig8_sweep"):
-        return _render_sweep(job_id, result)
-    if kind in ("design_cer", "state_cer"):
-        return _render_cer(job_id, result)
-    if kind == "mapping_opt":
-        return _render_mapping(job_id, result)
-    if kind == "retention":
-        return _render_retention(job_id, result)
-    if kind == "capacity":
-        return _render_capacity(job_id, result)
-    import json
-
-    return f"{job_id} ({kind}):\n{json.dumps(dict(result), indent=2, sort_keys=True)}\n"
+    return f"{job_id} ({kind})\n\n{render_result(kind, result)}"
 
 
 def render_summary(store: RunStore) -> str:

@@ -49,11 +49,13 @@ DONE_STATES = ("done", "cached")
 
 @dataclasses.dataclass
 class CampaignResult:
-    """Final outcome of one scheduler run."""
+    """Final outcome of one scheduler run; ``errors`` maps each failed
+    job to the ``repr`` of its last error."""
 
     states: dict[str, str]
     results: dict[str, dict]
     metrics: dict[str, Any]
+    errors: dict[str, str] = dataclasses.field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -97,6 +99,7 @@ class CampaignScheduler:
         self.events = EventLog(store.events_path)
         self.results: dict[str, dict] = {}
         self.states: dict[str, str] = {}
+        self.errors: dict[str, str] = {}
         # Guards states/results: worker threads snapshot dependency
         # results while the scheduler thread mutates both maps (RPL004).
         self._lock = threading.Lock()
@@ -130,7 +133,7 @@ class CampaignScheduler:
                     cache=self.cache,
                     dep_results=dep_results,
                 )
-                result = run_job(job, ctx)
+                result = run_job(job.kind, job.params, ctx)
                 return result, attempt, time.perf_counter() - t0
             except Exception as exc:
                 if attempt > retries:
@@ -229,6 +232,7 @@ class CampaignScheduler:
                         attempts = self._retries_for(self.plan.job(job_id)) + 1
                         with self._lock:
                             self.states[job_id] = "failed"
+                        self.errors[job_id] = repr(exc)
                         metrics.failed += 1
                         metrics.retries += attempts - 1
                         self.events.emit(
@@ -270,7 +274,10 @@ class CampaignScheduler:
         self._write_status(metrics, finished=True)
         snapshot = metrics.snapshot(self.cache)
         result = CampaignResult(
-            states=dict(self.states), results=dict(self.results), metrics=snapshot
+            states=dict(self.states),
+            results=dict(self.results),
+            metrics=snapshot,
+            errors=dict(self.errors),
         )
         self.events.emit("campaign_end", ok=result.ok, **snapshot)
         return result

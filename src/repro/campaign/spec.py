@@ -2,10 +2,12 @@
 
 A spec is a plain dict (TOML-compatible) naming the campaign, the RNG
 seed, campaign-wide defaults, the retry policy, and a list of jobs.  Each
-job has a unique ``id``, a ``kind`` from the registry in
-:mod:`repro.campaign.jobs`, free-form ``params``, and explicit
-dependencies via ``needs`` (plus the implicit dependency created by a
-``design_from`` param — see :mod:`repro.campaign.plan`).
+job has a unique ``id``, a ``kind`` from :data:`repro.campaign.jobs.KINDS`,
+``params`` that kind declares, and explicit dependencies via ``needs``
+(plus the implicit dependency created by a ``design_from`` param — see
+:mod:`repro.campaign.plan`).  Loading checks every job's params against
+its kind's declaration, so a bad spec raises :class:`SpecError` before
+anything runs; the spec itself keeps the params as written.
 
 TOML form::
 
@@ -41,7 +43,7 @@ import dataclasses
 import tomllib
 from typing import Any, Mapping, Sequence
 
-from repro.campaign.jobs import known_kinds
+from repro.campaign.jobs import DEFAULT_KEYS, resolve_params
 
 __all__ = [
     "BUILTIN_CAMPAIGNS",
@@ -82,11 +84,11 @@ class JobSpec:
 class CampaignSpec:
     """A whole campaign: jobs plus seeds, defaults, and retry policy.
 
-    ``defaults`` supplies fall-back job params (``n_samples``,
-    ``times_s``); a job's own ``params`` win.  ``retries`` is the number
-    of *re-attempts* after a failure (0 = run once); the delay before
-    re-attempt ``k`` is ``backoff_s * backoff_factor**(k-1)`` capped at
-    ``backoff_max_s``.
+    ``defaults`` supplies fall-back job params (its keys are
+    :data:`~repro.campaign.jobs.DEFAULT_KEYS`); a job's own ``params``
+    win.  ``retries`` is the number of *re-attempts* after a failure
+    (0 = run once); the delay before re-attempt ``k`` is
+    ``backoff_s * backoff_factor**(k-1)`` capped at ``backoff_max_s``.
     """
 
     name: str
@@ -127,7 +129,7 @@ _SPEC_KEYS = {
 _JOB_KEYS = {"id", "kind", "params", "needs", "retries"}
 
 
-def _job_from_dict(d: Mapping[str, Any], index: int) -> JobSpec:
+def _job_from_dict(d: Mapping[str, Any], index: int, defaults: Mapping[str, Any]) -> JobSpec:
     if not isinstance(d, Mapping):
         raise SpecError(f"job #{index} must be a table/dict, got {type(d).__name__}")
     unknown = set(d) - _JOB_KEYS
@@ -137,11 +139,6 @@ def _job_from_dict(d: Mapping[str, Any], index: int) -> JobSpec:
     if not isinstance(job_id, str) or not job_id:
         raise SpecError(f"job #{index} needs a non-empty string 'id'")
     kind = d.get("kind")
-    if kind not in known_kinds():
-        raise SpecError(
-            f"job {job_id!r}: unknown kind {kind!r} "
-            f"(known: {', '.join(sorted(known_kinds()))})"
-        )
     needs = d.get("needs", ())
     if isinstance(needs, str) or not all(isinstance(n, str) for n in needs):
         raise SpecError(f"job {job_id!r}: 'needs' must be a list of job ids")
@@ -151,6 +148,10 @@ def _job_from_dict(d: Mapping[str, Any], index: int) -> JobSpec:
     retries = d.get("retries")
     if retries is not None and (not isinstance(retries, int) or retries < 0):
         raise SpecError(f"job {job_id!r}: 'retries' must be a non-negative integer")
+    try:
+        resolve_params(kind, params, defaults)
+    except ValueError as exc:
+        raise SpecError(f"job {job_id!r}: {exc}") from None
     return JobSpec(
         id=job_id, kind=kind, params=dict(params), needs=tuple(needs), retries=retries
     )
@@ -164,12 +165,24 @@ def campaign_from_dict(d: Mapping[str, Any]) -> CampaignSpec:
     name = d.get("name")
     if not isinstance(name, str) or not name:
         raise SpecError("campaign needs a non-empty string 'name'")
+    seed = d.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise SpecError(f"'seed' must be an integer, got {seed!r}")
+    defaults = d.get("defaults", {})
+    if not isinstance(defaults, Mapping):
+        raise SpecError("'defaults' must be a table/dict")
+    unknown = set(defaults).difference(DEFAULT_KEYS)
+    if unknown:
+        raise SpecError(
+            f"unknown defaults key(s) {sorted(unknown)} "
+            f"(known: {', '.join(DEFAULT_KEYS)})"
+        )
     raw_jobs = d.get("job", [])
     if not isinstance(raw_jobs, Sequence) or isinstance(raw_jobs, (str, bytes)):
         raise SpecError("'job' must be an array of tables")
     if not raw_jobs:
         raise SpecError("campaign has no jobs")
-    jobs = tuple(_job_from_dict(j, i) for i, j in enumerate(raw_jobs))
+    jobs = tuple(_job_from_dict(j, i, defaults) for i, j in enumerate(raw_jobs))
     seen: set[str] = set()
     for j in jobs:
         if j.id in seen:
@@ -184,8 +197,8 @@ def campaign_from_dict(d: Mapping[str, Any]) -> CampaignSpec:
     return CampaignSpec(
         name=name,
         jobs=jobs,
-        seed=int(d.get("seed", 0)),
-        defaults=dict(d.get("defaults", {})),
+        seed=seed,
+        defaults=dict(defaults),
         retries=retries,
         backoff_s=float(d.get("backoff_s", 0.5)),
         backoff_factor=float(d.get("backoff_factor", 2.0)),
@@ -352,16 +365,15 @@ def builtin_campaign(
     ``n_samples``/``seed`` override the template's defaults — the hook the
     CLI uses for ``--samples``/``--seed`` without editing specs.
     """
-    try:
-        template = BUILTIN_CAMPAIGNS[name]
-    except KeyError:
+    template = BUILTIN_CAMPAIGNS.get(name) if isinstance(name, str) else None
+    if template is None:
         raise SpecError(
             f"unknown built-in campaign {name!r} "
             f"(known: {', '.join(sorted(BUILTIN_CAMPAIGNS))})"
-        ) from None
+        )
     d = {**template, "defaults": dict(template.get("defaults", {}))}
     if n_samples is not None:
-        d["defaults"]["n_samples"] = int(n_samples)
+        d["defaults"]["n_samples"] = n_samples
     if seed is not None:
-        d["seed"] = int(seed)
+        d["seed"] = seed
     return campaign_from_dict(d)

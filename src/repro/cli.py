@@ -40,10 +40,7 @@ import sys
 import numpy as np
 
 from repro.analysis.availability import RefreshModel
-from repro.analysis.capacity import TABLE3_CAPACITIES
-from repro.analysis.retention import retention_time_s
 from repro.analysis.targets import SECONDS_PER_YEAR
-from repro.cells.params import T0_SECONDS
 from repro.core.designs import all_designs, design_by_name
 from repro.montecarlo.analytic import analytic_design_cer
 
@@ -117,127 +114,66 @@ def _cmd_designs(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_kind(kind: str, args: argparse.Namespace, **params) -> dict:
+    """One ``kind`` job, its params checked as a campaign spec's are, run
+    without a run dir; ``args`` supplies the seed and the MC flags."""
+    from repro.campaign.jobs import JobContext, run_job
+
+    ctx = JobContext(seed=args.seed, mc_jobs=args.jobs, cache=_cache_from_args(args))
+    return run_job(kind, params, ctx)
+
+
 def _cmd_cer(args: argparse.Namespace) -> int:
-    design = design_by_name(args.design)
     times = [y * SECONDS_PER_YEAR for y in args.years]
     if args.mc_samples:
-        from repro.montecarlo.cer import design_cer
-
-        res = design_cer(
-            design, times, args.mc_samples, seed=args.seed,
-            jobs=args.jobs, cache=_cache_from_args(args),
+        res = _run_kind(
+            "design_cer", args, design=args.design, times_s=times, n_samples=args.mc_samples
         )
         order = np.argsort(times)
-        for y, c in zip(np.asarray(args.years)[order], res.cer):
+        for y, c in zip(np.asarray(args.years)[order], res["cer"]):
             print(f"{args.design} MC CER after {y:g} years: {c:.3E}")
-        print(f"(Monte Carlo, {res.n_samples:,} cells, floor {res.floor:.1E})")
+        n = res["n_samples"]
+        print(f"(Monte Carlo, {n:,} cells, floor {1.0 / n:.1E})")
     else:
-        cer = analytic_design_cer(design, times)
+        cer = analytic_design_cer(design_by_name(args.design), times)
         for y, c in zip(args.years, cer):
             print(f"{args.design} CER after {y:g} years: {c:.3E}")
     return 0
 
 
 def _cmd_retention(args: argparse.Namespace) -> int:
-    design = design_by_name(args.design)
-    n_cells = args.cells or _BLOCK_CELLS[args.design]
-    r = retention_time_s(design, n_cells, args.ecc)
-    if r.retention_years >= 1:
-        horizon = f"{r.retention_years:.1f} years"
-    elif r.retention_s >= 86400:
-        horizon = f"{r.retention_s / 86400:.1f} days"
-    else:
-        horizon = f"{r.retention_minutes:.1f} minutes"
-    print(
-        f"{args.design} + BCH-{args.ecc} ({n_cells} cells): refresh every "
-        f"{horizon} (CER {r.cer_at_retention:.2E}, BLER {r.bler_at_retention:.2E} "
-        f"vs target {r.target_bler:.2E})"
-    )
-    nonvolatile = r.retention_years >= 10.0
-    print("nonvolatile (>10 years):", "yes" if nonvolatile else "no")
-    if args.mc_verify:
-        if r.retention_s < T0_SECONDS:
-            print("MC verify skipped: retention below the drift reference time t0")
-        else:
-            from repro.montecarlo.cer import design_cer
+    from repro.campaign.report import render_result
 
-            mc = design_cer(
-                design, [r.retention_s], args.mc_verify, seed=args.seed,
-                jobs=args.jobs, cache=_cache_from_args(args),
-            )
-            print(
-                f"MC check at retention: CER {mc.cer[0]:.2E} "
-                f"({mc.n_samples:,} cells, floor {mc.floor:.1E}) "
-                f"vs analytic {r.cer_at_retention:.2E}"
-            )
+    n_cells = args.cells or _BLOCK_CELLS[args.design]
+    r = _run_kind(
+        "retention", args, design=args.design, n_cells=n_cells, ecc_t=args.ecc,
+        mc_verify=args.mc_verify,
+    )
+    print(render_result("retention", r), end="")
+    if args.mc_verify and "mc_cer_at_retention" not in r:
+        print("MC verify skipped: retention below the drift reference time t0")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.montecarlo.sweep import (
-        PAPER_TIME_LABELS,
-        fig3_state_sweep,
-        fig8_design_sweep,
-    )
+    from repro.campaign.report import render_result
 
-    cache = _cache_from_args(args)
-    if args.figure == "fig3":
-        sweep = fig3_state_sweep(
-            n_samples=args.samples, seed=args.seed, jobs=args.jobs, cache=cache
-        )
-    else:
-        sweep = fig8_design_sweep(
-            n_samples=args.samples, seed=args.seed, jobs=args.jobs, cache=cache
-        )
-    names = list(sweep.series)
-    print("  ".join(["time".rjust(9)] + [n.rjust(9) for n in names]))
-    for i, label in enumerate(PAPER_TIME_LABELS):
-        row = [f"{sweep.series[n][i]:.2E}".rjust(9) for n in names]
-        print("  ".join([label.rjust(9)] + row))
-    print(f"({sweep.n_samples:,} cells/curve, MC floor {sweep.floor:.1E})")
+    kind = "fig3_sweep" if args.figure == "fig3" else "fig8_sweep"
+    print(render_result(kind, _run_kind(kind, args, n_samples=args.samples)), end="")
     return 0
 
 
 def _cmd_bler(args: argparse.Namespace) -> int:
     from repro.analysis.bler import block_error_rate
+    from repro.campaign.report import render_result
 
     if args.empirical:
-        from repro.coding.blockcodec import ThreeOnTwoBlockCodec
-        from repro.montecarlo.bler_mc import bler_mc
-
-        codec = ThreeOnTwoBlockCodec(
-            data_bits=args.data_bits, n_spare_pairs=args.spare_pairs
+        res = _run_kind(
+            "bler_mc", args, cers=args.cer, n_blocks=args.empirical,
+            data_bits=args.data_bits, n_spare_pairs=args.spare_pairs,
         )
-        results = bler_mc(
-            args.cer,
-            args.empirical,
-            seed=args.seed,
-            data_bits=args.data_bits,
-            n_spare_pairs=args.spare_pairs,
-            jobs=args.jobs,
-            cache=_cache_from_args(args),
-        )
-        print(
-            f"{'CER':>10} {'empirical':>11} {'95% CI':>26} "
-            f"{'analytic':>11} {'in CI':>5}"
-        )
-        all_in = True
-        for r in results:
-            lo, hi = r.confidence()
-            analytic = block_error_rate(r.cer, codec.n_mlc_cells, 1)
-            in_ci = lo <= analytic <= hi
-            all_in = all_in and in_ci
-            print(
-                f"{r.cer:>10.3E} {r.bler:>11.4E} "
-                f"[{lo:.4E}, {hi:.4E}] {analytic:>11.4E} "
-                f"{'yes' if in_ci else 'NO':>5}"
-            )
-        print(
-            f"({args.empirical:,} blocks/point through the batched 3-ON-2 "
-            f"datapath, {codec.n_mlc_cells} MLC cells/block; "
-            f"{sum(r.n_silent for r in results):,} silent escapes total)"
-        )
-        return 0 if all_in else 1
+        print(render_result("bler_mc", res), end="")
+        return 0 if all(pt["analytic_in_ci"] for pt in res["points"]) else 1
     for c in args.cer:
         bler = block_error_rate(c, args.cells, args.ecc)
         print(
@@ -250,41 +186,17 @@ def _cmd_bler(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    from repro.fleet import config_from_params, fleet_mc
+    from repro.campaign.report import render_result
 
-    config = config_from_params({"preset": args.preset}, args.devices, args.epochs)
-    summary = fleet_mc(
-        config, seed=args.seed, jobs=args.jobs, cache=_cache_from_args(args)
+    d = _run_kind(
+        "fleet", args, n_devices=args.devices, n_epochs=args.epochs, preset=args.preset
     )
-    d = summary.to_dict()
-    t = d["totals"]
-    life = d["lifetime_epochs"]
+    del d["n_samples"]  # the --out file is the fleet summary alone
     print(
         f"fleet: {d['n_devices']:,} devices x {d['n_epochs']} epochs "
         f"({args.preset} preset, seed {args.seed})"
     )
-    print(
-        f"  demand writes {t['writes']:,}  refreshes {t['refreshes']:,}  "
-        f"maintenance reads {t['reads']:,}"
-    )
-    print(
-        f"  wearout marks {t['wearout_marks']:,}  retries {t['write_retries']:,}  "
-        f"deaths {d['n_dead']:,} ({d['n_dead'] / d['n_devices']:.1%})"
-    )
-    print(
-        f"  uncorrectable {t['uncorrectable']:,}  silent {t['silent']:,} "
-        f"(rate {d['silent_error_rate']:.2E}/read)"
-    )
-    life_s = "  ".join(
-        f"{k}={'>' + str(d['n_epochs'] - 1) if v is None else v}"
-        for k, v in life.items()
-    )
-    print(f"  lifetime epochs: {life_s}")
-    print("  hazard/epoch:    " + "  ".join(f"{h:.3f}" for h in d["hazard"]))
-    print(
-        f"  energy: writes {d['write_energy_nj'] / 1e3:.1f} uJ, "
-        f"maintenance {d['refresh_energy_nj'] / 1e3:.1f} uJ"
-    )
+    print(render_result("fleet", d), end="")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(d, f, indent=2, sort_keys=True)
@@ -318,25 +230,24 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _load_campaign_spec(spec_arg: str, samples: int | None, seed: int | None):
     """Resolve ``--spec``: a built-in name or a TOML file path."""
-    import dataclasses
     import os
 
     from repro.campaign.spec import (
         BUILTIN_CAMPAIGNS,
         builtin_campaign,
+        campaign_from_dict,
         campaign_from_toml,
     )
 
     if spec_arg in BUILTIN_CAMPAIGNS:
         return builtin_campaign(spec_arg, n_samples=samples, seed=seed)
     if os.path.exists(spec_arg):
-        spec = campaign_from_toml(spec_arg)
-        overrides = {}
+        d = campaign_from_toml(spec_arg).to_dict()
         if samples is not None:
-            overrides["defaults"] = {**spec.defaults, "n_samples": int(samples)}
+            d["defaults"]["n_samples"] = samples
         if seed is not None:
-            overrides["seed"] = int(seed)
-        return dataclasses.replace(spec, **overrides) if overrides else spec
+            d["seed"] = seed
+        return campaign_from_dict(d)
     raise SystemExit(
         f"--spec {spec_arg!r} is neither a built-in campaign "
         f"({', '.join(sorted(BUILTIN_CAMPAIGNS))}) nor a TOML file"
@@ -487,11 +398,10 @@ def _cmd_availability(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(_args: argparse.Namespace) -> int:
-    for name, c in TABLE3_CAPACITIES.items():
-        print(
-            f"{name:>12}: {c.data_cells} data + {c.overhead_cells} overhead "
-            f"= {c.total_cells} cells -> {c.bits_per_cell:.3f} bits/cell"
-        )
+    from repro.campaign.jobs import JobContext, run_job
+    from repro.campaign.report import render_result
+
+    print(render_result("capacity", run_job("capacity", {}, JobContext())), end="")
     return 0
 
 
@@ -781,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Serve simulated PCM devices over HTTP: create devices, "
             "write/read blocks against persistent virtual-time state, "
-            "advance device clocks, and submit/poll BLER/campaign jobs. "
+            "advance device clocks, and submit/poll campaign-kind jobs. "
             "Block I/O is dynamically batched into the batch kernels "
             "(docs/SERVICE.md).  SIGINT/SIGTERM drain and exit 0."
         ),
@@ -805,14 +715,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument(
         "--jobs", type=_jobs_count, default=1,
-        help="MC worker processes inside one bler/campaign job (0 = all cores)",
+        help="MC worker processes inside one job (0 = all cores)",
     )
     v.add_argument(
         "--job-workers", type=int, default=2, help="concurrently running jobs"
     )
     v.add_argument(
         "--work-dir", default=None,
-        help="campaign job run directories (default: a temp dir)",
+        help="job run directories (default: a temp dir)",
     )
     v.set_defaults(func=_cmd_serve)
     return p

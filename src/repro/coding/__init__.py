@@ -1,1 +1,1 @@
-"""Codes: GF(2^m)/BCH, Hamming/Hsiao, Gray, 3-ON-2 relatives, smart/permutation/enumerative, block codecs."""
+"""Codes: GF(2^m)/BCH, Gray, 3-ON-2 relatives, smart/permutation/enumerative, block codecs."""

@@ -47,6 +47,7 @@ from repro.montecarlo.rng import block_rng
 from repro.workloads.synthetic import TRACE_KINDS
 
 __all__ = [
+    "CONFIG_PARAMS",
     "FLEET_SPAWN_KEY",
     "KEY_DEVICE",
     "KEY_HETERO",
@@ -210,32 +211,37 @@ def stress_config(**overrides: Any) -> FleetConfig:
     return FleetConfig(**params)
 
 
-#: Params ``config_from_params`` forwards verbatim to :class:`FleetConfig`.
-_CONFIG_PARAMS = (
-    "n_blocks",
-    "ops_per_epoch",
-    "epoch_seconds",
-    "design",
-    "mean_endurance",
-    "endurance_sigma",
-    "p_stuck_reset",
-    "p_revive",
-    "alpha_jitter_sigma",
-    "endurance_jitter_sigma",
-    "write_fraction",
-)
+#: The :class:`FleetConfig` fields ``config_from_params`` takes from
+#: params, with their types (the ``fleet`` job kind declares these).
+CONFIG_PARAMS: dict[str, type] = {
+    "n_blocks": int,
+    "ops_per_epoch": int,
+    "epoch_seconds": float,
+    "design": str,
+    "mean_endurance": float,
+    "endurance_sigma": float,
+    "p_stuck_reset": float,
+    "p_revive": float,
+    "alpha_jitter_sigma": float,
+    "endurance_jitter_sigma": float,
+    "write_fraction": float,
+}
 
 
 def config_from_params(
     params: Mapping[str, Any], n_devices: int, n_epochs: int
 ) -> FleetConfig:
-    """Build a :class:`FleetConfig` from loosely-typed job/CLI params.
+    """Build a :class:`FleetConfig` from a ``preset`` and :data:`CONFIG_PARAMS`.
 
-    The shared front door for the campaign job kind, the service job
-    manager, and the CLI subcommand, so all three construct identical
-    configs (and therefore identical cache keys) from the same inputs.
-    ``preset="stress"`` starts from :func:`stress_config` defaults.
+    ``preset="stress"`` starts from :func:`stress_config` defaults; a
+    ``None`` value keeps the preset's.  Unknown keys raise ``ValueError``.
+    The ``fleet`` job kind checks and runs its params through here, so
+    campaign specs, ``POST /v1/jobs`` and the ``fleet`` subcommand build
+    identical configs (and cache keys) from identical params.
     """
+    unknown = set(params) - {"preset", *CONFIG_PARAMS}
+    if unknown:
+        raise ValueError(f"unknown fleet param(s) {sorted(unknown)}")
     preset = params.get("preset", "default")
     if preset not in ("default", "stress"):
         raise ValueError(f"unknown fleet preset {preset!r}")
@@ -243,8 +249,8 @@ def config_from_params(
         "n_devices": int(n_devices),
         "n_epochs": int(n_epochs),
     }
-    for name in _CONFIG_PARAMS:
-        if name in params and params[name] is not None:
+    for name in CONFIG_PARAMS:
+        if params.get(name) is not None:
             kwargs[name] = params[name]
     if preset == "stress":
         return stress_config(**kwargs)

@@ -21,14 +21,13 @@ machinery to take those requests concurrently:
 - :mod:`repro.service.http` — a dependency-free asyncio HTTP/1.1 server
   (keep-alive, routing, JSON bodies);
 - :mod:`repro.service.app` — the endpoint layer: device CRUD, block
-  read/write, virtual-clock control, campaign/BLER job submission and
-  polling, ``/metrics``;
+  read/write, virtual-clock control, job submission and polling, ``/metrics``;
 - :mod:`repro.service.codes` — the structured event-code catalog every
   response carries;
 - :mod:`repro.service.telemetry` — per-endpoint latency/error counters
   and the batch-size histogram exported on ``/metrics``;
 - :mod:`repro.service.jobs` — background submit/poll execution of
-  campaign and BLER-MC jobs over the existing engines;
+  every campaign job kind, each run as a one-job campaign;
 - :mod:`repro.service.loadgen` — the synthetic-client load harness
   behind ``results/BENCH_service.json``.
 

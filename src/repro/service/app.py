@@ -3,7 +3,7 @@
 Wires the pieces together: a :class:`~repro.service.device.DeviceRegistry`
 of virtual-time devices, the :class:`~repro.service.batching.DynamicBatcher`
 hot path for block I/O, a :class:`~repro.service.jobs.JobManager` for
-BLER/campaign jobs, and :class:`~repro.service.telemetry.Telemetry` on
+jobs of every campaign job kind, and :class:`~repro.service.telemetry.Telemetry` on
 ``/metrics`` — all served by the stdlib HTTP layer.
 
 Threading contract: HTTP handlers run on the event loop; *every*
@@ -54,9 +54,9 @@ class ServiceConfig:
     seed: int = 0  # base seed for devices created without an explicit one
     batch_max: int = 64
     queue_depth: int = 1024
-    mc_jobs: int | None = 1  # parallelism inside one BLER/campaign job
+    mc_jobs: int | None = 1  # MC parallelism inside one job
     job_workers: int = 2  # concurrent jobs
-    work_dir: str | None = None  # campaign run dirs; default: a temp dir
+    work_dir: str | None = None  # job run dirs; default: a temp dir
 
     def __post_init__(self) -> None:
         if self.batch_max < 1:

@@ -7,6 +7,7 @@ HTTP responses and the final state digest must be bit-identical to a
 twin :class:`VirtualDevice` driven directly through the batch kernels.
 """
 
+import json
 import socket
 import time
 from concurrent.futures import Future
@@ -306,15 +307,42 @@ class TestJobs:
         raise AssertionError(f"job {job_id} did not settle in {timeout}s")
 
     def test_bler_job(self, client):
-        accepted = client.submit_job("bler", cers=[1e-3], n_blocks=200, seed=1)
+        accepted = client.submit_job("bler_mc", cers=[1e-3], n_blocks=200, seed=1)
         assert accepted["code"] == "ACCEPTED"
         assert accepted["state"] == "queued"
         job = self._poll(client, accepted["job_id"])
         assert job["state"] == "done"
+        assert job["result"]["n_blocks"] == 200
         (point,) = job["result"]["points"]
         assert point["cer"] == 1e-3
-        assert point["n_blocks"] == 200
         assert 0.0 <= point["bler"] <= 1.0
+
+    def test_fleet_job(self, client):
+        accepted = client.submit_job(
+            "fleet", n_devices=8, n_epochs=2, preset="stress", seed=3
+        )
+        job = self._poll(client, accepted["job_id"])
+        assert job["state"] == "done", job.get("error")
+        assert job["result"]["n_devices"] == 8
+        assert job["result"]["n_epochs"] == 2
+        assert job["result"]["n_samples"] == 16
+
+    def test_fail_job_settles_failed(self, client):
+        accepted = client.submit_job("fail", message="drill")
+        job = self._poll(client, accepted["job_id"])
+        assert job["state"] == "failed"
+        assert "result" not in job
+        assert job["error"]["code"] == "E_INTERNAL"
+        assert "drill" in job["error"]["message"]
+
+    def test_job_runs_write_the_campaign_event_log(self, server, client):
+        accepted = client.submit_job("capacity")
+        job = self._poll(client, accepted["job_id"])
+        assert job["state"] == "done"
+        assert job["result"]["capacities"]
+        log = server.app.jobs.work_dir / accepted["job_id"] / "events.jsonl"
+        events = [json.loads(line)["event"] for line in log.read_text().splitlines()]
+        assert events == ["campaign_start", "job_start", "job_done", "campaign_end"]
 
     def test_accepted_is_queued_when_the_job_finishes_first(self, tmp_path):
         # A pool that runs each job to completion inside submit(): the
@@ -331,14 +359,33 @@ class TestJobs:
         jobs = JobManager(tmp_path)
         jobs._pool.shutdown()
         jobs._pool = InlinePool()
-        accepted = jobs.submit("bler", {"cers": [1e-3], "n_blocks": 20, "seed": 1})
+        accepted = jobs.submit("bler_mc", {"cers": [1e-3], "n_blocks": 20, "seed": 1})
         assert accepted["code"] == "ACCEPTED"
         assert accepted["state"] == "queued"
         assert "result" not in accepted
         assert jobs.get(accepted["job_id"])["state"] == "done"
 
+    def test_restart_on_the_same_work_dir_takes_fresh_ids(self, tmp_path):
+        # A second manager on the first one's work dir must not reuse
+        # job-0001, whose run dir holds a different spec's manifest.
+        first = JobManager(tmp_path)
+        done = first.submit("capacity", {})
+        first.close()
+        assert first.get(done["job_id"])["state"] == "done"
+        second = JobManager(tmp_path)
+        try:
+            accepted = second.submit("bler_mc", {"cers": [1e-3], "n_blocks": 20})
+            assert accepted["job_id"] != done["job_id"]
+            while second.get(accepted["job_id"])["state"] in ("queued", "running"):
+                time.sleep(0.02)
+            job = second.get(accepted["job_id"])
+            assert job["state"] == "done", job.get("error")
+        finally:
+            second.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job-0001", "job-0002"]
+
     def test_job_listing(self, client):
-        accepted = client.submit_job("bler", cers=[1e-3], n_blocks=50, seed=2)
+        accepted = client.submit_job("bler_mc", cers=[1e-3], n_blocks=50, seed=2)
         ids = [j["job_id"] for j in client.request("GET", "/v1/jobs")["jobs"]]
         assert accepted["job_id"] in ids
 
@@ -346,15 +393,41 @@ class TestJobs:
         with pytest.raises(ServiceResponseError) as excinfo:
             client.submit_job("mine-bitcoin")
         assert excinfo.value.code == "E_JOB_KIND"
+        assert "bler_mc" in excinfo.value.payload["detail"]["kinds"]
         with pytest.raises(ServiceResponseError):
-            client.submit_job("bler", cers=[])
+            client.submit_job("bler_mc", cers=[])
         with pytest.raises(ServiceResponseError):
-            client.submit_job("bler", cers=[2.0], n_blocks=10)
+            client.submit_job("bler_mc", cers=[2.0], n_blocks=10)
+        with pytest.raises(ServiceResponseError):
+            client.submit_job("bler_mc", cers=[1e-3] * 65, n_blocks=10)
+        with pytest.raises(ServiceResponseError):
+            client.submit_job("fleet", n_devices=200_001)
+        # Size params that set array shapes are capped too.
+        for kind, params in [
+            ("fleet", {"n_blocks": 1_000_000}),
+            ("fleet", {"ops_per_epoch": 1_000_000}),
+            ("bler_mc", {"data_bits": 1_000_000}),
+            ("bler_mc", {"n_spare_pairs": 1_000_000}),
+            ("state_cer", {"design": "3LCo", "state_index": 2}),
+        ]:
+            with pytest.raises(ServiceResponseError) as excinfo:
+                client.submit_job(kind, **params)
+            assert excinfo.value.status == 400, (kind, params)
+            assert excinfo.value.code == "E_JOB_KIND", (kind, params)
         with pytest.raises(ServiceResponseError):
             client.submit_job("campaign", name="no-such-campaign")
         with pytest.raises(ServiceResponseError) as excinfo:
             client.get_job("job-9999")
         assert excinfo.value.code == "E_JOB_NOT_FOUND"
+
+    def test_retention_without_n_cells_is_rejected_at_submit(self, client):
+        before = len(client.request("GET", "/v1/jobs")["jobs"])
+        with pytest.raises(ServiceResponseError) as excinfo:
+            client.submit_job("retention", design="3LCo")
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "E_JOB_KIND"
+        assert "n_cells" in str(excinfo.value)
+        assert len(client.request("GET", "/v1/jobs")["jobs"]) == before
 
     def test_campaign_job(self, client):
         accepted = client.submit_job("campaign", name="smoke", n_samples=1000)

@@ -1,7 +1,10 @@
 """Campaign spec validation and DAG planning."""
 
+import pathlib
+
 import pytest
 
+from repro.campaign.jobs import DEFAULT_KEYS, KINDS
 from repro.campaign.plan import build_plan
 from repro.campaign.spec import (
     BUILTIN_CAMPAIGNS,
@@ -87,6 +90,90 @@ class TestSpecValidation:
         assert spec.seed == 7
         assert spec.job("ret").needs == ("cer",)
         assert spec.job("cer").params["design"] == "4LCn"
+
+
+def _one_job(kind, params, **over):
+    return _spec_dict(job=[{"id": "a", "kind": kind, "params": params}], **over)
+
+
+class TestParamsCheckedAtLoad:
+    """A bad param is a SpecError at load, never a mid-run failure."""
+
+    def test_typod_param_key(self):
+        d = _one_job("fleet", {"n_devices": 8, "presett": "stress"})
+        with pytest.raises(SpecError, match=r"unknown param\(s\) \['presett'\]"):
+            campaign_from_dict(d)
+
+    def test_wrong_type(self):
+        d = _one_job("bler_mc", {"cers": [0.5], "n_blocks": "ten"})
+        with pytest.raises(SpecError, match="'n_blocks' must be int"):
+            campaign_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "kind, params, match",
+        [
+            ("bler_mc", {"cers": [1.5]}, "'cers' must be <= 1.0"),
+            ("bler_mc", {"cers": [1e-3] * 65}, "at most 64"),
+            ("bler_mc", {"n_blocks": 10_000_001}, "'n_blocks' must be <="),
+            ("fleet", {"n_devices": 200_001}, "'n_devices' must be <="),
+            ("fleet", {"n_devices": -5}, "n_devices must be >= 1"),
+            ("fleet", {"write_fraction": 2.0}, "write_fraction"),
+            ("fleet", {"preset": "stres"}, "unknown fleet preset"),
+            ("fleet", {"n_blocks": 17}, "'n_blocks' must be <="),
+            ("fleet", {"ops_per_epoch": 65}, "'ops_per_epoch' must be <="),
+            ("bler_mc", {"data_bits": 10**9}, "does not fit"),
+            ("bler_mc", {"n_spare_pairs": 10**9}, "does not fit"),
+            ("state_cer", {"design": "3LCo", "state_index": 2}, "drifting state"),
+            ("state_cer", {"design": "4LCn", "state_index": 7}, "drifting state"),
+            ("design_cer", {"design": "7LC"}, "unknown design"),
+            ("mapping_opt", {"n_levels": 9}, "do not fit"),
+        ],
+    )
+    def test_out_of_bound_value(self, kind, params, match):
+        with pytest.raises(SpecError, match=match):
+            campaign_from_dict(_one_job(kind, params))
+
+    def test_missing_required_param(self):
+        with pytest.raises(SpecError, match="needs param 'n_cells'"):
+            campaign_from_dict(_one_job("retention", {"design": "3LCo"}))
+
+    def test_design_or_design_from(self):
+        with pytest.raises(SpecError, match="exactly one"):
+            campaign_from_dict(_one_job("design_cer", {}))
+
+    def test_unknown_defaults_key(self):
+        d = _spec_dict(defaults={"n_sample": 1000})
+        with pytest.raises(SpecError, match="unknown defaults key"):
+            campaign_from_dict(d)
+
+    def test_bad_value_through_defaults(self):
+        d = _one_job("bler_mc", {}, defaults={"n_samples": 0})
+        with pytest.raises(SpecError, match="'n_blocks' must be >= 1"):
+            campaign_from_dict(d)
+
+    def test_spec_keeps_params_as_written(self):
+        spec = campaign_from_dict(_one_job("fleet", {"n_devices": 8}))
+        assert dict(spec.job("a").params) == {"n_devices": 8}
+
+
+class TestDocs:
+    def test_every_kind_and_param_is_documented(self):
+        # docs/CAMPAIGNS.md has one params-table row per kind, naming
+        # each of its declared params.
+        text = (
+            pathlib.Path(__file__).resolve().parents[1] / "docs" / "CAMPAIGNS.md"
+        ).read_text()
+        rows = {
+            line.split("|")[1].strip(): line
+            for line in text.splitlines()
+            if line.startswith("| `")
+        }
+        for name, kind in KINDS.items():
+            row = rows[f"`{name}`"]
+            for param in kind.params:
+                assert f"`{param.name}`" in row, (name, param.name)
+        for key in DEFAULT_KEYS:
+            assert f"`{key}`" in text, key
 
 
 class TestPlan:
