@@ -1,12 +1,10 @@
 """CLI entry: ``python -m repro.lint [paths...]``.
 
 Every run is the whole-program pass: the project model is built once
-and every enabled rule (per-file RPL001-007, project RPL010-015) runs
-over it.
+and every rule runs over it.
 
-Exit status: 0 — clean (warnings allowed); 1 — at least one
-error-severity violation (or an unparseable file); 2 — usage or
-configuration error.
+Exit status: 0 — clean; 1 — at least one violation (or an unparseable
+file); 2 — usage or configuration error.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import sys
 
 from repro.lint.config import ConfigError, LintConfig, load_config
 from repro.lint.engine import run_whole_program
-from repro.lint.reporters import render_json, render_rule_list, render_text
+from repro.lint.reporters import render_json, render_text
 
 __all__ = ["main"]
 
@@ -28,9 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for the repro codebase: RNG "
             "discipline, cache-key salting, wall-clock hygiene, lock "
-            "discipline, general determinism hazards, asyncio "
-            "concurrency, RNG provenance dataflow, and architecture "
-            "layering, in one whole-program pass."
+            "discipline, float equality, asyncio concurrency, and "
+            "architecture layering, in one whole-program pass."
         ),
     )
     parser.add_argument(
@@ -48,30 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated codes to run (overrides config select)",
-    )
-    parser.add_argument(
-        "--disable",
-        metavar="CODES",
-        help="comma-separated codes to skip (adds to config disable)",
-    )
-    parser.add_argument(
         "--config",
         metavar="PATH",
         help="pyproject.toml (or directory) to read [tool.repro-lint] from "
         "(default: nearest pyproject above the current directory)",
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore pyproject configuration entirely",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
     )
     parser.add_argument(
         "-q",
@@ -80,10 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suppress the report body; only the exit status matters",
     )
     return parser
-
-
-def _codes(raw: str) -> list[str]:
-    return [c.strip().upper() for c in raw.split(",") if c.strip()]
 
 
 def _resolve_paths(args, config: LintConfig) -> list[str]:
@@ -97,21 +70,11 @@ def _resolve_paths(args, config: LintConfig) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.list_rules:
-        print(render_rule_list())
-        return 0
     try:
-        if args.no_config:
-            config = LintConfig()
-        else:
-            config = load_config(args.config if args.config else ".")
+        config = load_config(args.config if args.config else ".")
     except ConfigError as exc:
         print(f"repro.lint: configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.select:
-        config.select = _codes(args.select)
-    if args.disable:
-        config.disable = [*config.disable, *_codes(args.disable)]
     result = run_whole_program(_resolve_paths(args, config), config)
     if not args.quiet:
         render = render_json if args.format == "json" else render_text

@@ -1,10 +1,10 @@
-"""Lint engine: file discovery and the two-pass whole-program run.
+"""Lint engine: discover files, build the model, run rules, filter, sort.
 
-Pass 1 parses every discovered file exactly once into a
-:class:`~repro.lint.model.ProjectModel`; pass 2 runs the per-file rules
-over the cached ASTs and the project rules over the model.  Findings
-are filtered through inline suppressions and sorted by
-``(path, line, col, code)``, so output is deterministic.
+:func:`build_model` parses every discovered file exactly once into a
+:class:`~repro.lint.model.ProjectModel`; every rule then runs over that
+one model.  Findings are filtered through ``per-path`` disables and
+inline suppressions and sorted by ``(path, line, col, code)``, so
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -15,33 +15,14 @@ import pathlib
 from typing import Iterable, Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.model import ModuleInfo, ProjectModel, build_model
-from repro.lint.rules import ProjectRule, Rule, all_project_rules, all_rules
-from repro.lint.rules.base import Severity, Violation
+from repro.lint.model import ProjectModel, build_model, rel_posix_of
+from repro.lint.rules import Rule, all_rules
+from repro.lint.rules.base import Violation
 
-__all__ = [
-    "FileContext",
-    "LintResult",
-    "discover_files",
-    "run_whole_program",
-]
+__all__ = ["LintResult", "discover_files", "run_whole_program"]
 
 #: Code reported for files the parser rejects (not a rule; always on).
 PARSE_ERROR_CODE = "RPL000"
-
-
-@dataclasses.dataclass
-class FileContext:
-    """Everything a rule may look at for one file."""
-
-    path: str
-    rel_posix: str
-    source: str
-    config: LintConfig
-
-    @property
-    def display_path(self) -> str:
-        return self.rel_posix
 
 
 @dataclasses.dataclass
@@ -53,23 +34,8 @@ class LintResult:
     suppressed: int
 
     @property
-    def errors(self) -> int:
-        return sum(1 for v in self.violations if v.severity is Severity.ERROR)
-
-    @property
-    def warnings(self) -> int:
-        return sum(1 for v in self.violations if v.severity is Severity.WARNING)
-
-    @property
     def exit_code(self) -> int:
-        return 1 if self.errors else 0
-
-
-def _rel_posix(path: pathlib.Path, root: pathlib.Path) -> str:
-    try:
-        return path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        return path.resolve().as_posix()
+        return 1 if self.violations else 0
 
 
 def discover_files(
@@ -93,105 +59,61 @@ def discover_files(
             # (editor backups, pytest caches); never lint them.
             if "__pycache__" in c.parts:
                 continue
-            if r in seen or config.is_excluded(_rel_posix(c, root)):
+            if r in seen or config.is_excluded(rel_posix_of(c, root)):
                 continue
             seen.add(r)
             out.append(c)
-    return sorted(out, key=lambda p: _rel_posix(p, pathlib.Path(config.root)))
+    return sorted(out, key=lambda p: rel_posix_of(p, root))
 
 
-def _lint_module(
-    mod: ModuleInfo, config: LintConfig, rules: Sequence[Rule]
-) -> tuple[list[Violation], int]:
-    """Per-file rules over a pass-1 module: no re-read, no re-parse."""
-    if mod.tree is None:
+def _parse_errors(model: ProjectModel) -> list[Violation]:
+    """One RPL000 finding per file that could not be read or parsed."""
+    out: list[Violation] = []
+    for mod in model.modules.values():
         exc = mod.parse_error
-        if isinstance(exc, SyntaxError):
-            v = Violation(
-                path=mod.rel_posix,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                code=PARSE_ERROR_CODE,
-                rule="syntax-error",
-                severity=Severity.ERROR,
-                message=f"cannot parse: {exc.msg}",
-            )
-        else:
-            v = Violation(
-                path=mod.rel_posix,
-                line=1,
-                col=0,
-                code=PARSE_ERROR_CODE,
-                rule="unreadable-file",
-                severity=Severity.ERROR,
-                message=f"cannot read file: {exc}",
-            )
-        return [v], 0
-    ctx = FileContext(
-        path=mod.path, rel_posix=mod.rel_posix, source=mod.source, config=config
-    )
-    enabled = config.enabled_codes([r.code for r in rules], mod.rel_posix)
-    violations: list[Violation] = []
-    suppressed = 0
-    for rule in rules:
-        if rule.code not in enabled:
+        if exc is None:
             continue
-        for violation in rule.check(mod.tree, ctx):
-            if mod.suppressions.is_suppressed(violation.code, violation.line):
-                suppressed += 1
-            else:
-                violations.append(violation)
-    return violations, suppressed
+        if isinstance(exc, SyntaxError):
+            line, col, rule = exc.lineno or 1, (exc.offset or 1) - 1, "syntax-error"
+            message = f"cannot parse: {exc.msg}"
+        else:
+            line, col, rule = 1, 0, "unreadable-file"
+            message = f"cannot read file: {exc}"
+        out.append(
+            Violation(mod.rel_posix, line, col, PARSE_ERROR_CODE, rule, message)
+        )
+    return out
 
 
 def run_whole_program(
     paths: Sequence[str | os.PathLike],
     config: LintConfig | None = None,
     *,
-    file_rules: Sequence[Rule] | None = None,
-    project_rules: Sequence[ProjectRule] | None = None,
+    rules: Sequence[Rule] | None = None,
     model: ProjectModel | None = None,
 ) -> LintResult:
-    """The two-pass analysis: project model, then every rule pack.
+    """Discover → build the model → run rules → filter suppressions → sort.
 
-    Pass 1 parses each discovered file exactly once into the
-    :class:`ProjectModel`; pass 2 runs the per-file rules against the
-    cached ASTs and the whole-program rules against the model, so the
-    total parse count equals the file count regardless of how many
-    rules are enabled.  Inline suppressions and per-path config apply
-    to project findings exactly as they do to per-file ones.
-
-    Callers may hand in a prebuilt ``model`` to run several rule
-    selections over one parse.
+    The model parses each discovered file exactly once, so the parse
+    count equals the file count however many rules run.  ``rules``
+    defaults to :func:`~repro.lint.rules.all_rules`.  A caller holding a
+    prebuilt ``model`` (its config wins) skips discovery and parsing.
     """
-    config = config if config is not None else LintConfig()
-    file_rules = list(file_rules) if file_rules is not None else all_rules()
-    project_rules = (
-        list(project_rules) if project_rules is not None else all_project_rules()
-    )
     if model is None:
-        files = discover_files(paths, config)
-        model = build_model(list(files), config)
-    modules = sorted(model.modules.values(), key=lambda m: m.rel_posix)
+        config = config if config is not None else LintConfig()
+        model = build_model(discover_files(paths, config), config)
+    config = model.config
     violations: list[Violation] = []
     suppressed = 0
-    for mod in modules:
-        mod_violations, mod_suppressed = _lint_module(mod, config, file_rules)
-        violations.extend(mod_violations)
-        suppressed += mod_suppressed
-    project_codes = [r.code for r in project_rules]
-    for rule in project_rules:
-        for violation in rule.check_project(model):
-            enabled = config.enabled_codes(project_codes, violation.path)
-            if violation.code not in enabled:
+    for rule in rules if rules is not None else all_rules():
+        for v in rule.check(model):
+            if config.is_disabled(v.code, v.path):
                 continue
-            mod = model.modules.get(violation.path)
-            if mod is not None and mod.suppressions.is_suppressed(
-                violation.code, violation.line
-            ):
+            if model.modules[v.path].suppressions.is_suppressed(v.code, v.line):
                 suppressed += 1
             else:
-                violations.append(violation)
+                violations.append(v)
+    violations.extend(_parse_errors(model))
     violations.sort(key=Violation.sort_key)
     return LintResult(
         violations=violations,

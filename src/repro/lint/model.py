@@ -1,25 +1,25 @@
-"""Pass 1 of the whole-program analyzer: the project model.
+"""The project model: every linted file, parsed once, plus cross-file lookups.
 
-Per-file AST rules (RPL001–007) see one file at a time; the concurrency
-and determinism contracts they protect are *program* properties — a
-coroutine is only blocking if something it transitively calls blocks, an
-RNG is only traceable if the function that built it is known, a layering
-violation is a property of the import *graph*.  This module builds the
-shared model those whole-program rules (RPL010–015) run against:
+Every rule runs against this one model.  Some of the contracts they
+protect are *program* properties — a coroutine is only blocking if
+something it transitively calls blocks, a layering violation is a
+property of the import *graph* — so the model is built for the whole
+program at once:
 
 - one :class:`ModuleInfo` per file: dotted module name, the parsed AST
-  (parsed exactly once — pass 2 reuses it), suppression table, resolved
-  import edges (absolute targets, relative imports resolved against the
-  module's own package), and module-level ``*_VERSION`` constants;
+  (parsed exactly once — every rule reuses it), suppression table, the
+  :class:`ImportMap` (local-name aliases and resolved import edges from
+  one walk over the import statements; relative imports resolve against
+  the module's own package), and module-level ``*_VERSION`` constants;
 - one :class:`FunctionInfo` per function/method: coroutine-ness, every
   call site with its canonical dotted target, ``await``-while-holding-a-
   ``threading.Lock`` regions, and ``asyncio.create_task`` retention;
 - the :class:`ProjectModel` tying them together: qualified-name
   function lookup (so call edges cross files) and the import graph.
 
-Resolution is lexical and conservative, like the per-file rules: a call
-through an object attribute (``device.write_block``) does not resolve,
-so no edge is created and no rule guesses.  ``self.method()`` resolves
+Resolution is lexical and conservative: a call through an object
+attribute (``device.write_block``) does not resolve, so no edge is
+created and no rule guesses.  ``self.method()`` resolves
 within the defining class — the one object-dispatch case a linter can
 answer soundly.
 """
@@ -27,23 +27,29 @@ answer soundly.
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 import fnmatch
+import functools
 import pathlib
+from typing import Any, Iterator
 
 from repro.lint.config import LintConfig
-from repro.lint.rules.imports import ImportMap, resolve_relative
 from repro.lint.suppress import Suppressions
 
 __all__ = [
     "CallSite",
     "FunctionInfo",
     "ImportEdge",
+    "ImportMap",
     "ModuleInfo",
     "ProjectModel",
     "TaskSpawn",
     "build_model",
     "module_name_for",
+    "qualified_name",
+    "rel_posix_of",
+    "resolve_relative",
 ]
 
 #: Module-level constants matching these patterns are tracked as engine
@@ -95,11 +101,9 @@ class FunctionInfo:
 
     qualname: str  # module-qualified: ``pkg.mod.Class.meth``
     name: str
-    module: str
     lineno: int
     col: int
     is_coroutine: bool
-    params: list[str]
     calls: list[CallSite]
     awaits_under_lock: list[tuple[int, int, str]]  # (line, col, lock expr)
     task_spawns: list[TaskSpawn]
@@ -116,21 +120,141 @@ class ImportEdge:
     names: tuple[str, ...]  # imported names for ``from x import a, b``
 
 
+def qualified_name(node: ast.AST) -> str | None:
+    """Dotted name of a Name/Attribute chain (``np.random.default_rng``).
+
+    Returns ``None`` for anything that is not a pure attribute chain
+    (calls, subscripts, …), which rules treat as "not statically
+    resolvable" rather than guessing.
+    """
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def resolve_relative(module: str | None, level: int, target: str | None) -> str | None:
+    """Absolute module named by a ``from ..x import y`` statement.
+
+    ``module`` is the dotted name of the importing module (``None`` when
+    unknown, in which case relative imports stay unresolved).  ``level``
+    counts leading dots; one dot anchors at the importer's package.
+    """
+    if level == 0:
+        return target
+    if module is None:
+        return None
+    parts = module.split(".")
+    if len(parts) < level:
+        return None
+    base = parts[: len(parts) - level]
+    if target:
+        base.append(target)
+    return ".".join(base) if base else None
+
+
+def _import_statements(body: list) -> Iterator[ast.Import | ast.ImportFrom]:
+    """Import statements at any depth, in source order.
+
+    Imports are statements, so only statement bodies are descended
+    into — never expressions, which hold most of a tree's nodes.
+    """
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+            yield from _import_statements(getattr(node, field, ()))
+
+
+class ImportMap:
+    """One file's import statements: local-name aliases and import edges.
+
+    ``np.random.default_rng``, ``numpy.random.default_rng`` and ``from
+    numpy.random import default_rng`` must all trip the same rule, so
+    :meth:`canonical` rewrites an expression's dotted path into
+    fully-qualified module terms.  The same walk records one
+    :class:`ImportEdge` per statement for the import graph.  ``module``
+    — the file's own dotted name — lets relative imports resolve;
+    without it they are skipped.  Resolution is purely lexical: a local
+    variable shadowing an import alias later in the file is not tracked,
+    which is the right trade for a linter — false positives stay
+    suppressible, and no code is executed.
+    """
+
+    def __init__(self, tree: ast.Module, module: str | None = None):
+        self._alias: dict[str, str] = {}
+        self.edges: list[ImportEdge] = []
+        for node in _import_statements(tree.body):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    self.edges.append(
+                        ImportEdge(alias.name, node.lineno, node.col_offset, ())
+                    )
+                    if alias.asname is not None:
+                        self._alias[alias.asname] = alias.name
+                    else:
+                        # ``import numpy.random`` binds the *top* name.
+                        top = alias.name.split(".", 1)[0]
+                        self._alias[top] = top
+            else:
+                source = resolve_relative(module, node.level, node.module)
+                if source is None:
+                    continue
+                names = tuple(alias.name for alias in node.names)
+                self.edges.append(
+                    ImportEdge(source, node.lineno, node.col_offset, names)
+                )
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    self._alias[local] = f"{source}.{alias.name}"
+
+    def alias_of(self, local: str) -> str | None:
+        """Canonical target a local name was import-bound to, if any."""
+        return self._alias.get(local)
+
+    def canonical(self, node: ast.AST) -> str | None:
+        """Fully-qualified dotted name of an attribute chain, or None."""
+        dotted = qualified_name(node)
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        resolved = self._alias.get(head, head)
+        return f"{resolved}.{rest}" if rest else resolved
+
+
 @dataclasses.dataclass
 class ModuleInfo:
-    """Everything pass 2 may ask about one file."""
+    """Everything a rule may ask about one file.
 
-    path: str
+    A file that cannot be read or parsed has ``tree`` None, its
+    ``parse_error`` set, and an empty import map and summaries.
+    """
+
     rel_posix: str
     module: str
     source: str
     tree: ast.Module | None
     suppressions: Suppressions
-    imports: list[ImportEdge]
-    import_map: ImportMap | None
+    import_map: ImportMap
     version_constants: set[str]
     functions: dict[str, FunctionInfo]  # key: in-module qualname
     parse_error: Exception | None = None
+
+    @functools.cached_property
+    def nodes(self) -> dict[type, list[Any]]:
+        """Every node of the tree grouped by node type, from one walk.
+
+        Rules that scan a whole file for one node type share this walk
+        instead of each walking the tree again.
+        """
+        grouped: dict[type, list[Any]] = collections.defaultdict(list)
+        for node in ast.walk(self.tree) if self.tree is not None else ():
+            grouped[type(node)].append(node)
+        return grouped
 
 
 _TASK_FACTORIES = {"asyncio.create_task", "asyncio.ensure_future"}
@@ -185,23 +309,12 @@ class _ModuleVisitor(ast.NodeVisitor):
     # -- function scaffolding -----------------------------------------
     def _enter_function(self, node, is_coroutine: bool):
         scope = ".".join(self._class_stack + [node.name])
-        args = node.args
-        params = [
-            a.arg
-            for a in [
-                *args.posonlyargs, *args.args, *args.kwonlyargs,
-                *([args.vararg] if args.vararg else []),
-                *([args.kwarg] if args.kwarg else []),
-            ]
-        ]
         info = FunctionInfo(
             qualname=f"{self.module}.{scope}",
             name=node.name,
-            module=self.module,
             lineno=node.lineno,
             col=node.col_offset,
             is_coroutine=is_coroutine,
-            params=params,
             calls=[],
             awaits_under_lock=[],
             task_spawns=[],
@@ -302,29 +415,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _collect_imports(tree: ast.Module, module: str) -> list[ImportEdge]:
-    edges: list[ImportEdge] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                edges.append(
-                    ImportEdge(alias.name, node.lineno, node.col_offset, ())
-                )
-        elif isinstance(node, ast.ImportFrom):
-            target = resolve_relative(module, node.level, node.module)
-            if target is None:
-                continue
-            edges.append(
-                ImportEdge(
-                    target,
-                    node.lineno,
-                    node.col_offset,
-                    tuple(alias.name for alias in node.names),
-                )
-            )
-    return edges
-
-
 def _version_constants(tree: ast.Module) -> set[str]:
     """Public module-level ``*_VERSION`` assignments."""
     out: set[str] = set()
@@ -344,54 +434,46 @@ def _version_constants(tree: ast.Module) -> set[str]:
     return out
 
 
-def build_module_info(
-    path: str | pathlib.Path, config: LintConfig, *, module: str | None = None
-) -> ModuleInfo:
+def rel_posix_of(path: pathlib.Path, root: pathlib.Path) -> str:
+    """POSIX path of ``path`` relative to ``root`` (absolute if outside)."""
+    try:
+        return path.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:
+        return path.resolve().as_posix()
+
+
+def build_module_info(path: str | pathlib.Path, config: LintConfig) -> ModuleInfo:
     """Parse one file into its :class:`ModuleInfo` (parse errors recorded)."""
     p = pathlib.Path(path)
-    root = pathlib.Path(config.root)
-    try:
-        rel_posix = p.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        rel_posix = p.resolve().as_posix()
-    modname = module if module is not None else module_name_for(p)
+    modname = module_name_for(p)
+    source = ""
+    tree: ast.Module | None = None
+    error: Exception | None = None
     try:
         source = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return ModuleInfo(
-            path=str(p), rel_posix=rel_posix, module=modname, source="",
-            tree=None, suppressions=Suppressions(), imports=[], import_map=None,
-            version_constants=set(), functions={}, parse_error=exc,
-        )
-    try:
         tree = ast.parse(source, filename=str(p))
-    except SyntaxError as exc:
-        return ModuleInfo(
-            path=str(p), rel_posix=rel_posix, module=modname, source=source,
-            tree=None, suppressions=Suppressions.from_source(source), imports=[],
-            import_map=None, version_constants=set(), functions={},
-            parse_error=exc,
-        )
-    imports = ImportMap(tree, module=modname)
+    except (OSError, UnicodeDecodeError, SyntaxError) as exc:
+        error = exc
+    body = tree if tree is not None else ast.Module(body=[], type_ignores=[])
+    imports = ImportMap(body, module=modname)
     local_defs = {
         n.name
-        for n in tree.body
+        for n in body.body
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
     visitor = _ModuleVisitor(modname, imports, local_defs)
-    for child in tree.body:
+    for child in body.body:
         visitor.visit(child)
     return ModuleInfo(
-        path=str(p),
-        rel_posix=rel_posix,
+        rel_posix=rel_posix_of(p, pathlib.Path(config.root)),
         module=modname,
         source=source,
         tree=tree,
         suppressions=Suppressions.from_source(source),
-        imports=_collect_imports(tree, modname),
         import_map=imports,
-        version_constants=_version_constants(tree),
+        version_constants=_version_constants(body),
         functions=visitor.functions,
+        parse_error=error,
     )
 
 
@@ -424,21 +506,18 @@ class ProjectModel:
         # import map where the remaining name came from.
         head, _, tail = name.rpartition(".")
         mod = self.by_module.get(head)
-        if mod is not None and mod.import_map is not None and tail:
+        if mod is not None and tail:
             alias = mod.import_map.alias_of(tail)
             if alias is not None and alias != name:
                 return self.functions.get(alias)
         return None
-
-    def module_of(self, rel_posix: str) -> ModuleInfo | None:
-        return self.modules.get(rel_posix)
 
     def import_graph(self) -> dict[str, set[str]]:
         """Module → set of imported project modules (resolved edges)."""
         graph: dict[str, set[str]] = {}
         for m in self.modules.values():
             targets: set[str] = set()
-            for edge in m.imports:
+            for edge in m.import_map.edges:
                 if edge.target in self.by_module:
                     targets.add(edge.target)
                 for n in edge.names:
@@ -447,43 +526,6 @@ class ProjectModel:
                         targets.add(sub)
             graph[m.module] = targets
         return graph
-
-    def import_cycles(self) -> list[list[str]]:
-        """Strongly-connected components of size > 1 (import cycles)."""
-        graph = self.import_graph()
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        cycles: list[list[str]] = []
-        counter = [0]
-
-        def strongconnect(v: str) -> None:
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            for w in sorted(graph.get(v, ())):
-                if w not in index:
-                    strongconnect(w)
-                    low[v] = min(low[v], low[w])
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if low[v] == index[v]:
-                comp: list[str] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1:
-                    cycles.append(sorted(comp))
-
-        for v in sorted(graph):
-            if v not in index:
-                strongconnect(v)
-        return sorted(cycles)
 
 
 def build_model(

@@ -1,26 +1,28 @@
 """Reporters: human text and machine JSON.
 
-The JSON document (``schema_version`` 3) is stable for CI consumption;
+The JSON document (``schema_version`` 4) is stable for CI consumption;
 its shape is documented in ``docs/LINTING.md`` and pinned by
 ``tests/test_lint_engine.py``::
 
     {
-      "schema_version": 3,
+      "schema_version": 4,
       "tool": "repro.lint",
       "files_checked": <int>,
       "suppressed": <int>,
       "violations": [
         {"path": str, "line": int, "col": int, "code": "RPLnnn",
-         "rule": str, "severity": "error"|"warning", "message": str},
+         "rule": str, "message": str},
         ...
       ],
-      "summary": {"total": int, "errors": int, "warnings": int,
+      "summary": {"total": int, "errors": int,
                   "by_code": {"RPLnnn": int, ...}},
       "exit_code": 0|1
     }
 
 Schema history: v1 had no ``baselined`` field; v2 added it for the
-ratchet baseline; v3 dropped it with the baseline.
+ratchet baseline; v3 dropped it with the baseline; v4 dropped the
+per-violation ``severity`` and ``summary.warnings`` (every violation
+is an error).
 """
 
 from __future__ import annotations
@@ -30,29 +32,19 @@ from collections import Counter
 from typing import Any
 
 from repro.lint.engine import LintResult
-from repro.lint.rules import all_project_rules, all_rules
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "render_json",
-    "render_text",
-    "render_rule_list",
-    "to_json_dict",
-]
+__all__ = ["SCHEMA_VERSION", "render_json", "render_text", "to_json_dict"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def render_text(result: LintResult) -> str:
-    """``path:line:col: CODE [severity] message`` lines plus a summary."""
+    """``path:line:col: CODE message`` lines plus a summary."""
     lines = [
-        f"{v.path}:{v.line}:{v.col}: {v.code} [{v.severity.value}] {v.message}"
+        f"{v.path}:{v.line}:{v.col}: {v.code} {v.message}"
         for v in result.violations
     ]
-    summary = (
-        f"{result.files_checked} files checked: "
-        f"{result.errors} errors, {result.warnings} warnings"
-    )
+    summary = f"{result.files_checked} files checked: {len(result.violations)} errors"
     if result.suppressed:
         summary += f", {result.suppressed} suppressed"
     lines.append(summary)
@@ -69,8 +61,7 @@ def to_json_dict(result: LintResult) -> dict[str, Any]:
         "violations": [v.to_dict() for v in result.violations],
         "summary": {
             "total": len(result.violations),
-            "errors": result.errors,
-            "warnings": result.warnings,
+            "errors": len(result.violations),
             "by_code": dict(sorted(by_code.items())),
         },
         "exit_code": result.exit_code,
@@ -79,21 +70,3 @@ def to_json_dict(result: LintResult) -> dict[str, Any]:
 
 def render_json(result: LintResult) -> str:
     return json.dumps(to_json_dict(result), indent=2, sort_keys=False)
-
-
-def render_rule_list() -> str:
-    """``--list-rules`` output: code, name, severity, rationale.
-
-    Whole-program rules are listed after the per-file rules, marked
-    ``[project]``.
-    """
-    lines = []
-    for rule in all_rules():
-        lines.append(f"{rule.code}  {rule.name} [{rule.severity.value}]")
-        lines.append(f"        {rule.rationale}")
-    for rule in all_project_rules():
-        lines.append(
-            f"{rule.code}  {rule.name} [{rule.severity.value}] [project]"
-        )
-        lines.append(f"        {rule.rationale}")
-    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""RPL001 — banned nondeterministic / unroutled RNG construction.
+"""RPL001 — banned nondeterministic / unrouted RNG construction.
 
 Bit-identical Monte Carlo results (any worker count, any chunk size)
 hold only because every generator descends from the ``SeedSequence``
@@ -8,24 +8,34 @@ spawn tree in :mod:`repro.montecarlo.rng`.  Three hazards break that:
    ``np.random.RandomState`` …) — hidden shared state, order-dependent;
 2. unseeded construction (``default_rng()`` / ``default_rng(None)`` /
    ``SeedSequence()``) — fresh OS entropy every run;
-3. ad-hoc ``default_rng(...)`` / ``Generator(...)`` construction in
-   engine code — even seeded, it forks the stream outside the spawn
-   tree, so results stop being a pure function of the campaign seed.
+3. ad-hoc ``default_rng(...)`` / ``Generator(...)`` /
+   ``random.Random(...)`` construction in engine code — even seeded, it
+   forks the stream outside the spawn tree, so results stop being a
+   pure function of the campaign seed.  A generator built this way and
+   handed to an MC entry point is exactly the provenance break a
+   dataflow trace would find, so flagging the construction site covers
+   it.
 
-(1) and (2) are flagged everywhere.  (3) is flagged only under the
-``restricted`` path globs (default: ``src/*``) and never in the
-``allow``-listed fan-out modules; tests and benchmarks may build seeded
-generators directly.
+(1) and (2) are flagged everywhere.  (3) is flagged only under
+``RESTRICTED`` (``src/``); nothing is flagged in the ``ALLOW``-listed
+fan-out modules.  Tests and benchmarks may build seeded generators
+directly.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.rules.base import Rule, Severity, Violation
-from repro.lint.rules.imports import ImportMap
+from repro.lint.config import path_matches
+from repro.lint.model import ModuleInfo, ProjectModel
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["BannedRandomRule"]
+
+#: Where ad-hoc (even seeded) construction is an error.
+RESTRICTED = ("src/*",)
+#: The spawn-tree home modules, exempt from every clause.
+ALLOW = ("*/montecarlo/rng.py", "*/montecarlo/executor.py")
 
 _NS = "numpy.random"
 
@@ -43,8 +53,9 @@ _LEGACY = {
     "get_state", "set_state", "RandomState",
 }
 
-_CONSTRUCTORS = {f"{_NS}.default_rng", f"{_NS}.Generator"}
-_SEEDED_CONSTRUCTORS = _CONSTRUCTORS | {f"{_NS}.SeedSequence"}
+_NP_CONSTRUCTORS = {f"{_NS}.default_rng", f"{_NS}.Generator"}
+_SEEDED_CONSTRUCTORS = _NP_CONSTRUCTORS | {f"{_NS}.SeedSequence"}
+_CONSTRUCTORS = _NP_CONSTRUCTORS | {"random.Random"}
 
 
 def _is_unseeded(call: ast.Call) -> bool:
@@ -72,60 +83,42 @@ def _is_unseeded(call: ast.Call) -> bool:
 class BannedRandomRule(Rule):
     code = "RPL001"
     name = "banned-nondeterministic-rng"
-    severity = Severity.ERROR
-    rationale = (
-        "all randomness must flow through the SeedSequence spawn tree in "
-        "repro.montecarlo.rng, or results stop being reproducible"
-    )
-    default_options = {
-        # Where ad-hoc (even seeded) construction is an error.
-        "restricted": ["src/*"],
-        # Spawn-tree home modules, exempt from every clause.
-        "allow": ["*/montecarlo/rng.py", "*/montecarlo/executor.py"],
-    }
+    scope = RESTRICTED
 
-    def check(self, tree: ast.Module, ctx) -> list[Violation]:
-        opts = self.options(ctx)
-        from repro.lint.config import path_matches
-
-        if path_matches(ctx.rel_posix, list(opts["allow"])):
-            return []
-        restricted = path_matches(ctx.rel_posix, list(opts["restricted"]))
-        imports = ImportMap(tree)
+    def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+        for module in model.modules.values():
+            if module.tree is None or path_matches(module.rel_posix, ALLOW):
                 continue
-            name = imports.canonical(node.func)
-            if name is None or not name.startswith(_NS + "."):
+            restricted = path_matches(module.rel_posix, self.scope)
+            out.extend(self._check_module(module, restricted))
+        return out
+
+    def _check_module(self, module: ModuleInfo, restricted: bool) -> list[Violation]:
+        out: list[Violation] = []
+        for node in module.nodes[ast.Call]:
+            name = module.import_map.canonical(node.func)
+            if name is None:
                 continue
-            tail = name[len(_NS) + 1 :]
-            if tail in _LEGACY:
-                out.append(
-                    self.violation(
-                        ctx,
-                        node,
-                        f"legacy global-state RNG call {name}(); draw from a "
-                        "Generator built by repro.montecarlo.rng instead",
-                    )
+            if name.startswith(_NS + ".") and name[len(_NS) + 1 :] in _LEGACY:
+                message = (
+                    f"legacy global-state RNG call {name}(); draw from a "
+                    "Generator built by repro.montecarlo.rng instead"
                 )
             elif name in _SEEDED_CONSTRUCTORS and _is_unseeded(node):
-                out.append(
-                    self.violation(
-                        ctx,
-                        node,
-                        f"unseeded {name}() draws fresh OS entropy; pass an "
-                        "explicit seed (or derive via repro.montecarlo.rng)",
-                    )
+                message = (
+                    f"unseeded {name}() draws fresh OS entropy; pass an "
+                    "explicit seed (or derive via repro.montecarlo.rng)"
                 )
             elif name in _CONSTRUCTORS and restricted:
-                out.append(
-                    self.violation(
-                        ctx,
-                        node,
-                        f"direct {name}(...) construction outside the "
-                        "SeedSequence fan-out modules; use "
-                        "repro.montecarlo.rng.make_rng/spawn_rngs/block_rng",
-                    )
+                message = (
+                    f"direct {name}(...) construction outside the "
+                    "SeedSequence fan-out modules; use "
+                    "repro.montecarlo.rng.make_rng/spawn_rngs/block_rng"
                 )
+            else:
+                continue
+            out.append(
+                self.violation(module, node.lineno, node.col_offset, message)
+            )
         return out

@@ -4,8 +4,10 @@ Monte Carlo results and campaign job payloads must be pure functions of
 ``(spec, seed, ENGINE_VERSION)``; a ``time.time()`` or
 ``datetime.now()`` folded into a result (or a cache key) makes runs
 unrepeatable and resume non-byte-equal.  The rule bans wall-clock reads
-inside the configured deterministic path globs (default: ``montecarlo``
-and ``campaign``).  Monotonic clocks for *metrics* — ``perf_counter``,
+inside the deterministic packages: the MC and campaign engines, the
+fleet, and the service, which simulates in virtual time
+(:mod:`repro.service.clock`) so device results stay pure functions of
+the request history.  Monotonic clocks for *metrics* — ``perf_counter``,
 ``monotonic`` — stay allowed: they measure, they never enter results.
 Telemetry timestamps (event logs) are the intended use of an inline
 ``# repro-lint: disable=RPL003 -- <why>`` waiver.
@@ -18,10 +20,12 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.rules.base import Rule, Severity, Violation
-from repro.lint.rules.imports import ImportMap
+from repro.lint.model import ProjectModel
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["WallClockRule"]
+
+DETERMINISTIC_PATHS = ("*/montecarlo/*", "*/campaign/*", "*/service/*", "*/fleet/*")
 
 _BANNED = {
     "time.time",
@@ -36,36 +40,23 @@ _BANNED = {
 class WallClockRule(Rule):
     code = "RPL003"
     name = "wall-clock-in-deterministic-path"
-    severity = Severity.ERROR
-    rationale = (
-        "results must be a pure function of (spec, seed, ENGINE_VERSION); "
-        "wall-clock reads make them unrepeatable"
-    )
-    default_options = {
-        "paths": ["*/montecarlo/*", "*/campaign/*"],
-    }
+    scope = DETERMINISTIC_PATHS
 
-    def check(self, tree: ast.Module, ctx) -> list[Violation]:
-        opts = self.options(ctx)
-        from repro.lint.config import path_matches
-
-        if not path_matches(ctx.rel_posix, list(opts["paths"])):
-            return []
-        imports = ImportMap(tree)
+    def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Attribute, ast.Name)):
-                continue
-            name = imports.canonical(node)
-            if name in _BANNED:
-                out.append(
-                    self.violation(
-                        ctx,
-                        node,
-                        f"wall-clock read {name} in a deterministic path; "
-                        "results must not depend on when they were computed "
-                        "(use time.perf_counter for durations, or suppress "
-                        "with a justification for telemetry)",
+        for module in self.modules(model):
+            for node in [*module.nodes[ast.Attribute], *module.nodes[ast.Name]]:
+                name = module.import_map.canonical(node)
+                if name in _BANNED:
+                    out.append(
+                        self.violation(
+                            module,
+                            node.lineno,
+                            node.col_offset,
+                            f"wall-clock read {name} in a deterministic path; "
+                            "results must not depend on when they were computed "
+                            "(use time.perf_counter for durations, or suppress "
+                            "with a justification for telemetry)",
+                        )
                     )
-                )
         return out

@@ -8,8 +8,7 @@ repo's convention is that every mutation happens inside
 a torn read turns into a wrong dependency payload, which is exactly the
 kind of silent corruption the resume tests cannot catch.
 
-The rule applies to the configured files (default:
-``*/campaign/scheduler.py``).  Inside any class there, a statement that
+The rule applies to ``*/campaign/scheduler.py``.  Inside any class there, a statement that
 mutates ``self.<guarded attr>`` — assignment, augmented assignment,
 subscript store/delete, or a mutating method call such as ``.pop()`` —
 must be lexically inside a ``with self._lock:`` block in the *same*
@@ -22,9 +21,16 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.rules.base import Rule, Severity, Violation, qualified_name
+from repro.lint.model import ModuleInfo, ProjectModel, qualified_name
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["LockDisciplineRule"]
+
+SCHEDULER_FILES = ("*/campaign/scheduler.py",)
+
+_GUARDED = {"states", "results"}
+_LOCK = "self._lock"
+_EXEMPT_METHODS = {"__init__"}
 
 _MUTATORS = {
     "update", "pop", "popitem", "clear", "setdefault",
@@ -32,7 +38,7 @@ _MUTATORS = {
 }
 
 
-def _guarded_base(node: ast.AST, guarded: set[str]) -> ast.AST | None:
+def _guarded_base(node: ast.AST) -> ast.Attribute | None:
     """The ``self.<attr>`` node a store/delete targets, if guarded."""
     while isinstance(node, (ast.Subscript, ast.Starred)):
         node = node.value
@@ -40,7 +46,7 @@ def _guarded_base(node: ast.AST, guarded: set[str]) -> ast.AST | None:
         isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
-        and node.attr in guarded
+        and node.attr in _GUARDED
     ):
         return node
     return None
@@ -49,44 +55,32 @@ def _guarded_base(node: ast.AST, guarded: set[str]) -> ast.AST | None:
 class LockDisciplineRule(Rule):
     code = "RPL004"
     name = "shared-state-mutation-outside-lock"
-    severity = Severity.ERROR
-    rationale = (
-        "scheduler maps are read concurrently by worker threads; "
-        "unlocked mutation risks torn dependency snapshots"
-    )
-    default_options = {
-        "files": ["*/campaign/scheduler.py"],
-        "guarded": ["states", "results"],
-        "lock": "_lock",
-        "exempt_methods": ["__init__"],
-    }
+    scope = SCHEDULER_FILES
 
-    def check(self, tree: ast.Module, ctx) -> list[Violation]:
-        opts = self.options(ctx)
-        from repro.lint.config import path_matches
+    def check(self, model: ProjectModel) -> list[Violation]:
+        out: list[Violation] = []
+        for module in self.modules(model):
+            out.extend(self._check_module(module))
+        return out
 
-        if not path_matches(ctx.rel_posix, list(opts["files"])):
-            return []
-        guarded = set(opts["guarded"])
-        lock_name = f"self.{opts['lock']}"
-        exempt = set(opts["exempt_methods"])
+    def _check_module(self, module: ModuleInfo) -> list[Violation]:
         out: list[Violation] = []
 
         def visit(node: ast.AST, lock_depth: int) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name in exempt:
+                if node.name in _EXEMPT_METHODS:
                     return
                 lock_depth = 0  # the body runs later, lock not inherited
             elif isinstance(node, ast.Lambda):
                 lock_depth = 0
             elif isinstance(node, (ast.With, ast.AsyncWith)):
                 if any(
-                    qualified_name(item.context_expr) == lock_name
+                    qualified_name(item.context_expr) == _LOCK
                     for item in node.items
                 ):
                     lock_depth += 1
             elif lock_depth == 0:
-                hit: ast.AST | None = None
+                hit: ast.Attribute | None = None
                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                     targets = (
                         node.targets
@@ -100,28 +94,29 @@ class LockDisciplineRule(Rule):
                             else [target]
                         )
                         for elt in elts:
-                            hit = hit or _guarded_base(elt, guarded)
+                            hit = hit or _guarded_base(elt)
                 elif isinstance(node, ast.Delete):
                     for target in node.targets:
-                        hit = hit or _guarded_base(target, guarded)
+                        hit = hit or _guarded_base(target)
                 elif isinstance(node, ast.Call):
                     if (
                         isinstance(node.func, ast.Attribute)
                         and node.func.attr in _MUTATORS
                     ):
-                        hit = _guarded_base(node.func.value, guarded)
+                        hit = _guarded_base(node.func.value)
                 if hit is not None:
-                    attr = f"self.{hit.attr}"  # type: ignore[attr-defined]
                     out.append(
                         self.violation(
-                            ctx,
-                            node,
-                            f"mutation of shared {attr} outside "
-                            f"'with {lock_name}:'",
+                            module,
+                            getattr(node, "lineno", 1),
+                            getattr(node, "col_offset", 0),
+                            f"mutation of shared self.{hit.attr} outside "
+                            f"'with {_LOCK}:'",
                         )
                     )
             for child in ast.iter_child_nodes(node):
                 visit(child, lock_depth)
 
-        visit(tree, 0)
+        assert module.tree is not None  # modules() yields parsed files only
+        visit(module.tree, 0)
         return out

@@ -7,71 +7,62 @@ where an operand is a non-integral float literal or an arithmetic
 expression containing a float literal, and points at
 ``math.isclose`` / ``np.isclose``.
 
-Comparisons against the literal ``0.0`` are allowed by default
-(``allow_zero_literal``): this codebase uses exact zero as a sentinel
-for "parameter disabled" (``sigma == 0.0``) and for detecting genuine
-underflow-to-zero, both of which are exact-representation checks, not
-tolerance checks.
+Comparisons against the literal ``0.0`` are allowed: this codebase uses
+exact zero as a sentinel for "parameter disabled" (``sigma == 0.0``)
+and for detecting genuine underflow-to-zero, both of which are
+exact-representation checks, not tolerance checks.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.rules.base import Rule, Severity, Violation
+from repro.lint.model import ProjectModel
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["FloatEqualityRule"]
 
 _ARITH = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.Mod, ast.FloorDiv)
 
 
+def _floatish(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return node.value != 0.0
+    if isinstance(node, ast.UnaryOp):
+        return _floatish(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITH):
+        # Arithmetic over any float literal produces a computed float;
+        # the zero allowance does not apply inside an expression.
+        return any(
+            isinstance(sub, ast.Constant) and isinstance(sub.value, float)
+            for sub in ast.walk(node)
+        )
+    return False
+
+
 class FloatEqualityRule(Rule):
     code = "RPL005"
     name = "float-equality-comparison"
-    severity = Severity.ERROR
-    rationale = (
-        "exact == on computed floats is representation-dependent; "
-        "use math.isclose/np.isclose with an explicit tolerance"
-    )
-    default_options = {
-        "allow_zero_literal": True,
-    }
 
-    def _floatish(self, node: ast.AST, allow_zero: bool) -> bool:
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            return not (allow_zero and node.value == 0.0)
-        if isinstance(node, ast.UnaryOp):
-            return self._floatish(node.operand, allow_zero)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITH):
-            # Arithmetic over any float literal produces a computed float;
-            # the zero allowance does not apply inside an expression.
-            return any(
-                isinstance(sub, ast.Constant) and isinstance(sub.value, float)
-                for sub in ast.walk(node)
-            )
-        return False
-
-    def check(self, tree: ast.Module, ctx) -> list[Violation]:
-        allow_zero = bool(self.options(ctx)["allow_zero_literal"])
+    def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                if self._floatish(left, allow_zero) or self._floatish(
-                    right, allow_zero
+        for module in self.modules(model):
+            for node in module.nodes[ast.Compare]:
+                operands = [node.left, *node.comparators]
+                if any(
+                    isinstance(op, (ast.Eq, ast.NotEq))
+                    and (_floatish(left) or _floatish(right))
+                    for op, left, right in zip(node.ops, operands, operands[1:])
                 ):
+                    # One report per comparison expression.
                     out.append(
                         self.violation(
-                            ctx,
-                            node,
+                            module,
+                            node.lineno,
+                            node.col_offset,
                             "exact ==/!= against a float; use "
                             "math.isclose/np.isclose with an explicit "
                             "tolerance",
                         )
                     )
-                    break  # one report per comparison statement
         return out

@@ -6,8 +6,8 @@ moment the engine thread is free, requests must keep queueing while a
 batch runs, and request futures must resolve in submission order.  A
 coroutine that calls ``time.sleep``, sync file/subprocess I/O, or —
 worse — drops straight into the numpy-heavy Monte Carlo / coding
-kernels stalls every other request on the loop.  The sanctioned seam is the executor
-(``run_in_executor`` / ``run_serialized`` / ``asyncio.to_thread``):
+kernels stalls every other request on the loop.  The sanctioned seam is
+the executor (``run_in_executor`` / ``run_serialized`` / ``asyncio.to_thread``):
 callables passed there produce no call edge, so routing work through
 the seam is exactly what makes this rule pass.
 
@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import fnmatch
 
-from repro.lint.config import path_matches
-from repro.lint.model import FunctionInfo, ProjectModel
-from repro.lint.rules.base import ProjectRule, Severity, Violation
+from repro.lint.model import FunctionInfo, ModuleInfo, ProjectModel
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["BlockingInCoroutineRule"]
 
+#: Files whose coroutines are held to the rule.
+PRODUCTION_CODE = ("src/*",)
+
 #: Call targets that block the calling thread outright.
-_BLOCKING = [
+_BLOCKING = {
     "time.sleep",
     "open",
     "io.open",
@@ -46,74 +48,55 @@ _BLOCKING = [
     "requests.get",
     "requests.post",
     "requests.request",
-]
+}
+#: Project modules that are numpy-heavy compute kernels: calling into
+#: them from a coroutine without the executor seam blocks.
+_HEAVY = ("repro.montecarlo.*", "repro.coding.*")
+#: Kernel-adjacent modules cheap enough to call inline.
+_HEAVY_ALLOW = ("repro.montecarlo.rng", "repro.montecarlo.rng.*")
+#: Transitive search depth through sync project functions.
+_MAX_DEPTH = 6
 
 
-class BlockingInCoroutineRule(ProjectRule):
+def _classify(name: str) -> str | None:
+    """Why a call target blocks, or None if it does not."""
+    if name in _BLOCKING:
+        return f"blocking call {name}()"
+    if any(fnmatch.fnmatch(name, p) for p in _HEAVY_ALLOW):
+        return None
+    if any(fnmatch.fnmatch(name, p) for p in _HEAVY):
+        return f"call into the compute kernel {name}()"
+    return None
+
+
+class BlockingInCoroutineRule(Rule):
     code = "RPL010"
     name = "blocking-call-in-coroutine"
-    severity = Severity.ERROR
-    rationale = (
-        "a blocking call on the event loop stalls the batching queue's "
-        "next flush and every concurrent request; route work through "
-        "the executor seam instead"
-    )
-    default_options = {
-        # Files whose coroutines are held to the rule.
-        "paths": ["src/*"],
-        # Directly blocking call targets (canonical dotted names).
-        "blocking": list(_BLOCKING),
-        # Project modules that are numpy-heavy compute kernels: calling
-        # into them from a coroutine without the executor seam blocks.
-        "heavy": ["repro.montecarlo.*", "repro.coding.*"],
-        # Kernel-adjacent modules cheap enough to call inline.
-        "heavy_allow": ["repro.montecarlo.rng", "repro.montecarlo.rng.*"],
-        # Transitive search depth through sync project functions.
-        "max_depth": 6,
-    }
+    scope = PRODUCTION_CODE
 
-    def _classify(
-        self, name: str, opts, model: ProjectModel
-    ) -> str | None:
-        """Why a call target blocks, or None if it does not."""
-        if name in set(opts["blocking"]):
-            return f"blocking call {name}()"
-        if any(fnmatch.fnmatch(name, p) for p in opts["heavy_allow"]):
-            return None
-        if any(fnmatch.fnmatch(name, p) for p in opts["heavy"]):
-            return f"call into the compute kernel {name}()"
-        return None
-
-    def check_project(self, model: ProjectModel) -> list[Violation]:
-        opts = self.project_options(model.config)
+    def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
-        for module in model.modules.values():
-            if module.tree is None:
-                continue
-            if not path_matches(module.rel_posix, list(opts["paths"])):
-                continue
+        for module in self.modules(model):
             for fn in module.functions.values():
-                if not fn.is_coroutine:
-                    continue
-                out.extend(self._check_coroutine(fn, module, opts, model))
+                if fn.is_coroutine:
+                    out.extend(self._check_coroutine(fn, module, model))
         return out
 
-    def _check_coroutine(self, fn, module, opts, model) -> list[Violation]:
+    def _check_coroutine(
+        self, fn: FunctionInfo, module: ModuleInfo, model: ProjectModel
+    ) -> list[Violation]:
         out = []
         for call in fn.calls:
-            reason = self._classify(call.name, opts, model)
+            reason = _classify(call.name)
             chain: list[str] = []
             if reason is None:
                 target = model.resolve(call.name)
                 if target is not None and not target.is_coroutine:
-                    reason, chain = self._search_sync(
-                        target, opts, model, int(opts["max_depth"])
-                    )
+                    reason, chain = _search_sync(target, model)
             if reason is not None:
                 via = f" (via {' -> '.join(chain)})" if chain else ""
                 out.append(
-                    self.project_violation(
-                        model,
+                    self.violation(
                         module,
                         call.lineno,
                         call.col,
@@ -124,28 +107,29 @@ class BlockingInCoroutineRule(ProjectRule):
                 )
         return out
 
-    def _search_sync(
-        self, start: FunctionInfo, opts, model: ProjectModel, max_depth: int
-    ) -> tuple[str | None, list[str]]:
-        """BFS through sync project calls for the first blocking target."""
-        seen = {start.qualname}
-        frontier: list[tuple[FunctionInfo, list[str]]] = [(start, [start.name])]
-        for _ in range(max_depth):
-            next_frontier: list[tuple[FunctionInfo, list[str]]] = []
-            for fn, chain in frontier:
-                for call in fn.calls:
-                    reason = self._classify(call.name, opts, model)
-                    if reason is not None:
-                        return reason, chain
-                    target = model.resolve(call.name)
-                    if (
-                        target is not None
-                        and not target.is_coroutine
-                        and target.qualname not in seen
-                    ):
-                        seen.add(target.qualname)
-                        next_frontier.append((target, chain + [target.name]))
-            frontier = next_frontier
-            if not frontier:
-                break
-        return None, []
+
+def _search_sync(
+    start: FunctionInfo, model: ProjectModel
+) -> tuple[str | None, list[str]]:
+    """BFS through sync project calls for the first blocking target."""
+    seen = {start.qualname}
+    frontier: list[tuple[FunctionInfo, list[str]]] = [(start, [start.name])]
+    for _ in range(_MAX_DEPTH):
+        next_frontier: list[tuple[FunctionInfo, list[str]]] = []
+        for fn, chain in frontier:
+            for call in fn.calls:
+                reason = _classify(call.name)
+                if reason is not None:
+                    return reason, chain
+                target = model.resolve(call.name)
+                if (
+                    target is not None
+                    and not target.is_coroutine
+                    and target.qualname not in seen
+                ):
+                    seen.add(target.qualname)
+                    next_frontier.append((target, chain + [target.name]))
+        frontier = next_frontier
+        if not frontier:
+            break
+    return None, []

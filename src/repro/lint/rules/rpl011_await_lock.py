@@ -18,39 +18,26 @@ lock and await outside it, or switch to ``asyncio.Lock``.
 
 from __future__ import annotations
 
-from repro.lint.config import path_matches
 from repro.lint.model import ProjectModel
-from repro.lint.rules.base import ProjectRule, Severity, Violation
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["AwaitUnderLockRule"]
 
+PRODUCTION_CODE = ("src/*",)
 
-class AwaitUnderLockRule(ProjectRule):
+
+class AwaitUnderLockRule(Rule):
     code = "RPL011"
     name = "await-holding-thread-lock"
-    severity = Severity.ERROR
-    rationale = (
-        "a threading.Lock held across an await can deadlock the event "
-        "loop and serializes unrelated coroutines behind thread-ordering "
-        "critical sections"
-    )
-    default_options = {
-        "paths": ["src/*"],
-    }
+    scope = PRODUCTION_CODE
 
-    def check_project(self, model: ProjectModel) -> list[Violation]:
-        opts = self.project_options(model.config)
+    def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
-        for module in model.modules.values():
-            if module.tree is None:
-                continue
-            if not path_matches(module.rel_posix, list(opts["paths"])):
-                continue
+        for module in self.modules(model):
             for fn in module.functions.values():
                 for lineno, col, lock in fn.awaits_under_lock:
                     out.append(
-                        self.project_violation(
-                            model,
+                        self.violation(
                             module,
                             lineno,
                             col,

@@ -18,40 +18,28 @@ logs; a justified inline waiver covers the rare exception.
 
 from __future__ import annotations
 
-from repro.lint.config import path_matches
 from repro.lint.model import ProjectModel
-from repro.lint.rules.base import ProjectRule, Severity, Violation
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["FireAndForgetTaskRule"]
 
+PRODUCTION_CODE = ("src/*",)
 
-class FireAndForgetTaskRule(ProjectRule):
+
+class FireAndForgetTaskRule(Rule):
     code = "RPL012"
     name = "fire-and-forget-task"
-    severity = Severity.ERROR
-    rationale = (
-        "a dropped task handle can be garbage-collected mid-flight and "
-        "its exceptions vanish; retain the handle and observe its result"
-    )
-    default_options = {
-        "paths": ["src/*"],
-    }
+    scope = PRODUCTION_CODE
 
-    def check_project(self, model: ProjectModel) -> list[Violation]:
-        opts = self.project_options(model.config)
+    def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
-        for module in model.modules.values():
-            if module.tree is None:
-                continue
-            if not path_matches(module.rel_posix, list(opts["paths"])):
-                continue
+        for module in self.modules(model):
             for fn in module.functions.values():
                 for spawn in fn.task_spawns:
                     if spawn.retained:
                         continue
                     out.append(
-                        self.project_violation(
-                            model,
+                        self.violation(
                             module,
                             spawn.lineno,
                             spawn.col,

@@ -29,44 +29,38 @@ from __future__ import annotations
 import ast
 import fnmatch
 
-from repro.lint.config import path_matches
-from repro.lint.model import FunctionInfo, ModuleInfo, ProjectModel
-from repro.lint.rules.base import ProjectRule, Severity, Violation, qualified_name
+from repro.lint.model import FunctionInfo, ModuleInfo, ProjectModel, qualified_name
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["CacheKeyCompletenessRule"]
 
+#: Modules whose calls make a builder's callers (the engines it keys).
+PRODUCTION_CODE = ("src/*",)
+
 #: The version constant every key builder must reference, whoever calls it.
 _FLOOR_VERSION = "ENGINE_VERSION"
+#: Key-builder function name patterns.
+_BUILDER_NAMES = ("*_key", "key", "*cache_key*")
 
 
-class CacheKeyCompletenessRule(ProjectRule):
+class CacheKeyCompletenessRule(Rule):
     code = "RPL014"
     name = "cache-key-missing-version-constant"
-    severity = Severity.ERROR
-    rationale = (
-        "a cache key that omits a version constant of an engine feeding "
-        "it silently serves results computed by stale code after that "
-        "engine changes"
-    )
-    default_options = {
-        # Builder name patterns.
-        "name_patterns": ["*_key", "key", "*cache_key*"],
-        # Caller modules considered engine code.
-        "paths": ["src/*"],
-    }
+    scope = PRODUCTION_CODE
 
-    def check_project(self, model: ProjectModel) -> list[Violation]:
-        opts = self.project_options(model.config)
-        builders = self._find_builders(model, opts)
+    def check(self, model: ProjectModel) -> list[Violation]:
+        builders = self._find_builders(model)
         if not builders:
             return []
-        callers = self._callers_of(model, builders, opts)
+        callers = self._callers_of(model, builders)
+        graph = model.import_graph()
         out: list[Violation] = []
         for qualname, (fn, module) in sorted(builders.items()):
             required: dict[str, str] = {}  # constant -> inducing module
             caller_modules = callers.get(qualname) or {module.module}
             for caller in sorted(caller_modules):
-                for const, origin in self._version_surface(model, caller).items():
+                surface = self._version_surface(model, graph, caller)
+                for const, origin in surface.items():
                     required.setdefault(const, origin)
             required.setdefault(_FLOOR_VERSION, "required of every key")
             referenced = self._referenced_names(fn)
@@ -76,8 +70,7 @@ class CacheKeyCompletenessRule(ProjectRule):
                     f"{name} ({required[name]})" for name in missing
                 )
                 out.append(
-                    self.project_violation(
-                        model,
+                    self.violation(
                         module,
                         fn.lineno,
                         fn.col,
@@ -90,32 +83,25 @@ class CacheKeyCompletenessRule(ProjectRule):
         return out
 
     # -- discovery -----------------------------------------------------
+    @staticmethod
     def _find_builders(
-        self, model: ProjectModel, opts
+        model: ProjectModel,
     ) -> dict[str, tuple[FunctionInfo, ModuleInfo]]:
-        patterns = list(opts["name_patterns"])
         out: dict[str, tuple[FunctionInfo, ModuleInfo]] = {}
         for module in model.modules.values():
-            if module.tree is None:
-                continue
             for fn in module.functions.values():
-                if not any(fnmatch.fnmatch(fn.name, p) for p in patterns):
+                if not any(fnmatch.fnmatch(fn.name, p) for p in _BUILDER_NAMES):
                     continue
                 if any(c.name.startswith("hashlib.") for c in fn.calls):
                     out[fn.qualname] = (fn, module)
         return out
 
     def _callers_of(
-        self, model: ProjectModel, builders: dict, opts
+        self, model: ProjectModel, builders: dict
     ) -> dict[str, set[str]]:
         """builder qualname -> modules (dotted) with a resolved call to it."""
-        paths = list(opts["paths"])
         callers: dict[str, set[str]] = {}
-        for module in model.modules.values():
-            if module.tree is None:
-                continue
-            if not path_matches(module.rel_posix, paths):
-                continue
+        for module in self.modules(model):
             for fn in module.functions.values():
                 if fn.qualname in builders:
                     continue  # a builder calling hashlib is not a caller
@@ -127,15 +113,16 @@ class CacheKeyCompletenessRule(ProjectRule):
                         )
         return callers
 
+    @staticmethod
     def _version_surface(
-        self, model: ProjectModel, dotted: str
+        model: ProjectModel, graph: dict[str, set[str]], dotted: str
     ) -> dict[str, str]:
         """``*_VERSION`` constants visible from one caller module."""
         module = model.by_module.get(dotted)
         if module is None:
             return {}
         surface = {c: dotted for c in module.version_constants}
-        for target in sorted(model.import_graph().get(dotted, ())):
+        for target in sorted(graph.get(dotted, ())):
             imported = model.by_module.get(target)
             if imported is None:
                 continue

@@ -22,7 +22,7 @@ suite pins the table's exact contents.
 from __future__ import annotations
 
 from repro.lint.model import ProjectModel
-from repro.lint.rules.base import ProjectRule, Severity, Violation
+from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["LayeringContractRule", "dotted_prefix"]
 
@@ -32,42 +32,24 @@ def dotted_prefix(module: str, prefix: str) -> bool:
     return module == prefix or module.startswith(prefix + ".")
 
 
-class LayeringContractRule(ProjectRule):
+class LayeringContractRule(Rule):
     code = "RPL015"
     name = "layering-contract-violation"
-    severity = Severity.ERROR
-    rationale = (
-        "cross-layer imports couple the compute kernels to the service "
-        "stack (breaking worker-process isolation) or the service to "
-        "campaign persistence; the allowed graph is declared in "
-        "[tool.repro-lint.layers]"
-    )
-    default_options: dict = {}
 
-    def check_project(self, model: ProjectModel) -> list[Violation]:
-        layers = model.config.layers
-        if not layers:
-            return []
+    def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
-        for module in model.modules.values():
-            if module.tree is None or not module.module:
-                continue
-            denied: list[tuple[str, str]] = []  # (layer key, deny prefix)
-            for layer, contract in layers.items():
-                if not dotted_prefix(module.module, layer):
-                    continue
-                for deny in contract.get("deny", ()):
-                    denied.append((layer, deny))
-            if not denied:
-                continue
-            for edge in module.imports:
-                if edge.target is None:
-                    continue
+        for module in self.modules(model):
+            denied = [
+                (layer, deny)
+                for layer, contract in model.config.layers.items()
+                if dotted_prefix(module.module, layer)
+                for deny in contract.get("deny", ())
+            ]
+            for edge in module.import_map.edges:
                 for layer, deny in denied:
                     if dotted_prefix(edge.target, deny):
                         out.append(
-                            self.project_violation(
-                                model,
+                            self.violation(
                                 module,
                                 edge.lineno,
                                 edge.col,

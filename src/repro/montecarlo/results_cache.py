@@ -202,8 +202,7 @@ class ResultsCache:
         try:
             self._sum_path(key).unlink(missing_ok=True)
         except OSError:
-            # repro-lint: disable=RPL006 -- best-effort sidecar cleanup;
-            # the blob itself is already out of the store
+            # Best-effort sidecar cleanup: the blob is already out of the store.
             pass
         self._mem.pop(key, None)
         self.stats.quarantined += 1
@@ -302,8 +301,7 @@ class ResultsCache:
             try:
                 tmp.unlink(missing_ok=True)
             except OSError:
-                # repro-lint: disable=RPL006 -- cleanup of a best-effort
-                # write; the store_errors counter already recorded it
+                # Best-effort cleanup: store_errors already recorded the failure.
                 pass
         else:
             self.stats.stores += 1

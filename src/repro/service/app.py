@@ -121,7 +121,13 @@ class ServiceApp:
             max_depth=self.config.queue_depth,
         )
         self.batcher = DynamicBatcher(queue)
-        work_dir = self.config.work_dir or tempfile.mkdtemp(prefix="repro-service-")
+        # Without an explicit work_dir the app owns a temporary one and
+        # removes it in stop(); an explicit work_dir is left in place.
+        self._owned_work_dir: tempfile.TemporaryDirectory[str] | None = None
+        work_dir = self.config.work_dir
+        if not work_dir:
+            self._owned_work_dir = tempfile.TemporaryDirectory(prefix="repro-service-")
+            work_dir = self._owned_work_dir.name
         self.jobs = JobManager(
             pathlib.Path(work_dir),
             max_workers=self.config.job_workers,
@@ -142,6 +148,8 @@ class ServiceApp:
         await self.server.stop()
         await self.batcher.close()
         self.jobs.close()
+        if self._owned_work_dir is not None:
+            self._owned_work_dir.cleanup()
 
     # -- routing -------------------------------------------------------
     def _build_router(self) -> Router:

@@ -1,4 +1,4 @@
-"""Bad: ad-hoc generators reaching an rng-parameterized entry point."""
+"""Bad (RPL001): ad-hoc generators built in engine code for an MC entry point."""
 
 import numpy as np
 

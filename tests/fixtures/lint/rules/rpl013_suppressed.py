@@ -8,5 +8,5 @@ def sample_states(spec, rng):
 
 
 def replay_run(spec):
-    # repro-lint: disable=RPL013 -- replaying a legacy trace with its recorded stream
+    # repro-lint: disable=RPL001 -- replaying a legacy trace with its recorded stream
     return sample_states(spec, np.random.default_rng(7))

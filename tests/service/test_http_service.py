@@ -437,6 +437,25 @@ class TestJobs:
         assert all(s == "done" for s in job["result"]["states"].values())
 
 
+class TestWorkDir:
+    def test_owned_temp_work_dir_removed_on_stop(self):
+        runner = ServiceRunner(ServiceConfig(port=0))
+        work_dir = runner.app.jobs.work_dir
+        assert work_dir.name.startswith("repro-service-") and work_dir.is_dir()
+        runner.start()
+        runner.stop()
+        assert not work_dir.exists()
+
+    def test_explicit_work_dir_left_in_place(self, tmp_path):
+        work_dir = tmp_path / "jobs"
+        work_dir.mkdir()
+        runner = ServiceRunner(ServiceConfig(port=0, work_dir=str(work_dir)))
+        assert runner.app.jobs.work_dir == work_dir
+        runner.start()
+        runner.stop()
+        assert work_dir.is_dir()
+
+
 class TestBackpressure:
     def test_queue_full_503(self):
         runner = ServiceRunner(

@@ -10,15 +10,17 @@ import pathlib
 
 import pytest
 
-from repro.lint import LintConfig, load_config, run_whole_program
+from repro.lint import LintConfig, all_rules, load_config, run_whole_program
 from repro.lint.config import ConfigError, path_matches
 from repro.lint.reporters import SCHEMA_VERSION, render_json, render_text, to_json_dict
 from repro.lint.suppress import Suppressions
 
 TREE = pathlib.Path(__file__).parent / "fixtures" / "lint" / "tree"
-#: One seeded finding per rule, in path order: the RPL014 finding lives
-#: in ``rpl002_cache_key.py``, the fixture of the rule it absorbed.
-ALL_CODES = ["RPL001", "RPL014", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007"]
+#: One seeded finding per single-file rule, in path order
+#: (``campaign/scheduler.py``, ``montecarlo/…``, then the loose files);
+#: the RPL014 finding lives in ``rpl002_cache_key.py``, the fixture of
+#: the rule it absorbed.
+ALL_CODES = ["RPL004", "RPL003", "RPL001", "RPL014", "RPL005"]
 
 
 def tree_result():
@@ -30,7 +32,7 @@ class TestSeededTree:
         result = tree_result()
         assert [v.code for v in result.violations] == ALL_CODES
         assert result.exit_code == 1
-        assert result.files_checked == 7
+        assert result.files_checked == 5
 
 
 class TestJsonSchema:
@@ -43,16 +45,13 @@ class TestJsonSchema:
         assert "baselined" not in doc
         assert doc["exit_code"] == 1
         summary = doc["summary"]
-        assert summary["total"] == len(doc["violations"]) == 7
-        assert summary["errors"] == 7 and summary["warnings"] == 0
+        assert set(summary) == {"total", "errors", "by_code"}
+        assert summary["total"] == summary["errors"] == len(doc["violations"]) == 5
         assert summary["by_code"] == {code: 1 for code in sorted(ALL_CODES)}
         for v in doc["violations"]:
-            assert set(v) == {
-                "path", "line", "col", "code", "rule", "severity", "message",
-            }
+            assert set(v) == {"path", "line", "col", "code", "rule", "message"}
             assert isinstance(v["line"], int) and v["line"] >= 1
             assert isinstance(v["col"], int) and v["col"] >= 0
-            assert v["severity"] in ("error", "warning")
             assert v["code"].startswith("RPL")
 
     def test_round_trip_is_sorted(self):
@@ -62,37 +61,29 @@ class TestJsonSchema:
 
     def test_text_report_summary_line(self):
         text = render_text(tree_result())
-        assert text.splitlines()[-1] == "7 files checked: 7 errors, 0 warnings"
+        assert text.splitlines()[-1] == "5 files checked: 5 errors"
 
 
 class TestConfigOverrides:
     def test_per_path_disable(self):
         cfg = load_config(TREE)
-        cfg.per_path["*float_eq*"] = {"disable": ["RPL005"]}
+        cfg.per_path["*float_eq*"] = ["RPL005"]
         result = run_whole_program([TREE], cfg)
         assert "RPL005" not in [v.code for v in result.violations]
-        assert len(result.violations) == 6
-
-    def test_severity_override_downgrades_exit(self):
-        cfg = load_config(TREE)
-        cfg.severity = {code: "warning" for code in ALL_CODES}
-        result = run_whole_program([TREE], cfg)
-        assert len(result.violations) == 7
-        assert result.errors == 0 and result.warnings == 7
-        assert result.exit_code == 0
+        assert len(result.violations) == 4
 
     def test_select_narrows(self):
-        cfg = load_config(TREE)
-        cfg.select = ["RPL007"]
-        result = run_whole_program([TREE], cfg)
-        assert [v.code for v in result.violations] == ["RPL007"]
+        # Rules are chosen by passing instances, not by config.
+        rules = [r for r in all_rules() if r.code == "RPL005"]
+        result = run_whole_program([TREE], load_config(TREE), rules=rules)
+        assert [v.code for v in result.violations] == ["RPL005"]
 
     def test_exclude_glob(self):
         cfg = load_config(TREE)
-        cfg.exclude = ["*shell*"]
+        cfg.exclude = ["*float_eq*"]
         result = run_whole_program([TREE], cfg)
-        assert result.files_checked == 6
-        assert "RPL007" not in [v.code for v in result.violations]
+        assert result.files_checked == 4
+        assert "RPL005" not in [v.code for v in result.violations]
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
@@ -102,15 +93,31 @@ class TestConfigOverrides:
             load_config(tmp_path)
 
     def test_bad_severity_rejected(self, tmp_path):
+        # Every violation is an error: there is no severity to set.
         (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro-lint.severity]\nRPL001 = 'fatal'\n"
+            "[tool.repro-lint.severity]\nRPL005 = 'warning'\n"
         )
+        with pytest.raises(ConfigError):
+            load_config(tmp_path)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "[tool.repro-lint]\nselect = ['RPL001']\n",
+            "[tool.repro-lint]\ndisable = ['RPL005']\n",
+            "[tool.repro-lint.rules.RPL003]\npaths = ['*']\n",
+            "[tool.repro-lint.per-path]\n'tests/*' = { select = ['RPL001'] }\n",
+        ],
+    )
+    def test_rule_knobs_rejected(self, tmp_path, block):
+        # Rules read no options and run unless a per-path entry disables them.
+        (tmp_path / "pyproject.toml").write_text(block)
         with pytest.raises(ConfigError):
             load_config(tmp_path)
 
     def test_missing_pyproject_gives_defaults(self, tmp_path):
         cfg = load_config(tmp_path / "sub")
-        assert cfg.select is None and cfg.exclude == []
+        assert cfg.per_path == {} and cfg.exclude == []
 
 
 class TestPathMatching:

@@ -11,8 +11,12 @@ import textwrap
 
 from repro.lint import LintConfig, build_model
 from repro.lint.engine import discover_files
-from repro.lint.model import build_module_info, module_name_for
-from repro.lint.rules.imports import ImportMap, resolve_relative
+from repro.lint.model import (
+    ImportMap,
+    build_module_info,
+    module_name_for,
+    resolve_relative,
+)
 
 
 def make_tree(tmp_path: pathlib.Path) -> list[pathlib.Path]:
@@ -110,6 +114,11 @@ class TestAliasing:
         assert isinstance(info.import_map, ImportMap)
         assert info.import_map.alias_of("h") == "pkg.beta.helper"
         assert info.import_map.alias_of("beta") == "pkg.beta"
+        # The same walk records the edges: one per import statement.
+        assert [(e.target, e.names) for e in info.import_map.edges] == [
+            ("pkg", ("beta",)),
+            ("pkg.beta", ("helper",)),
+        ]
 
 
 class TestGraph:
@@ -123,11 +132,13 @@ class TestGraph:
         assert graph["loose"] == set()
 
     def test_cycle_detection(self, tmp_path):
-        # init -> alpha -> init (via ``from .``) and alpha <-> beta fuse
-        # into one strongly-connected component.
-        assert model_for(tmp_path).import_cycles() == [
-            ["pkg", "pkg.alpha", "pkg.beta"]
-        ]
+        # alpha <-> beta import each other: the graph keeps both edges,
+        # and resolving through the cycle terminates.
+        model = model_for(tmp_path)
+        graph = model.import_graph()
+        assert "pkg.beta" in graph["pkg.alpha"] and "pkg.alpha" in graph["pkg.beta"]
+        assert model.resolve("pkg.beta.helper").qualname == "pkg.beta.helper"
+        assert model.resolve("pkg.alpha.nowhere") is None
 
     def test_reexport_resolution(self, tmp_path):
         model = model_for(tmp_path)

@@ -89,12 +89,14 @@ class TestWholeProgramRun:
         assert [v.code for v in result.violations] == ["RPL012"]
         assert result.exit_code == 1
 
-    def test_json_document_schema_v3(self, tmp_path):
+    def test_json_document_schema_v4(self, tmp_path):
         make_project(tmp_path)
         config = load_config(tmp_path)
         doc = to_json_dict(run_whole_program([tmp_path / "src"], config))
-        assert doc["schema_version"] == SCHEMA_VERSION == 3
+        assert doc["schema_version"] == SCHEMA_VERSION == 4
         assert "baselined" not in doc
+        assert "warnings" not in doc["summary"]
+        assert all("severity" not in v for v in doc["violations"])
         assert doc["summary"]["by_code"] == {"RPL012": 1}
         assert doc["exit_code"] == 1
 
@@ -103,4 +105,6 @@ class TestCli:
     def test_pathless_run_lints_config_paths(self, tmp_path):
         make_project(tmp_path)
         assert main(["--config", str(tmp_path), "-q"]) == 1
-        assert main(["--config", str(tmp_path), "-q", "--disable", "RPL012"]) == 0
+        with open(tmp_path / "pyproject.toml", "a") as f:
+            f.write('[tool.repro-lint.per-path]\n"src/*" = { disable = ["RPL012"] }\n')
+        assert main(["--config", str(tmp_path), "-q"]) == 0

@@ -2,14 +2,17 @@
 
 The acceptance bar for the linter: the repository's own ``src``,
 ``tests`` and ``benchmarks`` trees lint clean under the committed
-``[tool.repro-lint]`` config (every waiver inline and justified), while
-a seeded fixture tree still fails — the rules are green because the
-code is clean, not because they are toothless.
+``[tool.repro-lint]`` config (every waiver inline, justified, and
+actually suppressing something), while a seeded fixture tree still
+fails — the rules are green because the code is clean, not because they
+are toothless.
 
-The repo is parsed and linted once per module (the ``repo`` fixture);
-every repo-wide test reads that one run.
+The repo is linted once per module (the ``repo`` fixture): a pathless
+``python -m repro.lint`` through :func:`main`, with the project model it
+builds captured on the way, so every repo-wide test reads that one run.
 """
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -21,102 +24,104 @@ import tokenize
 
 import pytest
 
-from repro.lint import (
-    LintResult,
-    ProjectModel,
-    all_project_rules,
-    all_rules,
-    build_model,
-    load_config,
-    run_whole_program,
-)
+from repro.lint import ProjectModel, all_rules, build_model, engine, load_config
 from repro.lint.__main__ import main
-from repro.lint.engine import discover_files
 from repro.lint.suppress import _PATTERN
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TREE = ROOT / "tests" / "fixtures" / "lint" / "tree"
-REPO_PATHS = [ROOT / "src", ROOT / "tests", ROOT / "benchmarks"]
 
-#: The seeded tree's one finding per rule (RPL014 via rpl002_cache_key.py).
-TREE_CODES = ["RPL001", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007", "RPL014"]
+#: The seeded tree's one finding per single-file rule (RPL014 via
+#: rpl002_cache_key.py).
+TREE_CODES = ["RPL001", "RPL003", "RPL004", "RPL005", "RPL014"]
 
 
 @dataclasses.dataclass
 class RepoRun:
+    exit_code: int
+    report: dict  # the JSON document the CLI printed
     model: ProjectModel
-    result: LintResult
 
 
 @pytest.fixture(scope="module")
 def repo() -> RepoRun:
-    config = load_config(ROOT)
-    model = build_model(discover_files(REPO_PATHS, config), config)
-    return RepoRun(model, run_whole_program(REPO_PATHS, config, model=model))
+    built: list[ProjectModel] = []
+
+    def recording_build_model(*args, **kwargs):
+        built.append(build_model(*args, **kwargs))
+        return built[-1]
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(engine, "build_model", recording_build_model)
+        exit_code = main(["--format", "json", "--config", str(ROOT)])
+    (model,) = built
+    return RepoRun(exit_code, json.loads(out.getvalue()), model)
+
+
+def waivers(model: ProjectModel) -> list[tuple[str, int, str, str]]:
+    """Every ``# repro-lint:`` comment: (path, line, codes, reason)."""
+    found = []
+    for mod in model.modules.values():
+        if "repro-lint:" not in mod.source:
+            continue
+        for tok in tokenize.generate_tokens(io.StringIO(mod.source).readline):
+            match = _PATTERN.search(tok.string) if tok.type == tokenize.COMMENT else None
+            if match is not None:
+                found.append(
+                    (mod.rel_posix, tok.start[0], match.group("codes"),
+                     (match.group("reason") or "").strip())
+                )
+    return found
 
 
 class TestSelfHost:
     def test_repo_lints_clean(self, repo):
         report = "\n".join(
-            f"{v.path}:{v.line}: {v.code} {v.message}" for v in repo.result.violations
+            f"{v['path']}:{v['line']}: {v['code']} {v['message']}"
+            for v in repo.report["violations"]
         )
-        assert repo.result.exit_code == 0, f"repo must lint clean:\n{report}"
+        assert repo.report["exit_code"] == 0, f"repo must lint clean:\n{report}"
 
     def test_repo_run_actually_checked_files(self, repo):
-        assert repo.result.files_checked > 100
+        assert repo.report["files_checked"] == len(repo.model.modules) > 100
         # The justified telemetry waivers in campaign/events.py.
-        assert repo.result.suppressed >= 3
+        assert repo.report["suppressed"] >= 3
 
     def test_fixture_violations_are_excluded_not_silenced(self):
         config = load_config(ROOT)
-        rel = TREE.relative_to(ROOT).as_posix() + "/rpl001_rng.py"
+        rel = TREE.relative_to(ROOT).as_posix() + "/src/repro/rpl001_rng.py"
         assert config.is_excluded(rel)
 
     def test_every_waiver_has_a_reason(self, repo):
         # docs/LINTING.md policy: a waiver without a `-- reason` does not
         # survive review.  Fixtures are excluded from the model.
-        waivers, unjustified = 0, []
-        for mod in repo.model.modules.values():
-            if "repro-lint:" not in mod.source:
-                continue
-            tokens = tokenize.generate_tokens(io.StringIO(mod.source).readline)
-            for tok in tokens:
-                if tok.type != tokenize.COMMENT:
-                    continue
-                match = _PATTERN.search(tok.string)
-                if match is None:
-                    continue
-                waivers += 1
-                if not (match.group("reason") or "").strip():
-                    unjustified.append(f"{mod.rel_posix}:{tok.start[0]}")
-        assert waivers >= 3
-        assert unjustified == []
+        found = waivers(repo.model)
+        assert len(found) >= 3
+        assert [f"{path}:{line}" for path, line, _, reason in found if not reason] == []
 
-
-@pytest.fixture(scope="module")
-def project_only(repo) -> LintResult:
-    """The repo under the whole-program (project) rules alone."""
-    config = load_config(ROOT)
-    return run_whole_program(REPO_PATHS, config, file_rules=[], model=repo.model)
+    def test_every_waiver_suppresses_a_finding(self, repo):
+        # A waiver whose finding is gone (or whose rule never flagged the
+        # line) is stale: it must be deleted, not carried along.
+        assert len(waivers(repo.model)) == repo.report["suppressed"]
 
 
 class TestWholeProgramSelfHost:
-    def test_repo_clean_under_whole_program_pass(self, project_only):
-        report = "\n".join(
-            f"{v.path}:{v.line}: {v.code} {v.message}"
-            for v in project_only.violations
-        )
-        assert project_only.exit_code == 0, (
-            f"whole-program pass must be clean:\n{report}"
-        )
+    def test_repo_clean_under_whole_program_pass(self, repo):
+        # The pathless run covers every config root in one model, so
+        # the graph rules see calls and imports across all of them.
+        assert repo.report["violations"] == []
+        roots = {m.rel_posix.split("/", 1)[0] for m in repo.model.modules.values()}
+        assert roots == {"src", "tests", "benchmarks"}
 
-    def test_new_rules_need_zero_waivers(self, project_only):
-        # The asyncio/determinism/layering packs self-host with NO
-        # inline waivers: the service routes every kernel call through
-        # the executor seam and retains its flush task, so nothing to
-        # excuse.  If a future change needs one, this count is the
+    def test_new_rules_need_zero_waivers(self, repo):
+        # The asyncio/determinism/layering packs (RPL010-015) self-host
+        # with NO inline waivers: the service routes every kernel call
+        # through the executor seam and retains its flush task, so
+        # nothing to excuse.  If a future change needs one, this is the
         # place it gets accounted for.
-        assert project_only.suppressed == 0
+        codes = {c.strip() for _, _, group, _ in waivers(repo.model) for c in group.split(",")}
+        assert not {c for c in codes if c.startswith("RPL01")}
 
     def test_analysis_actually_sees_the_service(self, repo):
         # Guard against a silently-empty model making "clean" vacuous:
@@ -147,21 +152,33 @@ class TestMainEntry:
         assert code == 1
         assert capsys.readouterr().out == ""
 
-    def test_main_disable_flag(self, capsys, monkeypatch):
-        monkeypatch.chdir(TREE)
-        assert main([".", "--disable", ",".join(TREE_CODES)]) == 0
+    def test_main_disable_flag(self, capsys):
+        # Rules are not selected or tuned from the command line: the old
+        # knobs are usage errors, and a per-path disable is the only
+        # opt-out besides a justified waiver.
+        for flag in ("--disable=RPL001", "--select=RPL001", "--no-config"):
+            with pytest.raises(SystemExit) as exc:
+                main([flag])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_list_rules_covers_catalog(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in [*all_rules(), *all_project_rules()]:
-            assert rule.code in out
-        assert "RPL002" not in out and "RPL008" not in out
+        # The catalog lives in docs/LINTING.md (there is no --list-rules):
+        # every shipped rule is documented there, and no deleted one is.
+        catalog = (ROOT / "docs" / "LINTING.md").read_text()
+        for rule in all_rules():
+            assert f"{rule.code} " in catalog and rule.name in catalog
+        for gone in ("RPL002", "RPL006", "RPL007", "RPL008", "RPL013"):
+            assert f"| {gone} |" not in catalog and f"### {gone}" not in catalog
+        with pytest.raises(SystemExit):
+            main(["--list-rules"])
+        capsys.readouterr()
 
-    def test_main_all_on_repo_exits_zero(self):
+    def test_main_all_on_repo_exits_zero(self, repo):
         # The acceptance bar: a pathless `python -m repro.lint` on the
-        # repo, with the committed config, is clean.
-        assert main(["--quiet", "--config", str(ROOT)]) == 0
+        # repo, with the committed config, is clean.  The shared run is
+        # that invocation.
+        assert repo.exit_code == 0
 
 
 class TestModuleInvocation:
