@@ -4,22 +4,27 @@ Times the Figure-9 read path both ways — the one-block API
 :class:`ThreeOnTwoBlockCodec` looped block by block (each call a
 one-row call into the same kernels: the program has no separate scalar
 3-ON-2 codec), and :class:`BatchThreeOnTwoCodec` decoding 100k blocks in
-one call — asserts the >= 50x speedup batching exists for, and
-cross-validates the empirical BLER engine against the analytic Figure 5
-curve at three CER operating points (the analytic value must fall inside
-each point's exact 95% binomial interval).  Everything lands in
-``results/BENCH_datapath.json``.
+one call — records the cost of a one-row encode and decode, asserts a
+floor on batch decode throughput, and cross-validates the empirical BLER
+engine against the analytic Figure 5 curve at three CER operating points
+(the analytic value must fall inside each point's exact 95% binomial
+interval).  Everything lands in ``results/BENCH_datapath.json``.
+
+The floor is absolute, not a ratio to the one-block rate, so a cheaper
+one-row call cannot trip it: its default of 342,000 blocks/s is 50x the
+one-block rate recorded on the reference machine (6,842/s).
 
 Block counts are env-tunable: ``REPRO_BLER_BLOCKS`` (default 1e6) scales
 the Monte Carlo validation, ``REPRO_BATCH_BLOCKS`` (default 100k) the
-throughput measurement.  ``REPRO_SPEEDUP_FLOOR`` (default 50) relaxes
-the speedup assertion on noisy shared runners; the committed
-``results/BENCH_datapath.json`` records the reference-machine number.
+throughput measurement.  ``REPRO_BATCH_RATE_FLOOR`` relaxes the
+throughput assertion on noisy shared runners; the committed
+``results/BENCH_datapath.json`` records the reference-machine numbers.
 """
 
 import os
 import platform
 import time
+import timeit
 
 import numpy as np
 
@@ -33,10 +38,15 @@ ONE_BLOCK_CALLS = 2_000
 BATCH_BLOCKS = int(os.environ.get("REPRO_BATCH_BLOCKS", 100_000))
 BLER_BLOCKS = int(os.environ.get("REPRO_BLER_BLOCKS", 1_000_000))
 BLER_CERS = [1e-3, 3e-3, 1e-2]
-SPEEDUP_FLOOR = float(os.environ.get("REPRO_SPEEDUP_FLOOR", 50.0))
+BATCH_RATE_FLOOR = float(os.environ.get("REPRO_BATCH_RATE_FLOOR", 342_000))
 
 
-def test_batch_decode_speedup_and_bler_validation():
+def one_row_us(call) -> float:
+    """Best-of-7 cost of ``call`` in microseconds (300 calls per timing)."""
+    return min(timeit.repeat(call, number=300, repeat=7)) / 300 * 1e6
+
+
+def test_batch_decode_throughput_and_bler_validation():
     codec = ThreeOnTwoBlockCodec()
     batch = BatchThreeOnTwoCodec()
     rng = np.random.default_rng(0)
@@ -59,6 +69,8 @@ def test_batch_decode_speedup_and_bler_validation():
     assert np.array_equal(out.data_bits, data), "clean decode must round-trip"
     assert not out.uncorrectable.any()
     speedup = batch_rate / one_block_rate
+    one_row_encode = one_row_us(lambda: batch.encode(data[:1]))
+    one_row_decode = one_row_us(lambda: batch.decode(states[:1], checks[:1]))
 
     # Empirical end-to-end BLER vs the analytic Figure 5 curve.
     results = bler_mc(BLER_CERS, BLER_BLOCKS, seed=0, jobs=0)
@@ -86,6 +98,8 @@ def test_batch_decode_speedup_and_bler_validation():
             "batch_blocks": BATCH_BLOCKS,
             "one_block_blocks_per_s": round(one_block_rate),
             "batch_blocks_per_s": round(batch_rate),
+            "one_row_encode_us": round(one_row_encode, 1),
+            "one_row_decode_us": round(one_row_decode, 1),
             "speedup": round(speedup, 1),
             "bler_mc_blocks_per_point": BLER_BLOCKS,
             "bler_points": points,
@@ -97,9 +111,9 @@ def test_batch_decode_speedup_and_bler_validation():
         },
     )
 
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"batch decode must be >={SPEEDUP_FLOOR:g}x the one-block API, "
-        f"got {speedup:.1f}x"
+    assert batch_rate >= BATCH_RATE_FLOOR, (
+        f"batch decode must reach {BATCH_RATE_FLOOR:,.0f} blocks/s, "
+        f"got {batch_rate:,.0f}"
     )
     for p in points:
         assert p["analytic_in_ci"], p

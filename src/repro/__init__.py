@@ -16,209 +16,123 @@ See README.md for the architecture overview and DESIGN.md for the
 per-experiment index.
 """
 
-from repro.analysis.availability import PAPER_REFRESH_MODEL, RefreshModel
-from repro.analysis.bler import block_error_rate
-from repro.analysis.capacity import (
-    capacity_vs_hard_errors,
-    four_lc_cells,
-    permutation_cells,
-    three_on_two_cells,
-)
-from repro.analysis.latency import PAPER_LATENCY_MODEL, BCHLatencyModel
-from repro.analysis.retention import meets_nonvolatility, retention_time_s
-from repro.analysis.targets import PAPER_TARGET, ReliabilityTarget
-from repro.cells.cell_array import CellArray
-from repro.cells.drift import (
-    NO_ESCALATION,
-    PAPER_ESCALATION,
-    TieredDrift,
-    escalation_schedule,
-)
-from repro.cells.faults import FaultMode, WearoutModel
-from repro.cells.params import TABLE1, StateParams
-from repro.coding.bch import BCH, BCHDecodeFailure
-from repro.coding.blockcodec import (
-    FourLevelBlockCodec,
-    ThreeOnTwoBlockCodec,
-    UncorrectableBlock,
-)
-from repro.coding.permutation import PermutationCode
-from repro.coding.smart import RotationSmartCode
-from repro.core.designs import (
-    all_designs,
-    design_by_name,
-    four_level_naive,
-    four_level_optimal,
-    four_level_smart,
-    three_level_naive,
-    three_level_optimal,
-)
-from repro.core.device import PCMDevice
-from repro.core.levels import LevelDesign
-from repro.mapping.optimizer import optimize_mapping
-from repro.montecarlo.analytic import analytic_design_cer, analytic_state_cer
-from repro.montecarlo.cer import CERResult, design_cer, state_cer
-from repro.montecarlo.sweep import (
-    PAPER_TIME_GRID_S,
-    PAPER_TIME_LABELS,
-    fig3_state_sweep,
-    fig8_design_sweep,
-)
-from repro.wearout.mark_and_spare import (
-    MarkAndSpareBlock,
-    MarkAndSpareConfig,
-    SpareExhausted,
-)
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BCH",
-    "BCHDecodeFailure",
-    "BCHLatencyModel",
-    "CellArray",
-    "CERResult",
-    "FaultMode",
-    "FourLevelBlockCodec",
-    "LevelDesign",
-    "MarkAndSpareBlock",
-    "MarkAndSpareConfig",
-    "NO_ESCALATION",
-    "PAPER_ESCALATION",
-    "PAPER_LATENCY_MODEL",
-    "PAPER_REFRESH_MODEL",
-    "PAPER_TARGET",
-    "PAPER_TIME_GRID_S",
-    "PAPER_TIME_LABELS",
-    "PCMDevice",
-    "PermutationCode",
-    "RefreshModel",
-    "ReliabilityTarget",
-    "RotationSmartCode",
-    "SpareExhausted",
-    "StateParams",
-    "TABLE1",
-    "ThreeOnTwoBlockCodec",
-    "TieredDrift",
-    "UncorrectableBlock",
-    "WearoutModel",
-    "all_designs",
-    "analytic_design_cer",
-    "analytic_state_cer",
-    "block_error_rate",
-    "capacity_vs_hard_errors",
-    "design_by_name",
-    "design_cer",
-    "escalation_schedule",
-    "fig3_state_sweep",
-    "fig8_design_sweep",
-    "four_lc_cells",
-    "four_level_naive",
-    "four_level_optimal",
-    "four_level_smart",
-    "meets_nonvolatility",
-    "optimize_mapping",
-    "permutation_cells",
-    "retention_time_s",
-    "state_cer",
-    "three_level_naive",
-    "three_level_optimal",
-    "three_on_two_cells",
-]
+#: Each public name -> the module it is re-exported from.  Names resolve
+#: on first access (module ``__getattr__``), so ``import repro`` stays
+#: cheap and ``import repro.<subpackage>`` loads only what it uses.
+_EXPORTS = {
+    "BCH": "repro.coding.bch",
+    "BCHDecodeFailure": "repro.coding.bch",
+    "BCHLatencyModel": "repro.analysis.latency",
+    "CellArray": "repro.cells.cell_array",
+    "CERResult": "repro.montecarlo.cer",
+    "FaultMode": "repro.cells.faults",
+    "FourLevelBlockCodec": "repro.coding.blockcodec",
+    "LevelDesign": "repro.core.levels",
+    "MarkAndSpareBlock": "repro.wearout.mark_and_spare",
+    "MarkAndSpareConfig": "repro.wearout.mark_and_spare",
+    "NO_ESCALATION": "repro.cells.drift",
+    "PAPER_ESCALATION": "repro.cells.drift",
+    "PAPER_LATENCY_MODEL": "repro.analysis.latency",
+    "PAPER_REFRESH_MODEL": "repro.analysis.availability",
+    "PAPER_TARGET": "repro.analysis.targets",
+    "PAPER_TIME_GRID_S": "repro.montecarlo.sweep",
+    "PAPER_TIME_LABELS": "repro.montecarlo.sweep",
+    "PCMDevice": "repro.core.device",
+    "PermutationCode": "repro.coding.permutation",
+    "RefreshModel": "repro.analysis.availability",
+    "ReliabilityTarget": "repro.analysis.targets",
+    "RotationSmartCode": "repro.coding.smart",
+    "SpareExhausted": "repro.wearout.mark_and_spare",
+    "StateParams": "repro.cells.params",
+    "TABLE1": "repro.cells.params",
+    "ThreeOnTwoBlockCodec": "repro.coding.blockcodec",
+    "TieredDrift": "repro.cells.drift",
+    "UncorrectableBlock": "repro.coding.blockcodec",
+    "WearoutModel": "repro.cells.faults",
+    "all_designs": "repro.core.designs",
+    "analytic_design_cer": "repro.montecarlo.analytic",
+    "analytic_state_cer": "repro.montecarlo.analytic",
+    "block_error_rate": "repro.analysis.bler",
+    "capacity_vs_hard_errors": "repro.analysis.capacity",
+    "design_by_name": "repro.core.designs",
+    "design_cer": "repro.montecarlo.cer",
+    "escalation_schedule": "repro.cells.drift",
+    "fig3_state_sweep": "repro.montecarlo.sweep",
+    "fig8_design_sweep": "repro.montecarlo.sweep",
+    "four_lc_cells": "repro.analysis.capacity",
+    "four_level_naive": "repro.core.designs",
+    "four_level_optimal": "repro.core.designs",
+    "four_level_smart": "repro.core.designs",
+    "meets_nonvolatility": "repro.analysis.retention",
+    "optimize_mapping": "repro.mapping.optimizer",
+    "permutation_cells": "repro.analysis.capacity",
+    "retention_time_s": "repro.analysis.retention",
+    "state_cer": "repro.montecarlo.cer",
+    "three_level_naive": "repro.core.designs",
+    "three_level_optimal": "repro.core.designs",
+    "three_on_two_cells": "repro.analysis.capacity",
+    # Extended subsystems (related-work substrates and Section-8 generalizations).
+    "EnumerativeCode": "repro.coding.enumerative",
+    "FixedSensing": "repro.cells.sensing",
+    "HelmetSmartCode": "repro.coding.smart",
+    "ManagedPCMDevice": "repro.core.managed",
+    "PCMController": "repro.sim.controller",
+    "PoolExhausted": "repro.wearout.remap",
+    "ReferenceCellSensing": "repro.cells.sensing",
+    "RemapDirectory": "repro.wearout.remap",
+    "SensingPolicy": "repro.cells.sensing",
+    "StartGap": "repro.wearout.wear_leveling",
+    "TimeAwareSensing": "repro.cells.sensing",
+    "WritePolicy": "repro.sim.controller",
+    "best_group": "repro.coding.enumerative",
+    "lifetime_with_remapping": "repro.wearout.remap",
+    "simulate_wear": "repro.wearout.wear_leveling",
+    "wear_stats": "repro.wearout.wear_leveling",
+    "IterativeWriteModel": "repro.cells.program",
+    "Trace": "repro.workloads.synthetic",
+    "WriteOutcome": "repro.cells.program",
+    "interleave": "repro.workloads.synthetic",
+    "load_trace": "repro.workloads.tracefile",
+    "pointer_chase_trace": "repro.workloads.synthetic",
+    "random_trace": "repro.workloads.synthetic",
+    "save_trace": "repro.workloads.tracefile",
+    "stream_trace": "repro.workloads.synthetic",
+    "zipfian_trace": "repro.workloads.synthetic",
+    "NLevelBlockCodec": "repro.coding.nlevel_codec",
+    "gray_sequence": "repro.coding.nlevel_codec",
+    "FrequencySmartCode": "repro.coding.smart",
+    "ResultsCache": "repro.montecarlo.results_cache",
+    # Campaigns and fleet-scale populations.
+    "CampaignScheduler": "repro.campaign",
+    "CampaignSpec": "repro.campaign",
+    "RunStore": "repro.campaign",
+    "builtin_campaign": "repro.campaign",
+    "campaign_from_dict": "repro.campaign",
+    "campaign_from_toml": "repro.campaign",
+    "FleetConfig": "repro.fleet",
+    "FleetEngine": "repro.fleet",
+    "FleetSummary": "repro.fleet",
+    "fleet_mc": "repro.fleet",
+    "stress_config": "repro.fleet",
+}
 
-# Extended subsystems (related-work substrates and Section-8 generalizations).
-from repro.cells.sensing import (
-    FixedSensing,
-    ReferenceCellSensing,
-    SensingPolicy,
-    TimeAwareSensing,
-)
-from repro.coding.enumerative import EnumerativeCode, best_group
-from repro.coding.smart import HelmetSmartCode
-from repro.core.managed import ManagedPCMDevice
-from repro.sim.controller import PCMController, WritePolicy
-from repro.wearout.remap import PoolExhausted, RemapDirectory, lifetime_with_remapping
-from repro.wearout.wear_leveling import StartGap, simulate_wear, wear_stats
+__all__ = list(_EXPORTS)
 
-__all__ += [
-    "EnumerativeCode",
-    "FixedSensing",
-    "HelmetSmartCode",
-    "ManagedPCMDevice",
-    "PCMController",
-    "PoolExhausted",
-    "ReferenceCellSensing",
-    "RemapDirectory",
-    "SensingPolicy",
-    "StartGap",
-    "TimeAwareSensing",
-    "WritePolicy",
-    "best_group",
-    "lifetime_with_remapping",
-    "simulate_wear",
-    "wear_stats",
-]
 
-from repro.cells.program import IterativeWriteModel, WriteOutcome
-from repro.workloads.synthetic import (
-    Trace,
-    interleave,
-    pointer_chase_trace,
-    random_trace,
-    stream_trace,
-    zipfian_trace,
-)
-from repro.workloads.tracefile import load_trace, save_trace
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
 
-__all__ += [
-    "IterativeWriteModel",
-    "Trace",
-    "WriteOutcome",
-    "interleave",
-    "load_trace",
-    "pointer_chase_trace",
-    "random_trace",
-    "save_trace",
-    "stream_trace",
-    "zipfian_trace",
-]
 
-from repro.coding.nlevel_codec import NLevelBlockCodec, gray_sequence
-
-__all__ += ["NLevelBlockCodec", "gray_sequence"]
-
-from repro.coding.smart import FrequencySmartCode
-
-__all__ += ["FrequencySmartCode"]
-
-from repro.montecarlo.results_cache import ResultsCache
-
-__all__ += ["ResultsCache"]
-
-from repro.campaign import (
-    CampaignScheduler,
-    CampaignSpec,
-    RunStore,
-    builtin_campaign,
-    campaign_from_dict,
-    campaign_from_toml,
-)
-
-__all__ += [
-    "CampaignScheduler",
-    "CampaignSpec",
-    "RunStore",
-    "builtin_campaign",
-    "campaign_from_dict",
-    "campaign_from_toml",
-]
-
-from repro.fleet import FleetConfig, FleetEngine, FleetSummary, fleet_mc, stress_config
-
-__all__ += [
-    "FleetConfig",
-    "FleetEngine",
-    "FleetSummary",
-    "fleet_mc",
-    "stress_config",
-]
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -8,15 +8,16 @@ passes; the single-block API,
 :class:`repro.coding.blockcodec.ThreeOnTwoBlockCodec`, is one-row calls
 into the same kernels.
 
-- **Bit packing** — codewords become rows of ``uint64`` words
-  (:func:`pack_bits`), so a GF(2) matrix-vector product collapses to
-  ``popcount(word & mask) & 1`` per precomputed mask column.
+- **One remainder** — the TEC view's two bit planes (each cell's high
+  bit, 1 iff S4, and low bit, 1 iff >= S2) are packed into ``uint64``
+  words, so the BCH-1 remainder modulo the generator polynomial
+  (:meth:`repro.coding.bch.BCH.position_remainders`) is one
+  ``popcount(planes & mask) & 1`` broadcast over the ``n_check``
+  precomputed parity masks.  Encode's check bits are that remainder in
+  binary; decode XORs in the received check bits.
 - **Zero-syndrome dispatch** — a received word is error-free iff its
-  remainder modulo the generator polynomial is zero
-  (:meth:`repro.coding.bch.BCH.position_remainders`), and at datapath
-  CERs almost every block is clean.  The decoder computes all N
-  remainders with ``n_check`` masked popcounts and only touches the
-  (rare) nonzero rows again.
+  remainder is zero, and at datapath CERs almost every block is clean,
+  so decode only touches the (rare) nonzero rows again.
 - **t = 1 vectorized correction** — for BCH-1 the remainder *is* the
   syndrome ``S1 = alpha^deg`` of the single error, so a discrete-log
   table lookup yields every error position at once; no Berlekamp-Massey,
@@ -66,11 +67,9 @@ __all__ = [
     "FAIL_INVALID_PATTERN",
     "FAIL_HEC",
     "FAIL_STAGES",
-    "BatchBCH",
     "BatchDecodedBlocks",
     "BatchThreeOnTwoCodec",
     "batch_codec",
-    "pack_bits",
 ]
 
 #: Salt for persistent BLER-MC cache keys (alongside the executor's
@@ -96,85 +95,30 @@ FAIL_STAGES = {
     FAIL_HEC: ("HEC", "HEC failure: more marked pairs than spare pairs"),
 }
 
-#: Rows per internal decode chunk: large enough to amortize per-call
-#: numpy overhead, small enough that a chunk's inter-stage temporaries
-#: (~10 MB at 8192 rows) stay cache-resident.
-_DECODE_CHUNK = 8192
+#: Rows per internal chunk of encode's remainder and of the whole decode
+#: pipeline: large enough to amortize per-call numpy overhead, small
+#: enough that a chunk's temporaries (the remainder's ``(12, 10, rows)``
+#: word broadcast is ~3.9 MB at 4096 rows) stay bounded.  2048-8192 rows
+#: decode 1e5 blocks at the same rate; 4096 has the lower peak memory.
+_CHUNK = 4096
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack ``(n_rows, n_bits)`` 0/1 rows into ``(n_rows, n_words)`` uint64.
 
-    Rows are padded with zero bits up to a whole number of 64-bit words.
-    The word layout is an internal convention shared with the mask tables
-    (``np.packbits`` byte order viewed as native uint64); only bitwise
-    AND + popcount ever looks inside, so endianness cancels out.
+def _pack_planes(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Pack ``(rows, cells)`` high/low TEC bit planes into ``(words, rows)``.
+
+    Each plane is zero-padded to whole 64-bit words, high plane first,
+    and the result is word-major so that every later pass runs along
+    contiguous rows.  The word layout (``np.packbits`` byte order viewed
+    as native uint64) is a convention shared by the packed states and
+    the parity masks: only AND + popcount ever looks inside a word, so
+    endianness cancels out.
     """
-    b = np.ascontiguousarray(bits, dtype=np.uint8)
-    if b.ndim != 2:
-        raise ValueError(f"expected a 2-D bit array, got shape {b.shape}")
-    n_words = -(-b.shape[1] // 64)
-    packed = np.packbits(b, axis=1)
-    if packed.shape[1] != 8 * n_words:
-        pad = np.zeros((b.shape[0], 8 * n_words - packed.shape[1]), dtype=np.uint8)
-        packed = np.concatenate([packed, pad], axis=1)
-    return packed.view(np.uint64)
-
-
-class BatchBCH:
-    """Packed systematic encoder and single-error locator of a BCH-1 code.
-
-    Precomputes one packed GF(2) mask per check bit from the code's
-    position-remainder table, so encoding is ``n_check`` masked
-    popcounts over the packed rows, and inverts the table so that
-    locating a single error is one gather.
-    """
-
-    def __init__(self, code: BCH):
-        if code.t != 1:
-            raise ValueError(f"not a single-error code: t={code.t}")
-        self.code = code
-        remainders = code.position_remainders()
-        # Bit-column matrix: row b holds bit b of every data position's
-        # remainder (the GF(2) generator matrix in remainder form).
-        cols = (
-            (remainders[None, : code.k] >> np.arange(code.n_check)[:, None]) & 1
-        ).astype(np.uint8)
-        self._encode_masks = pack_bits(cols)
-        # For one error the remainder is S1 = alpha^deg itself, and
-        # position i contributes remainder `remainders[i]`: invert the
-        # table once and correction is a single gather.
-        locate = np.full(1 << code.m, -1, dtype=np.int64)
-        locate[remainders] = np.arange(code.n)
-        locate[0] = -1  # zero is "no error", never a location
-        self._t1_locate = locate
-
-    def t1_error_positions(self, nonzero_remainders: np.ndarray) -> np.ndarray:
-        """Error position for each nonzero remainder.
-
-        ``-1`` marks remainders whose syndrome points outside the
-        shortened word: detectably uncorrectable, exactly the patterns
-        for which the scalar Chien search finds no root in range.
-        """
-        return self._t1_locate[np.asarray(nonzero_remainders, dtype=np.int64)]
-
-    def check_bits(self, data: np.ndarray) -> np.ndarray:
-        """Systematic check bits of ``(n_rows, k)`` data rows."""
-        d = np.ascontiguousarray(data, dtype=np.uint8)
-        if d.ndim != 2 or d.shape[1] != self.code.k:
-            raise ValueError(f"expected (n_rows, {self.code.k}) bits, got {d.shape}")
-        packed = pack_bits(d)
-        nc = self.code.n_check
-        checks = np.zeros((d.shape[0], nc), dtype=np.uint8)
-        for b in range(nc):
-            # Remainder bit b lands at check-bit array index nc - 1 - b
-            # (the scalar encoder's ordering).
-            checks[:, nc - 1 - b] = (
-                np.bitwise_count(packed & self._encode_masks[b][None, :]).sum(
-                    axis=1, dtype=np.int64
-                )
-                & 1
-            )
-        return checks
+    rows, cells = high.shape
+    n_bytes = -(-cells // 8)
+    buf = np.zeros((rows, 2, 8 * -(-cells // 64)), dtype=np.uint8)
+    buf[:, 0, :n_bytes] = np.packbits(high, axis=1)
+    buf[:, 1, :n_bytes] = np.packbits(low, axis=1)
+    return np.ascontiguousarray(buf.reshape(rows, -1).view(np.uint64).T)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,26 +157,49 @@ class BatchThreeOnTwoCodec:
         self.n_mlc_cells = self.ms_config.n_cells
         self.tec = BCH(10, 1, 2 * self.n_mlc_cells)
         self.n_slc_cells = self.tec.n_check
-        self.bch = BatchBCH(self.tec)
         self._n_pairs = self.ms_config.n_pairs
         self._padded_bits = self.ms_config.n_data_pairs * BITS_PER_PAIR
-        # Split parity masks for the state-domain remainder: even codeword
-        # positions hold each cell's high TEC bit (1 iff S4), odd its low
-        # bit (1 iff >= S2).  Packing the two planes separately lets
-        # decode skip materializing the (n_blocks, 708) bit matrix.
         code = self.tec
         remainders = code.position_remainders()
-        cols = (
-            (remainders[None, : code.k] >> np.arange(code.n_check)[:, None]) & 1
-        ).astype(np.uint8)
-        self._parity_masks = np.concatenate(
-            [pack_bits(cols[:, 0::2]), pack_bits(cols[:, 1::2])], axis=1
-        )
-        self._plane_words = self._parity_masks.shape[1] // 2
         # Check positions sit below the generator's degree, so their
-        # remainder columns are exactly the powers of two: the check
-        # bits' remainder contribution is plain binary recomposition.
-        self._check_powers = 1 << np.arange(code.n_check - 1, -1, -1)
+        # remainder columns are exactly the powers of two: check bits,
+        # most significant first, are the remainder in plain binary.
+        self._check_shifts = np.arange(code.n_check - 1, -1, -1)
+        self._check_powers = 1 << self._check_shifts
+        # Parity masks of the GF(2) check matrix in remainder form, in
+        # check-bit order: mask j selects the codeword positions whose
+        # remainder has the bit of check bit j set.  Even positions hold
+        # each cell's high TEC bit (1 iff S4), odd its low bit (1 iff
+        # >= S2), so the masks split into the same two planes as the
+        # packed states.
+        cols = (remainders[None, : code.k] >> self._check_shifts[:, None]) & 1
+        self._parity_masks = _pack_planes(cols[:, 0::2], cols[:, 1::2])[:, :, None]
+        # For one error the remainder is S1 = alpha^deg itself, and
+        # position i contributes remainder `remainders[i]`: inverting the
+        # table once makes correction a single gather.  -1 marks
+        # remainders that point outside the shortened word (detectably
+        # uncorrectable: the scalar Chien search finds no root in range).
+        self._t1_locate = np.full(1 << code.m, -1, dtype=np.int64)
+        self._t1_locate[remainders] = np.arange(code.n)
+        self._t1_locate[0] = -1  # zero is "no error", never a location
+
+    def _remainders(self, states: np.ndarray) -> np.ndarray:
+        """BCH-1 remainder of each row's TEC view, ``(rows,)`` int64.
+
+        The remainder of the data part only (check bits excluded): all
+        ``n_check`` parity bits come from one masked broadcast over the
+        two packed state planes, chunked so its ``(words, n_check, rows)``
+        temporary stays bounded.
+        """
+        rem = np.empty(states.shape[0], dtype=np.int64)
+        for lo in range(0, states.shape[0], _CHUNK):
+            s = states[lo : lo + _CHUNK]
+            words = _pack_planes(s >> 1, s != 0)[:, None, :] & self._parity_masks
+            # popcount(a) + popcount(b) has the parity of popcount(a ^ b):
+            # fold the words first, then count once per check bit.
+            parity = np.bitwise_count(np.bitwise_xor.reduce(words, axis=0)) & 1
+            rem[lo : lo + _CHUNK] = self._check_powers @ parity
+        return rem
 
     # ------------------------------------------------------------------
     def encode(
@@ -277,14 +244,8 @@ class BatchThreeOnTwoCodec:
         states = np.empty((n_blocks, 2 * self._n_pairs), dtype=np.uint8)
         states[:, 0::2] = physical // 3
         states[:, 1::2] = physical % 3
-        # TEC bit view (S1=00, S2=01, S4=11) by strided comparisons
-        # instead of a table gather: fancy indexing over tens of
-        # millions of cells is the batch layer's single largest cost, a
-        # pair of boolean writes is ~10x cheaper.
-        tec_bits = np.empty((n_blocks, 2 * states.shape[1]), dtype=np.uint8)
-        tec_bits[:, 0::2] = states == 2
-        tec_bits[:, 1::2] = states >= 1
-        return states, self.bch.check_bits(tec_bits)
+        checks = (self._remainders(states)[:, None] >> self._check_shifts) & 1
+        return states, checks.astype(np.uint8)
 
     # ------------------------------------------------------------------
     def decode(self, states: np.ndarray, slc_check_bits: np.ndarray) -> BatchDecodedBlocks:
@@ -322,8 +283,8 @@ class BatchThreeOnTwoCodec:
         # Row-chunked pipeline: each chunk's inter-stage temporaries stay
         # cache-resident, which is worth ~1.7x over streaming the whole
         # batch through every stage (measured at 1e5 blocks).
-        for lo in range(0, n_blocks, _DECODE_CHUNK):
-            hi = min(lo + _DECODE_CHUNK, n_blocks)
+        for lo in range(0, n_blocks, _CHUNK):
+            hi = min(lo + _CHUNK, n_blocks)
             self._decode_chunk(
                 s[lo:hi],
                 checks[lo:hi],
@@ -358,21 +319,7 @@ class BatchThreeOnTwoCodec:
         matrix; pair values are read straight off the *received*
         states and only nonzero-remainder rows are patched afterwards.
         """
-        n_blocks = s.shape[0]
-        plane_bytes = -(-self.n_mlc_cells // 8)
-        buf = np.zeros((n_blocks, 16 * self._plane_words), dtype=np.uint8)
-        buf[:, :plane_bytes] = np.packbits(s >> 1, axis=1)  # high bit: S4
-        buf[:, 8 * self._plane_words : 8 * self._plane_words + plane_bytes] = (
-            np.packbits(s != 0, axis=1)  # low bit: S2 or S4
-        )
-        packed = buf.view(np.uint64)
-        rem = checks.astype(np.int64) @ self._check_powers
-        and_buf = np.empty_like(packed)
-        for b in range(self.n_slc_cells):
-            np.bitwise_and(packed, self._parity_masks[b][None, :], out=and_buf)
-            rem ^= (
-                np.bitwise_count(and_buf).sum(axis=1, dtype=np.int64) & 1
-            ) << b
+        rem = self._remainders(s) ^ (checks.astype(np.int64) @ self._check_powers)
         pair_values = s[:, 0::2] * 3 + s[:, 1::2]
         dirty = np.nonzero(rem)[0]
         if dirty.size:
@@ -407,7 +354,7 @@ class BatchThreeOnTwoCodec:
         bit flip only ever touches one cell, so checking the corrected
         cell is exhaustive (received states cannot encode "10").
         """
-        pos = self.bch.t1_error_positions(rem[dirty])
+        pos = self._t1_locate[rem[dirty]]
         bad = pos < 0
         fail[dirty[bad]] = FAIL_TEC
         good = dirty[~bad]

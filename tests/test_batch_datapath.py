@@ -24,9 +24,8 @@ from repro.coding.batch import (
     FAIL_NONE,
     FAIL_STAGES,
     FAIL_TEC,
-    BatchBCH,
     BatchThreeOnTwoCodec,
-    pack_bits,
+    _CHUNK,
 )
 from repro.coding.bch import BCH, BCHDecodeFailure
 from repro.coding.blockcodec import ThreeOnTwoBlockCodec, UncorrectableBlock
@@ -88,52 +87,26 @@ def marked_mask(blocks):
     return np.array([blk.marked_mask for blk in blocks])
 
 
-class TestPackBits:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        for n_bits in (1, 7, 8, 63, 64, 65, 718):
-            bits = rng.integers(0, 2, size=(5, n_bits), dtype=np.uint8)
-            words = pack_bits(bits)
-            assert words.dtype == np.uint64
-            assert words.shape == (5, -(-n_bits // 64))
-            unpacked = np.unpackbits(words.view(np.uint8), axis=1)[:, :n_bits]
-            assert np.array_equal(unpacked, bits)
-
-    def test_popcount_matches_sum(self):
-        rng = np.random.default_rng(1)
-        bits = rng.integers(0, 2, size=(8, 718), dtype=np.uint8)
-        counts = np.bitwise_count(pack_bits(bits)).sum(axis=1)
-        assert np.array_equal(counts, bits.sum(axis=1))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            pack_bits(np.zeros(8, dtype=np.uint8))
-
-
 class TestBatchBCH:
-    """The packed encoder and the t = 1 locator agree with the scalar code."""
+    """The codec's BCH-1 remainder and t = 1 locator agree with the scalar code."""
 
-    @pytest.fixture(scope="class")
-    def scalar(self):
-        return BCH(10, 1, 708)
-
-    @pytest.fixture(scope="class")
-    def vec(self, scalar):
-        return BatchBCH(scalar)
-
-    def test_encode_matches_scalar(self, scalar, vec):
+    def test_encode_matches_scalar(self, batch):
+        """Check bits == the scalar BCH encode of the states' TEC view."""
         rng = np.random.default_rng(2)
-        data = rng.integers(0, 2, size=(17, scalar.k), dtype=np.uint8)
-        got = vec.check_bits(data)
+        data = rng.integers(0, 2, size=(17, batch.data_bits), dtype=np.uint8)
+        states, checks = batch.encode(data)
+        scalar, k = batch.tec, batch.tec.k
         for i in range(data.shape[0]):
-            assert np.array_equal(got[i], scalar.encode(data[i])[scalar.k :])
+            tec_view = t32.states_to_tec_bits(states[i])
+            assert np.array_equal(checks[i], scalar.encode(tec_view)[k:])
 
     @pytest.mark.parametrize("n_err", [0, 1, 2, 3])
-    def test_decode_matches_scalar(self, scalar, vec, n_err):
+    def test_decode_matches_scalar(self, batch, n_err):
         """Locating by remainder == the scalar Berlekamp-Massey + Chien."""
+        scalar = batch.tec
         rng = np.random.default_rng(3 + n_err)
         data = rng.integers(0, 2, size=(40, scalar.k), dtype=np.uint8)
-        received = np.concatenate([data, vec.check_bits(data)], axis=1)
+        received = np.array([scalar.encode(row) for row in data])
         table = scalar.position_remainders()
         for row in received:
             flips = rng.choice(scalar.n, n_err, replace=False)
@@ -142,21 +115,26 @@ class TestBatchBCH:
             try:
                 want, n = scalar.decode(row)
             except BCHDecodeFailure:
-                assert rem and vec.t1_error_positions(np.array([rem]))[0] == -1
+                assert rem and batch._t1_locate[rem] == -1
                 continue
             fixed = row.copy()
             if rem:
-                pos = vec.t1_error_positions(np.array([rem]))[0]
+                pos = batch._t1_locate[rem]
                 assert pos >= 0
                 fixed[pos] ^= 1
             assert np.array_equal(fixed[: scalar.k], want)
             assert n == (1 if rem else 0)
 
-    def test_shape_validation(self, vec, scalar):
-        with pytest.raises(ValueError):
-            vec.check_bits(np.zeros((2, scalar.k - 1), dtype=np.uint8))
-        with pytest.raises(ValueError, match="single-error"):
-            BatchBCH(BCH(10, 10, 512))
+    def test_shape_validation(self, batch):
+        """Encode and decode keep their shapes and dtypes down to zero rows."""
+        for n in (0, 1, 3):
+            data = np.zeros((n, batch.data_bits), dtype=np.uint8)
+            states, checks = batch.encode(data)
+            assert states.shape == (n, batch.n_mlc_cells) and states.dtype == np.uint8
+            assert checks.shape == (n, batch.n_slc_cells) and checks.dtype == np.uint8
+            out = batch.decode(states, checks)
+            assert out.data_bits.shape == (n, batch.data_bits)
+            assert out.fail_stage.shape == (n,) and not out.uncorrectable.any()
 
 
 class TestDifferential:
@@ -281,14 +259,12 @@ class TestFailStages:
 
 class TestChunkBoundaries:
     def test_rows_straddling_decode_chunks(self, codec, batch):
-        """Errors on both sides of the 8192-row chunk edges decode right."""
-        from repro.coding.batch import _DECODE_CHUNK
-
+        """Errors on both sides of the row-chunk edges decode right."""
         rng = np.random.default_rng(14)
-        n_blocks = 2 * _DECODE_CHUNK + 3
+        n_blocks = 2 * _CHUNK + 3
         data = rng.integers(0, 2, size=(n_blocks, codec.data_bits), dtype=np.uint8)
         states, checks = batch.encode(data)
-        probe = [0, _DECODE_CHUNK - 1, _DECODE_CHUNK, 2 * _DECODE_CHUNK, n_blocks - 1]
+        probe = [0, _CHUNK - 1, _CHUNK, 2 * _CHUNK, n_blocks - 1]
         for i in probe:
             cell = i % codec.n_mlc_cells
             # Single-bit drift step (S4 -> S2 flips one bit; +1 otherwise).
@@ -302,6 +278,26 @@ class TestChunkBoundaries:
             bits, n_corrected, _, fail = codec.decode(states[i], checks[i])
             assert fail == FAIL_NONE and np.array_equal(bits, data[i])
             assert n_corrected == 1
+
+    def test_encode_straddling_chunks_matches_reference(self, codec, batch):
+        """Rows on both sides of the remainder's chunk edges encode right."""
+        rng = np.random.default_rng(19)
+        n_blocks = _CHUNK + 3
+        data = rng.integers(0, 2, size=(n_blocks, codec.data_bits), dtype=np.uint8)
+        marked = np.zeros((n_blocks, codec.ms_config.n_pairs), dtype=bool)
+        probe = [0, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, n_blocks - 1]
+        blocks = {}
+        for i in probe:
+            blk = codec.new_block_state()
+            for p in rng.choice(codec.ms_config.n_pairs, i % 4, replace=False):
+                blk.mark(int(p))
+            blocks[i] = blk
+            marked[i] = blk.marked_mask
+        states, checks = batch.encode(data, marked)
+        for i in probe:
+            want_states, want_checks = codec.encode(data[i], blocks[i])
+            assert np.array_equal(states[i], want_states)
+            assert np.array_equal(checks[i], want_checks)
 
     def test_batch_encode_matches_scalar(self, codec, batch):
         rng = np.random.default_rng(15)
