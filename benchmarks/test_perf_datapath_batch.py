@@ -8,7 +8,12 @@ one call — records the cost of a one-row encode and decode, asserts a
 floor on batch decode throughput, and cross-validates the empirical BLER
 engine against the analytic Figure 5 curve at three CER operating points
 (the analytic value must fall inside each point's exact 95% binomial
-interval).  Everything lands in ``results/BENCH_datapath.json``.
+interval).  The validation call is timed (``bler_mc_s``) and split
+into two stages that sum to it: ``draw_s``, the same call at CER 0
+(the data and uniform draws and the per-block minimum pass; no block
+errs, so nothing is encoded or decoded), and the rest,
+``encode_inject_decode_s``.  Everything lands in
+``results/BENCH_datapath.json``.
 
 The floor is absolute, not a ratio to the one-block rate, so a cheaper
 one-row call cannot trip it: its default of 342,000 blocks/s is 50x the
@@ -73,7 +78,12 @@ def test_batch_decode_throughput_and_bler_validation():
     one_row_decode = one_row_us(lambda: batch.decode(states[:1], checks[:1]))
 
     # Empirical end-to-end BLER vs the analytic Figure 5 curve.
+    t0 = time.perf_counter()
     results = bler_mc(BLER_CERS, BLER_BLOCKS, seed=0, jobs=0)
+    bler_s = round(time.perf_counter() - t0, 3)
+    t0 = time.perf_counter()
+    bler_mc([0.0], BLER_BLOCKS, seed=0, jobs=0)
+    draw_s = round(time.perf_counter() - t0, 3)
     points = []
     for r in results:
         lo, hi = r.confidence()
@@ -102,6 +112,11 @@ def test_batch_decode_throughput_and_bler_validation():
             "one_row_decode_us": round(one_row_decode, 1),
             "speedup": round(speedup, 1),
             "bler_mc_blocks_per_point": BLER_BLOCKS,
+            "bler_mc_s": bler_s,
+            "bler_stages_s": {
+                "draw_s": draw_s,
+                "encode_inject_decode_s": round(bler_s - draw_s, 3),
+            },
             "bler_points": points,
             "env": {
                 "cpu_count": os.cpu_count(),

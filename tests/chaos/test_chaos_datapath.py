@@ -93,3 +93,16 @@ class TestBlerMcUnderChaos:
                 bler_mc(self.CERS, n, seed=3, chunk=10_000)
             assert len(fired) == 1
         assert bler_mc(self.CERS, n, seed=3, chunk=10_000) == baseline
+
+    def test_clean_blocks_still_reach_the_point_once_per_rng_block(self):
+        """CER 0 decodes no row, yet each RNG block calls decode once."""
+        n = 30_000  # three RNG blocks
+        for occurrence in range(3):
+            plan = one_shot_plan(occurrence=occurrence, match=(("n_blocks", 0),))
+            with activate(plan) as fired:
+                with pytest.raises(InjectedFault):
+                    bler_mc([0.0], n, seed=3, chunk=10_000)
+            assert [f.ctx for f in fired] == [{"n_blocks": 0}]
+        with activate(one_shot_plan(occurrence=3)) as fired:
+            (r,) = bler_mc([0.0], n, seed=3, chunk=10_000)
+        assert fired == [] and r.n_errors == 0

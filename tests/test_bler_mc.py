@@ -5,12 +5,49 @@ import pytest
 
 from repro.analysis.bler import binom_confidence, block_error_rate
 from repro.cli import main
+from repro.coding.batch import BatchThreeOnTwoCodec, batch_codec
 from repro.core.three_on_two import STATE_TO_TEC_BITS
-from repro.montecarlo.bler_mc import ERR_STATE, BlerResult, bler_mc
+from repro.montecarlo.bler_mc import (
+    BLER_SPAWN_KEY,
+    ERR_STATE,
+    BlerResult,
+    _err_flip,
+    bler_mc,
+)
+from repro.montecarlo.executor import plan_blocks
 from repro.montecarlo.results_cache import ResultsCache
+from repro.montecarlo.rng import block_rng
 
 CERS = [3e-3, 1e-2]
 N_BLOCKS = 20_000
+FIG5_CERS = [1e-3, 3e-3, 1e-2]
+
+
+def block_draws(seed, n_blocks, data_bits=512, n_spare_pairs=6):
+    """Each RNG block's data and uniforms, drawn in the engine's order."""
+    n_cells = batch_codec(data_bits, n_spare_pairs).n_mlc_cells
+    for index, size in enumerate(plan_blocks(n_blocks)):
+        rng = block_rng(seed, (BLER_SPAWN_KEY, index))
+        data = rng.integers(0, 2, size=(size, data_bits), dtype=np.uint8)
+        yield data, rng.random((size, n_cells))
+
+
+def dense_bler(cers, n_blocks, seed, data_bits=512, n_spare_pairs=6):
+    """Reference engine: inject every cell and decode every block at every CER."""
+    bc = batch_codec(data_bits, n_spare_pairs)
+    counts = np.zeros((len(cers), 2), dtype=np.int64)
+    for data, u in block_draws(seed, n_blocks, data_bits, n_spare_pairs):
+        states, checks = bc.encode(data)
+        for j, cer in enumerate(cers):
+            read = np.where(u < cer, ERR_STATE[states], states)
+            out = bc.decode(read, checks)
+            mismatch = np.any(out.data_bits != data, axis=1)
+            counts[j, 0] += int((mismatch & ~out.uncorrectable).sum())
+            counts[j, 1] += int((mismatch | out.uncorrectable).sum())
+    return [
+        BlerResult(cer=float(c), n_blocks=n_blocks, n_silent=int(k[0]), n_errors=int(k[1]))
+        for c, k in zip(cers, counts)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +63,69 @@ class TestInjectionModel:
             flipped = STATE_TO_TEC_BITS[s] ^ STATE_TO_TEC_BITS[ERR_STATE[s]]
             assert int(flipped.sum()) == 1, s
 
+    def test_xor_flip_is_the_adjacent_state_move(self):
+        """The engine injects with ``s ^ 1`` (S1) and ``s ^ 3`` (S2, S4)."""
+        s = np.arange(3, dtype=np.uint8)
+        flip = _err_flip(s)
+        assert flip.dtype == np.uint8 and flip.tolist() == [1, 3, 3]
+        assert np.array_equal(s ^ flip, ERR_STATE[s])
+
     def test_err_state_is_read_only(self):
         with pytest.raises(ValueError):
             ERR_STATE[0] = 2
+
+
+class TestErringRowsOnly:
+    """Decoding only the blocks with an erring cell changes no count."""
+
+    @pytest.mark.parametrize(
+        "cers, n_blocks, seed, kwargs",
+        [
+            (FIG5_CERS, 25_000, 0, {}),
+            (FIG5_CERS, 25_000, 7, {}),
+            ([0.0], 15_000, 7, {}),
+            ([1.0], 15_000, 7, {}),
+            ([1e-4], 25_000, 7, {}),
+            ([1e-2, 1e-3, 1e-2], 15_000, 7, {}),
+            ([1e-2, 0.1], 15_000, 7, {"data_bits": 64, "n_spare_pairs": 2}),
+            (FIG5_CERS, 25_000, 7, {"chunk": 7_000, "jobs": 2}),
+        ],
+    )
+    def test_equals_dense_reference(self, cers, n_blocks, seed, kwargs):
+        geometry = {k: v for k, v in kwargs.items() if k in ("data_bits", "n_spare_pairs")}
+        want = dense_bler(cers, n_blocks, seed, **geometry)
+        assert bler_mc(cers, n_blocks, seed=seed, **kwargs) == want
+
+    def test_golden_counts(self, baseline):
+        """Counts recorded with the dense engine; they must never move."""
+        assert [(r.n_silent, r.n_errors) for r in baseline] == [(2830, 5765), (8435, 17404)]
+        fig5 = bler_mc(FIG5_CERS, 50_000, seed=0)
+        assert [(r.n_silent, r.n_errors) for r in fig5] == [
+            (1160, 2433), (6883, 14377), (20859, 43343),
+        ]
+
+    def test_decodes_exactly_the_erring_rows(self, monkeypatch):
+        """One decode per (RNG block, CER), over the rows with an erring cell.
+
+        Counts alone cannot see a skipped single-error row (BCH-1 corrects
+        it), so the decoded row counts are pinned directly.
+        """
+        decoded = []
+        decode = BatchThreeOnTwoCodec.decode
+
+        def spy(codec, states, checks):
+            decoded.append(states.shape[0])
+            return decode(codec, states, checks)
+
+        monkeypatch.setattr(BatchThreeOnTwoCodec, "decode", spy)
+        cers = [3e-3, 0.0, 1e-3]
+        bler_mc(cers, 25_000, seed=7)
+        want = [
+            int(np.count_nonzero(u.min(axis=1) < c))
+            for _, u in block_draws(7, 25_000)
+            for c in cers
+        ]
+        assert decoded == want
 
 
 class TestDeterminism:
