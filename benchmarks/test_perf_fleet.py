@@ -8,6 +8,11 @@ an epoch-scaling ratio against the probe, and memory telemetry
 ``results/BENCH_fleet.json``, with the machine (core count, numpy
 version) it ran on.
 
+Paper-faithful fleets never mark a pair, so the file also records one
+fixed wear-accelerated shard (``stress_config``, 1,024 devices x 6
+epochs): its devices/sec and its retry, mark and death counts time the
+write-and-verify and mark-and-spare path.
+
 Env knobs, so CI smoke and local runs can right-size it:
 
 - ``REPRO_FLEET_DEVICES``        fleet size (default 100_000)
@@ -21,7 +26,7 @@ import time
 
 import numpy as np
 from _report import emit_json, peak_rss_bytes
-from repro.fleet import FleetConfig, FleetEngine, fleet_mc
+from repro.fleet import FleetConfig, FleetEngine, fleet_mc, stress_config
 from repro.montecarlo.rng import seed_entropy
 
 DEVICES = int(os.environ.get("REPRO_FLEET_DEVICES", "100000"))
@@ -30,6 +35,10 @@ JOBS = int(os.environ.get("REPRO_FLEET_JOBS", "0")) or (os.cpu_count() or 1)
 DPS_FLOOR = float(os.environ.get("REPRO_FLEET_DPS_FLOOR", "0"))
 
 PROBE = max(DEVICES // 10, 1)
+
+#: The wear shard: one default-size shard of the stress preset.
+WEAR_DEVICES = 1024
+WEAR_EPOCHS = 6
 
 
 def _run(n_devices: int) -> tuple[float, int]:
@@ -51,9 +60,26 @@ def _soa_bytes_per_device() -> float:
     return probe.state_nbytes / n
 
 
+def _run_wear() -> dict[str, float]:
+    config = stress_config(n_devices=WEAR_DEVICES, n_epochs=WEAR_EPOCHS)
+    t0 = time.perf_counter()
+    summary = fleet_mc(config, seed=0, jobs=1)
+    dt = time.perf_counter() - t0
+    marks, deaths = summary.total("wearout_marks"), summary.total("deaths")
+    assert marks > 0 and deaths > 0, "the wear shard must mark pairs and kill devices"
+    return {
+        "wear_benchmark": f"stress_config {WEAR_DEVICES} devices x {WEAR_EPOCHS} epochs",
+        "wear_devices_per_s": round(WEAR_DEVICES / dt, 1),
+        "wear_write_retries": summary.total("write_retries"),
+        "wear_wearout_marks": marks,
+        "wear_deaths": deaths,
+    }
+
+
 def test_fleet_population_throughput():
     t_probe, _ = _run(PROBE)
     t_full, n_writes = _run(DEVICES)
+    wear = _run_wear()
 
     devices_per_s = DEVICES / t_full
     de_per_s = DEVICES * EPOCHS / t_full
@@ -81,6 +107,7 @@ def test_fleet_population_throughput():
             "demand_writes": n_writes,
             "peak_rss_bytes": peak_rss_bytes(),
             "soa_state_bytes_per_device": round(_soa_bytes_per_device(), 1),
+            **wear,
         },
     )
 

@@ -29,6 +29,7 @@ from repro.montecarlo.rng import make_rng, truncated_normal
 
 __all__ = [
     "CellArray",
+    "cell_state_digest",
     "drifted_log_resistance",
     "programmed_alpha",
     "programmed_log_resistance",
@@ -48,8 +49,8 @@ def programmed_log_resistance(
     ``mu``/``sigma`` are the per-cell write-distribution parameters
     (already gathered by target state), ``z`` the truncated-normal
     quantile drawn from the cell's physics stream.  :meth:`CellArray.program`
-    and the fleet engine's vectorized waves evaluate this one expression,
-    which is what keeps them bit-identical.
+    and the fleet engine's programming rounds evaluate this one
+    expression, which is what keeps them bit-identical.
     """
     return mu + sigma * z
 
@@ -117,6 +118,15 @@ def sensed_log_resistance(
     return np.where(fault == _STUCK_SET, design.states[0].mu_lr, lr)
 
 
+def cell_state_digest(state: tuple[np.ndarray, ...]) -> str:
+    """SHA-256 over the nine per-cell arrays of :meth:`CellArray.over_state`,
+    in that order: the format of :meth:`CellArray.state_digest`."""
+    h = hashlib.sha256()
+    for arr in state:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
 class CellArray:
     """An array of ``n`` PCM cells under a fixed level design."""
 
@@ -158,8 +168,8 @@ class CellArray:
         order (``lr0, alpha, alpha_esc, t_prog, target, writes,
         endurance, fault, pending_mode``), with the dtypes
         :meth:`__init__` allocates.  They are used in place, so a caller
-        that stores many arrays' cells in its own rows (the fleet
-        engine) runs this class's physics on them directly.
+        that keeps the cells in its own arrays (the service's devices)
+        runs this class's physics on them directly.
         """
         self = cls.__new__(cls)
         self._configure(design, rng, wearout, schedule)
@@ -221,20 +231,19 @@ class CellArray:
         (regardless of how callers batched the surrounding codec work)
         must produce equal digests.
         """
-        h = hashlib.sha256()
-        for arr in (
-            self._lr0,
-            self._alpha,
-            self._alpha_esc,
-            self._t_prog,
-            self._target,
-            self._writes,
-            self._endurance,
-            self._fault,
-            self._pending_mode,
-        ):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
+        return cell_state_digest(
+            (
+                self._lr0,
+                self._alpha,
+                self._alpha_esc,
+                self._t_prog,
+                self._target,
+                self._writes,
+                self._endurance,
+                self._fault,
+                self._pending_mode,
+            )
+        )
 
     # ------------------------------------------------------------------
     def program(

@@ -43,6 +43,7 @@ __all__ = [
     "DeviceStats",
     "UncorrectableBlock",
     "SpareExhausted",
+    "three_level_digest",
 ]
 
 
@@ -56,6 +57,25 @@ class DeviceStats:
     tec_corrections: int = 0
     wearout_marks: int = 0
     write_retries: int = 0
+
+
+def three_level_digest(
+    cell_digest: str, slc: np.ndarray, written: np.ndarray, marked: np.ndarray
+) -> str:
+    """SHA-256 of a 3LC device's state, the format of
+    :meth:`PCMDevice.state_digest`.
+
+    ``cell_digest`` is the cell array's :meth:`CellArray.state_digest`,
+    ``slc`` the ``(n_blocks, n_slc_cells)`` check bits, ``written`` the
+    ``(n_blocks,)`` mask and ``marked`` the ``(n_blocks, n_pairs)``
+    mark-and-spare layouts.  The fleet engine digests its devices' rows
+    with it.
+    """
+    h = hashlib.sha256()
+    h.update(cell_digest.encode("ascii"))
+    for arr in (slc, written, marked):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 class PCMDevice:
@@ -131,8 +151,8 @@ class PCMDevice:
         the ``(n_blocks,)`` mask and ``marked`` the ``(n_blocks,
         n_pairs)`` mark-and-spare layouts; ``array`` holds the blocks'
         cells (see :meth:`CellArray.over_state`).  All are used in
-        place, so the fleet engine runs this class's write path on its
-        population rows.  ``stats`` starts at zero.
+        place, so the service's devices run this class's write path on
+        their own arrays.  ``stats`` starts at zero.
         """
         self = cls.__new__(cls)
         self.n_blocks = written.size
@@ -198,42 +218,25 @@ class PCMDevice:
             ecp.update(pointer, int(states[pointer]))
         self._written[block] = True
 
-    def write_encoded(
-        self,
-        block: int,
-        data_bits: np.ndarray,
-        t_now: float,
-        states: np.ndarray | None = None,
-        check: np.ndarray | None = None,
-    ) -> None:
-        """The 3LC program path, optionally seeded with a pre-encoded attempt.
+    def write_encoded(self, block: int, data_bits: np.ndarray, t_now: float) -> None:
+        """The 3LC program path: write-and-verify with mark-and-spare.
 
-        ``states``/``check`` — when given together — must equal
-        ``codec3.encode(data_bits, block_state)`` under the block's
-        *current* marked layout: the fleet engine (:mod:`repro.fleet`)
-        hands in rows it encoded for many blocks in one
-        :class:`~repro.coding.batch.BatchThreeOnTwoCodec` pass.  Every
-        other attempt (the first when none is supplied, and each retry
-        of the write-and-verify loop after wearout reshuffles the
-        layout) is a one-row ``codec3.encode`` call into the same
-        kernel, so a pre-encoded first attempt is bit-identical to
-        :meth:`write`.
+        Every attempt encodes under the block's current marked layout
+        with a one-row ``codec3.encode`` call into the shared
+        :class:`~repro.coding.batch.BatchThreeOnTwoCodec` kernel.
         """
         if self.cell_kind != "3LC" or self.codec3 is None:
             raise ValueError("write_encoded is the 3LC program path")
         bits = np.asarray(data_bits).astype(np.uint8)
         if bits.shape != (self.data_bits,):
             raise ValueError(f"expected {self.data_bits} bits, got {bits.shape}")
-        if (states is None) != (check is None):
-            raise ValueError("states and check must be supplied together")
         idx = self._cell_range(block)
         self.stats.writes += 1
         state = self._block_state[block]
         # Write-and-verify loop: each failed pair is marked INV and the
         # layout reshuffled around it; two spare cells per failure.
-        for attempt in range(state.config.n_spare_pairs + 1):
-            if attempt or states is None or check is None:
-                states, check = self.codec3.encode(bits, state)
+        for _ in range(state.config.n_spare_pairs + 1):
+            states, check = self.codec3.encode(bits, state)
             ok = self.array.program(idx, states, t_now)
             self._slc[block] = check
             bad = np.nonzero(~ok)[0]
@@ -271,23 +274,17 @@ class PCMDevice:
         future reads.  Differential suites compare digests to prove two
         execution strategies left bit-identical devices.
         """
-        payloads: list[bytes] = []
-        for st in self._block_state:
-            marked = getattr(st, "_marked", None)
-            if marked is not None:  # 3LC mark-and-spare layout
-                payloads.append(np.ascontiguousarray(marked).tobytes())
-            else:  # 4LC ECP table
-                entries = [
-                    [int(p), int(v)] for p, v in getattr(st, "_entries", [])
-                ]
-                payloads.append(repr(entries).encode("ascii"))
+        if self._slc is not None:  # 3LC: mark-and-spare layouts
+            marked = np.array([st.marked_mask for st in self._block_state])
+            return three_level_digest(
+                self.array.state_digest(), self._slc, self._written, marked
+            )
         h = hashlib.sha256()
         h.update(self.array.state_digest().encode("ascii"))
-        if self._slc is not None:
-            h.update(np.ascontiguousarray(self._slc).tobytes())
         h.update(np.ascontiguousarray(self._written).tobytes())
-        for payload in payloads:
-            h.update(payload)
+        for st in self._block_state:  # 4LC: ECP tables
+            entries = [[int(p), int(v)] for p, v in getattr(st, "_entries", [])]
+            h.update(repr(entries).encode("ascii"))
         return h.hexdigest()
 
     # ------------------------------------------------------------------

@@ -19,9 +19,9 @@ so the flat cumulative sum is non-decreasing — the structural shape the
 cache's integrity check expects — and ``np.diff(..., prepend=0)``
 inverts it exactly.
 
-Shards only hold device state while they compute (~25 kB/device), so a
-1e5-device fleet never materializes at once; the reduction keeps just
-one count matrix per shard.
+Shards only hold device state while they compute (~64 kB/device at the
+default ``n_blocks=3``), so a 1e5-device fleet never materializes at
+once; the reduction keeps just one count matrix per shard.
 """
 
 from __future__ import annotations
@@ -58,10 +58,11 @@ __all__ = [
     "fleet_mc",
 ]
 
-#: Devices per shard: the caching/fan-out granularity.  ~25 kB of device
-#: state each, so a shard peaks around 25 MB per worker; at ~100-200 us
-#: per device-epoch a shard is seconds of work — plenty to amortize
-#: process dispatch.
+#: Devices per shard: the caching/fan-out granularity.  ~64 kB of device
+#: state each at the default ``n_blocks=3`` (``FleetEngine.state_nbytes``),
+#: so a shard holds about 65 MB per worker; at ~100-200 us per
+#: device-epoch a shard is seconds of work — plenty to amortize process
+#: dispatch.
 FLEET_SHARD_DEVICES = 1024
 
 

@@ -8,7 +8,7 @@ index ``i`` (global, fleet-wide) is a pure function of
 stream are all addressed by spawn keys under
 :data:`~repro.fleet.config.FLEET_SPAWN_KEY`, so any sharding of the
 fleet over engines and processes reproduces the same devices.  Every
-epoch of virtual time runs one body of four phases:
+epoch of virtual time runs one body of three phases:
 
 A. **Traffic** — every alive device draws ``ops_per_epoch`` accesses
    from its workload profile plus fresh payload bits for each write,
@@ -16,37 +16,28 @@ A. **Traffic** — every alive device draws ``ops_per_epoch`` accesses
    *counted* (``reads_requested``): the functional fleet model serves
    demand reads from the controller cache and measures the cost of
    writes and maintenance.
-B. **Batch encode** — all demand-write payloads of the epoch, across
-   every device, go through one
-   :class:`~repro.coding.batch.BatchThreeOnTwoCodec.encode` pass against
-   each block's current marked layout.
-C. **Program** — each device executes its writes in trace order.
-D. **Scrub** — at the epoch's end every written block of every
+B. **Program** — each device executes its writes in trace order,
+   through the programming step below.
+C. **Scrub** — at the epoch's end every written block of every
    surviving device is sensed through
    :func:`~repro.cells.cell_array.sensed_log_resistance`, the drift and
    stuck-cell pinning :meth:`CellArray.sense` applies (no RNG draws),
-   and decoded in one batch pass; successful decodes are re-encoded in
-   a second batch pass and rewritten block-ascending within each device
+   and decoded in one batch pass; successful decodes are rewritten
+   block-ascending within each device through the programming step
    (drift-resetting refresh).  Uncorrectable blocks and silent
    corruptions (decode succeeded, data differs from what was last
    written) are counted.
 
-**The programming step** of C and of D's refresh is the one thing an
-epoch chooses, from state alone (which keeps ``advance(a); advance(b)``
-equal to ``advance(a + b)``).  While no cell in the population has
-reached its endurance budget (tracked with a cheap wear upper bound
-against the population's minimum endurance), an epoch provably cannot
-produce faults, verify failures, retries, marks, or deaths, so it
-programs whole blocks in *waves*: wave ``w`` programs the ``w``-th row
-of every device at once, drawing from each device's own generator in
-its own order.  Otherwise every row goes through
-:meth:`PCMDevice.write_encoded` on a per-device
-:class:`~repro.core.device.PCMDevice` view whose cells, check bits,
-written mask, and mark-and-spare layouts are the device's rows of the
-population arrays and whose generator is the device's own, so
-write-and-verify, mark-and-spare, and death are the single-device code
-itself; a device stops at :class:`SpareExhausted`, and the rest of its
-epoch is dropped.  A view is built on its device's first such write.
+**The programming step** is the write-and-verify loop with
+mark-and-spare of a 3LC :meth:`PCMDevice.write`, run as array rounds.  Wave
+``w`` takes the ``w``-th row of every device, so each device has at
+most one row in flight; round ``r`` of a wave is attempt ``r`` of its
+still-pending rows, all encoded in one
+:meth:`~repro.coding.batch.BatchThreeOnTwoCodec.encode` call against
+their blocks' current marked layouts and programmed in one array pass.
+Only the :class:`numpy.random.Generator` calls run per device, in the
+order :meth:`CellArray.program` and :meth:`CellArray.force_highest`
+make them.
 
 **Bit-identity contract.**  Devices are independent, so work may be
 reordered across devices as long as each device's own draw order is
@@ -66,17 +57,17 @@ import hashlib
 import numpy as np
 
 from repro.cells.cell_array import (
-    CellArray,
+    cell_state_digest,
     programmed_alpha,
     programmed_log_resistance,
     sensed_log_resistance,
 )
 from repro.cells.drift import PAPER_ESCALATION, independent_escalated_alpha
-from repro.cells.faults import WearoutModel
+from repro.cells.faults import FaultMode, WearoutModel
 from repro.cells.params import WRITE_TRUNCATION_SIGMA
 from repro.coding.blockcodec import ThreeOnTwoBlockCodec
 from repro.core.designs import design_by_name
-from repro.core.device import DeviceStats, PCMDevice, SpareExhausted
+from repro.core.device import DeviceStats, three_level_digest
 from repro.fleet.config import (
     FLEET_SPAWN_KEY,
     KEY_DATA,
@@ -84,8 +75,6 @@ from repro.fleet.config import (
     KEY_HETERO,
     DeviceParams,
     FleetConfig,
-    _scale_drift,
-    _scale_schedule,
     _scale_wearout,
     device_params,
     hetero_draws,
@@ -111,6 +100,10 @@ _C_DEATHS = counter_index("deaths")
 _C_CELL_WRITE = counter_index("cell_programs_write")
 _C_CELL_REFRESH = counter_index("cell_programs_refresh")
 _C_SENSED = counter_index("cells_sensed")
+
+_HEALTHY = FaultMode.HEALTHY.value
+_STUCK_RESET = FaultMode.STUCK_RESET.value
+_STUCK_SET = FaultMode.STUCK_SET.value
 
 
 class SoaFleetEngine:
@@ -140,21 +133,23 @@ class SoaFleetEngine:
         self.n_devices = n
         self._epoch = 0
         codec = ThreeOnTwoBlockCodec(config.data_bits, MarkAndSpareConfig.n_spare_pairs)
-        self._codec = codec
         self._batch = codec.kernel
         self._n_mlc = codec.n_mlc_cells
+        self._n_spare = codec.ms_config.n_spare_pairs
 
         base = design_by_name(config.design)
         if base.n_levels != 3:
             raise ValueError("the fleet engine models 3LC devices")
-        tier = PAPER_ESCALATION.tiers[0]
         self._base = base
-        # Write distributions are heterogeneity-free (only drift rates
-        # and wear budgets vary per device; see repro.fleet.config).
+        self._top = base.n_levels - 1
+        # Write distributions are heterogeneity-free; a device's drift
+        # parameters are these times its drift factor, the products
+        # config._scale_drift and _scale_schedule form.
         self._mu_lr = np.array([s.mu_lr for s in base.states])
         self._sg_lr = np.array([s.sigma_lr for s in base.states])
-        base_mu_a = np.array([s.drift.mu_alpha for s in base.states])
-        base_sg_a = np.array([s.drift.sigma_alpha for s in base.states])
+        self._mu_a = np.array([s.drift.mu_alpha for s in base.states])
+        self._sg_a = np.array([s.drift.sigma_alpha for s in base.states])
+        self._tier = PAPER_ESCALATION.tiers[0]
 
         self._s = SoaFleetState(
             n,
@@ -179,10 +174,6 @@ class SoaFleetEngine:
         # Per-device drawn operating points (the hetero stream's four
         # draws, in the frozen order of config.hetero_draws).
         self._drift_factor = np.empty(n)
-        self._mu_a = np.empty((n, base.n_levels))
-        self._sg_a = np.empty((n, base.n_levels))
-        self._mu_esc = np.empty(n)
-        self._sg_esc = np.empty(n)
         self._workload: list[str] = []
         self._wearout: list[WearoutModel] = []
         nc = config.n_blocks * self._n_mlc
@@ -190,12 +181,7 @@ class SoaFleetEngine:
             bucket, alpha_jitter, endurance_scale, workload = hetero_draws(
                 config, g_het[k]
             )
-            factor = float(config.temp_buckets[bucket][1]) * alpha_jitter
-            self._drift_factor[k] = factor
-            self._mu_a[k] = base_mu_a * factor
-            self._sg_a[k] = base_sg_a * factor
-            self._mu_esc[k] = tier.mu_alpha * factor
-            self._sg_esc[k] = tier.sigma_alpha * factor
+            self._drift_factor[k] = float(config.temp_buckets[bucket][1]) * alpha_jitter
             self._workload.append(workload)
             # CellArray's init draws, from the device stream in its order.
             wearout = _scale_wearout(config, endurance_scale)
@@ -203,14 +189,6 @@ class SoaFleetEngine:
             s.endurance[k] = wearout.sample_endurance(self._g_dev[k], nc)
             s.pending_mode[k] = wearout.sample_modes(self._g_dev[k], nc)
         s.lr0[:] = base.states[0].mu_lr  # fresh cells sit at the lowest level
-
-        # A cheap per-cell wear upper bound against the population's
-        # minimum endurance proves an epoch fault-free.
-        self._min_endurance = float(s.endurance.min())
-        self._writes_bound = 0
-        self._any_fault = False
-        #: PCMDevice views, by local device row, built on first use.
-        self._views: dict[int, PCMDevice] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -224,23 +202,24 @@ class SoaFleetEngine:
             raise IndexError(f"device {index} not in this engine's range")
         return k
 
-    def device(self, index: int) -> PCMDevice:
-        """The device at *global* fleet index ``index``, as a live view.
-
-        The view shares the engine's arrays and generator (writing
-        through it advances the device); its ``stats`` are a snapshot.
-        """
+    def device_digest(self, index: int) -> str:
+        """:meth:`PCMDevice.state_digest` of global device ``index``."""
         k = self._row(index)
         s = self._s
-        dev = self._build_view(k)
-        dev.stats = DeviceStats(
+        cells = cell_state_digest(tuple(a[k] for a in s.cells))
+        return three_level_digest(cells, s.slc[k], s.written[k], s.marked[k])
+
+    def device_stats(self, index: int) -> DeviceStats:
+        """The :class:`DeviceStats` of global device ``index``."""
+        k = self._row(index)
+        s = self._s
+        return DeviceStats(
             writes=int(s.st_writes[k]),
             reads=int(s.st_reads[k]),
             tec_corrections=int(s.st_tec[k]),
             wearout_marks=int(s.st_marks[k]),
             write_retries=int(s.st_retries[k]),
         )
-        return dev
 
     def params(self, index: int) -> DeviceParams:
         """Drawn operating point of global device ``index``."""
@@ -263,7 +242,7 @@ class SoaFleetEngine:
         h.update(np.ascontiguousarray(self._alive).tobytes())
         s = self._s
         for k in range(self.n_devices):
-            h.update(self._build_view(k).state_digest().encode("ascii"))
+            h.update(self.device_digest(self.first_device + k).encode("ascii"))
             for b in np.flatnonzero(s.written[k]):
                 h.update(int(b).to_bytes(4, "little"))
                 h.update(np.ascontiguousarray(s.stored[k, b]).tobytes())
@@ -293,25 +272,15 @@ class SoaFleetEngine:
         t0 = self._epoch * cfg.epoch_seconds
         t1 = t0 + cfg.epoch_seconds
         alive = alive_indices(self._alive)
-        # An epoch adds at most ops_per_epoch + 1 writes to any cell, so
-        # while the wear bound stays below the population's minimum
-        # endurance no fault (hence no retry, mark, or death) can occur.
-        fault_free = (
-            not self._any_fault
-            and self._writes_bound + cfg.ops_per_epoch + 1 < self._min_endurance
-        )
-        program = self._program_waves if fault_free else self._program_views
         tally0 = self._tally()
 
-        # A: traffic.  B: one batch encode of the epoch's demand writes.
-        # C: program them, in trace order within each device.
+        # A: traffic.  B: program it, in trace order within each device.
         devs, blks, bits = self._draw_epoch_plan(alive, c)
-        states, checks = self._batch.encode(bits, s.marked[devs, blks])
-        program(devs, blks, bits, states, checks, t0)
+        self._program(devs, blks, bits, t0)
         tally1 = self._tally()
 
-        # D: scrub every written block of every surviving device — sense,
-        # one batch decode, one batch re-encode, refresh.
+        # C: scrub every written block of every surviving device — sense,
+        # one batch decode, refresh.
         survivors = alive[self._alive[alive]]
         wr = s.written[survivors]
         sdevs = np.repeat(survivors, wr.sum(axis=1))
@@ -333,10 +302,8 @@ class SoaFleetEngine:
         dec = self._batch.decode(self._base.sense(lr), s.slc[rows])
         ok = ~dec.uncorrectable
         silent = ok & np.any(dec.data_bits != s.stored[rows], axis=1)
-        data = dec.data_bits[ok]
-        states, checks = self._batch.encode(data, s.marked[sdevs[ok], sblks[ok]])
         done = np.ones(sdevs.size, dtype=bool)
-        done[ok] = program(sdevs[ok], sblks[ok], data, states, checks, t1)
+        done[ok] = self._program(sdevs[ok], sblks[ok], dec.data_bits[ok], t1)
         # A device whose refresh ran out of spares stops its scrub there.
         reached = self._reached(sdevs, done)
         np.add.at(s.st_reads, sdevs[reached], 1)
@@ -354,8 +321,6 @@ class SoaFleetEngine:
         c[[_C_REFRESHES, _C_CELL_REFRESH]] = (tally2 - tally1)[:2]
         c[[_C_MARKS, _C_RETRIES]] = (tally2 - tally0)[2:]
         c[_C_DEATHS] = alive.size - int(np.count_nonzero(self._alive))
-        self._any_fault = bool(s.fault.any())
-        self._writes_bound += cfg.ops_per_epoch + 1
         self._epoch += 1
         return c
 
@@ -412,134 +377,139 @@ class SoaFleetEngine:
         return np.array(devs, dtype=np.int64), np.concatenate(blks), np.concatenate(bits)
 
     # ------------------------------------------------------------------
-    # The programming step: ``program(devs, blks, bits, states, checks,
-    # t_now)`` writes rows grouped by device, each device's in order,
-    # from batch-encoded first attempts; it commits the cells, check
-    # bits, written mask and stored data of every row it completes and
-    # returns which rows those are.
-    def _program_waves(
-        self,
-        devs: np.ndarray,
-        blks: np.ndarray,
-        bits: np.ndarray,
-        states: np.ndarray,
-        checks: np.ndarray,
-        t_now: float,
+    # The programming step: each row is one 3LC PCMDevice.write, and each
+    # device draws from its own stream in that method's order.
+    def _program(
+        self, devs: np.ndarray, blks: np.ndarray, bits: np.ndarray, t_now: float
     ) -> np.ndarray:
-        """Fault-free programming: wave ``w`` writes every device's
-        ``w``-th row at once, so every row completes.
+        """Write rows grouped by device, each device's in order, with
+        write-and-verify and mark-and-spare; returns which rows completed.
 
-        Per device a row consumes exactly the draws
-        :meth:`CellArray.program` consumes for a fully healthy block —
-        the truncated-normal uniforms, then the exponent normals, then
-        the escalation normals, in the same three calls — so the streams
-        stay aligned with a lone device's.
+        Wave ``w`` takes the ``w``-th row of every device still alive, so
+        a device has at most one row in flight, and round ``r`` of a wave
+        is attempt ``r`` of its pending rows: encode under the block's
+        current marked layout, program and verify, rewrite the check
+        bits.  A failing row marks the pair of its first failed cell (its
+        device dies if that needs a spare it has not got), forces the
+        pair to the top state and retries; one still failing after
+        ``n_spare_pairs + 1`` attempts kills its device.  A dying row
+        leaves ``written``/``stored`` as they were, and a dead device's
+        later rows draw nothing.
         """
         s = self._s
-        nm = self._n_mlc
+        done = np.zeros(devs.size, dtype=bool)
         start = np.flatnonzero(np.r_[True, devs[1:] != devs[:-1]])
         seg = np.diff(np.r_[start, devs.size])
         slot = np.arange(devs.size) - np.repeat(start, seg)
         for w in range(int(seg.max(initial=0))):
-            sel = np.flatnonzero(slot == w)
-            d = devs[sel]
-            b = blks[sel]
-            u = np.empty((sel.size, nm))
-            zz = np.empty((sel.size, 2 * nm))
-            for j, k in enumerate(d.tolist()):
-                g = self._g_dev[k]
-                u[j] = g.random(nm)
-                zz[j, :nm] = g.standard_normal(nm)
-                zz[j, nm:] = g.standard_normal(nm)
-            z_r = truncated_normal_from_uniform(
-                u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
-            )
-            st = states[sel].astype(np.int64)
-            s.lr0_3[d, b] = programmed_log_resistance(self._mu_lr[st], self._sg_lr[st], z_r)
-            s.alpha_3[d, b] = programmed_alpha(
-                self._mu_a[d[:, None], st], self._sg_a[d[:, None], st], zz[:, :nm]
-            )
-            s.alpha_esc_3[d, b] = independent_escalated_alpha(
-                zz[:, nm:], self._mu_esc[d][:, None], self._sg_esc[d][:, None]
-            )
-            s.t_prog_3[d, b] = t_now
-            s.target_3[d, b] = st
-            s.writes_3[d, b] += 1
-            s.slc[d, b] = checks[sel]
-            s.written[d, b] = True
-            s.stored[d, b] = bits[sel]
-            s.st_writes[d] += 1
-        return np.ones(devs.size, dtype=bool)
-
-    def _program_views(
-        self,
-        devs: np.ndarray,
-        blks: np.ndarray,
-        bits: np.ndarray,
-        states: np.ndarray,
-        checks: np.ndarray,
-        t_now: float,
-    ) -> np.ndarray:
-        """Row by row through :meth:`PCMDevice.write_encoded` on each
-        device's view, folding the view's stats into the ``st_*`` columns.
-
-        A write that marks a pair leaves its block's later pre-encoded
-        rows stale: those re-encode in the device.  A device whose spares
-        run out dies there; its later rows stay undone.
-        """
-        s = self._s
-        done = np.zeros(devs.size, dtype=bool)
-        stale: set[tuple[int, int]] = set()
-        dead = -1
-        for j, (k, b) in enumerate(zip(devs.tolist(), blks.tolist())):
-            if k == dead:
-                continue
-            view = self._views.get(k)
-            if view is None:
-                view = self._views[k] = self._build_view(k)
-            pre = () if (k, b) in stale else (states[j], checks[j])
-            try:
-                view.write_encoded(b, bits[j], t_now, *pre)
-            except SpareExhausted:
-                self._alive[k] = False
-                dead = k
-            st = view.stats
-            view.stats = DeviceStats()
-            s.st_writes[k] += st.writes
-            s.st_retries[k] += st.write_retries
-            s.st_marks[k] += st.wearout_marks
-            if k == dead:
-                continue
-            if st.wearout_marks:
-                stale.add((k, b))
-            s.stored[k, b] = bits[j]
-            done[j] = True
+            j = np.flatnonzero(slot == w)
+            j = j[self._alive[devs[j]]]
+            s.st_writes[devs[j]] += 1  # a write counts before its first attempt
+            for _ in range(self._n_spare + 1):
+                d, b = devs[j], blks[j]
+                states, checks = self._batch.encode(bits[j], s.marked[d, b])
+                everything = np.ones(states.shape, dtype=bool)
+                verified = self._program_rows(d, b, states, everything, t_now)
+                s.slc[d, b] = checks
+                ok = verified.all(axis=1)
+                s.written[d[ok], b[ok]] = True
+                s.stored[d[ok], b[ok]] = bits[j[ok]]
+                done[j[ok]] = True
+                j, d, b = j[~ok], d[~ok], b[~ok]
+                if not j.size:
+                    break
+                s.st_retries[d] += 1
+                pair = np.argmin(verified[~ok], axis=1) // 2
+                marked = s.marked[d, b]
+                new = ~marked[np.arange(j.size), pair]
+                spent = new & (marked.sum(axis=1) >= self._n_spare)
+                self._alive[d[spent]] = False
+                j, d, b, pair, new = (x[~spent] for x in (j, d, b, pair, new))
+                s.marked[d[new], b[new], pair[new]] = True
+                s.st_marks[d[new]] += 1
+                self._force_pairs(d, b, pair, t_now)
+            # Still failing after the last attempt: wearout beyond spares.
+            self._alive[devs[j]] = False
         return done
 
-    def _build_view(self, k: int) -> PCMDevice:
-        """Row ``k`` as a :class:`PCMDevice` over the population arrays."""
+    def _program_rows(
+        self,
+        d: np.ndarray,
+        b: np.ndarray,
+        states: np.ndarray,
+        addressed: np.ndarray,
+        t_now: float,
+    ) -> np.ndarray:
+        """:meth:`CellArray.program` of the ``addressed`` cells of blocks
+        ``(d, b)`` (one row per device); returns the verify mask.
+
+        Every addressed cell is charged a write, and one reaching its
+        endurance takes its pending fault mode first.  Each healthy one
+        then draws, per device in cell order, a truncated-normal uniform,
+        an exponent normal and an escalation normal, in three calls.
+        """
         s = self._s
-        factor = float(self._drift_factor[k])
-        array = CellArray.over_state(
+        rows = (d, b)
+        st = states.astype(np.int64)
+        writes = s.writes_3[rows] + addressed
+        s.writes_3[rows] = writes
+        fault = s.fault_3[rows]
+        dying = addressed & (writes >= s.endurance_3[rows]) & (fault == _HEALTHY)
+        if dying.any():
+            fault = np.where(dying, s.pending_mode_3[rows], fault)
+            s.fault_3[rows] = fault
+        healthy = fault == _HEALTHY
+        drawn = addressed & healthy
+        u, z, z_esc = x = np.zeros((3,) + drawn.shape)
+        counts = drawn.sum(axis=1)
+        for i, (k, m) in enumerate(zip(d.tolist(), counts.tolist())):
+            if m:
+                g = self._g_dev[k]
+                g.random(out=u[i, :m])
+                g.standard_normal(out=z[i, :m])
+                g.standard_normal(out=z_esc[i, :m])
+        keep = ~drawn
+        partial = bool(keep.any())
+        if partial:  # each row's draws go to its drawn cells, in order
+            x[:, drawn] = x[:, np.arange(drawn.shape[1]) < counts[:, None]]
+        z_r = truncated_normal_from_uniform(
+            u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
+        )
+        f = self._drift_factor[d][:, None]
+        for arr, value in (
+            (s.lr0_3, programmed_log_resistance(self._mu_lr[st], self._sg_lr[st], z_r)),
+            (s.alpha_3, programmed_alpha(self._mu_a[st] * f, self._sg_a[st] * f, z)),
             (
-                s.lr0[k],
-                s.alpha[k],
-                s.alpha_esc[k],
-                s.t_prog[k],
-                s.target[k],
-                s.writes[k],
-                s.endurance[k],
-                s.fault[k],
-                s.pending_mode[k],
+                s.alpha_esc_3,
+                independent_escalated_alpha(
+                    z_esc, self._tier.mu_alpha * f, self._tier.sigma_alpha * f
+                ),
             ),
-            design=_scale_drift(self._base, factor),
-            rng=self._g_dev[k],
-            wearout=self._wearout[k],
-            schedule=_scale_schedule(PAPER_ESCALATION, factor),
-        )
-        return PCMDevice.over_state(
-            array, self._codec, s.slc[k], s.written[k], s.marked[k]
-        )
+            (s.t_prog_3, t_now),
+            (s.target_3, st),
+        ):
+            arr[rows] = np.where(keep, arr[rows], value) if partial else value
+        # A stuck-reset cell passes verify iff the target is the top state.
+        return healthy | ((fault == _STUCK_RESET) & (st == self._top))
+
+    def _force_pairs(
+        self, d: np.ndarray, b: np.ndarray, pair: np.ndarray, t_now: float
+    ) -> None:
+        """:meth:`CellArray.force_highest` of pair ``pair`` of each block
+        ``(d, b)``: stuck-set cells draw revival uniforms (a revived cell
+        is stuck-reset), then the healthy cells program to the top state."""
+        s = self._s
+        cells = (d[:, None], b[:, None], 2 * pair[:, None] + np.arange(2))
+        fault = s.fault_3[cells]
+        for i in np.flatnonzero((fault == _STUCK_SET).any(axis=1)).tolist():
+            k = int(d[i])
+            stuck = np.flatnonzero(fault[i] == _STUCK_SET)
+            revived = self._wearout[k].revive(self._g_dev[k], stuck.size)
+            fault[i, stuck[revived]] = _STUCK_RESET
+        s.fault_3[cells] = fault
+        addressed = np.zeros((d.size, self._n_mlc), dtype=bool)
+        np.put_along_axis(addressed, cells[2], fault == _HEALTHY, axis=1)
+        self._program_rows(d, b, np.full(addressed.shape, self._top), addressed, t_now)
 
 
 #: The fleet engine's public name (``SoaFleetEngine`` stays importable

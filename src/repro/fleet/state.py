@@ -5,10 +5,10 @@ One :class:`SoaFleetState` holds everything ``n`` devices' worth of
 arrays with the device as the leading axis: per-cell physics as
 ``(n, n_blocks * cells_per_block)``, per-block controller state as
 ``(n, n_blocks, ...)``.  Dtypes mirror :class:`~repro.cells.cell_array.CellArray`
-field-for-field: the engine runs :class:`CellArray` directly on row
-views of these arrays, and the canonical digests hash raw bytes, so an
-``int8`` where ``CellArray`` keeps ``int64`` would already break the
-bit-identity contract.
+field-for-field: a device's digest hashes the raw bytes of its rows in
+:meth:`CellArray.state_digest`'s format, so an ``int8`` where
+``CellArray`` keeps ``int64`` would already break the bit-identity
+contract.
 
 The container is deliberately dumb: all epoch semantics live in
 :class:`repro.fleet.soa.SoaFleetEngine`.
@@ -24,7 +24,7 @@ __all__ = ["SoaFleetState", "alive_indices"]
 def alive_indices(mask: np.ndarray) -> np.ndarray:
     """Indices of set entries of a boolean mask, ascending.
 
-    The one helper both fleet engines (and the summary layer) use to
+    The one helper the fleet engine (and the summary layer) uses to
     turn an alive/survivor mask into an iteration order, instead of
     per-call Python list comprehensions over ``range(n)``.
     """
@@ -84,31 +84,37 @@ class SoaFleetState:
         self.t_prog_3 = self.t_prog.reshape(shape3)
         self.target_3 = self.target.reshape(shape3)
         self.writes_3 = self.writes.reshape(shape3)
+        self.endurance_3 = self.endurance.reshape(shape3)
         self.fault_3 = self.fault.reshape(shape3)
+        self.pending_mode_3 = self.pending_mode.reshape(shape3)
+
+    @property
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """The nine per-cell arrays, in :meth:`CellArray.over_state` order."""
+        return (
+            self.lr0,
+            self.alpha,
+            self.alpha_esc,
+            self.t_prog,
+            self.target,
+            self.writes,
+            self.endurance,
+            self.fault,
+            self.pending_mode,
+        )
 
     @property
     def nbytes(self) -> int:
         """Total bytes held by the population arrays (views excluded)."""
-        return sum(
-            a.nbytes
-            for a in (
-                self.lr0,
-                self.alpha,
-                self.alpha_esc,
-                self.t_prog,
-                self.target,
-                self.writes,
-                self.endurance,
-                self.fault,
-                self.pending_mode,
-                self.slc,
-                self.written,
-                self.marked,
-                self.stored,
-                self.st_writes,
-                self.st_reads,
-                self.st_tec,
-                self.st_marks,
-                self.st_retries,
-            )
+        rest = (
+            self.slc,
+            self.written,
+            self.marked,
+            self.stored,
+            self.st_writes,
+            self.st_reads,
+            self.st_tec,
+            self.st_marks,
+            self.st_retries,
         )
+        return sum(a.nbytes for a in self.cells + rest)

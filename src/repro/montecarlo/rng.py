@@ -89,8 +89,9 @@ def truncated_normal_from_uniform(
 
     Maps already-drawn uniforms through the inverse CDF.  Batch engines
     (``repro.fleet.soa``) draw per-device uniforms in stream order and
-    push the whole wave through this in one call; sharing the expression
-    with :func:`truncated_normal` keeps the two paths bit-identical.
+    push a whole programming round through this in one call; sharing the
+    expression with :func:`truncated_normal` keeps the two paths
+    bit-identical.
     """
     if z_lo >= z_hi:
         raise ValueError("z_lo must be < z_hi")

@@ -8,8 +8,8 @@ cumulative request statistics.
 
 The cells, SLC check bits, written mask and mark-and-spare layouts live
 in one :class:`~repro.core.device.PCMDevice` view (built with
-:meth:`PCMDevice.over_state`, as the fleet engine's wear epochs do), so
-writes run :meth:`PCMDevice.write_encoded` and reads sense through
+:meth:`PCMDevice.over_state`), so writes run
+:meth:`PCMDevice.write_encoded` and reads sense through
 :meth:`CellArray.log_resistance`.  This class adds only addressing,
 validation, the virtual clock, per-block write epochs, request
 statistics and error codes.  Reads of many blocks sense as one

@@ -17,6 +17,7 @@ invariant to epoch batching (``advance(a); advance(b)`` ==
 count — properties checked both directly and via hypothesis.
 """
 
+import collections
 import dataclasses
 import hashlib
 
@@ -25,6 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cells.cell_array import CellArray
+from repro.cells.faults import FaultMode
 from repro.core.device import PCMDevice, SpareExhausted, UncorrectableBlock
 from repro.fleet import (
     COUNTERS,
@@ -41,9 +44,15 @@ from repro.fleet.config import KEY_DATA, KEY_DEVICE
 from repro.montecarlo.rng import block_rng, seed_entropy
 from repro.workloads.synthetic import draw_ops
 
-#: Wear-accelerated so the differential exercises marks, retries, the
-#: stale-row fallback, and spare-exhaustion death — not just clean writes.
+#: Wear-accelerated so the differential exercises marks, retries,
+#: re-encodes under a new layout, and spare-exhaustion death — not just
+#: clean writes.
 STRESS = stress_config(n_devices=8, n_epochs=6)
+
+#: Both failure modes and half-successful revival: forces on stuck-set
+#: cells, retries on an already-marked pair, and deaths at the attempt
+#: limit, which STRESS (every failure stuck-reset) never reaches.
+MIXED = stress_config(n_devices=8, n_epochs=6, p_stuck_reset=0.5, p_revive=0.5)
 
 
 def drive_single(config, entropy, index):
@@ -161,9 +170,8 @@ def assert_matches_reference(engine, config, entropy):
     for i, (dev, stored, counts, _) in zip(indices, refs):
         solo = type(engine)(config, entropy, i, 1).advance(config.n_epochs)
         assert (solo == counts).all(), f"device {i} counters"
-        view = engine.device(i)
-        assert view.state_digest() == dev.state_digest(), f"device {i} state"
-        assert view.stats == dev.stats, f"device {i} stats"
+        assert engine.device_digest(i) == dev.state_digest(), f"device {i} state"
+        assert engine.device_stats(i) == dev.stats, f"device {i} stats"
         h.update(dev.state_digest().encode("ascii"))
         for b in sorted(stored):
             h.update(int(b).to_bytes(4, "little"))
@@ -189,6 +197,47 @@ class TestSingleDeviceDifferential:
             engine = FleetEngine(config, entropy, first_device=index, n_devices=1)
             assert_matches_reference(engine, config, entropy)
             assert engine.alive_mask().all()
+
+    @pytest.mark.parametrize("index", range(MIXED.n_devices))
+    def test_bit_identical_mixed_faults(self, index):
+        entropy = seed_entropy(42)
+        engine = FleetEngine(MIXED, entropy, first_device=index, n_devices=1)
+        assert_matches_reference(engine, MIXED, entropy)
+
+    def test_mixed_faults_population(self):
+        entropy = seed_entropy(42)
+        assert_matches_reference(FleetEngine(MIXED, entropy), MIXED, entropy)
+
+    def test_mixed_faults_reach_branches(self, monkeypatch):
+        """The mixed-fault differential is only meaningful if the
+        reference takes the write path's rare branches: a force on a
+        stuck-set cell, a retry whose failed pair is already marked (more
+        forces than marks), and a death at the attempt limit."""
+        seen = collections.Counter()
+        force, write = CellArray.force_highest, PCMDevice.write_encoded
+
+        def counting_force(self, indices, t_now):
+            seen["forces"] += 1
+            stuck_set = self.fault_modes[indices] == FaultMode.STUCK_SET.value
+            seen["stuck_set_forces"] += int(stuck_set.any())
+            return force(self, indices, t_now)
+
+        def counting_write(self, *args, **kwargs):
+            try:
+                return write(self, *args, **kwargs)
+            except SpareExhausted as exc:
+                seen["attempt_limit"] += "beyond spare budget" in str(exc)
+                raise
+
+        monkeypatch.setattr(CellArray, "force_highest", counting_force)
+        monkeypatch.setattr(PCMDevice, "write_encoded", counting_write)
+        entropy = seed_entropy(42)
+        counts = sum(
+            drive_single(MIXED, entropy, i)[2] for i in range(MIXED.n_devices)
+        ).sum(axis=0)
+        assert seen["stuck_set_forces"] > 0
+        assert seen["forces"] > counts[counter_index("wearout_marks")]
+        assert seen["attempt_limit"] > 0
 
     def test_stress_config_exercises_failure_paths(self):
         """The differential above is only meaningful if the stress fleet

@@ -1,15 +1,15 @@
 """Whole populations pinned to the single-device reference.
 
-The fleet engine keeps a population in flat arrays, programs fault-free
-epochs in vectorized waves, and runs wear epochs through per-device
-``PCMDevice`` views of those arrays.  The contract is *bit*-identity
-with driving each device alone (``drive_single``): same per-device RNG
-streams consumed in the same per-device order, so state digests,
+The fleet engine keeps a population in flat arrays and programs every
+epoch with one step: write-and-verify and mark-and-spare as array
+rounds over those arrays.  The contract is *bit*-identity with driving
+each device alone (``drive_single``): same per-device RNG streams
+consumed in the same per-device order, so state digests,
 ``DeviceStats``, death epochs, and per-epoch counters all match.  These
 tests pin that for whole populations — stress and default configs, via
 hypothesis over seeds and shard windows, and at the summary level
-through ``fleet_mc`` — and pin that a paper-faithful fleet never leaves
-the vectorized fast path.
+through ``fleet_mc`` — and pin that the engine never calls the
+single-device write path to program.
 
 The reference draws one payload per write and its traffic through
 ``draw_ops``; the engine draws an epoch's payloads in one call and its
@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cells.cell_array import CellArray
 from repro.core.device import PCMDevice
 from repro.fleet import (
     FleetConfig,
@@ -33,8 +34,8 @@ from repro.fleet import (
 from repro.montecarlo.rng import seed_entropy
 from tests.fleet.test_fleet_differential import assert_matches_reference, drive_single
 
-#: Wear-accelerated: marks, retries, stale-row re-encodes, and deaths
-#: all occur, so the slow path is exercised — not just the fast path.
+#: Wear-accelerated: marks, retries, re-encodes under a new layout, and
+#: deaths all occur, not just clean writes.
 STRESS = stress_config(n_devices=8, n_epochs=6)
 
 
@@ -75,7 +76,7 @@ class TestPopulationDifferential:
     def test_drift_error_population(self, preset):
         """Long epochs on the naive 3LC mapping drift cells across
         thresholds, so the scrub's TEC, uncorrectable and silent paths
-        are pinned too, on the slow (stress) and fast (default) paths."""
+        are pinned too, with wear (stress) and without (default)."""
         config = preset(n_devices=8, n_epochs=4, epoch_seconds=1e11, design="3LCn")
         entropy = seed_entropy(5)
         want = assert_matches_reference(
@@ -89,8 +90,8 @@ class TestPopulationDifferential:
     @pytest.mark.parametrize("preset", [stress_config, FleetConfig])
     def test_single_profile_population(self, preset, kind, write_fraction):
         """Every device runs one traffic profile, at the profile's own
-        write mix and at an explicit one, on the slow (stress) and fast
-        (default) paths."""
+        write mix and at an explicit one, with wear (stress) and without
+        (default)."""
         config = preset(
             n_devices=6,
             n_epochs=4,
@@ -127,28 +128,10 @@ class TestSummaryEquality:
         assert (summary.counts == want).all()
 
 
-class TestFastPathOnly:
-    def test_default_endurance_fleet_never_goes_slow(self, monkeypatch):
-        """A paper-faithful fleet (the ``fleet_fresh`` benchmark shape)
-        programs every epoch in waves: it never builds a per-device
-        ``PCMDevice`` view or calls the per-device write."""
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("left the wave programming step")
-
-        monkeypatch.setattr(PCMDevice, "over_state", forbidden)
-        monkeypatch.setattr(PCMDevice, "write_encoded", forbidden)
-        config = FleetConfig(n_devices=256, n_epochs=4)
-        engine = SoaFleetEngine(config, seed_entropy(0))
-        counts = engine.advance(config.n_epochs)
-        assert counts.sum() > 0
-        assert engine._views == {}
-
-
-#: Fault-free epochs, then wear: a ~40-cycle endurance against a wear
-#: bound of ops_per_epoch + 1 = 7 writes per epoch switches the engine
-#: from wave programming to device views at epoch 2, and stuck-reset
-#: cells that never revive bring marks and deaths soon after.
+#: Fault-free epochs, then wear: a ~40-cycle endurance against at most
+#: ops_per_epoch + 1 = 7 writes per cell and epoch leaves epochs 0 and 1
+#: fault-free, and stuck-reset cells that never revive bring marks and
+#: deaths soon after.
 SWITCH = FleetConfig(
     n_devices=8,
     n_epochs=10,
@@ -159,29 +142,43 @@ SWITCH = FleetConfig(
 )
 
 
+class TestOneProgrammingPath:
+    @pytest.mark.parametrize(
+        "config, wear",
+        [(FleetConfig(n_devices=256, n_epochs=4), False), (SWITCH, True)],
+        ids=["default", "switch"],
+    )
+    def test_never_calls_device_write_path(self, monkeypatch, config, wear):
+        """With and without wear, the engine programs through its own
+        array rounds: it builds no ``PCMDevice`` view and calls neither
+        the per-device write nor the cell array's program or force."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fleet called the single-device write path")
+
+        monkeypatch.setattr(PCMDevice, "over_state", forbidden)
+        monkeypatch.setattr(PCMDevice, "write_encoded", forbidden)
+        monkeypatch.setattr(CellArray, "program", forbidden)
+        monkeypatch.setattr(CellArray, "force_highest", forbidden)
+        engine = SoaFleetEngine(config, seed_entropy(42))
+        counts = engine.advance(config.n_epochs).sum(axis=0)
+        assert counts[counter_index("writes")] > 0
+        assert (counts[counter_index("wearout_marks")] > 0) == wear
+        engine.state_digest()
+
+
 class TestProgrammingSwitch:
-    """One population programmed in waves, then through device views."""
+    """One population through fault-free epochs, then wear."""
 
-    def test_switch_population_matches_reference(self, monkeypatch):
-        used: dict[int, list[tuple[int, str]]] = {}
-        for name in ("_program_waves", "_program_views"):
-
-            def spy(self, *args, _real=getattr(SoaFleetEngine, name), _name=name):
-                used.setdefault(id(self), []).append((self.epoch, _name))
-                return _real(self, *args)
-
-            monkeypatch.setattr(SoaFleetEngine, name, spy)
+    def test_switch_population_matches_reference(self):
         entropy = seed_entropy(42)
         engine = SoaFleetEngine(SWITCH, entropy)
-        want = assert_matches_reference(engine, SWITCH, entropy).sum(axis=0)
-        steps: dict[int, set[str]] = {}
-        for epoch, name in used[id(engine)]:
-            steps.setdefault(epoch, set()).add(name)
-        assert [steps[e] for e in range(SWITCH.n_epochs)] == (
-            [{"_program_waves"}] * 2 + [{"_program_views"}] * 8
-        )
-        assert want[counter_index("wearout_marks")] > 0
-        assert want[counter_index("deaths")] > 0
+        want = assert_matches_reference(engine, SWITCH, entropy)
+        wear = want[:, counter_index("write_retries")]
+        assert (wear[:2] == 0).all() and wear[2:].sum() > 0
+        total = want.sum(axis=0)
+        assert total[counter_index("wearout_marks")] > 0
+        assert total[counter_index("deaths")] > 0
 
     @pytest.mark.parametrize("cut", [1, 2, 3, 6])
     def test_split_advance_across_switch(self, cut):
