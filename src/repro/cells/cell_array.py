@@ -119,8 +119,10 @@ def sensed_log_resistance(
 
 
 def cell_state_digest(state: tuple[np.ndarray, ...]) -> str:
-    """SHA-256 over the nine per-cell arrays of :meth:`CellArray.over_state`,
-    in that order: the format of :meth:`CellArray.state_digest`."""
+    """SHA-256 over nine per-cell arrays, the format of
+    :meth:`CellArray.state_digest`: ``lr0, alpha, alpha_esc, t_prog,
+    target, writes, endurance, fault, pending_mode``, with
+    :class:`CellArray`'s dtypes."""
     h = hashlib.sha256()
     for arr in state:
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -140,7 +142,15 @@ class CellArray:
     ) -> None:
         if n < 1:
             raise ValueError("need at least one cell")
-        self._configure(design, make_rng(rng), wearout or WearoutModel(), schedule)
+        if len(schedule.tiers) > 1:
+            raise ValueError("CellArray supports at most one escalation tier")
+        self.design = design
+        self.schedule = schedule
+        self.rng = make_rng(rng)
+        self.wearout = wearout or WearoutModel()
+        self._top = design.n_levels - 1
+        self._mu_lr, self._sg_lr, self._mu_a, self._sg_a = design.write_tables
+
         self.n = n
         self._lr0 = np.full(n, design.states[0].mu_lr)
         self._alpha = np.zeros(n)
@@ -152,61 +162,6 @@ class CellArray:
         self._endurance = self.wearout.sample_endurance(self.rng, n)
         self._fault = np.full(n, _HEALTHY, dtype=np.int8)
         self._pending_mode = self.wearout.sample_modes(self.rng, n)
-
-    @classmethod
-    def over_state(
-        cls,
-        state: tuple[np.ndarray, ...],
-        design: LevelDesign,
-        rng: np.random.Generator,
-        wearout: WearoutModel,
-        schedule: TieredDrift = PAPER_ESCALATION,
-    ) -> "CellArray":
-        """A cell array over existing per-cell arrays, drawing nothing.
-
-        ``state`` is the nine per-cell arrays in :meth:`state_digest`
-        order (``lr0, alpha, alpha_esc, t_prog, target, writes,
-        endurance, fault, pending_mode``), with the dtypes
-        :meth:`__init__` allocates.  They are used in place, so a caller
-        that keeps the cells in its own arrays (the service's devices)
-        runs this class's physics on them directly.
-        """
-        self = cls.__new__(cls)
-        self._configure(design, rng, wearout, schedule)
-        (
-            self._lr0,
-            self._alpha,
-            self._alpha_esc,
-            self._t_prog,
-            self._target,
-            self._writes,
-            self._endurance,
-            self._fault,
-            self._pending_mode,
-        ) = state
-        self.n = self._lr0.size
-        return self
-
-    def _configure(
-        self,
-        design: LevelDesign,
-        rng: np.random.Generator,
-        wearout: WearoutModel,
-        schedule: TieredDrift,
-    ) -> None:
-        if len(schedule.tiers) > 1:
-            raise ValueError("CellArray supports at most one escalation tier")
-        self.design = design
-        self.schedule = schedule
-        self.rng = rng
-        self.wearout = wearout
-        self._top = design.n_levels - 1
-        # Per-state write and drift parameters, gathered by target state
-        # on every program.
-        self._mu_lr = np.array([s.mu_lr for s in design.states])
-        self._sg_lr = np.array([s.sigma_lr for s in design.states])
-        self._mu_a = np.array([s.drift.mu_alpha for s in design.states])
-        self._sg_a = np.array([s.drift.sigma_alpha for s in design.states])
 
     # ------------------------------------------------------------------
     @property

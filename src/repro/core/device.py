@@ -136,43 +136,6 @@ class PCMDevice:
         self.stats = DeviceStats()
         self._written = np.zeros(n_blocks, dtype=bool)
 
-    @classmethod
-    def over_state(
-        cls,
-        array: CellArray,
-        codec: ThreeOnTwoBlockCodec,
-        slc: np.ndarray,
-        written: np.ndarray,
-        marked: np.ndarray,
-    ) -> "PCMDevice":
-        """A 3LC device over existing state arrays, drawing nothing.
-
-        ``slc`` is ``(n_blocks, n_slc_cells)`` check bits, ``written``
-        the ``(n_blocks,)`` mask and ``marked`` the ``(n_blocks,
-        n_pairs)`` mark-and-spare layouts; ``array`` holds the blocks'
-        cells (see :meth:`CellArray.over_state`).  All are used in
-        place, so the service's devices run this class's write path on
-        their own arrays.  ``stats`` starts at zero.
-        """
-        self = cls.__new__(cls)
-        self.n_blocks = written.size
-        self.cell_kind = "3LC"
-        self.data_bits = codec.data_bits
-        self.design = array.design
-        self.codec3 = codec
-        self.codec4 = None
-        self.cells_per_block = codec.n_mlc_cells
-        self._block_state = []
-        for row in marked:
-            state = codec.new_block_state()
-            state._marked = row
-            self._block_state.append(state)
-        self._slc = slc
-        self.array = array
-        self.stats = DeviceStats()
-        self._written = written
-        return self
-
     # ------------------------------------------------------------------
     def _cell_range(self, block: int) -> np.ndarray:
         if not 0 <= block < self.n_blocks:
@@ -192,12 +155,31 @@ class PCMDevice:
         if bits.shape != (self.data_bits,):
             raise ValueError(f"expected {self.data_bits} bits, got {bits.shape}")
 
-        if self.cell_kind == "3LC":
-            self.write_encoded(block, bits, t_now)
-            return
-
         idx = self._cell_range(block)
         self.stats.writes += 1
+        if self.cell_kind == "3LC":
+            # Write-and-verify loop: every attempt encodes under the
+            # block's current marked layout; each failed pair is marked
+            # INV and the layout reshuffled around it, two spare cells
+            # per failure.
+            state = self._block_state[block]
+            for _ in range(state.config.n_spare_pairs + 1):
+                states, check = self.codec3.encode(bits, state)
+                ok = self.array.program(idx, states, t_now)
+                self._slc[block] = check
+                bad = np.nonzero(~ok)[0]
+                if bad.size == 0:
+                    self._written[block] = True
+                    return
+                self.stats.write_retries += 1
+                pair = int(bad[0]) // 2
+                if not state.marked_mask[pair]:
+                    state.mark(pair)  # raises SpareExhausted when out
+                    self.stats.wearout_marks += 1
+                # Force both cells of the marked pair toward S4 (INV).
+                self.array.force_highest(idx[2 * pair : 2 * pair + 2], t_now)
+            raise SpareExhausted(f"block {block}: wearout beyond spare budget")
+
         # 4LC path: ECP entries absorb failed cells.
         ecp = self._block_state[block]
         states, _tags = self.codec4.encode(bits)
@@ -217,42 +199,6 @@ class PCMDevice:
         for pointer, _ in list(getattr(ecp, "_entries", [])):
             ecp.update(pointer, int(states[pointer]))
         self._written[block] = True
-
-    def write_encoded(self, block: int, data_bits: np.ndarray, t_now: float) -> None:
-        """The 3LC program path: write-and-verify with mark-and-spare.
-
-        Every attempt encodes under the block's current marked layout
-        with a one-row ``codec3.encode`` call into the shared
-        :class:`~repro.coding.batch.BatchThreeOnTwoCodec` kernel.
-        """
-        if self.cell_kind != "3LC" or self.codec3 is None:
-            raise ValueError("write_encoded is the 3LC program path")
-        bits = np.asarray(data_bits).astype(np.uint8)
-        if bits.shape != (self.data_bits,):
-            raise ValueError(f"expected {self.data_bits} bits, got {bits.shape}")
-        idx = self._cell_range(block)
-        self.stats.writes += 1
-        state = self._block_state[block]
-        # Write-and-verify loop: each failed pair is marked INV and the
-        # layout reshuffled around it; two spare cells per failure.
-        for _ in range(state.config.n_spare_pairs + 1):
-            states, check = self.codec3.encode(bits, state)
-            ok = self.array.program(idx, states, t_now)
-            self._slc[block] = check
-            bad = np.nonzero(~ok)[0]
-            if bad.size == 0:
-                self._written[block] = True
-                return
-            self.stats.write_retries += 1
-            pair = int(bad[0]) // 2
-            already = pair in set(state.marked_pairs.tolist())
-            if not already:
-                state.mark(pair)  # raises SpareExhausted when out
-                self.stats.wearout_marks += 1
-            # Force both cells of the marked pair toward S4 (INV).
-            pc = idx[2 * pair : 2 * pair + 2]
-            self.array.force_highest(pc, t_now)
-        raise SpareExhausted(f"block {block}: wearout beyond spare budget")
 
     # ------------------------------------------------------------------
     def written_mask(self) -> np.ndarray:

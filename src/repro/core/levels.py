@@ -14,6 +14,7 @@ Section 8.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,6 +105,21 @@ class LevelDesign:
     @property
     def state_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.states)
+
+    @functools.cached_property
+    def write_tables(self) -> tuple[np.ndarray, ...]:
+        """Per-state ``(mu_lr, sigma_lr, mu_alpha, sigma_alpha)`` arrays,
+        gathered by target state on every program.  Read-only: every
+        cell engine over this design shares them."""
+        tables = (
+            np.array([s.mu_lr for s in self.states]),
+            np.array([s.sigma_lr for s in self.states]),
+            np.array([s.drift.mu_alpha for s in self.states]),
+            np.array([s.drift.sigma_alpha for s in self.states]),
+        )
+        for t in tables:
+            t.flags.writeable = False
+        return tables
 
     def upper_threshold(self, state_index: int) -> float:
         """Threshold a drifting cell in ``states[state_index]`` must cross to

@@ -4,10 +4,10 @@ Draws a heterogeneous population of 3LC PCM devices (per-device
 drift/endurance/temperature/workload), advances them through epochs of
 demand writes and scrub-refresh maintenance with one engine,
 :class:`FleetEngine`, which keeps the population in flat arrays and
-runs wear epochs through :class:`~repro.core.device.PCMDevice` views of
-its rows, and reduces the population to lifetime percentiles,
-spare-exhaustion hazard curves, refresh-energy totals, and silent-error
-rates.
+programs it in write-and-verify array rounds
+(:func:`~repro.fleet.soa.program_rounds`), and reduces the population
+to lifetime percentiles, spare-exhaustion hazard curves, refresh-energy
+totals, and silent-error rates.
 """
 
 from repro.fleet.config import (

@@ -1,7 +1,7 @@
 """Fleet population model: configuration and per-device heterogeneity.
 
-A fleet is ``n_devices`` independent :class:`~repro.core.device.PCMDevice`
-instances, each with its own drawn operating conditions.  The Table-1
+A fleet is ``n_devices`` independent 3LC devices (the scalar reference
+of :mod:`repro.core.device`), each with its own drawn operating conditions.  The Table-1
 drift exponent is not one constant in the field: cryogenic-drift
 measurements (Talukder et al., arXiv 2401.04909) and high-field-stress
 results (Khan et al., arXiv 2002.12487) both show alpha shifting with the
@@ -27,8 +27,8 @@ All draws come from a dedicated per-device SeedSequence stream
 (:func:`device_params`), so device ``i``'s parameters are a pure function
 of ``(entropy, i)`` — independent of shard layout, chunking, and worker
 count.  The single-device differential suite rebuilds the same parameters
-through this module and drives a plain :class:`PCMDevice`, which is what
-pins the fleet physics to the existing path.
+through this module and drives the scalar reference device, which is
+what pins the fleet physics to the existing path.
 """
 
 from __future__ import annotations

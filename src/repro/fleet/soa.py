@@ -20,29 +20,29 @@ B. **Program** — each device executes its writes in trace order,
    through the programming step below.
 C. **Scrub** — at the epoch's end every written block of every
    surviving device is sensed through
-   :func:`~repro.cells.cell_array.sensed_log_resistance`, the drift and
-   stuck-cell pinning :meth:`CellArray.sense` applies (no RNG draws),
+   :meth:`~repro.fleet.state.SoaFleetState.log_resistance`
+   (:func:`~repro.cells.cell_array.sensed_log_resistance`), the drift and
+   stuck-cell pinning the scalar reference's sense applies (no RNG draws),
    and decoded in one batch pass; successful decodes are rewritten
    block-ascending within each device through the programming step
    (drift-resetting refresh).  Uncorrectable blocks and silent
    corruptions (decode succeeded, data differs from what was last
    written) are counted.
 
-**The programming step** is the write-and-verify loop with
-mark-and-spare of a 3LC :meth:`PCMDevice.write`, run as array rounds.  Wave
-``w`` takes the ``w``-th row of every device, so each device has at
-most one row in flight; round ``r`` of a wave is attempt ``r`` of its
-still-pending rows, all encoded in one
-:meth:`~repro.coding.batch.BatchThreeOnTwoCodec.encode` call against
-their blocks' current marked layouts and programmed in one array pass.
-Only the :class:`numpy.random.Generator` calls run per device, in the
-order :meth:`CellArray.program` and :meth:`CellArray.force_highest`
-make them.
+**The programming step** is :func:`program_rounds`, the write-and-verify
+loop with mark-and-spare of a 3LC block write in the scalar reference
+(:mod:`repro.core.device`) run as array rounds over a set of rows; the
+service's :class:`~repro.service.device.VirtualDevice` writes through
+it too, one row at a time.  The engine feeds it in waves: wave ``w``
+takes the ``w``-th row of every device, so each device has at most one
+row in flight.  Only the :class:`numpy.random.Generator` calls run per
+row, in the order the reference's cell program and force
+(:mod:`repro.cells.cell_array`) make them.
 
 **Bit-identity contract.**  Devices are independent, so work may be
 reordered across devices as long as each device's own draw order is
 preserved, and sensing draws no randomness.  An ``n_devices=1`` fleet is
-therefore bit-identical to driving a plain :class:`PCMDevice` through
+therefore bit-identical to driving the scalar reference device through
 the same epoch schedule; ``tests/fleet/test_fleet_differential.py``
 holds every device of whole populations to that reference (state
 digest, stats, alive mask, and all per-epoch counters).  Every draw is
@@ -53,21 +53,18 @@ stream, built by :func:`~repro.montecarlo.rng.block_rng`.
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.cells.cell_array import (
-    cell_state_digest,
-    programmed_alpha,
-    programmed_log_resistance,
-    sensed_log_resistance,
-)
+from repro.cells.cell_array import programmed_alpha, programmed_log_resistance
 from repro.cells.drift import PAPER_ESCALATION, independent_escalated_alpha
 from repro.cells.faults import FaultMode, WearoutModel
 from repro.cells.params import WRITE_TRUNCATION_SIGMA
-from repro.coding.blockcodec import ThreeOnTwoBlockCodec
+from repro.coding.batch import BatchThreeOnTwoCodec, batch_codec
 from repro.core.designs import design_by_name
-from repro.core.device import DeviceStats, three_level_digest
+from repro.core.device import DeviceStats
+from repro.core.levels import LevelDesign
 from repro.fleet.config import (
     FLEET_SPAWN_KEY,
     KEY_DATA,
@@ -85,7 +82,7 @@ from repro.montecarlo.rng import block_rng, truncated_normal_from_uniform
 from repro.wearout.mark_and_spare import MarkAndSpareConfig
 from repro.workloads.synthetic import draw_ops_fast
 
-__all__ = ["FleetEngine", "SoaFleetEngine"]
+__all__ = ["FleetEngine", "Rounds", "SoaFleetEngine", "program_rounds"]
 
 _C_WRITES = counter_index("writes")
 _C_READS_REQ = counter_index("reads_requested")
@@ -132,24 +129,16 @@ class SoaFleetEngine:
             )
         self.n_devices = n
         self._epoch = 0
-        codec = ThreeOnTwoBlockCodec(config.data_bits, MarkAndSpareConfig.n_spare_pairs)
-        self._batch = codec.kernel
+        self._batch = codec = batch_codec(config.data_bits, MarkAndSpareConfig.n_spare_pairs)
         self._n_mlc = codec.n_mlc_cells
-        self._n_spare = codec.ms_config.n_spare_pairs
 
         base = design_by_name(config.design)
         if base.n_levels != 3:
             raise ValueError("the fleet engine models 3LC devices")
-        self._base = base
-        self._top = base.n_levels - 1
         # Write distributions are heterogeneity-free; a device's drift
-        # parameters are these times its drift factor, the products
-        # config._scale_drift and _scale_schedule form.
-        self._mu_lr = np.array([s.mu_lr for s in base.states])
-        self._sg_lr = np.array([s.sigma_lr for s in base.states])
-        self._mu_a = np.array([s.drift.mu_alpha for s in base.states])
-        self._sg_a = np.array([s.drift.sigma_alpha for s in base.states])
-        self._tier = PAPER_ESCALATION.tiers[0]
+        # parameters are the base design's times its drift factor, the
+        # products config._scale_drift and _scale_schedule form.
+        self._base = base
 
         self._s = SoaFleetState(
             n,
@@ -183,7 +172,8 @@ class SoaFleetEngine:
             )
             self._drift_factor[k] = float(config.temp_buckets[bucket][1]) * alpha_jitter
             self._workload.append(workload)
-            # CellArray's init draws, from the device stream in its order.
+            # The reference cell array's init draws, from the device
+            # stream in its order.
             wearout = _scale_wearout(config, endurance_scale)
             self._wearout.append(wearout)
             s.endurance[k] = wearout.sample_endurance(self._g_dev[k], nc)
@@ -203,11 +193,8 @@ class SoaFleetEngine:
         return k
 
     def device_digest(self, index: int) -> str:
-        """:meth:`PCMDevice.state_digest` of global device ``index``."""
-        k = self._row(index)
-        s = self._s
-        cells = cell_state_digest(tuple(a[k] for a in s.cells))
-        return three_level_digest(cells, s.slc[k], s.written[k], s.marked[k])
+        """The reference device's state digest of global device ``index``."""
+        return self._s.device_digest(self._row(index))
 
     def device_stats(self, index: int) -> DeviceStats:
         """The :class:`DeviceStats` of global device ``index``."""
@@ -289,16 +276,7 @@ class SoaFleetEngine:
         # the state means stuck cells pin to, the escalation break), so
         # the base design senses every device.
         rows = (sdevs, sblks)
-        lr = sensed_log_resistance(
-            t1,
-            s.t_prog_3[rows],
-            s.lr0_3[rows],
-            s.alpha_3[rows],
-            s.alpha_esc_3[rows],
-            s.fault_3[rows],
-            self._base,
-            PAPER_ESCALATION,
-        )
+        lr = s.log_resistance(t1, rows, self._base)
         dec = self._batch.decode(self._base.sense(lr), s.slc[rows])
         ok = ~dec.uncorrectable
         silent = ok & np.any(dec.data_bits != s.stored[rows], axis=1)
@@ -377,8 +355,8 @@ class SoaFleetEngine:
         return np.array(devs, dtype=np.int64), np.concatenate(blks), np.concatenate(bits)
 
     # ------------------------------------------------------------------
-    # The programming step: each row is one 3LC PCMDevice.write, and each
-    # device draws from its own stream in that method's order.
+    # The programming step: waves of program_rounds calls, one row per
+    # alive device each.
     def _program(
         self, devs: np.ndarray, blks: np.ndarray, bits: np.ndarray, t_now: float
     ) -> np.ndarray:
@@ -386,15 +364,10 @@ class SoaFleetEngine:
         write-and-verify and mark-and-spare; returns which rows completed.
 
         Wave ``w`` takes the ``w``-th row of every device still alive, so
-        a device has at most one row in flight, and round ``r`` of a wave
-        is attempt ``r`` of its pending rows: encode under the block's
-        current marked layout, program and verify, rewrite the check
-        bits.  A failing row marks the pair of its first failed cell (its
-        device dies if that needs a spare it has not got), forces the
-        pair to the top state and retries; one still failing after
-        ``n_spare_pairs + 1`` attempts kills its device.  A dying row
-        leaves ``written``/``stored`` as they were, and a dead device's
-        later rows draw nothing.
+        a device has at most one row in flight, and runs it through
+        :func:`program_rounds`.  A row that does not complete kills its
+        device, leaving ``written``/``stored`` as they were, and a dead
+        device's later rows draw nothing.
         """
         s = self._s
         done = np.zeros(devs.size, dtype=bool)
@@ -404,112 +377,167 @@ class SoaFleetEngine:
         for w in range(int(seg.max(initial=0))):
             j = np.flatnonzero(slot == w)
             j = j[self._alive[devs[j]]]
-            s.st_writes[devs[j]] += 1  # a write counts before its first attempt
-            for _ in range(self._n_spare + 1):
-                d, b = devs[j], blks[j]
-                states, checks = self._batch.encode(bits[j], s.marked[d, b])
-                everything = np.ones(states.shape, dtype=bool)
-                verified = self._program_rows(d, b, states, everything, t_now)
-                s.slc[d, b] = checks
-                ok = verified.all(axis=1)
-                s.written[d[ok], b[ok]] = True
-                s.stored[d[ok], b[ok]] = bits[j[ok]]
-                done[j[ok]] = True
-                j, d, b = j[~ok], d[~ok], b[~ok]
-                if not j.size:
-                    break
-                s.st_retries[d] += 1
-                pair = np.argmin(verified[~ok], axis=1) // 2
-                marked = s.marked[d, b]
-                new = ~marked[np.arange(j.size), pair]
-                spent = new & (marked.sum(axis=1) >= self._n_spare)
-                self._alive[d[spent]] = False
-                j, d, b, pair, new = (x[~spent] for x in (j, d, b, pair, new))
-                s.marked[d[new], b[new], pair[new]] = True
-                s.st_marks[d[new]] += 1
-                self._force_pairs(d, b, pair, t_now)
-            # Still failing after the last attempt: wearout beyond spares.
-            self._alive[devs[j]] = False
+            d = devs[j]
+            s.st_writes[d] += 1  # a write counts before its first attempt
+            ks = d.tolist()
+            out = program_rounds(
+                s,
+                self._batch,
+                self._base,
+                d,
+                blks[j],
+                bits[j],
+                [self._g_dev[k] for k in ks],
+                [self._wearout[k] for k in ks],
+                self._drift_factor[d],
+                t_now,
+            )
+            s.st_retries[d] += out.retries
+            s.st_marks[d] += out.marks
+            ok = j[out.done]
+            s.stored[devs[ok], blks[ok]] = bits[ok]
+            done[ok] = True
+            self._alive[d[~out.done]] = False
         return done
 
-    def _program_rows(
-        self,
-        d: np.ndarray,
-        b: np.ndarray,
-        states: np.ndarray,
-        addressed: np.ndarray,
-        t_now: float,
-    ) -> np.ndarray:
-        """:meth:`CellArray.program` of the ``addressed`` cells of blocks
-        ``(d, b)`` (one row per device); returns the verify mask.
+
+class Rounds(NamedTuple):
+    """Per-row outcome of :func:`program_rounds`.  A row neither ``done``
+    nor ``spent`` still failed after its last attempt."""
+
+    done: np.ndarray  #: the row's write completed and verified
+    spent: np.ndarray  #: a failed pair needed a spare and none was left
+    retries: np.ndarray  #: failed attempts
+    marks: np.ndarray  #: pairs newly marked
+
+
+def program_rounds(
+    s: SoaFleetState,
+    codec: BatchThreeOnTwoCodec,
+    design: LevelDesign,
+    d: np.ndarray,
+    b: np.ndarray,
+    bits: np.ndarray,
+    gens: Sequence[np.random.Generator],
+    wearouts: Sequence[WearoutModel],
+    factor: np.ndarray,
+    t_now: float,
+) -> Rounds:
+    """The 3LC block write of ``bits[i]`` into block ``(d[i], b[i])`` of
+    ``s``, for every row ``i`` at once, as array rounds.
+
+    Rows must address distinct blocks.  Row ``i`` draws from ``gens[i]``
+    (in the order the scalar reference's cell program and force make
+    the draws), revives stuck-set cells under ``wearouts[i]`` and scales
+    the design's drift parameters by ``factor[i]``.  Round ``r`` is
+    attempt ``r`` of the still-pending rows: encode under the block's
+    current marked layout in one ``codec.encode`` call, program and
+    verify, rewrite the check bits, and mark ``written`` on success.  A
+    failing row marks the pair of its first failed cell (it is ``spent``
+    if that needs a spare it has not got), forces the pair to the top
+    state and retries, for at most ``n_spare_pairs + 1`` attempts.
+    """
+    mu_lr, sg_lr, mu_a, sg_a = design.write_tables
+    top = design.n_levels - 1
+    tier = PAPER_ESCALATION.tiers[0]
+    n_spare = codec.ms_config.n_spare_pairs
+    f_rows = factor[:, None]
+
+    def program(r, rows, states, addressed=None):
+        """The reference cell program of the ``addressed`` cells (default:
+        all) of rows ``r``, whose blocks are ``rows``; returns the verify
+        mask.
 
         Every addressed cell is charged a write, and one reaching its
         endurance takes its pending fault mode first.  Each healthy one
-        then draws, per device in cell order, a truncated-normal uniform,
+        then draws, per row in cell order, a truncated-normal uniform,
         an exponent normal and an escalation normal, in three calls.
         """
-        s = self._s
-        rows = (d, b)
         st = states.astype(np.int64)
-        writes = s.writes_3[rows] + addressed
+        writes = s.writes_3[rows] + (1 if addressed is None else addressed)
         s.writes_3[rows] = writes
         fault = s.fault_3[rows]
-        dying = addressed & (writes >= s.endurance_3[rows]) & (fault == _HEALTHY)
+        healthy = fault == _HEALTHY
+        dying = (writes >= s.endurance_3[rows]) & healthy
+        if addressed is not None:
+            dying &= addressed
         if dying.any():
             fault = np.where(dying, s.pending_mode_3[rows], fault)
             s.fault_3[rows] = fault
-        healthy = fault == _HEALTHY
-        drawn = addressed & healthy
+            healthy = fault == _HEALTHY
+        drawn = healthy if addressed is None else addressed & healthy
         u, z, z_esc = x = np.zeros((3,) + drawn.shape)
         counts = drawn.sum(axis=1)
-        for i, (k, m) in enumerate(zip(d.tolist(), counts.tolist())):
+        ms = counts.tolist()
+        for i, (k, m) in enumerate(zip(r.tolist(), ms)):
             if m:
-                g = self._g_dev[k]
+                g = gens[k]
                 g.random(out=u[i, :m])
                 g.standard_normal(out=z[i, :m])
                 g.standard_normal(out=z_esc[i, :m])
-        keep = ~drawn
-        partial = bool(keep.any())
+        partial = sum(ms) < drawn.size
         if partial:  # each row's draws go to its drawn cells, in order
             x[:, drawn] = x[:, np.arange(drawn.shape[1]) < counts[:, None]]
         z_r = truncated_normal_from_uniform(
             u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
         )
-        f = self._drift_factor[d][:, None]
+        f = f_rows[r]
         for arr, value in (
-            (s.lr0_3, programmed_log_resistance(self._mu_lr[st], self._sg_lr[st], z_r)),
-            (s.alpha_3, programmed_alpha(self._mu_a[st] * f, self._sg_a[st] * f, z)),
+            (s.lr0_3, programmed_log_resistance(mu_lr[st], sg_lr[st], z_r)),
+            (s.alpha_3, programmed_alpha(mu_a[st] * f, sg_a[st] * f, z)),
             (
                 s.alpha_esc_3,
-                independent_escalated_alpha(
-                    z_esc, self._tier.mu_alpha * f, self._tier.sigma_alpha * f
-                ),
+                independent_escalated_alpha(z_esc, tier.mu_alpha * f, tier.sigma_alpha * f),
             ),
             (s.t_prog_3, t_now),
             (s.target_3, st),
         ):
-            arr[rows] = np.where(keep, arr[rows], value) if partial else value
+            arr[rows] = np.where(drawn, value, arr[rows]) if partial else value
         # A stuck-reset cell passes verify iff the target is the top state.
-        return healthy | ((fault == _STUCK_RESET) & (st == self._top))
+        return healthy | ((fault == _STUCK_RESET) & (st == top))
 
-    def _force_pairs(
-        self, d: np.ndarray, b: np.ndarray, pair: np.ndarray, t_now: float
-    ) -> None:
-        """:meth:`CellArray.force_highest` of pair ``pair`` of each block
-        ``(d, b)``: stuck-set cells draw revival uniforms (a revived cell
-        is stuck-reset), then the healthy cells program to the top state."""
-        s = self._s
-        cells = (d[:, None], b[:, None], 2 * pair[:, None] + np.arange(2))
+    def force(r, pair):
+        """The reference cell force-to-top of pair ``pair`` of each row
+        ``r``: stuck-set cells draw revival uniforms (a revived cell is
+        stuck-reset), then the healthy cells program to the top state."""
+        cells = (d[r, None], b[r, None], 2 * pair[:, None] + np.arange(2))
         fault = s.fault_3[cells]
         for i in np.flatnonzero((fault == _STUCK_SET).any(axis=1)).tolist():
-            k = int(d[i])
+            k = int(r[i])
             stuck = np.flatnonzero(fault[i] == _STUCK_SET)
-            revived = self._wearout[k].revive(self._g_dev[k], stuck.size)
-            fault[i, stuck[revived]] = _STUCK_RESET
+            fault[i, stuck[wearouts[k].revive(gens[k], stuck.size)]] = _STUCK_RESET
         s.fault_3[cells] = fault
-        addressed = np.zeros((d.size, self._n_mlc), dtype=bool)
+        addressed = np.zeros((r.size, s.cells_per_block), dtype=bool)
         np.put_along_axis(addressed, cells[2], fault == _HEALTHY, axis=1)
-        self._program_rows(d, b, np.full(addressed.shape, self._top), addressed, t_now)
+        program(r, (d[r], b[r]), np.full(addressed.shape, top), addressed)
+
+    done, spent = np.zeros((2, d.size), dtype=bool)
+    retries, marks = np.zeros((2, d.size), dtype=np.int64)
+    r = np.arange(d.size)
+    for _ in range(n_spare + 1):
+        rows = (d[r], b[r])
+        states, checks = codec.encode(bits[r], s.marked[rows])
+        verified = program(r, rows, states)
+        s.slc[rows] = checks
+        ok = verified.all(axis=1)
+        q = r[ok]
+        s.written[d[q], b[q]] = True
+        done[q] = True
+        r = r[~ok]
+        if not r.size:
+            break
+        retries[r] += 1
+        pair = np.argmin(verified[~ok], axis=1) // 2
+        marked = s.marked[d[r], b[r]]
+        new = ~marked[np.arange(r.size), pair]
+        short = new & (marked.sum(axis=1) >= n_spare)
+        spent[r[short]] = True
+        r, pair, new = r[~short], pair[~short], new[~short]
+        q = r[new]
+        s.marked[d[q], b[q], pair[new]] = True
+        marks[q] += 1
+        force(r, pair)
+    return Rounds(done, spent, retries, marks)
 
 
 #: The fleet engine's public name (``SoaFleetEngine`` stays importable

@@ -1,22 +1,32 @@
 """Structure-of-arrays state for the vectorized fleet engine.
 
-One :class:`SoaFleetState` holds everything ``n`` devices' worth of
-:class:`~repro.core.device.PCMDevice` state would hold, laid out as flat
-arrays with the device as the leading axis: per-cell physics as
+One :class:`SoaFleetState` holds everything ``n`` 3LC devices' worth of
+scalar-reference state (:mod:`repro.core.device`) would hold, laid out
+as flat arrays with the device as the leading axis: per-cell physics as
 ``(n, n_blocks * cells_per_block)``, per-block controller state as
-``(n, n_blocks, ...)``.  Dtypes mirror :class:`~repro.cells.cell_array.CellArray`
-field-for-field: a device's digest hashes the raw bytes of its rows in
-:meth:`CellArray.state_digest`'s format, so an ``int8`` where
-``CellArray`` keeps ``int64`` would already break the bit-identity
-contract.
+``(n, n_blocks, ...)``.  Dtypes mirror the reference cell array
+(:mod:`repro.cells.cell_array`) field-for-field: a device's digest
+hashes the raw bytes of its rows in
+:func:`~repro.cells.cell_array.cell_state_digest`'s format, so an
+``int8`` where the reference keeps ``int64`` would already break the
+bit-identity contract.
 
-The container is deliberately dumb: all epoch semantics live in
-:class:`repro.fleet.soa.SoaFleetEngine`.
+The container is deliberately dumb: it reads a device's digest and
+senses blocks, and all write semantics live in
+:func:`repro.fleet.soa.program_rounds`.
+The fleet engine holds its population in one; the service's
+:class:`~repro.service.device.VirtualDevice` holds its device as a
+one-row one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.cells.cell_array import cell_state_digest, sensed_log_resistance
+from repro.cells.drift import PAPER_ESCALATION
+from repro.core.device import three_level_digest
+from repro.core.levels import LevelDesign
 
 __all__ = ["SoaFleetState", "alive_indices"]
 
@@ -49,7 +59,7 @@ class SoaFleetState:
         self.n_blocks = int(n_blocks)
         self.cells_per_block = int(cells_per_block)
 
-        # Per-cell physics state; one row per device, CellArray dtypes.
+        # Per-cell physics state; one row per device, reference dtypes.
         self.lr0 = np.zeros((n, nc))
         self.alpha = np.zeros((n, nc))
         self.alpha_esc = np.zeros((n, nc))
@@ -90,7 +100,7 @@ class SoaFleetState:
 
     @property
     def cells(self) -> tuple[np.ndarray, ...]:
-        """The nine per-cell arrays, in :meth:`CellArray.over_state` order."""
+        """The nine per-cell arrays, in :func:`cell_state_digest` order."""
         return (
             self.lr0,
             self.alpha,
@@ -101,6 +111,30 @@ class SoaFleetState:
             self.endurance,
             self.fault,
             self.pending_mode,
+        )
+
+    def device_digest(self, k: int) -> str:
+        """The reference device's state digest of device row ``k``:
+        :func:`~repro.core.device.three_level_digest` over its rows."""
+        cells = cell_state_digest(tuple(a[k] for a in self.cells))
+        return three_level_digest(cells, self.slc[k], self.written[k], self.marked[k])
+
+    def log_resistance(
+        self, t_now: float | np.ndarray, rows: tuple, design: LevelDesign
+    ) -> np.ndarray:
+        """The log10 resistance a sense at ``t_now`` measures in the
+        blocks ``rows`` (a ``(device, block)`` index pair), one row of
+        cells per block: :func:`sensed_log_resistance` under the paper's
+        escalation."""
+        return sensed_log_resistance(
+            t_now,
+            self.t_prog_3[rows],
+            self.lr0_3[rows],
+            self.alpha_3[rows],
+            self.alpha_esc_3[rows],
+            self.fault_3[rows],
+            design,
+            PAPER_ESCALATION,
         )
 
     @property

@@ -7,14 +7,15 @@ only advances by explicit request, accumulated mark-and-spare wear, and
 cumulative request statistics.
 
 The cells, SLC check bits, written mask and mark-and-spare layouts live
-in one :class:`~repro.core.device.PCMDevice` view (built with
-:meth:`PCMDevice.over_state`), so writes run
-:meth:`PCMDevice.write_encoded` and reads sense through
-:meth:`CellArray.log_resistance`.  This class adds only addressing,
-validation, the virtual clock, per-block write epochs, request
-statistics and error codes.  Reads of many blocks sense as one
-vectorized pass and decode through the shared
-:class:`~repro.coding.batch.BatchThreeOnTwoCodec`.
+in a one-device :class:`~repro.fleet.state.SoaFleetState`, block ``b``
+at cells ``[b * n_cells, (b + 1) * n_cells)``.  Writes run the fleet's
+programming kernel :func:`~repro.fleet.soa.program_rounds` on one row,
+and reads sense through
+:meth:`~repro.fleet.state.SoaFleetState.log_resistance`, as the fleet's
+scrub does.  This class adds only addressing, validation, the virtual
+clock, per-block write epochs, request statistics and error codes.
+Reads of many blocks sense as one vectorized pass and decode through
+the shared :class:`~repro.coding.batch.BatchThreeOnTwoCodec`.
 
 **Determinism contract.**  Device state after any request history is a
 pure function of ``(device seed, the ordered per-block request
@@ -22,8 +23,8 @@ sequence, the virtual timestamps)`` — *not* of wall-clock time, request
 interleaving across blocks, or how the dynamic batcher happened to
 group requests.  Three mechanisms enforce this:
 
-- before every write the view's cell generator is replaced by a private
-  one addressed by ``(seed, SERVICE_SPAWN_KEY, block, epoch)`` via
+- every write draws from a private generator addressed by
+  ``(seed, SERVICE_SPAWN_KEY, block, epoch)`` via
   :func:`repro.montecarlo.rng.block_rng`, where ``epoch`` counts writes
   to that block — so the draws a write makes (program noise for its
   healthy cells, revival of stuck-set cells in marked pairs) depend on
@@ -43,12 +44,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.cells.cell_array import CellArray
-from repro.cells.drift import PAPER_ESCALATION, TieredDrift
 from repro.cells.faults import FaultMode, WearoutModel
-from repro.coding.blockcodec import ThreeOnTwoBlockCodec
+from repro.coding.batch import batch_codec
 from repro.core.designs import three_level_optimal
-from repro.core.device import DeviceStats, PCMDevice
+from repro.fleet.soa import program_rounds
+from repro.fleet.state import SoaFleetState
 from repro.montecarlo.rng import block_rng
 from repro.service.clock import VirtualClock
 from repro.service.codes import ServiceError
@@ -70,6 +70,12 @@ SERVICE_SPAWN_KEY = 0x5EC0
 _KEY_ENDURANCE = 0
 _KEY_MODES = 1
 _KEY_WRITE = 2
+
+_HEALTHY = FaultMode.HEALTHY.value
+#: A write's one row: device row 0, at the design's own drift.
+_ROW = np.zeros(1, dtype=np.int64)
+_UNSCALED = np.ones(1)
+
 
 @dataclasses.dataclass
 class VirtualDeviceStats:
@@ -100,7 +106,6 @@ class VirtualDevice:
         data_bits: int = 512,
         n_spare_pairs: int = 6,
         wearout: WearoutModel | None = None,
-        schedule: TieredDrift = PAPER_ESCALATION,
     ):
         if n_blocks < 1:
             raise ServiceError("E_BAD_REQUEST", "need at least one block")
@@ -109,43 +114,30 @@ class VirtualDevice:
         self.n_blocks = int(n_blocks)
         self.data_bits = int(data_bits)
         self.n_spare_pairs = int(n_spare_pairs)
-        codec = ThreeOnTwoBlockCodec(self.data_bits, self.n_spare_pairs)
-        self.codec = codec.kernel
+        self.codec = codec = batch_codec(self.data_bits, self.n_spare_pairs)
         self.clock = VirtualClock()
         self.stats = VirtualDeviceStats()
 
         self.n_cells = codec.n_mlc_cells
         self.n_slc_cells = codec.n_slc_cells
-        n = self.n_blocks * self.n_cells
-        design = three_level_optimal()
-        wearout = wearout or WearoutModel()
-        rng_end = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_ENDURANCE))
-        rng_modes = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_MODES))
-        # Block b owns cells [b * n_cells, (b + 1) * n_cells), the
-        # PCMDevice layout.  The generator passed here is never drawn
-        # from: write_block installs the write's own before programming.
-        array = CellArray.over_state(
-            (
-                np.full(n, design.states[0].mu_lr),
-                np.zeros(n),
-                np.zeros(n),
-                np.zeros(n),
-                np.zeros(n, dtype=np.int64),
-                np.zeros(n, dtype=np.int64),
-                wearout.sample_endurance(rng_end, n),
-                np.full(n, FaultMode.HEALTHY.value, dtype=np.int8),
-                wearout.sample_modes(rng_modes, n),
-            ),
-            design=design,
-            rng=rng_end,
-            wearout=wearout,
-            schedule=schedule,
+        self.design = three_level_optimal()
+        self._wearout = wearout or WearoutModel()
+        #: The device's cells and controller state, as device row 0.
+        self.state = s = SoaFleetState(
+            1,
+            self.n_blocks,
+            self.n_cells,
+            self.n_slc_cells,
+            codec.ms_config.n_pairs,
+            self.data_bits,
         )
-        self._slc = np.zeros((self.n_blocks, self.n_slc_cells), dtype=np.uint8)
-        self._written = np.zeros(self.n_blocks, dtype=bool)
-        self._marked = np.zeros((self.n_blocks, codec.ms_config.n_pairs), dtype=bool)
-        self.device = PCMDevice.over_state(
-            array, codec, self._slc, self._written, self._marked
+        n = self.n_blocks * self.n_cells
+        s.lr0[:] = self.design.states[0].mu_lr
+        s.endurance[0] = self._wearout.sample_endurance(
+            block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_ENDURANCE)), n
+        )
+        s.pending_mode[0] = self._wearout.sample_modes(
+            block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_MODES)), n
         )
         self._epoch = np.zeros(self.n_blocks, dtype=np.int64)
 
@@ -184,36 +176,50 @@ class VirtualDevice:
     def write_block(self, block: int, bits: np.ndarray, t: float) -> dict:
         """Encode + program one block with write-and-verify at time ``t``.
 
-        Runs :meth:`PCMDevice.write_encoded` under the write's own
-        generator.  Raises
+        Runs :func:`~repro.fleet.soa.program_rounds` on the block under
+        the write's own generator.  Raises
         :class:`~repro.wearout.mark_and_spare.SpareExhausted` when wear
         outruns the spare budget; the block is then unreadable until a
         later write succeeds.
         """
         block = self.check_block(block)
+        bits = np.asarray(bits).astype(np.uint8)
+        if bits.shape != (self.data_bits,):
+            raise ValueError(f"expected {self.data_bits} bits, got {bits.shape}")
         epoch = int(self._epoch[block])
         self._epoch[block] = epoch + 1
-        dev = self.device
-        dev.array.rng = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_WRITE, block, epoch))
-        try:
-            dev.write_encoded(block, bits, t)
-        except SpareExhausted:
-            self._written[block] = False
+        rng = block_rng(self.seed, (SERVICE_SPAWN_KEY, _KEY_WRITE, block, epoch))
+        out = program_rounds(
+            self.state,
+            self.codec,
+            self.design,
+            _ROW,
+            np.array([block]),
+            bits[None],
+            [rng],
+            [self._wearout],
+            _UNSCALED,
+            t,
+        )
+        retries = int(out.retries[0])
+        self.stats.writes += 1
+        self.stats.write_retries += retries
+        self.stats.wearout_marks += int(out.marks[0])
+        if not out.done[0]:
+            self.state.written[0, block] = False
             self.stats.spare_exhausted_writes += 1
-            raise
-        finally:
-            st = dev.stats
-            self.stats.writes += st.writes
-            self.stats.write_retries += st.write_retries
-            self.stats.wearout_marks += st.wearout_marks
-            dev.stats = DeviceStats()
+            raise SpareExhausted(
+                f"all {self.n_spare_pairs} spares already consumed"
+                if out.spent[0]
+                else f"block {block}: wearout beyond spare budget"
+            )
         return {
             "code": "OK",
             "block": block,
             "t": t,
             "epoch": epoch,
-            "retries": st.write_retries,
-            "marked_pairs": int(self._marked[block].sum()),
+            "retries": retries,
+            "marked_pairs": int(self.state.marked[0, block].sum()),
         }
 
     # -- read path -----------------------------------------------------
@@ -224,12 +230,11 @@ class VirtualDevice:
         """
         blocks = np.asarray(blocks, dtype=np.int64)
         ts = np.asarray(ts, dtype=float)
-        cells = blocks[:, None] * self.n_cells + np.arange(self.n_cells)
-        lr = self.device.array.log_resistance(ts[:, None], cells)
-        return self.device.design.sense(lr).astype(np.uint8), self._slc[blocks]
+        lr = self.state.log_resistance(ts[:, None], (0, blocks), self.design)
+        return self.design.sense(lr).astype(np.uint8), self.state.slc[0, blocks]
 
     def require_written(self, block: int) -> None:
-        if not bool(self._written[block]):
+        if not bool(self.state.written[0, block]):
             raise ServiceError(
                 "E_BLOCK_NOT_WRITTEN",
                 f"block {block} was never written (or its last write failed)",
@@ -238,7 +243,7 @@ class VirtualDevice:
 
     # -- introspection -------------------------------------------------
     def describe(self) -> dict:
-        marks = self._marked.sum(axis=1)
+        marks = self.state.marked[0].sum(axis=1)
         return {
             "id": self.device_id,
             "seed": self.seed,
@@ -248,12 +253,12 @@ class VirtualDevice:
             "cells_per_block": self.n_cells,
             "slc_cells_per_block": self.n_slc_cells,
             "virtual_time": self.clock.now(),
-            "blocks_written": int(self._written.sum()),
+            "blocks_written": int(self.state.written.sum()),
             "wear": {
                 "marked_pairs_total": int(marks.sum()),
                 "marked_pairs_max": int(marks.max()),
                 "blocks_at_budget": int((marks >= self.n_spare_pairs).sum()),
-                "stuck_cells": int(self.device.array.stuck_mask().sum()),
+                "stuck_cells": int((self.state.fault != _HEALTHY).sum()),
             },
             "stats": self.stats.snapshot(),
         }
@@ -261,14 +266,16 @@ class VirtualDevice:
     def state_digest(self) -> str:
         """SHA-256 over the full simulated state, for differential checks.
 
-        Covers the :class:`PCMDevice` view's digest (cells, check bits,
-        written mask, marks), the per-block write epochs and the clock.
+        Covers the device row's digest
+        (:meth:`~repro.fleet.state.SoaFleetState.device_digest`: cells,
+        check bits, written mask, marks), the per-block write epochs and
+        the clock.
         Two devices that served bit-identical request histories (in any
         batching arrangement) must produce equal digests; the
         bench/CI cross-check is built on this.
         """
         h = hashlib.sha256()
-        h.update(self.device.state_digest().encode("ascii"))
+        h.update(self.state.device_digest(0).encode("ascii"))
         h.update(np.ascontiguousarray(self._epoch).tobytes())
         h.update(np.float64(self.clock.now()).tobytes())
         return h.hexdigest()

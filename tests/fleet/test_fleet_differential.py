@@ -214,7 +214,7 @@ class TestSingleDeviceDifferential:
         stuck-set cell, a retry whose failed pair is already marked (more
         forces than marks), and a death at the attempt limit."""
         seen = collections.Counter()
-        force, write = CellArray.force_highest, PCMDevice.write_encoded
+        force, write = CellArray.force_highest, PCMDevice.write
 
         def counting_force(self, indices, t_now):
             seen["forces"] += 1
@@ -230,7 +230,7 @@ class TestSingleDeviceDifferential:
                 raise
 
         monkeypatch.setattr(CellArray, "force_highest", counting_force)
-        monkeypatch.setattr(PCMDevice, "write_encoded", counting_write)
+        monkeypatch.setattr(PCMDevice, "write", counting_write)
         entropy = seed_entropy(42)
         counts = sum(
             drive_single(MIXED, entropy, i)[2] for i in range(MIXED.n_devices)

@@ -150,14 +150,13 @@ class TestOneProgrammingPath:
     )
     def test_never_calls_device_write_path(self, monkeypatch, config, wear):
         """With and without wear, the engine programs through its own
-        array rounds: it builds no ``PCMDevice`` view and calls neither
-        the per-device write nor the cell array's program or force."""
+        array rounds: it calls neither the per-device write nor the cell
+        array's program or force."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the fleet called the single-device write path")
 
-        monkeypatch.setattr(PCMDevice, "over_state", forbidden)
-        monkeypatch.setattr(PCMDevice, "write_encoded", forbidden)
+        monkeypatch.setattr(PCMDevice, "write", forbidden)
         monkeypatch.setattr(CellArray, "program", forbidden)
         monkeypatch.setattr(CellArray, "force_highest", forbidden)
         engine = SoaFleetEngine(config, seed_entropy(42))

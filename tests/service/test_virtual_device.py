@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cells.cell_array import CellArray, cell_state_digest
 from repro.cells.faults import WearoutModel
+from repro.coding.blockcodec import ThreeOnTwoBlockCodec
 from repro.core.device import PCMDevice
 from repro.montecarlo.rng import block_rng
 from repro.service.codes import ServiceError
@@ -28,8 +30,7 @@ def _read_data(device: VirtualDevice, block: int, t: float) -> np.ndarray:
 
 def _log_resistance(device: VirtualDevice, block: int, t: float) -> np.ndarray:
     """Drifted log10 resistance of one block's cells at virtual time ``t``."""
-    cells = np.arange(block * device.n_cells, (block + 1) * device.n_cells)
-    return device.device.array.log_resistance(t, cells)
+    return device.state.log_resistance(t, (0, block), device.design)
 
 
 class TestDeterminism:
@@ -172,29 +173,40 @@ class TestWearout:
 
 
 class TestPCMDeviceReplay:
-    """A service device is a PCMDevice plus addressing and bookkeeping.
+    """A service device writes like a standalone :class:`PCMDevice`.
 
-    Replaying a history on a standalone :class:`PCMDevice` — same
-    creation-time endurance and failure modes, the same per-(block,
-    epoch) generator installed before each write — must leave the same
-    cells, marks and check bits, and sense the same states after drift.
+    Replaying a history on a :class:`PCMDevice` of the same geometry —
+    same creation-time endurance and failure modes, the same
+    per-(block, epoch) generator installed before each write — must
+    leave the same cells, marks and check bits, sense the same states
+    after drift, and run out of spares on the same writes.
     """
 
     MIXED = WearoutModel(
         mean_endurance=200.0, endurance_sigma=0.6, p_stuck_reset=0.5, p_revive=0.5
     )
+    WEAROUTS = [TestWearout.WEAROUT, MIXED]
 
     @staticmethod
-    def _reference(dev: VirtualDevice, wearout: WearoutModel) -> PCMDevice:
-        ref = PCMDevice(dev.n_blocks, wearout=wearout)
-        n = dev.n_blocks * dev.n_cells
+    def _devices(geometry, seed, n_blocks, wearout):
+        data_bits, n_spare = geometry
+        dev = VirtualDevice(
+            "dev", seed, n_blocks, data_bits=data_bits, n_spare_pairs=n_spare, wearout=wearout
+        )
+        ref = PCMDevice(
+            n_blocks,
+            data_bits=data_bits,
+            wearout=wearout,
+            codec=ThreeOnTwoBlockCodec(data_bits, n_spare),
+        )
+        n = n_blocks * dev.n_cells
         ref.array._endurance[:] = wearout.sample_endurance(
-            block_rng(dev.seed, (SERVICE_SPAWN_KEY, 0)), n
+            block_rng(seed, (SERVICE_SPAWN_KEY, 0)), n
         )
         ref.array._pending_mode[:] = wearout.sample_modes(
-            block_rng(dev.seed, (SERVICE_SPAWN_KEY, 1)), n
+            block_rng(seed, (SERVICE_SPAWN_KEY, 1)), n
         )
-        return ref
+        return dev, ref
 
     @staticmethod
     def _write_both(dev, ref, epochs, block, bits, t):
@@ -205,30 +217,32 @@ class TestPCMDeviceReplay:
             try:
                 write(block, bits, t)
                 outcomes.append("ok")
-            except SpareExhausted:
-                outcomes.append("exhausted")
+            except SpareExhausted as exc:
+                outcomes.append(f"exhausted: {exc}")
         assert outcomes[0] == outcomes[1]
         return outcomes[0]
 
     @staticmethod
     def _assert_same_state(dev, ref, t):
+        s = dev.state
         blocks = np.arange(dev.n_blocks)
         states, checks = dev.sense_rows(blocks, np.full(blocks.size, t))
         assert np.array_equal(states.ravel(), ref.array.sense(t))
         for b in blocks:
             assert np.array_equal(checks[b], ref.check_bits(b))
-            assert np.array_equal(
-                dev.device.block_state(b).marked_pairs, ref.block_state(b).marked_pairs
-            )
-        assert dev.device.array.state_digest() == ref.array.state_digest()
+            assert np.array_equal(s.marked[0, b], ref.block_state(b).marked_mask)
+        assert cell_state_digest(tuple(a[0] for a in s.cells)) == ref.array.state_digest()
 
-    def test_healthy_history(self):
-        wearout = WearoutModel()
-        dev = VirtualDevice("dev", 31, 4, wearout=wearout)
-        ref = self._reference(dev, wearout)
+    def _replay_healthy(self, geometry):
+        data_bits = geometry[0]
+        dev, ref = self._devices(geometry, 31, 4, WearoutModel())
         epochs = [0] * dev.n_blocks
-        history = [(b, _payload(b), 0.0) for b in range(4)]
-        history += [(1, _payload(9), 50.0), (3, _payload(10), 80.0), (1, _payload(11), 90.0)]
+        history = [(b, _payload(b, data_bits), 0.0) for b in range(4)]
+        history += [
+            (1, _payload(9, data_bits), 50.0),
+            (3, _payload(10, data_bits), 80.0),
+            (1, _payload(11, data_bits), 90.0),
+        ]
         for block, bits, t in history:
             self._write_both(dev, ref, epochs, block, bits, t)
         for t in (100.0, SECONDS_PER_YEAR, 10 * SECONDS_PER_YEAR):
@@ -239,20 +253,61 @@ class TestPCMDeviceReplay:
             assert np.array_equal(data, ref.read(b, SECONDS_PER_YEAR).data_bits)
             assert np.array_equal(data, bits)
 
-    @pytest.mark.parametrize("wearout", [TestWearout.WEAROUT, MIXED], ids=["reset", "mixed"])
-    def test_wearout_history(self, wearout):
-        dev = VirtualDevice("dev", 7, 2, wearout=wearout)
-        ref = self._reference(dev, wearout)
+    def _replay_wearout(self, wearout, geometry):
+        data_bits, n_spare = geometry
+        dev, ref = self._devices(geometry, 7, 2, wearout)
         epochs = [0] * dev.n_blocks
         outcomes = []
         for i in range(300):
             t = 10.0 * i
-            outcomes.append(self._write_both(dev, ref, epochs, i % 2, _payload(i), t))
+            bits = _payload(i, data_bits)
+            outcomes.append(self._write_both(dev, ref, epochs, i % 2, bits, t))
             self._assert_same_state(dev, ref, t + SECONDS_PER_YEAR)
-        assert dev.stats.wearout_marks >= 1
         assert dev.stats.wearout_marks == ref.stats.wearout_marks
+        assert (dev.stats.wearout_marks > 0) == (n_spare > 0)
         assert dev.stats.write_retries == ref.stats.write_retries
-        assert "exhausted" in outcomes
+        exhausted = [o for o in outcomes if o != "ok"]
+        assert dev.stats.spare_exhausted_writes == len(exhausted) > 0
+        # Writes went on after the first exhaustion, still matching.
+        assert outcomes.index(exhausted[0]) < len(outcomes) - 1
+
+    def test_healthy_history(self):
+        self._replay_healthy((512, 6))
+
+    @pytest.mark.parametrize("wearout", WEAROUTS, ids=["reset", "mixed"])
+    def test_wearout_history(self, wearout):
+        self._replay_wearout(wearout, (512, 6))
+
+    @pytest.mark.parametrize("n_spare", [0, 2])
+    def test_service_only_geometry(self, n_spare):
+        """Geometries HTTP accepts but the fleet never runs; with no
+        spares the first failure exhausts the block."""
+        self._replay_healthy((64, n_spare))
+        for wearout in self.WEAROUTS:
+            self._replay_wearout(wearout, (64, n_spare))
+
+
+class TestOneProgrammingPath:
+    def test_never_programs_through_the_scalar_reference(self, monkeypatch):
+        """Writes, reads and introspection run the fleet's array kernel:
+        no ``PCMDevice`` write and no ``CellArray`` program, force or
+        sense, even when wear marks pairs."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the service called the scalar reference")
+
+        monkeypatch.setattr(PCMDevice, "write", forbidden)
+        monkeypatch.setattr(CellArray, "program", forbidden)
+        monkeypatch.setattr(CellArray, "force_highest", forbidden)
+        monkeypatch.setattr(CellArray, "log_resistance", forbidden)
+        dev = VirtualDevice("dev", 7, 2, wearout=TestWearout.WEAROUT)
+        with pytest.raises(SpareExhausted):
+            for i in range(400):
+                dev.write_block(i % 2, _payload(i), t=0.0)
+        assert dev.stats.wearout_marks > 0
+        dev.sense_rows(np.array([0, 1]), np.array([1.0, 2.0]))
+        assert dev.describe()["wear"]["stuck_cells"] > 0
+        dev.state_digest()
 
 
 class TestValidation:
@@ -269,6 +324,14 @@ class TestValidation:
         with pytest.raises(ServiceError) as excinfo:
             dev.require_written(2)
         assert excinfo.value.code == "E_BLOCK_NOT_WRITTEN"
+
+    def test_rejected_payload_leaves_state_alone(self):
+        dev = VirtualDevice("dev", 0, 2)
+        digest = dev.state_digest()
+        with pytest.raises(ValueError):
+            dev.write_block(0, np.zeros(10, np.uint8), 0.0)
+        assert dev.state_digest() == digest
+        assert dev._epoch.tolist() == [0, 0]
 
     def test_needs_a_block(self):
         with pytest.raises(ServiceError):
