@@ -16,3 +16,7 @@ class Sched:
             def later() -> None:
                 self.states.clear()      # nested def does NOT inherit the lock
             later()
+
+    def drop_later(self, job: str):
+        with self._lock:
+            return lambda: self.states.pop(job, None)  # lambda body runs later, unlocked

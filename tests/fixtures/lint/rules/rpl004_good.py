@@ -15,3 +15,7 @@ class Sched:
 
     def annotate(self, note: str) -> None:
         self.notes.append(note)            # not a guarded attribute
+
+    async def settle_async(self, job: str, result: dict) -> None:
+        async with self._lock:
+            self.results[job] = result

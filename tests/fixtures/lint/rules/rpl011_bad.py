@@ -22,5 +22,10 @@ class Registry:
             self._items[key] = await fetch(key, value)
 
 
+async def refresh(registry, key):
+    with threading.Lock():
+        registry[key] = await fetch(key, None)
+
+
 async def fetch(key, value):
     return value

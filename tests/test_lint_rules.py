@@ -24,7 +24,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint" / "rules"
 EXPECTED_BAD = {
     "RPL001": 3,
     "RPL003": 2,
-    "RPL004": 3,
+    "RPL004": 4,
     "RPL005": 2,
 }
 
@@ -37,7 +37,7 @@ EXPECTED_BAD = {
 PROJECT_FIXTURES = {
     "rpl002": ("RPL014", 1),
     "rpl010": ("RPL010", 3),
-    "rpl011": ("RPL011", 2),
+    "rpl011": ("RPL011", 3),
     "rpl012": ("RPL012", 2),
     "rpl013": ("RPL001", 2),
     "rpl014": ("RPL014", 1),
