@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -47,8 +46,8 @@ from repro.fleet.engine import (
     counter_index,
 )
 from repro.fleet.soa import FleetEngine
-from repro.montecarlo.executor import ENGINE_VERSION, resolve_jobs, shard_ranges
-from repro.montecarlo.results_cache import ResultsCache
+from repro.montecarlo.executor import ENGINE_VERSION, fan_out, shard_ranges
+from repro.montecarlo.results_cache import ResultsCache, cached_counts
 from repro.montecarlo.rng import seed_entropy
 
 __all__ = [
@@ -220,21 +219,8 @@ def fleet_mc(
     """
     entropy = seed_entropy(seed)
     shards = shard_ranges(config.n_devices, shard_devices)
-    expected_len = config.n_epochs * N_COUNTERS
 
-    per_shard: dict[tuple[int, int], np.ndarray] = {}
-    missing: list[tuple[int, int]] = []
-    for first, n in shards:
-        cached = None
-        if cache is not None:
-            key = fleet_counts_key(config, entropy, first, n)
-            cached = cache.get_counts(key, expected_len=expected_len)
-        if cached is not None:
-            per_shard[(first, n)] = _decode_counts(cached, config.n_epochs)
-        else:
-            missing.append((first, n))
-
-    if missing:
+    def compute(missing: list[tuple[int, int]]) -> list[np.ndarray]:
         group = max(1, int(shards_per_task))
         tasks = [
             _FleetTask(
@@ -245,20 +231,17 @@ def fleet_mc(
             )
             for i, lo in enumerate(range(0, len(missing), group))
         ]
-        n_jobs = resolve_jobs(jobs)
-        if n_jobs <= 1 or len(tasks) <= 1:
-            parts = [_eval_fleet_task(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-                parts = list(pool.map(_eval_fleet_task, tasks))
-        for task, matrices in zip(tasks, parts):
-            for shard, counts in zip(task.shards, matrices):
-                per_shard[shard] = counts
-                if cache is not None:
-                    key = fleet_counts_key(config, entropy, shard[0], shard[1])
-                    cache.put_counts(key, _encode_counts(counts))
+        parts = fan_out(_eval_fleet_task, tasks, jobs)
+        return [_encode_counts(counts) for matrices in parts for counts in matrices]
 
+    vectors = cached_counts(
+        cache,
+        shards,
+        lambda shard: fleet_counts_key(config, entropy, *shard),
+        config.n_epochs * N_COUNTERS,
+        compute,
+    )
     total = np.zeros((config.n_epochs, N_COUNTERS), dtype=np.int64)
-    for shard in shards:
-        total += per_shard[shard]
+    for vec in vectors:
+        total += _decode_counts(vec, config.n_epochs)
     return FleetSummary(config=config, entropy=entropy, counts=total)

@@ -146,10 +146,17 @@ class SoaFleetEngine:
             self._n_mlc,
             codec.n_slc_cells,
             codec.ms_config.n_pairs,
-            config.data_bits,
         )
         s = self._s
         self._alive = np.ones(n, dtype=bool)
+        #: last data written per (device, block) — silent-error oracle.
+        self._stored = np.zeros((n, config.n_blocks, config.data_bits), dtype=np.uint8)
+        # Per-device cumulative DeviceStats columns, one row each
+        # (``refreshes`` stays zero: the fleet counts them per epoch).
+        self._st = np.zeros((5, n), dtype=np.int64)
+        self._st_writes, self._st_reads, self._st_tec, self._st_marks, self._st_retries = (
+            self._st
+        )
 
         idx = range(self.first_device, self.first_device + n)
 
@@ -199,13 +206,12 @@ class SoaFleetEngine:
     def device_stats(self, index: int) -> DeviceStats:
         """The :class:`DeviceStats` of global device ``index``."""
         k = self._row(index)
-        s = self._s
         return DeviceStats(
-            writes=int(s.st_writes[k]),
-            reads=int(s.st_reads[k]),
-            tec_corrections=int(s.st_tec[k]),
-            wearout_marks=int(s.st_marks[k]),
-            write_retries=int(s.st_retries[k]),
+            writes=int(self._st_writes[k]),
+            reads=int(self._st_reads[k]),
+            tec_corrections=int(self._st_tec[k]),
+            wearout_marks=int(self._st_marks[k]),
+            write_retries=int(self._st_retries[k]),
         )
 
     def params(self, index: int) -> DeviceParams:
@@ -220,19 +226,18 @@ class SoaFleetEngine:
     @property
     def state_nbytes(self) -> int:
         """Bytes held by the population state arrays (telemetry)."""
-        return self._s.nbytes
+        return self._s.nbytes + self._stored.nbytes + self._st.nbytes
 
     def state_digest(self) -> str:
         """SHA-256 over every device's full state plus fleet bookkeeping."""
         h = hashlib.sha256()
         h.update(self._epoch.to_bytes(8, "little"))
         h.update(np.ascontiguousarray(self._alive).tobytes())
-        s = self._s
         for k in range(self.n_devices):
             h.update(self.device_digest(self.first_device + k).encode("ascii"))
-            for b in np.flatnonzero(s.written[k]):
+            for b in np.flatnonzero(self._s.written[k]):
                 h.update(int(b).to_bytes(4, "little"))
-                h.update(np.ascontiguousarray(s.stored[k, b]).tobytes())
+                h.update(np.ascontiguousarray(self._stored[k, b]).tobytes())
         return h.hexdigest()
 
     # ------------------------------------------------------------------
@@ -279,14 +284,14 @@ class SoaFleetEngine:
         lr = s.log_resistance(t1, rows, self._base)
         dec = self._batch.decode(self._base.sense(lr), s.slc[rows])
         ok = ~dec.uncorrectable
-        silent = ok & np.any(dec.data_bits != s.stored[rows], axis=1)
+        silent = ok & np.any(dec.data_bits != self._stored[rows], axis=1)
         done = np.ones(sdevs.size, dtype=bool)
         done[ok] = self._program(sdevs[ok], sblks[ok], dec.data_bits[ok], t1)
         # A device whose refresh ran out of spares stops its scrub there.
         reached = self._reached(sdevs, done)
-        np.add.at(s.st_reads, sdevs[reached], 1)
+        np.add.at(self._st_reads, sdevs[reached], 1)
         tec = np.where(ok & reached, dec.tec_corrected, 0)
-        np.add.at(s.st_tec, sdevs, tec)
+        np.add.at(self._st_tec, sdevs, tec)
         tally2 = self._tally()
 
         n_read = int(reached.sum())
@@ -304,9 +309,13 @@ class SoaFleetEngine:
 
     def _tally(self) -> np.ndarray:
         """Population totals of block writes, cell programs, marks, retries."""
-        s = self._s
         return np.array(
-            [s.st_writes.sum(), s.writes.sum(), s.st_marks.sum(), s.st_retries.sum()]
+            [
+                self._st_writes.sum(),
+                self._s.writes.sum(),
+                self._st_marks.sum(),
+                self._st_retries.sum(),
+            ]
         )
 
     def _reached(self, devs: np.ndarray, done: np.ndarray) -> np.ndarray:
@@ -378,7 +387,7 @@ class SoaFleetEngine:
             j = np.flatnonzero(slot == w)
             j = j[self._alive[devs[j]]]
             d = devs[j]
-            s.st_writes[d] += 1  # a write counts before its first attempt
+            self._st_writes[d] += 1  # a write counts before its first attempt
             ks = d.tolist()
             out = program_rounds(
                 s,
@@ -392,10 +401,10 @@ class SoaFleetEngine:
                 self._drift_factor[d],
                 t_now,
             )
-            s.st_retries[d] += out.retries
-            s.st_marks[d] += out.marks
+            self._st_retries[d] += out.retries
+            self._st_marks[d] += out.marks
             ok = j[out.done]
-            s.stored[devs[ok], blks[ok]] = bits[ok]
+            self._stored[devs[ok], blks[ok]] = bits[ok]
             done[ok] = True
             self._alive[d[~out.done]] = False
         return done

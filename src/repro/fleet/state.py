@@ -16,7 +16,8 @@ senses blocks, and all write semantics live in
 :func:`repro.fleet.soa.program_rounds`.
 The fleet engine holds its population in one; the service's
 :class:`~repro.service.device.VirtualDevice` holds its device as a
-one-row one.
+one-row one.  It holds only the state both keep: the fleet's payload
+oracle and per-device stats live on the fleet engine.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class SoaFleetState:
         cells_per_block: int,
         n_slc: int,
         n_pairs: int,
-        data_bits: int,
     ) -> None:
         n = int(n_devices)
         nc = int(n_blocks) * int(cells_per_block)
@@ -74,16 +74,6 @@ class SoaFleetState:
         self.slc = np.zeros((n, n_blocks, n_slc), dtype=np.uint8)
         self.written = np.zeros((n, n_blocks), dtype=bool)
         self.marked = np.zeros((n, n_blocks, n_pairs), dtype=bool)
-        #: last data written per (device, block) — silent-error oracle.
-        self.stored = np.zeros((n, n_blocks, data_bits), dtype=np.uint8)
-
-        # Per-device cumulative stats (DeviceStats columns; ``refreshes``
-        # stays zero in the fleet path, which counts refreshes per epoch).
-        self.st_writes = np.zeros(n, dtype=np.int64)
-        self.st_reads = np.zeros(n, dtype=np.int64)
-        self.st_tec = np.zeros(n, dtype=np.int64)
-        self.st_marks = np.zeros(n, dtype=np.int64)
-        self.st_retries = np.zeros(n, dtype=np.int64)
 
         # (n, n_blocks, cells_per_block) views of the per-cell arrays,
         # for scatter/gather addressed by (device, block).
@@ -140,15 +130,5 @@ class SoaFleetState:
     @property
     def nbytes(self) -> int:
         """Total bytes held by the population arrays (views excluded)."""
-        rest = (
-            self.slc,
-            self.written,
-            self.marked,
-            self.stored,
-            self.st_writes,
-            self.st_reads,
-            self.st_tec,
-            self.st_marks,
-            self.st_retries,
-        )
+        rest = (self.slc, self.written, self.marked)
         return sum(a.nbytes for a in self.cells + rest)

@@ -13,16 +13,17 @@ machine-checked invariants:
   one protocol: ``check(model) -> list[Violation]``;
 - one whole-program run: the engine parses every file once into a
   :class:`~repro.lint.model.ProjectModel` (symbol tables, resolved
-  import graph, async/call summaries) and runs every rule over it;
+  import graph, per-function call summaries) and runs every rule over it;
 - ``# repro-lint: disable=RPLxxx -- reason`` inline suppressions;
 - a ``[tool.repro-lint]`` pyproject config block (excludes, per-path
   disables, ``layers`` contracts, default ``paths``);
 - text and JSON reporters (schema in ``docs/LINTING.md``).
 
 Style and general bug patterns (bare or swallowing ``except``, shell
-subprocess calls, mutable defaults) belong to ruff, configured in
-``pyproject.toml``.  Run this linter as ``python -m repro.lint
-[paths...]``; it exits nonzero iff a violation survives suppression.
+subprocess calls, mutable defaults, dropped task handles) belong to
+ruff, configured in ``pyproject.toml``.  Run this linter as ``python -m
+repro.lint [paths...]``; it exits nonzero iff a violation survives
+suppression.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """CLI entry: ``python -m repro.lint [paths...]``.
 
 Every run is the whole-program pass: the project model is built once
-and every rule runs over it.
+and every rule runs over it.  The report (text, or JSON with
+``--format json``) always goes to stdout.
 
 Exit status: 0 — clean; 1 — at least one violation (or an unparseable
 file); 2 — usage or configuration error.
@@ -50,12 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pyproject.toml (or directory) to read [tool.repro-lint] from "
         "(default: nearest pyproject above the current directory)",
     )
-    parser.add_argument(
-        "-q",
-        "--quiet",
-        action="store_true",
-        help="suppress the report body; only the exit status matters",
-    )
     return parser
 
 
@@ -76,9 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"repro.lint: configuration error: {exc}", file=sys.stderr)
         return 2
     result = run_whole_program(_resolve_paths(args, config), config)
-    if not args.quiet:
-        render = render_json if args.format == "json" else render_text
-        print(render(result))
+    render = render_json if args.format == "json" else render_text
+    print(render(result))
     return result.exit_code
 
 

@@ -11,11 +11,15 @@ program at once:
   :class:`ImportMap` (local-name aliases and resolved import edges from
   one walk over the import statements; relative imports resolve against
   the module's own package), and module-level ``*_VERSION`` constants;
-- one :class:`FunctionInfo` per function/method: coroutine-ness, every
-  call site with its canonical dotted target, ``await``-while-holding-a-
-  ``threading.Lock`` regions, and ``asyncio.create_task`` retention;
+- one :class:`FunctionInfo` per function/method: coroutine-ness and
+  every call site with its canonical dotted target;
 - the :class:`ProjectModel` tying them together: qualified-name
   function lookup (so call edges cross files) and the import graph.
+
+Questions about one function body that need no cross-file lookup are
+answered by the rules walking the parsed tree themselves;
+:func:`walk_locked` is the one shared walk, tracking which ``with``
+locks are held around each node.
 
 Resolution is lexical and conservative: a call through an object
 attribute (``device.write_block``) does not resolve, so no edge is
@@ -32,7 +36,7 @@ import dataclasses
 import fnmatch
 import functools
 import pathlib
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.lint.config import LintConfig
 from repro.lint.suppress import Suppressions
@@ -44,12 +48,12 @@ __all__ = [
     "ImportMap",
     "ModuleInfo",
     "ProjectModel",
-    "TaskSpawn",
     "build_model",
     "module_name_for",
     "qualified_name",
     "rel_posix_of",
     "resolve_relative",
+    "walk_locked",
 ]
 
 #: Module-level constants matching these patterns are tracked as engine
@@ -82,32 +86,20 @@ class CallSite:
     name: str  # canonical dotted target (import-alias resolved)
     lineno: int
     col: int
-    awaited: bool  # lexically under an ``await``
 
 
-@dataclasses.dataclass(frozen=True)
-class TaskSpawn:
-    """One ``asyncio.create_task``-family call and how its handle fared."""
-
-    name: str
-    lineno: int
-    col: int
-    retained: bool  # assigned/awaited/passed on vs. bare expression stmt
+_Def = ast.FunctionDef | ast.AsyncFunctionDef
 
 
 @dataclasses.dataclass
 class FunctionInfo:
-    """Async/call summary of one function or method."""
+    """Call summary of one function or method."""
 
     qualname: str  # module-qualified: ``pkg.mod.Class.meth``
     name: str
-    lineno: int
-    col: int
     is_coroutine: bool
     calls: list[CallSite]
-    awaits_under_lock: list[tuple[int, int, str]]  # (line, col, lock expr)
-    task_spawns: list[TaskSpawn]
-    node: ast.AST  # the defining FunctionDef/AsyncFunctionDef
+    node: _Def  # the defining FunctionDef/AsyncFunctionDef
 
 
 @dataclasses.dataclass
@@ -257,29 +249,33 @@ class ModuleInfo:
         return grouped
 
 
-_TASK_FACTORIES = {"asyncio.create_task", "asyncio.ensure_future"}
-_LOCK_FACTORIES = {"threading.Lock", "threading.RLock", "threading.Condition"}
+def walk_locked(
+    tree: ast.AST, lock_of: Callable[[ast.With | ast.AsyncWith], Iterable[str]]
+) -> Iterator[tuple[ast.AST, tuple[str, ...], _Def | None]]:
+    """Every node under ``tree`` with the locks held around it, unordered.
 
-
-def _is_lockish(expr: ast.AST, imports: ImportMap) -> str | None:
-    """Render a ``with`` context expression if it looks like a thread lock.
-
-    Matches a direct ``threading.Lock()`` construction or any name /
-    attribute chain whose final component contains ``lock`` (the repo
-    convention: ``self._lock``, ``registry_lock``, …).  ``async with``
-    never reaches here — asyncio locks are await-safe by design.
+    Yields ``(node, held, fn)``: ``fn`` is the innermost def enclosing
+    ``node`` (None at module level), and ``held`` names the locks that
+    ``with`` statements in that function hold around it, outermost
+    first; ``lock_of`` names the locks one ``with`` or ``async with``
+    takes.  A nested def or lambda holds none: its body runs later.
     """
-    node = expr.func if isinstance(expr, ast.Call) else expr
-    name = imports.canonical(node)
-    if name is None:
-        return None
-    if isinstance(expr, ast.Call):
-        return name if name in _LOCK_FACTORIES else None
-    return name if "lock" in name.split(".")[-1].lower() else None
+    stack: list[tuple[ast.AST, tuple[str, ...], _Def | None]] = [
+        (tree, (), None)
+    ]
+    while stack:
+        node, held, fn = stack.pop()
+        yield node, held, fn
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            held = ()
+            fn = fn if isinstance(node, ast.Lambda) else node
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            held += tuple(lock_of(node))
+        stack.extend((child, held, fn) for child in ast.iter_child_nodes(node))
 
 
 class _ModuleVisitor(ast.NodeVisitor):
-    """One walk collecting functions, calls, and async hazards."""
+    """One walk collecting every function and its call sites."""
 
     def __init__(self, module: str, imports: ImportMap, local_defs: set[str]):
         self.module = module
@@ -288,8 +284,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.functions: dict[str, FunctionInfo] = {}
         self._class_stack: list[str] = []
         self._fn_stack: list[FunctionInfo] = []
-        self._lock_stack: list[str] = []
-        self._await_depth = 0
 
     # -- name canonicalization ----------------------------------------
     def _canonical(self, func: ast.AST) -> str | None:
@@ -307,36 +301,22 @@ class _ModuleVisitor(ast.NodeVisitor):
         return name
 
     # -- function scaffolding -----------------------------------------
-    def _enter_function(self, node, is_coroutine: bool):
+    def visit_FunctionDef(self, node: _Def) -> None:
         scope = ".".join(self._class_stack + [node.name])
         info = FunctionInfo(
             qualname=f"{self.module}.{scope}",
             name=node.name,
-            lineno=node.lineno,
-            col=node.col_offset,
-            is_coroutine=is_coroutine,
+            is_coroutine=isinstance(node, ast.AsyncFunctionDef),
             calls=[],
-            awaits_under_lock=[],
-            task_spawns=[],
             node=node,
         )
         self.functions[scope] = info
         self._fn_stack.append(info)
-        # A nested def's body runs later: locks held here are not held
-        # there, so the stacks reset around the body.
-        saved_locks, self._lock_stack = self._lock_stack, []
-        saved_await, self._await_depth = self._await_depth, 0
         for child in node.body:
             self.visit(child)
-        self._lock_stack = saved_locks
-        self._await_depth = saved_await
         self._fn_stack.pop()
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._enter_function(node, is_coroutine=False)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._enter_function(node, is_coroutine=True)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._class_stack.append(node.name)
@@ -344,74 +324,13 @@ class _ModuleVisitor(ast.NodeVisitor):
             self.visit(child)
         self._class_stack.pop()
 
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        saved_locks, self._lock_stack = self._lock_stack, []
-        self.generic_visit(node)
-        self._lock_stack = saved_locks
-
-    # -- async hazards -------------------------------------------------
-    def visit_With(self, node: ast.With) -> None:
-        locks = [
-            rendered
-            for item in node.items
-            if (rendered := _is_lockish(item.context_expr, self.imports))
-        ]
-        self._lock_stack.extend(locks)
-        for item in node.items:
-            self.visit(item.context_expr)
-        for child in node.body:
-            self.visit(child)
-        if locks:
-            del self._lock_stack[-len(locks):]
-
-    def visit_Await(self, node: ast.Await) -> None:
-        fn = self._fn_stack[-1] if self._fn_stack else None
-        if fn is not None and self._lock_stack:
-            fn.awaits_under_lock.append(
-                (node.lineno, node.col_offset, self._lock_stack[-1])
-            )
-        self._await_depth += 1
-        self.generic_visit(node)
-        self._await_depth -= 1
-
-    def visit_Expr(self, node: ast.Expr) -> None:
-        # A bare create_task(...) statement: the handle is dropped.
-        value = node.value
-        if isinstance(value, ast.Call):
-            self._record_task(value, retained=False)
-        self.generic_visit(node)
-
-    def _task_target(self, call: ast.Call) -> str | None:
-        name = self._canonical(call.func)
-        if name in _TASK_FACTORIES:
-            return name
-        # loop.create_task / anything.create_task: same hazard.
-        if isinstance(call.func, ast.Attribute) and call.func.attr == "create_task":
-            return name or "<loop>.create_task"
-        return None
-
-    def _record_task(self, call: ast.Call, retained: bool) -> None:
-        fn = self._fn_stack[-1] if self._fn_stack else None
-        target = self._task_target(call)
-        if fn is not None and target is not None:
-            fn.task_spawns.append(
-                TaskSpawn(target, call.lineno, call.col_offset, retained)
-            )
-
     # -- call sites ----------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         fn = self._fn_stack[-1] if self._fn_stack else None
         if fn is not None:
-            if self._task_target(node) is not None and not any(
-                t.lineno == node.lineno and t.col == node.col_offset
-                for t in fn.task_spawns
-            ):
-                self._record_task(node, retained=True)
             name = self._canonical(node.func)
             if name is not None:
-                fn.calls.append(
-                    CallSite(name, node.lineno, node.col_offset, self._await_depth > 0)
-                )
+                fn.calls.append(CallSite(name, node.lineno, node.col_offset))
         self.generic_visit(node)
 
 

@@ -18,11 +18,6 @@ its shape is documented in ``docs/LINTING.md`` and pinned by
                   "by_code": {"RPLnnn": int, ...}},
       "exit_code": 0|1
     }
-
-Schema history: v1 had no ``baselined`` field; v2 added it for the
-ratchet baseline; v3 dropped it with the baseline; v4 dropped the
-per-violation ``severity`` and ``summary.warnings`` (every violation
-is an error).
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from repro.lint.rules.rpl004_lock import LockDisciplineRule
 from repro.lint.rules.rpl005_float_eq import FloatEqualityRule
 from repro.lint.rules.rpl010_blocking import BlockingInCoroutineRule
 from repro.lint.rules.rpl011_await_lock import AwaitUnderLockRule
-from repro.lint.rules.rpl012_task_retention import FireAndForgetTaskRule
 from repro.lint.rules.rpl014_version_salt import CacheKeyCompletenessRule
 from repro.lint.rules.rpl015_layers import LayeringContractRule
 
@@ -27,7 +26,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     FloatEqualityRule,
     BlockingInCoroutineRule,
     AwaitUnderLockRule,
-    FireAndForgetTaskRule,
     CacheKeyCompletenessRule,
     LayeringContractRule,
 )

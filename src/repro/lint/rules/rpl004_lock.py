@@ -11,17 +11,18 @@ kind of silent corruption the resume tests cannot catch.
 The rule applies to ``*/campaign/scheduler.py``.  Inside any class there, a statement that
 mutates ``self.<guarded attr>`` — assignment, augmented assignment,
 subscript store/delete, or a mutating method call such as ``.pop()`` —
-must be lexically inside a ``with self._lock:`` block in the *same*
-function.  ``__init__`` is exempt (the object is not shared yet), and a
-nested function does not inherit its definition site's lock: it runs
-later, when the lock may no longer be held.
+must be lexically inside a ``with self._lock:`` (or ``async with``)
+block in the *same* function.  ``__init__`` is exempt (the object is
+not shared yet), and a nested function or lambda does not inherit its
+definition site's lock: it runs later, when the lock may no longer be
+held.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.model import ModuleInfo, ProjectModel, qualified_name
+from repro.lint.model import ProjectModel, qualified_name, walk_locked
 from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["LockDisciplineRule"]
@@ -52,6 +53,33 @@ def _guarded_base(node: ast.AST) -> ast.Attribute | None:
     return None
 
 
+def _lock_of(node: ast.With | ast.AsyncWith) -> list[str]:
+    return [_LOCK for item in node.items if qualified_name(item.context_expr) == _LOCK]
+
+
+def _mutated(node: ast.AST) -> ast.Attribute | None:
+    """The guarded ``self.<attr>`` a statement or call mutates, if any."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+            return _guarded_base(func.value)
+        return None
+    if isinstance(node, ast.Delete):
+        elts = node.targets
+    elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets: list[ast.expr] = (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        elts = [
+            elt
+            for target in targets
+            for elt in (target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target])
+        ]
+    else:
+        return None
+    return next(filter(None, map(_guarded_base, elts)), None)
+
+
 class LockDisciplineRule(Rule):
     code = "RPL004"
     name = "shared-state-mutation-outside-lock"
@@ -60,50 +88,16 @@ class LockDisciplineRule(Rule):
     def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
         for module in self.modules(model):
-            out.extend(self._check_module(module))
-        return out
-
-    def _check_module(self, module: ModuleInfo) -> list[Violation]:
-        out: list[Violation] = []
-
-        def visit(node: ast.AST, lock_depth: int) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name in _EXEMPT_METHODS:
-                    return
-                lock_depth = 0  # the body runs later, lock not inherited
-            elif isinstance(node, ast.Lambda):
-                lock_depth = 0
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                if any(
-                    qualified_name(item.context_expr) == _LOCK
-                    for item in node.items
-                ):
-                    lock_depth += 1
-            elif lock_depth == 0:
-                hit: ast.Attribute | None = None
-                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        elts = (
-                            target.elts
-                            if isinstance(target, (ast.Tuple, ast.List))
-                            else [target]
-                        )
-                        for elt in elts:
-                            hit = hit or _guarded_base(elt)
-                elif isinstance(node, ast.Delete):
-                    for target in node.targets:
-                        hit = hit or _guarded_base(target)
-                elif isinstance(node, ast.Call):
-                    if (
-                        isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _MUTATORS
-                    ):
-                        hit = _guarded_base(node.func.value)
+            assert module.tree is not None  # modules() yields parsed files only
+            exempt = {
+                id(node)
+                for kind in (ast.FunctionDef, ast.AsyncFunctionDef)
+                for fn in module.nodes[kind]
+                if fn.name in _EXEMPT_METHODS
+                for node in ast.walk(fn)
+            }
+            for node, held, _ in walk_locked(module.tree, _lock_of):
+                hit = None if held or id(node) in exempt else _mutated(node)
                 if hit is not None:
                     out.append(
                         self.violation(
@@ -114,9 +108,4 @@ class LockDisciplineRule(Rule):
                             f"'with {_LOCK}:'",
                         )
                     )
-            for child in ast.iter_child_nodes(node):
-                visit(child, lock_depth)
-
-        assert module.tree is not None  # modules() yields parsed files only
-        visit(module.tree, 0)
         return out

@@ -12,8 +12,8 @@ callables passed there produce no call edge, so routing work through
 the seam is exactly what makes this rule pass.
 
 Whole-program part: the rule follows resolved call edges from each
-coroutine through *synchronous* project functions (awaited coroutine
-calls yield the loop and are fine), so a blocking call hidden two sync
+coroutine through *synchronous* project functions (a call to a
+coroutine function yields the loop and is fine), so a blocking call hidden two sync
 helpers deep is still attributed to the coroutine's call site, with the
 chain named in the message.
 """

@@ -8,22 +8,43 @@ release it after the event loop resumes it.  Even short of deadlock,
 every event-loop task serializes behind a lock meant to order *thread*
 access for microseconds, not I/O waits.
 
-Detection comes from the pass-1 function summaries: a ``with`` (never
-``async with`` — asyncio primitives are await-safe) whose context
+The rule flags an ``await`` inside a ``with`` (never ``async with`` —
+asyncio primitives are await-safe) in the same function, whose context
 expression constructs or names a thread lock (``threading.Lock()``,
-``self._lock``, any ``*lock*`` name by repo convention) containing an
-``await`` in the same function body.  The fix is to compute under the
-lock and await outside it, or switch to ``asyncio.Lock``.
+``self._lock``, any ``*lock*`` name by repo convention).  The fix is to
+compute under the lock and await outside it, or switch to
+``asyncio.Lock``.
 """
 
 from __future__ import annotations
 
-from repro.lint.model import ProjectModel
+import ast
+import functools
+
+from repro.lint.model import ImportMap, ProjectModel, walk_locked
 from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["AwaitUnderLockRule"]
 
 PRODUCTION_CODE = ("src/*",)
+
+_LOCK_FACTORIES = {"threading.Lock", "threading.RLock", "threading.Condition"}
+
+
+def _thread_locks(imports: ImportMap, node: ast.With | ast.AsyncWith) -> list[str]:
+    """The thread locks a plain ``with`` takes, rendered as dotted names."""
+    if isinstance(node, ast.AsyncWith):
+        return []
+    locks = []
+    for item in node.items:
+        expr = item.context_expr
+        call = isinstance(expr, ast.Call)
+        name = imports.canonical(expr.func if call else expr)
+        if name is not None and (
+            name in _LOCK_FACTORIES if call else "lock" in name.split(".")[-1].lower()
+        ):
+            locks.append(name)
+    return locks
 
 
 class AwaitUnderLockRule(Rule):
@@ -34,14 +55,18 @@ class AwaitUnderLockRule(Rule):
     def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
         for module in self.modules(model):
-            for fn in module.functions.values():
-                for lineno, col, lock in fn.awaits_under_lock:
+            assert module.tree is not None  # modules() yields parsed files only
+            if not (module.nodes[ast.Await] and module.nodes[ast.With]):
+                continue  # nothing to flag: skip the walk
+            lock_of = functools.partial(_thread_locks, module.import_map)
+            for node, held, fn in walk_locked(module.tree, lock_of):
+                if isinstance(node, ast.Await) and held and fn is not None:
                     out.append(
                         self.violation(
                             module,
-                            lineno,
-                            col,
-                            f"await inside 'with {lock}:' in {fn.name}(); a "
+                            node.lineno,
+                            node.col_offset,
+                            f"await inside 'with {held[-1]}:' in {fn.name}(); a "
                             "thread lock held across a suspension point can "
                             "deadlock the loop — release before awaiting or "
                             "use asyncio.Lock",

@@ -72,8 +72,8 @@ class CacheKeyCompletenessRule(Rule):
                 out.append(
                     self.violation(
                         module,
-                        fn.lineno,
-                        fn.col,
+                        fn.node.lineno,
+                        fn.node.col_offset,
                         f"cache-key builder {fn.name}() omits version "
                         f"constant(s) {detail}; stale entries will survive "
                         "changes to those engines — fold every version "

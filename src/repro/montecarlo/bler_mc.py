@@ -40,7 +40,6 @@ clean: (1 - cer)^354 is 70% at 1e-3 and 35% at 3e-3.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -48,8 +47,8 @@ import numpy as np
 from repro.analysis.bler import binom_confidence
 from repro.chaos.registry import fault_point
 from repro.coding.batch import BatchThreeOnTwoCodec, batch_codec
-from repro.montecarlo.executor import RNG_BLOCK, plan_blocks, resolve_jobs
-from repro.montecarlo.results_cache import ResultsCache, bler_counts_key
+from repro.montecarlo.executor import RNG_BLOCK, fan_out, plan_blocks
+from repro.montecarlo.results_cache import ResultsCache, bler_counts_key, cached_counts
 from repro.montecarlo.rng import block_rng, seed_entropy
 
 __all__ = [
@@ -209,21 +208,7 @@ def bler_mc(
         raise ValueError(f"need at least one block, got {n_blocks}")
     entropy = seed_entropy(seed)
 
-    totals: dict[float, np.ndarray] = {}
-    missing: list[float] = []
-    for c in dict.fromkeys(cer_list):  # unique, order-preserving
-        cached = None
-        if cache is not None:
-            key = bler_counts_key(
-                c, data_bits, n_spare_pairs, n_blocks, entropy, (BLER_SPAWN_KEY,)
-            )
-            cached = cache.get_counts(key, expected_len=2)
-        if cached is not None:
-            totals[c] = cached
-        else:
-            missing.append(c)
-
-    if missing:
+    def compute(missing: list[float]) -> list[np.ndarray]:
         sizes = plan_blocks(n_blocks)
         blocks_per_task = max(1, int(chunk) // RNG_BLOCK)
         tasks = [
@@ -238,20 +223,19 @@ def bler_mc(
             )
             for i, lo in enumerate(range(0, len(sizes), blocks_per_task))
         ]
-        n_jobs = resolve_jobs(jobs)
-        if n_jobs <= 1 or len(tasks) <= 1:
-            parts = [_eval_bler_task(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-                parts = list(pool.map(_eval_bler_task, tasks))
-        summed = np.sum(parts, axis=0, dtype=np.int64)
-        for j, c in enumerate(missing):
-            totals[c] = summed[j]
-            if cache is not None:
-                key = bler_counts_key(
-                    c, data_bits, n_spare_pairs, n_blocks, entropy, (BLER_SPAWN_KEY,)
-                )
-                cache.put_counts(key, summed[j])
+        return list(np.sum(fan_out(_eval_bler_task, tasks, jobs), axis=0, dtype=np.int64))
+
+    unique = list(dict.fromkeys(cer_list))  # order-preserving
+    counts = cached_counts(
+        cache,
+        unique,
+        lambda c: bler_counts_key(
+            c, data_bits, n_spare_pairs, n_blocks, entropy, (BLER_SPAWN_KEY,)
+        ),
+        2,
+        compute,
+    )
+    totals = dict(zip(unique, counts))
 
     return [
         BlerResult(

@@ -35,7 +35,7 @@ from repro.montecarlo.executor import (
     apportion_samples,
     run_counts,
 )
-from repro.montecarlo.results_cache import ResultsCache, state_counts_key
+from repro.montecarlo.results_cache import ResultsCache, cached_counts, state_counts_key
 from repro.montecarlo.rng import alpha_samples, seed_entropy, truncated_normal
 
 __all__ = [
@@ -164,26 +164,13 @@ def _counts_for_runs(
     cache: ResultsCache | None,
 ) -> list[np.ndarray]:
     """Per-run error counts, served from the cache where possible."""
-    out: list[np.ndarray | None] = [None] * len(runs)
-    keys: list[str | None] = [None] * len(runs)
-    pending: list[int] = []
-    for i, run in enumerate(runs):
-        if cache is not None:
-            keys[i] = state_counts_key(run, times, schedule)
-            hit = cache.get_counts(keys[i], expected_len=len(times))
-            if hit is not None:
-                out[i] = hit
-                continue
-        pending.append(i)
-    if pending:
-        fresh = run_counts(
-            [runs[i] for i in pending], L_grid, schedule=schedule, chunk=chunk, jobs=jobs
-        )
-        for i, counts in zip(pending, fresh):
-            out[i] = counts
-            if cache is not None:
-                cache.put_counts(keys[i], counts)
-    return out  # type: ignore[return-value]
+    return cached_counts(
+        cache,
+        runs,
+        lambda run: state_counts_key(run, times, schedule),
+        len(times),
+        lambda missing: run_counts(missing, L_grid, schedule=schedule, chunk=chunk, jobs=jobs),
+    )
 
 
 def state_cer(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "StateRun",
     "apportion_samples",
     "blocks_evaluated",
+    "fan_out",
     "plan_blocks",
     "resolve_jobs",
     "run_counts",
@@ -77,6 +78,20 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (or 0/None for all cores), got {jobs}")
     return jobs
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def fan_out(fn: Callable[[_T], _R], tasks: Sequence[_T], jobs: int | None) -> list[_R]:
+    """``[fn(t) for t in tasks]``, over a process pool of up to ``jobs``
+    workers; inline for one job or one task."""
+    jobs = resolve_jobs(jobs)
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def plan_blocks(n_samples: int, block: int = RNG_BLOCK) -> list[int]:
@@ -209,7 +224,6 @@ def run_counts(
     """
     global _BLOCKS_EVALUATED
     L = np.ascontiguousarray(L_grid, dtype=float)
-    jobs = resolve_jobs(jobs)
     blocks_per_task = max(1, int(chunk) // RNG_BLOCK)
 
     tasks: list[_Task] = []
@@ -235,12 +249,7 @@ def run_counts(
             )
 
     out = [np.zeros(L.size, dtype=np.int64) for _ in runs]
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [_eval_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_eval_task, tasks))
-    for task, counts in zip(tasks, results):
+    for task, counts in zip(tasks, fan_out(_eval_task, tasks, jobs)):
         out[task.item] += counts
         _BLOCKS_EVALUATED += len(task.sizes)
     return out

@@ -27,7 +27,7 @@ import json
 import os
 import pathlib
 from collections import OrderedDict
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "CacheStats",
     "ResultsCache",
     "bler_counts_key",
+    "cached_counts",
     "default_cache_dir",
     "state_counts_key",
 ]
@@ -375,3 +376,35 @@ class ResultsCache:
             removed += 1
             freed += size
         return (removed, freed)
+
+
+_Item = TypeVar("_Item")
+
+
+def cached_counts(
+    cache: ResultsCache | None,
+    items: Sequence[_Item],
+    key: Callable[[_Item], str],
+    expected_len: int,
+    compute: Callable[[list[_Item]], Sequence[np.ndarray]],
+) -> list[np.ndarray]:
+    """One count vector per item, served from ``cache`` where it hits.
+
+    Every item's ``key(item)`` entry is looked up first; ``compute`` then
+    runs once, on the missed items in order, and returns their vectors,
+    which are stored under their keys.  Without a cache every item is
+    computed (and no key is built).
+    """
+    keys = [key(item) for item in items] if cache is not None else []
+    out: list[np.ndarray | None] = (
+        [cache.get_counts(k, expected_len=expected_len) for k in keys]
+        if cache is not None
+        else [None] * len(items)
+    )
+    missing = [i for i, hit in enumerate(out) if hit is None]
+    if missing:
+        for i, counts in zip(missing, compute([items[i] for i in missing])):
+            out[i] = counts
+            if cache is not None:
+                cache.put_counts(keys[i], counts)
+    return out  # type: ignore[return-value]

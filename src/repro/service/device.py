@@ -129,7 +129,6 @@ class VirtualDevice:
             self.n_cells,
             self.n_slc_cells,
             codec.ms_config.n_pairs,
-            self.data_bits,
         )
         n = self.n_blocks * self.n_cells
         s.lr0[:] = self.design.states[0].mu_lr

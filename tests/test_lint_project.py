@@ -58,8 +58,8 @@ class TestRepoLayerContract:
         assert config.paths == ["src", "tests", "benchmarks"]
 
 
-def make_project(tmp_path: pathlib.Path, *, bad_tasks: int = 1) -> pathlib.Path:
-    """A minimal project whose only finding is RPL012 x bad_tasks."""
+def make_project(tmp_path: pathlib.Path) -> pathlib.Path:
+    """A minimal project whose only finding is one RPL003 wall-clock read."""
     (tmp_path / "pyproject.toml").write_text(
         textwrap.dedent(
             """\
@@ -68,15 +68,10 @@ def make_project(tmp_path: pathlib.Path, *, bad_tasks: int = 1) -> pathlib.Path:
             """
         )
     )
-    src = tmp_path / "src"
-    src.mkdir(exist_ok=True)
-    body = "\n".join(
-        f"    asyncio.create_task(worker({i}))" for i in range(bad_tasks)
-    )
-    (src / "app.py").write_text(
-        "import asyncio\n\n\n"
-        "async def kick(worker):\n"
-        f"{body}\n"
+    service = tmp_path / "src" / "service"
+    service.mkdir(parents=True, exist_ok=True)
+    (service / "app.py").write_text(
+        "import time\n\n\ndef stamp():\n    return time.time()\n"
     )
     return tmp_path
 
@@ -86,7 +81,7 @@ class TestWholeProgramRun:
         make_project(tmp_path)
         config = load_config(tmp_path)
         result = run_whole_program([tmp_path / "src"], config)
-        assert [v.code for v in result.violations] == ["RPL012"]
+        assert [v.code for v in result.violations] == ["RPL003"]
         assert result.exit_code == 1
 
     def test_json_document_schema_v4(self, tmp_path):
@@ -97,14 +92,14 @@ class TestWholeProgramRun:
         assert "baselined" not in doc
         assert "warnings" not in doc["summary"]
         assert all("severity" not in v for v in doc["violations"])
-        assert doc["summary"]["by_code"] == {"RPL012": 1}
+        assert doc["summary"]["by_code"] == {"RPL003": 1}
         assert doc["exit_code"] == 1
 
 
 class TestCli:
     def test_pathless_run_lints_config_paths(self, tmp_path):
         make_project(tmp_path)
-        assert main(["--config", str(tmp_path), "-q"]) == 1
+        assert main(["--config", str(tmp_path)]) == 1
         with open(tmp_path / "pyproject.toml", "a") as f:
-            f.write('[tool.repro-lint.per-path]\n"src/*" = { disable = ["RPL012"] }\n')
-        assert main(["--config", str(tmp_path), "-q"]) == 0
+            f.write('[tool.repro-lint.per-path]\n"src/*" = { disable = ["RPL003"] }\n')
+        assert main(["--config", str(tmp_path)]) == 0

@@ -38,7 +38,6 @@ PROJECT_FIXTURES = {
     "rpl002": ("RPL014", 1),
     "rpl010": ("RPL010", 3),
     "rpl011": ("RPL011", 3),
-    "rpl012": ("RPL012", 2),
     "rpl013": ("RPL001", 2),
     "rpl014": ("RPL014", 1),
     "rpl015": ("RPL015", 2),
