@@ -119,8 +119,8 @@ class TestWholeProgramSelfHost:
         # The asyncio/determinism/layering packs (RPL010-015) self-host
         # with NO inline waivers: the service routes every kernel call
         # through the executor seam and awaits outside its thread
-        # locks, so nothing to excuse.  If a future change needs one, this is the
-        # place it gets accounted for.
+        # locks, so nothing to excuse.  If a future change needs one,
+        # this is the place it gets accounted for.
         codes = {c.strip() for _, _, group, _ in waivers(repo.model) for c in group.split(",")}
         assert not {c for c in codes if c.startswith("RPL01")}
 
