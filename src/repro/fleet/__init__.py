@@ -4,8 +4,9 @@ Draws a heterogeneous population of 3LC PCM devices (per-device
 drift/endurance/temperature/workload), advances them through epochs of
 demand writes and scrub-refresh maintenance with one engine,
 :class:`FleetEngine`, which keeps the population in flat arrays and
-programs it in write-and-verify array rounds
-(:func:`~repro.fleet.soa.program_rounds`), and reduces the population
+programs it in write-and-verify array rounds, each device's writes in
+order with one in flight (:func:`~repro.fleet.soa.program_rounds`), and
+reduces the population
 to lifetime percentiles, spare-exhaustion hazard curves, refresh-energy
 totals, and silent-error rates.
 """

@@ -33,8 +33,10 @@ what pins the fleet physics to the existing path.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-from typing import Any, Mapping
+import functools
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -271,10 +273,18 @@ class DeviceParams:
     endurance_scale: float
 
 
-def _weighted_choice(u: float, weights: list[float]) -> int:
-    """Index drawn by one uniform variate over (unnormalized) weights."""
+@functools.lru_cache(maxsize=32)
+def _cum_weights(weights: tuple[float, ...]) -> list[float]:
+    """Normalized cumulative ``weights``, the table :func:`_pick` bisects."""
     cum = np.cumsum(np.asarray(weights, dtype=float))
-    return int(np.searchsorted(cum / cum[-1], u, side="right").clip(0, len(weights) - 1))
+    return (cum / cum[-1]).tolist()
+
+
+def _pick(u: float, choices: Sequence[tuple[float, Any]]) -> int:
+    """Index of the ``(weight, value)`` pair of ``choices`` drawn by one
+    uniform variate."""
+    table = _cum_weights(tuple(w for w, _ in choices))
+    return min(bisect.bisect_right(table, u), len(table) - 1)
 
 
 def _scale_drift(design: LevelDesign, factor: float) -> LevelDesign:
@@ -328,14 +338,12 @@ def hetero_draws(
     per-device dataclass construction but must consume the identical
     draws.
     """
-    bucket = _weighted_choice(float(g.random()), [w for w, _ in config.temp_buckets])
+    bucket = _pick(float(g.random()), config.temp_buckets)
     alpha_jitter = float(np.exp(config.alpha_jitter_sigma * g.standard_normal()))
     endurance_scale = float(
         np.exp(config.endurance_jitter_sigma * g.standard_normal())
     )
-    workload = config.workload_mix[
-        _weighted_choice(float(g.random()), [w for w, _ in config.workload_mix])
-    ][1]
+    workload = config.workload_mix[_pick(float(g.random()), config.workload_mix)][1]
     return bucket, alpha_jitter, endurance_scale, workload
 
 

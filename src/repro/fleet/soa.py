@@ -31,13 +31,17 @@ C. **Scrub** — at the epoch's end every written block of every
 
 **The programming step** is :func:`program_rounds`, the write-and-verify
 loop with mark-and-spare of a 3LC block write in the scalar reference
-(:mod:`repro.core.device`) run as array rounds over a set of rows; the
-service's :class:`~repro.service.device.VirtualDevice` writes through
-it too, one row at a time.  The engine feeds it in waves: wave ``w``
-takes the ``w``-th row of every device, so each device has at most one
-row in flight.  Only the :class:`numpy.random.Generator` calls run per
-row, in the order the reference's cell program and force
-(:mod:`repro.cells.cell_array`) make them.
+(:mod:`repro.core.device`) run as array rounds over rows grouped by
+device; the service's :class:`~repro.service.device.VirtualDevice`
+writes through it too, one row at a time.  The engine hands it all of
+a phase's rows at once.  Each round runs one attempt of every device's
+current row, so a device starts its next row as soon as its last one
+completes and never waits on another device's retries.  Only the
+:class:`numpy.random.Generator` calls run per row, in the order the
+reference's cell program and force (:mod:`repro.cells.cell_array`)
+make them; a round whose cells are all healthy programs whole block
+rows, otherwise only the healthy cells (and a force only its pair's)
+are computed and scattered.
 
 **Bit-identity contract.**  Devices are independent, so work may be
 reordered across devices as long as each device's own draw order is
@@ -364,55 +368,48 @@ class SoaFleetEngine:
         return np.array(devs, dtype=np.int64), np.concatenate(blks), np.concatenate(bits)
 
     # ------------------------------------------------------------------
-    # The programming step: waves of program_rounds calls, one row per
-    # alive device each.
+    # The programming step: one program_rounds call over the rows.
     def _program(
         self, devs: np.ndarray, blks: np.ndarray, bits: np.ndarray, t_now: float
     ) -> np.ndarray:
         """Write rows grouped by device, each device's in order, with
         write-and-verify and mark-and-spare; returns which rows completed.
 
-        Wave ``w`` takes the ``w``-th row of every device still alive, so
-        a device has at most one row in flight, and runs it through
-        :func:`program_rounds`.  A row that does not complete kills its
-        device, leaving ``written``/``stored`` as they were, and a dead
-        device's later rows draw nothing.
+        A row that does not complete kills its device, leaving
+        ``written``/``stored`` as they were, and :func:`program_rounds`
+        attempts none of that device's later rows.
         """
-        s = self._s
-        done = np.zeros(devs.size, dtype=bool)
-        start = np.flatnonzero(np.r_[True, devs[1:] != devs[:-1]])
-        seg = np.diff(np.r_[start, devs.size])
-        slot = np.arange(devs.size) - np.repeat(start, seg)
-        for w in range(int(seg.max(initial=0))):
-            j = np.flatnonzero(slot == w)
-            j = j[self._alive[devs[j]]]
-            d = devs[j]
-            self._st_writes[d] += 1  # a write counts before its first attempt
-            ks = d.tolist()
-            out = program_rounds(
-                s,
-                self._batch,
-                self._base,
-                d,
-                blks[j],
-                bits[j],
-                [self._g_dev[k] for k in ks],
-                [self._wearout[k] for k in ks],
-                self._drift_factor[d],
-                t_now,
-            )
-            self._st_retries[d] += out.retries
-            self._st_marks[d] += out.marks
-            ok = j[out.done]
-            self._stored[devs[ok], blks[ok]] = bits[ok]
-            done[ok] = True
-            self._alive[d[~out.done]] = False
-        return done
+        ks = devs.tolist()
+        out = program_rounds(
+            self._s,
+            self._batch,
+            self._base,
+            devs,
+            blks,
+            bits,
+            [self._g_dev[k] for k in ks],
+            [self._wearout[k] for k in ks],
+            self._drift_factor[devs],
+            t_now,
+        )
+        # A write counts once attempted (every failed attempt is a retry).
+        attempted = out.done | (out.retries > 0)
+        np.add.at(self._st_writes, devs[attempted], 1)
+        np.add.at(self._st_retries, devs, out.retries)
+        np.add.at(self._st_marks, devs, out.marks)
+        self._alive[devs[attempted & ~out.done]] = False
+        # A block written twice keeps its later payload.
+        ok = np.flatnonzero(out.done)[::-1]
+        _, last = np.unique(devs[ok] * self.config.n_blocks + blks[ok], return_index=True)
+        ok = ok[last]
+        self._stored[devs[ok], blks[ok]] = bits[ok]
+        return out.done
 
 
 class Rounds(NamedTuple):
     """Per-row outcome of :func:`program_rounds`.  A row neither ``done``
-    nor ``spent`` still failed after its last attempt."""
+    nor ``spent`` either still failed after its last attempt (then
+    ``retries`` is positive) or was never attempted."""
 
     done: np.ndarray  #: the row's write completed and verified
     spent: np.ndarray  #: a failed pair needed a spare and none was left
@@ -432,76 +429,88 @@ def program_rounds(
     factor: np.ndarray,
     t_now: float,
 ) -> Rounds:
-    """The 3LC block write of ``bits[i]`` into block ``(d[i], b[i])`` of
-    ``s``, for every row ``i`` at once, as array rounds.
+    """The 3LC block writes of ``bits[i]`` into block ``(d[i], b[i])``
+    of ``s``, rows grouped by device, as array rounds.
 
-    Rows must address distinct blocks.  Row ``i`` draws from ``gens[i]``
-    (in the order the scalar reference's cell program and force make
-    the draws), revives stuck-set cells under ``wearouts[i]`` and scales
-    the design's drift parameters by ``factor[i]``.  Round ``r`` is
-    attempt ``r`` of the still-pending rows: encode under the block's
-    current marked layout in one ``codec.encode`` call, program and
-    verify, rewrite the check bits, and mark ``written`` on success.  A
-    failing row marks the pair of its first failed cell (it is ``spent``
-    if that needs a spare it has not got), forces the pair to the top
-    state and retries, for at most ``n_spare_pairs + 1`` attempts.
+    Rows come grouped by device, each device's in the order it writes
+    them.  Row ``i`` draws from ``gens[i]`` (in the order the scalar
+    reference's cell program and force make the draws), revives
+    stuck-set cells under ``wearouts[i]`` and scales the design's drift
+    parameters by ``factor[i]``.  Each round runs one attempt of every
+    device's current row: encode under the block's current marked
+    layout in one ``codec.encode`` call, program and verify, rewrite the
+    check bits, and mark ``written`` on success.  A failing row marks
+    the pair of its first failed cell (it is ``spent`` if that needs a
+    spare it has not got), forces the pair to the top state and is
+    retried next round, for at most ``n_spare_pairs + 1`` attempts.  A
+    device starts its next row in the round after its current one
+    completes; a row that does not complete stops its device, whose
+    later rows are not attempted and draw nothing.  So a call runs as
+    many rounds as its busiest device makes attempts, and the rows of a
+    round address distinct devices.
     """
     mu_lr, sg_lr, mu_a, sg_a = design.write_tables
     top = design.n_levels - 1
     tier = PAPER_ESCALATION.tiers[0]
     n_spare = codec.ms_config.n_spare_pairs
-    f_rows = factor[:, None]
+    n_cells = s.cells_per_block
+    blk = d * s.n_blocks + b  # each row's block row
 
-    def program(r, rows, states, addressed=None):
-        """The reference cell program of the ``addressed`` cells (default:
-        all) of rows ``r``, whose blocks are ``rows``; returns the verify
-        mask.
-
-        Every addressed cell is charged a write, and one reaching its
-        endurance takes its pending fault mode first.  Each healthy one
-        then draws, per row in cell order, a truncated-normal uniform,
-        an exponent normal and an escalation normal, in three calls.
-        """
-        st = states.astype(np.int64)
-        writes = s.writes_3[rows] + (1 if addressed is None else addressed)
-        s.writes_3[rows] = writes
-        fault = s.fault_3[rows]
-        healthy = fault == _HEALTHY
-        dying = (writes >= s.endurance_3[rows]) & healthy
-        if addressed is not None:
-            dying &= addressed
+    def charge(v, cells):
+        """Charge each of ``cells`` (an index into the views ``v``) a
+        write; a healthy one reaching its endurance takes its pending
+        fault mode first.  Returns the cells' fault modes."""
+        writes = v.writes[cells] + 1
+        v.writes[cells] = writes
+        fault = v.fault[cells]
+        dying = (writes >= v.endurance[cells]) & (fault == _HEALTHY)
         if dying.any():
-            fault = np.where(dying, s.pending_mode_3[rows], fault)
-            s.fault_3[rows] = fault
-            healthy = fault == _HEALTHY
-        drawn = healthy if addressed is None else addressed & healthy
-        u, z, z_esc = x = np.zeros((3,) + drawn.shape)
-        counts = drawn.sum(axis=1)
-        ms = counts.tolist()
-        for i, (k, m) in enumerate(zip(r.tolist(), ms)):
+            fault = np.where(dying, v.pending_mode[cells], fault)
+            v.fault[cells] = fault
+        return fault
+
+    def settle(v, cells, r, counts, st, f):
+        """Program the healthy ``cells`` (an index into the views ``v``)
+        to states ``st`` at drift factor ``f``, ``counts[j]`` of them, in
+        cell order, from row ``r[j]``: each row draws a truncated-normal
+        uniform, an exponent normal and an escalation normal per cell,
+        in three calls."""
+        x = np.empty((3, st.size))
+        o = 0
+        for k, m in zip(r.tolist(), counts):
             if m:
                 g = gens[k]
-                g.random(out=u[i, :m])
-                g.standard_normal(out=z[i, :m])
-                g.standard_normal(out=z_esc[i, :m])
-        partial = sum(ms) < drawn.size
-        if partial:  # each row's draws go to its drawn cells, in order
-            x[:, drawn] = x[:, np.arange(drawn.shape[1]) < counts[:, None]]
+                g.random(out=x[0, o : o + m])
+                g.standard_normal(out=x[1, o : o + m])
+                g.standard_normal(out=x[2, o : o + m])
+                o += m
+        u, z, z_esc = x.reshape((3,) + st.shape)
         z_r = truncated_normal_from_uniform(
             u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
         )
-        f = f_rows[r]
-        for arr, value in (
-            (s.lr0_3, programmed_log_resistance(mu_lr[st], sg_lr[st], z_r)),
-            (s.alpha_3, programmed_alpha(mu_a[st] * f, sg_a[st] * f, z)),
-            (
-                s.alpha_esc_3,
-                independent_escalated_alpha(z_esc, tier.mu_alpha * f, tier.sigma_alpha * f),
-            ),
-            (s.t_prog_3, t_now),
-            (s.target_3, st),
-        ):
-            arr[rows] = np.where(drawn, value, arr[rows]) if partial else value
+        v.lr0[cells] = programmed_log_resistance(mu_lr[st], sg_lr[st], z_r)
+        v.alpha[cells] = programmed_alpha(mu_a[st] * f, sg_a[st] * f, z)
+        v.alpha_esc[cells] = independent_escalated_alpha(
+            z_esc, tier.mu_alpha * f, tier.sigma_alpha * f
+        )
+        v.t_prog[cells] = t_now
+        v.target[cells] = st
+
+    def program(r, rows, states):
+        """The reference cell program of every cell of rows ``r``, whose
+        block rows are ``rows``; returns the verify mask.  When every
+        cell is healthy the rows program whole; otherwise only the
+        healthy cells are computed and scattered."""
+        st = states.astype(np.int64)
+        fault = charge(s.by_block, rows)
+        healthy = fault == _HEALTHY
+        if healthy.all():
+            settle(s.by_block, rows, r, [n_cells] * r.size, st, factor[r, None])
+        else:
+            cells = (rows[:, None] * n_cells + np.arange(n_cells))[healthy]
+            counts = np.count_nonzero(healthy, axis=1)
+            f = np.repeat(factor[r], counts)
+            settle(s.by_cell, cells, r, counts.tolist(), st[healthy], f)
         # A stuck-reset cell passes verify iff the target is the top state.
         return healthy | ((fault == _STUCK_RESET) & (st == top))
 
@@ -509,43 +518,54 @@ def program_rounds(
         """The reference cell force-to-top of pair ``pair`` of each row
         ``r``: stuck-set cells draw revival uniforms (a revived cell is
         stuck-reset), then the healthy cells program to the top state."""
-        cells = (d[r, None], b[r, None], 2 * pair[:, None] + np.arange(2))
-        fault = s.fault_3[cells]
-        for i in np.flatnonzero((fault == _STUCK_SET).any(axis=1)).tolist():
+        cells = blk[r, None] * n_cells + 2 * pair[:, None] + np.arange(2)
+        fault = s.by_cell.fault[cells]
+        revive = np.flatnonzero((fault == _STUCK_SET).any(axis=1)).tolist()
+        for i in revive:
             k = int(r[i])
             stuck = np.flatnonzero(fault[i] == _STUCK_SET)
             fault[i, stuck[wearouts[k].revive(gens[k], stuck.size)]] = _STUCK_RESET
-        s.fault_3[cells] = fault
-        addressed = np.zeros((r.size, s.cells_per_block), dtype=bool)
-        np.put_along_axis(addressed, cells[2], fault == _HEALTHY, axis=1)
-        program(r, (d[r], b[r]), np.full(addressed.shape, top), addressed)
+        if revive:
+            s.by_cell.fault[cells] = fault
+        healthy = fault == _HEALTHY
+        i, cells = np.nonzero(healthy)[0], cells[healthy]
+        healthy = charge(s.by_cell, cells) == _HEALTHY
+        i, cells = i[healthy], cells[healthy]
+        counts = np.bincount(i, minlength=r.size).tolist()
+        settle(s.by_cell, cells, r, counts, np.full(i.size, top), factor[r[i]])
 
     done, spent = np.zeros((2, d.size), dtype=bool)
     retries, marks = np.zeros((2, d.size), dtype=np.int64)
-    r = np.arange(d.size)
-    for _ in range(n_spare + 1):
-        rows = (d[r], b[r])
-        states, checks = codec.encode(bits[r], s.marked[rows])
+    # edge[i]: row i starts a device's rows; edge[i + 1]: row i ends them.
+    padded = np.concatenate(([-1], d, [-1]))
+    edge = padded[1:] != padded[:-1]
+    last = edge[1:]
+    r = np.flatnonzero(edge[:-1])  # every device's first row
+    while r.size:
+        rows = blk[r]
+        states, checks = codec.encode(bits[r], s.marked_b[rows])
         verified = program(r, rows, states)
-        s.slc[rows] = checks
+        s.slc_b[rows] = checks
         ok = verified.all(axis=1)
         q = r[ok]
-        s.written[d[q], b[q]] = True
+        s.written_b[blk[q]] = True
         done[q] = True
+        up_next = q[~last[q]] + 1
         r = r[~ok]
-        if not r.size:
-            break
-        retries[r] += 1
-        pair = np.argmin(verified[~ok], axis=1) // 2
-        marked = s.marked[d[r], b[r]]
-        new = ~marked[np.arange(r.size), pair]
-        short = new & (marked.sum(axis=1) >= n_spare)
-        spent[r[short]] = True
-        r, pair, new = r[~short], pair[~short], new[~short]
-        q = r[new]
-        s.marked[d[q], b[q], pair[new]] = True
-        marks[q] += 1
-        force(r, pair)
+        if r.size:
+            retries[r] += 1
+            pair = np.argmin(verified[~ok], axis=1) // 2
+            marked = s.marked_b[blk[r]]
+            new = ~marked[np.arange(r.size), pair]
+            short = new & (marked.sum(axis=1) >= n_spare)
+            spent[r[short]] = True
+            r, pair, new = r[~short], pair[~short], new[~short]
+            q = r[new]
+            s.marked_b[blk[q], pair[new]] = True
+            marks[q] += 1
+            force(r, pair)
+            r = r[retries[r] <= n_spare]
+        r = np.concatenate((r, up_next))
     return Rounds(done, spent, retries, marks)
 
 

@@ -13,7 +13,10 @@ bit-identity contract.
 
 The container is deliberately dumb: it reads a device's digest and
 senses blocks, and all write semantics live in
-:func:`repro.fleet.soa.program_rounds`.
+:func:`repro.fleet.soa.program_rounds`, which addresses cells through
+two views of the per-cell arrays: :attr:`SoaFleetState.by_block`, one
+row per ``(device, block)``, and :attr:`SoaFleetState.by_cell`, one
+flat index per cell.
 The fleet engine holds its population in one; the service's
 :class:`~repro.service.device.VirtualDevice` holds its device as a
 one-row one.  It holds only the state both keep: the fleet's payload
@@ -22,6 +25,8 @@ oracle and per-device stats live on the fleet engine.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.cells.cell_array import cell_state_digest, sensed_log_resistance
@@ -29,7 +34,22 @@ from repro.cells.drift import PAPER_ESCALATION
 from repro.core.device import three_level_digest
 from repro.core.levels import LevelDesign
 
-__all__ = ["SoaFleetState", "alive_indices"]
+__all__ = ["CellArrays", "SoaFleetState", "alive_indices"]
+
+
+class CellArrays(NamedTuple):
+    """The nine per-cell arrays (or views of them), in
+    :func:`cell_state_digest` order."""
+
+    lr0: np.ndarray
+    alpha: np.ndarray
+    alpha_esc: np.ndarray
+    t_prog: np.ndarray
+    target: np.ndarray
+    writes: np.ndarray
+    endurance: np.ndarray
+    fault: np.ndarray
+    pending_mode: np.ndarray
 
 
 def alive_indices(mask: np.ndarray) -> np.ndarray:
@@ -75,23 +95,8 @@ class SoaFleetState:
         self.written = np.zeros((n, n_blocks), dtype=bool)
         self.marked = np.zeros((n, n_blocks, n_pairs), dtype=bool)
 
-        # (n, n_blocks, cells_per_block) views of the per-cell arrays,
-        # for scatter/gather addressed by (device, block).
-        shape3 = (n, int(n_blocks), int(cells_per_block))
-        self.lr0_3 = self.lr0.reshape(shape3)
-        self.alpha_3 = self.alpha.reshape(shape3)
-        self.alpha_esc_3 = self.alpha_esc.reshape(shape3)
-        self.t_prog_3 = self.t_prog.reshape(shape3)
-        self.target_3 = self.target.reshape(shape3)
-        self.writes_3 = self.writes.reshape(shape3)
-        self.endurance_3 = self.endurance.reshape(shape3)
-        self.fault_3 = self.fault.reshape(shape3)
-        self.pending_mode_3 = self.pending_mode.reshape(shape3)
-
-    @property
-    def cells(self) -> tuple[np.ndarray, ...]:
-        """The nine per-cell arrays, in :func:`cell_state_digest` order."""
-        return (
+        #: The per-cell arrays, one row per device.
+        self.cells = CellArrays(
             self.lr0,
             self.alpha,
             self.alpha_esc,
@@ -102,6 +107,20 @@ class SoaFleetState:
             self.fault,
             self.pending_mode,
         )
+        # Block rows: row ``d * n_blocks + b`` is block ``b`` of device
+        # ``d``, and cell ``c`` of it is flat cell ``row * cells_per_block
+        # + c``, so one index gathers and scatters whole blocks or cells.
+        n_rows = n * self.n_blocks
+        #: ``(n_devices * n_blocks, cells_per_block)`` views of the cells.
+        self.by_block = CellArrays(
+            *(a.reshape(n_rows, self.cells_per_block) for a in self.cells)
+        )
+        #: Flat views of the cells.
+        self.by_cell = CellArrays(*(a.reshape(-1) for a in self.cells))
+        # The per-block controller state, one row per block row.
+        self.slc_b = self.slc.reshape(n_rows, n_slc)
+        self.written_b = self.written.reshape(n_rows)
+        self.marked_b = self.marked.reshape(n_rows, n_pairs)
 
     def device_digest(self, k: int) -> str:
         """The reference device's state digest of device row ``k``:
@@ -116,13 +135,15 @@ class SoaFleetState:
         blocks ``rows`` (a ``(device, block)`` index pair), one row of
         cells per block: :func:`sensed_log_resistance` under the paper's
         escalation."""
+        v = self.by_block
+        blk = rows[0] * self.n_blocks + rows[1]
         return sensed_log_resistance(
             t_now,
-            self.t_prog_3[rows],
-            self.lr0_3[rows],
-            self.alpha_3[rows],
-            self.alpha_esc_3[rows],
-            self.fault_3[rows],
+            v.t_prog[blk],
+            v.lr0[blk],
+            v.alpha[blk],
+            v.alpha_esc[blk],
+            v.fault[blk],
             design,
             PAPER_ESCALATION,
         )

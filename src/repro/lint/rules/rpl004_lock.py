@@ -14,13 +14,14 @@ subscript store/delete, or a mutating method call such as ``.pop()`` —
 must be lexically inside a ``with self._lock:`` (or ``async with``)
 block in the *same* function.  ``__init__`` is exempt (the object is
 not shared yet), and a nested function or lambda does not inherit its
-definition site's lock: it runs later, when the lock may no longer be
-held.
+definition site's lock or ``__init__``'s exemption: it runs later, when
+the lock may no longer be held and the object may be shared.
 """
 
 from __future__ import annotations
 
 import ast
+from typing import Iterator
 
 from repro.lint.model import ProjectModel, qualified_name, walk_locked
 from repro.lint.rules.base import Rule, Violation
@@ -51,6 +52,20 @@ def _guarded_base(node: ast.AST) -> ast.Attribute | None:
     ):
         return node
     return None
+
+
+def _runs_with(fn: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``fn`` that run when it does: not the bodies of the
+    defs and lambdas nested in it."""
+    stack = [fn]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
 
 
 def _lock_of(node: ast.With | ast.AsyncWith) -> list[str]:
@@ -94,7 +109,7 @@ class LockDisciplineRule(Rule):
                 for kind in (ast.FunctionDef, ast.AsyncFunctionDef)
                 for fn in module.nodes[kind]
                 if fn.name in _EXEMPT_METHODS
-                for node in ast.walk(fn)
+                for node in _runs_with(fn)
             }
             for node, held, _ in walk_locked(module.tree, _lock_of):
                 hit = None if held or id(node) in exempt else _mutated(node)

@@ -7,6 +7,10 @@ class Sched:
         self.results: dict[str, dict] = {}
         self._lock = threading.Lock()
 
+        def on_done(job: str) -> None:
+            self.states.pop(job, None)   # runs later, outside __init__ and unlocked
+        self.on_done = on_done
+
     def settle(self, job: str, result: dict) -> None:
         self.results[job] = result       # unlocked store
         self.states.pop(job, None)       # unlocked mutating call

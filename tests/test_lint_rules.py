@@ -24,7 +24,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint" / "rules"
 EXPECTED_BAD = {
     "RPL001": 3,
     "RPL003": 2,
-    "RPL004": 4,
+    "RPL004": 5,
     "RPL005": 2,
 }
 
