@@ -1,15 +1,15 @@
 """RPL010 — blocking call inside a coroutine (direct or transitive).
 
-The service's "bit-identical to unbatched" guarantee rests on its event
-loop staying responsive: the flush loop must start the next batch the
-moment the engine thread is free, requests must keep queueing while a
-batch runs, and request futures must resolve in submission order.  A
-coroutine that calls ``time.sleep``, sync file/subprocess I/O, or —
-worse — drops straight into the numpy-heavy Monte Carlo / coding
-kernels stalls every other request on the loop.  The sanctioned seam is
-the executor (``run_in_executor`` / ``run_serialized`` / ``asyncio.to_thread``):
-callables passed there produce no call edge, so routing work through
-the seam is exactly what makes this rule pass.
+The service's batcher runs its engine work on the event loop by
+design: its flush task is the one place a batch executes, its stall
+bounded by the batch cap, and requests that arrive meanwhile form the
+next batch.  Any *other* coroutine that calls ``time.sleep``, sync
+file/subprocess I/O, or — worse — drops straight into the numpy-heavy
+Monte Carlo / coding kernels stalls every batch and every request on
+the loop.  The sanctioned seam for such work is the executor
+(``run_in_executor`` / ``asyncio.to_thread``): callables passed there
+produce no call edge, so routing work through the seam is exactly what
+makes this rule pass.
 
 Whole-program part: the rule follows resolved call edges from each
 coroutine through *synchronous* project functions (a call to a
@@ -102,7 +102,7 @@ class BlockingInCoroutineRule(Rule):
                         call.col,
                         f"coroutine {fn.name}() makes {reason}{via}; the "
                         "event loop stalls — route it through the executor "
-                        "seam (run_in_executor / run_serialized / to_thread)",
+                        "seam (run_in_executor / to_thread)",
                     )
                 )
         return out

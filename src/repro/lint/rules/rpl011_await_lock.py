@@ -2,7 +2,7 @@
 
 A thread lock held across an ``await`` is a deadlock and priority-
 inversion machine: the suspension lets any other coroutine on the loop
-run, and if one of them (or an engine-thread callback) tries to take
+run, and if one of them (or a callback on another thread) tries to take
 the same lock, the loop blocks forever — the lock's owner can only
 release it after the event loop resumes it.  Even short of deadlock,
 every event-loop task serializes behind a lock meant to order *thread*

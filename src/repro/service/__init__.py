@@ -15,9 +15,10 @@ machinery to take those requests concurrently:
   results are independent of request interleaving);
 - :mod:`repro.service.batching` — the dynamic batching queue: concurrent
   read/write requests coalesce into single
-  :class:`~repro.coding.batch.BatchThreeOnTwoCodec` calls, flushed
-  whenever the engine thread is free (a batch is whatever queued while
-  the previous one ran), provably bit-identical to sequential execution;
+  :class:`~repro.coding.batch.BatchThreeOnTwoCodec` calls, run on the
+  event-loop thread whenever the flush task is idle (a batch is whatever
+  queued while the previous one ran), provably bit-identical to
+  sequential execution;
 - :mod:`repro.service.http` — a dependency-free asyncio HTTP/1.1 server
   (keep-alive, routing, JSON bodies);
 - :mod:`repro.service.app` — the endpoint layer: device CRUD, block

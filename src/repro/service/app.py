@@ -6,11 +6,12 @@ hot path for block I/O, a :class:`~repro.service.jobs.JobManager` for
 jobs of every campaign job kind, and :class:`~repro.service.telemetry.Telemetry` on
 ``/metrics`` — all served by the stdlib HTTP layer.
 
-Threading contract: HTTP handlers run on the event loop; *every*
-operation that touches simulated device state (I/O, describe, digest,
-clock) executes on the batcher's single engine thread, either inside a
-batch or via ``run_serialized``.  Jobs run on their own pool and never
-touch device state.
+Threading contract: HTTP handlers and the batcher's flush task run on
+the event loop, and *every* operation that touches simulated device
+state (I/O, create, describe, delete, digest, clock) runs on that one
+thread, either inside a batch or directly in its control handler, so
+none of them race.  Jobs run on their own pool and never touch device
+state.
 
 Endpoints (see ``docs/SERVICE.md`` for the full contract):
 
@@ -213,35 +214,25 @@ class ServiceApp:
             with self._ordinal_lock:
                 seed = self.config.seed + self._device_ordinal
                 self._device_ordinal += 1
-
-        def create():
-            device = self.registry.create(
-                seed,
-                n_blocks,
-                data_bits=data_bits,
-                n_spare_pairs=n_spare_pairs,
-                wearout=wearout,
-            )
-            return device.describe()
-
-        described = await self.batcher.run_serialized(create)
-        return 201, {"code": "CREATED", "device": described}
+        device = self.registry.create(
+            seed,
+            n_blocks,
+            data_bits=data_bits,
+            n_spare_pairs=n_spare_pairs,
+            wearout=wearout,
+        )
+        return 201, {"code": "CREATED", "device": device.describe()}
 
     async def _list_devices(self, params: dict, body: object) -> tuple[int, dict]:
-        def describe_all():
-            return [d.describe() for d in self.registry]
-
-        return 200, {"code": "OK", "devices": await self.batcher.run_serialized(describe_all)}
+        return 200, {"code": "OK", "devices": [d.describe() for d in self.registry]}
 
     async def _describe_device(self, params: dict, body: object) -> tuple[int, dict]:
         device = self.registry.get(params["device_id"])
-        described = await self.batcher.run_serialized(device.describe)
-        return 200, {"code": "OK", "device": described}
+        return 200, {"code": "OK", "device": device.describe()}
 
     async def _delete_device(self, params: dict, body: object) -> tuple[int, dict]:
         device_id = params["device_id"]
-        self.registry.get(device_id)  # 404 before queueing the delete
-        await self.batcher.run_serialized(lambda: self.registry.delete(device_id))
+        self.registry.delete(device_id)
         return 200, {"code": "OK", "deleted": device_id}
 
     async def _advance_clock(self, params: dict, body: object) -> tuple[int, dict]:
@@ -254,21 +245,18 @@ class ServiceApp:
         value = body[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ServiceError("E_BAD_REQUEST", f"{key!r} must be a number")
-
-        def advance():
-            try:
-                if key == "advance":
-                    return device.clock.advance(float(value))
-                return device.clock.advance_to(float(value))
-            except ValueError as exc:
-                raise ServiceError("E_TIME_REGRESSION", str(exc))
-
-        now = await self.batcher.run_serialized(advance)
+        try:
+            if key == "advance":
+                now = device.clock.advance(float(value))
+            else:
+                now = device.clock.advance_to(float(value))
+        except ValueError as exc:
+            raise ServiceError("E_TIME_REGRESSION", str(exc))
         return 200, {"code": "OK", "device": device.device_id, "virtual_time": now}
 
     async def _digest(self, params: dict, body: object) -> tuple[int, dict]:
         device = self.registry.get(params["device_id"])
-        digest = await self.batcher.run_serialized(device.state_digest)
+        digest = device.state_digest()
         return 200, {"code": "OK", "device": device.device_id, "digest": digest}
 
     # -- block I/O (the batched hot path) ------------------------------

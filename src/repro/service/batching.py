@@ -2,10 +2,10 @@
 
 The hot path of the service.  Concurrent block read/write requests land
 in a :class:`BatchQueue` and are flushed as one batch whenever the
-engine thread is free: a batch is whatever queued while the previous
-one ran, capped at ``max_batch``.  Batch size follows load, with no
-timer: an idle server runs a lone request at once, and a busy one
-coalesces more per batch.
+flush task is idle: a batch is whatever queued while the previous one
+ran, capped at ``max_batch``.  Batch size follows load, with no timer:
+an idle server runs a lone request at once, and a busy one coalesces
+more per batch.
 
 The layering is sans-io:
 
@@ -15,9 +15,9 @@ The layering is sans-io:
   device engine, coalescing reads into a single
   :meth:`~repro.coding.batch.BatchThreeOnTwoCodec.decode` per block
   geometry and running writes one at a time in queue order;
-- :class:`DynamicBatcher` — the asyncio front: flushes whenever the
-  engine is free, executes batches on a single worker thread (which
-  also serializes every other touch of engine state), resolves futures.
+- :class:`DynamicBatcher` — the asyncio front: its flush task takes
+  what is pending, runs it on the event-loop thread and resolves the
+  futures.
 
 **Bit-identity.**  ``execute_batch(ops)`` produces exactly the
 responses and device state of executing the same ops one at a time in
@@ -32,8 +32,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -284,14 +283,16 @@ def execute_batch(ops: Sequence[IoOp]) -> list[dict]:
 class DynamicBatcher:
     """Event-loop face of the batching queue.
 
-    One background task flushes the queue whenever the engine is free:
-    it takes what is pending, runs it, and repeats, so ops that arrive
-    while a batch runs form the next one.  Batches execute on a single
-    dedicated worker thread, so the event loop never blocks on numpy
-    (and keeps accepting requests while a batch runs) and *all*
-    engine-state access is serialized.  Control operations that touch
-    device state without being block I/O (create/describe/digest/clock/
-    delete) go through :meth:`run_serialized` on the same thread.
+    One background task flushes the queue whenever it is idle: it takes
+    what is pending, runs it, yields to the loop, and repeats.  The
+    flush task *is* the engine: batches run on the event-loop thread,
+    and the app's control handlers touch device state on that thread
+    too, so all engine-state access is serialized without a worker
+    thread.  The engine is GIL-bound, so a thread would add a hop per
+    batch and no parallelism.  While a batch runs the loop is stalled
+    (bounded by ``max_batch``); requests that arrive meanwhile wait in
+    socket buffers, and their handlers submit before the flush task
+    runs again, so they form the next batch.
 
     ``hold()`` is a test seam: while held, nothing flushes, so tests can
     deterministically fill the queue (e.g. to exercise backpressure)
@@ -300,9 +301,6 @@ class DynamicBatcher:
 
     def __init__(self, queue: BatchQueue | None = None):
         self.queue = queue or BatchQueue()
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-engine"
-        )
         self._wake = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._task: asyncio.Task | None = None
@@ -316,12 +314,11 @@ class DynamicBatcher:
             self._task = self._loop.create_task(self._run())
 
     async def close(self) -> None:
-        """Drain: flush every pending op, then stop the loop and pool."""
+        """Drain: flush every pending op, then stop the flush task."""
         self._closed = True
         self._wake.set()
         if self._task is not None:
             await self._task
-        self._pool.shutdown(wait=True)
 
     def hold(self) -> None:
         """Stop flushing (the batch already running finishes); any thread."""
@@ -355,26 +352,23 @@ class DynamicBatcher:
             raise err
         return result
 
-    async def run_serialized(self, fn: Callable[[], Any]) -> Any:
-        """Run a control operation on the engine thread (serialized)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, fn)
-
     # -- flush loop ----------------------------------------------------
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             self._wake.clear()  # before the checks, so no wake-up is lost
             if self.queue.depth and (self._closed or not self._held):
-                await self._execute(loop, self.queue.take(drain=self._closed))
+                self._execute(self.queue.take(drain=self._closed))
+                # Let the batch's handlers answer (and new requests
+                # submit) before the next batch stalls the loop.
+                await asyncio.sleep(0)
                 continue
             if self._closed:
                 return
             await self._wake.wait()
 
-    async def _execute(self, loop: asyncio.AbstractEventLoop, batch: list[IoOp]) -> None:
+    def _execute(self, batch: list[IoOp]) -> None:
         try:
-            results = await loop.run_in_executor(self._pool, execute_batch, batch)
+            results = execute_batch(batch)
         except Exception as exc:
             for op in batch:
                 if op.future is not None and not op.future.done():

@@ -283,11 +283,10 @@ class VirtualDevice:
 class DeviceRegistry:
     """Id-addressed collection of live devices.
 
-    Creation and deletion are guarded by a lock (they run on the event
-    loop thread while batches execute on the engine thread); per-device
-    simulation state is only ever touched from the engine thread — the
-    app routes every state-touching operation through the batcher's
-    serialized executor.
+    The service app touches it, and every device's simulation state,
+    only from the event-loop thread (batches and control handlers
+    alike), so per-device state needs no lock.  The registry keeps its
+    own lock so that it stays safe to share with other threads.
     """
 
     def __init__(self) -> None:

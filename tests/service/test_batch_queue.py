@@ -9,11 +9,11 @@ those writes).
 """
 
 import asyncio
-import threading
 
 import numpy as np
 import pytest
 
+from repro.service import batching
 from repro.service.batching import (
     BatchQueue,
     DynamicBatcher,
@@ -223,15 +223,6 @@ class TestBitIdentity:
 # DynamicBatcher (asyncio)
 # ---------------------------------------------------------------------------
 
-async def _until(cond) -> None:
-    """Yield to the loop until ``cond()`` holds (no sleeps, bounded)."""
-    for _ in range(1000):
-        if cond():
-            return
-        await asyncio.sleep(0)
-    raise AssertionError("condition never held")
-
-
 class TestDynamicBatcher:
     def test_size_flush_coalesces(self):
         async def scenario():
@@ -271,32 +262,38 @@ class TestDynamicBatcher:
     @pytest.mark.parametrize(
         "n, sizes", [(5, {1: 1, 5: 1}), (11, {1: 1, 8: 1, 3: 1})]
     )
-    def test_ops_queued_while_engine_busy_form_the_next_batch(self, n, sizes):
+    def test_ops_queued_while_engine_busy_form_the_next_batch(
+        self, n, sizes, monkeypatch
+    ):
         async def scenario():
             dev = VirtualDevice("d", 0, 32)
             batcher = DynamicBatcher(BatchQueue(max_batch=8))
-            gate = threading.Event()
+            rest: list[asyncio.Future] = []
+
+            def busy_engine(ops):
+                # While the first batch runs, n more requests arrive:
+                # their submits are scheduled now and can only run once
+                # the batch has finished and the flush task yields.
+                if not rest:
+                    rest.extend(
+                        asyncio.ensure_future(batcher.submit(_write(dev, b, seed=b)))
+                        for b in range(1, n + 1)
+                    )
+                return execute_batch(ops)
+
+            monkeypatch.setattr(batching, "execute_batch", busy_engine)
             try:
-                blocker = asyncio.ensure_future(batcher.run_serialized(gate.wait))
-                # The first op is taken at once and waits behind the
-                # blocked engine thread, so the flush loop is busy...
-                first = asyncio.ensure_future(batcher.submit(_write(dev, 0, seed=0)))
-                await _until(lambda: batcher.queue.stats.batch_size_hist[1] == 1)
-                # ...while n more ops queue up behind it.
-                rest = [
-                    asyncio.ensure_future(batcher.submit(_write(dev, b, seed=b)))
-                    for b in range(1, n + 1)
-                ]
-                await _until(lambda: batcher.queue.depth == n)
-                gate.set()
-                results = await asyncio.wait_for(
-                    asyncio.gather(blocker, first, *rest), timeout=10
+                # A lone op on an idle batcher runs at once, as a batch of one.
+                first = await asyncio.wait_for(
+                    batcher.submit(_write(dev, 0, seed=0)), timeout=10
                 )
-                assert [r["code"] for r in results[1:]] == ["OK"] * (n + 1)
-                # The n queued ops run as the next batch, split at the cap.
+                assert first["code"] == "OK"
+                assert len(rest) == n
+                results = await asyncio.wait_for(asyncio.gather(*rest), timeout=10)
+                assert [r["code"] for r in results] == ["OK"] * n
+                # The n ops run as the next batch, split at the cap.
                 assert dict(batcher.queue.stats.batch_size_hist) == sizes
             finally:
-                gate.set()
                 await batcher.close()
 
         asyncio.run(scenario())
@@ -355,17 +352,5 @@ class TestDynamicBatcher:
             with pytest.raises(ServiceError) as excinfo:
                 await batcher.submit(_write(dev, 3, seed=3))
             assert excinfo.value.code == "E_SHUTTING_DOWN"
-
-        asyncio.run(scenario())
-
-    def test_run_serialized(self):
-        async def scenario():
-            dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=1))
-            try:
-                described = await batcher.run_serialized(dev.describe)
-                assert described["n_blocks"] == 8
-            finally:
-                await batcher.close()
 
         asyncio.run(scenario())

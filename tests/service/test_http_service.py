@@ -9,13 +9,14 @@ twin :class:`VirtualDevice` driven directly through the batch kernels.
 
 import json
 import socket
+import threading
 import time
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from repro.service import http
+from repro.service import batching, http
 from repro.service.app import ServiceConfig, ServiceRunner
 from repro.service.batching import IoOp, execute_batch
 from repro.service.client import ServiceClient, ServiceResponseError
@@ -493,6 +494,42 @@ class TestBackpressure:
                 assert c.metrics()["batching"]["rejected"] == 1
         finally:
             runner.stop()
+
+
+class TestEngineOnLoopThread:
+    def test_batches_and_control_handlers_run_on_the_loop_thread(self, monkeypatch):
+        # The engine is single-threaded and GIL-bound, so no batch and
+        # no control operation may hop off the event loop's thread.
+        threads: dict[str, set[int]] = {"batch": set(), "digest": set()}
+
+        def recording_batch(ops):
+            threads["batch"].add(threading.get_ident())
+            return execute_batch(ops)
+
+        real_digest = VirtualDevice.state_digest
+
+        def recording_digest(self):
+            threads["digest"].add(threading.get_ident())
+            return real_digest(self)
+
+        monkeypatch.setattr(batching, "execute_batch", recording_batch)
+        monkeypatch.setattr(VirtualDevice, "state_digest", recording_digest)
+
+        async def loop_thread():
+            return threading.get_ident()
+
+        runner = ServiceRunner(ServiceConfig(port=0))
+        runner.start()
+        try:
+            with ServiceClient(runner.base_url) as c:
+                dev = c.create_device(n_blocks=4, seed=0)["device"]
+                c.write_block(dev["id"], 0, _payload_hex(0))
+                c.read_block(dev["id"], 0)
+                c.digest(dev["id"])
+            loop = runner.run_async(loop_thread)
+        finally:
+            runner.stop()
+        assert threads == {"batch": {loop}, "digest": {loop}}
 
 
 class TestHttpDifferential:

@@ -117,9 +117,11 @@ class TestWholeProgramSelfHost:
 
     def test_new_rules_need_zero_waivers(self, repo):
         # The asyncio/determinism/layering packs (RPL010-015) self-host
-        # with NO inline waivers: the service routes every kernel call
-        # through the executor seam and awaits outside its thread
-        # locks, so nothing to excuse.  If a future change needs one,
+        # with NO inline waivers: the batcher's flush task, the one
+        # coroutine that runs engine work on the loop, reaches the
+        # kernels only through object attributes (``device.write_block``,
+        # ``codec.decode``), which resolution does not follow, and every
+        # await sits outside the thread locks, so nothing to excuse.  If a future change needs one,
         # this is the place it gets accounted for.
         codes = {c.strip() for _, _, group, _ in waivers(repo.model) for c in group.split(",")}
         assert not {c for c in codes if c.startswith("RPL01")}
