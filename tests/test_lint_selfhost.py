@@ -121,8 +121,9 @@ class TestWholeProgramSelfHost:
         # coroutine that runs engine work on the loop, reaches the
         # kernels only through object attributes (``device.write_block``,
         # ``codec.decode``), which resolution does not follow, and every
-        # await sits outside the thread locks, so nothing to excuse.  If a future change needs one,
-        # this is the place it gets accounted for.
+        # await sits outside the thread locks, so nothing to excuse.  If
+        # a future change needs one, this is the place it gets
+        # accounted for.
         codes = {c.strip() for _, _, group, _ in waivers(repo.model) for c in group.split(",")}
         assert not {c for c in codes if c.startswith("RPL01")}
 
