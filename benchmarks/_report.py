@@ -9,7 +9,9 @@ refreshed from the artifacts.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 import resource
 import sys
 from typing import Iterable, Sequence
@@ -28,6 +30,17 @@ def peak_rss_bytes() -> int:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return int(max(own, kids)) * unit
+
+
+def machine_info() -> dict:
+    """The box a record was measured on: cores, Python and numpy."""
+    import numpy
+
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
 
 
 def render_table(

@@ -8,9 +8,13 @@ Two comparisons, both against genuinely pre-PR baselines:
    on the Figure-3 state rows, the Figure-8 design set, and an
    optimizer-style 3LC candidate grid.
 2. **End-to-end figure sweeps** — the pre-PR Fig-3/Fig-8 pipeline
-   (Monte Carlo at the sweep defaults, plus the scalar analytic floor)
+   (Monte Carlo at the sweep defaults through the frozen unscreened
+   per-block evaluator ``_prepr_mc``, plus the scalar analytic floor)
    vs the new ``engine="analytic"`` batched path.  This is where the
    ``REPRO_CER_SPEEDUP_FLOOR`` (default 10x) acceptance floor applies.
+   The same sweeps through today's screened executor are timed beside
+   it (``*_mc_screened_s``, ``*_screen_speedup``) and must return the
+   identical curves.
 
 Env knobs: ``REPRO_CER_SWEEP_SAMPLES`` (default 10M, the sweep default)
 scales the MC baseline; ``REPRO_CER_SPEEDUP_FLOOR`` (default 10) relaxes
@@ -24,7 +28,8 @@ import time
 import numpy as np
 
 import _prepr_analytic as prepr
-from _report import emit_json
+import _prepr_mc
+from _report import emit_json, machine_info
 from repro.core.designs import all_designs, four_level_naive
 from repro.mapping.constraints import DesignSpace
 from repro.mapping.optimizer import design_from_interior_mus
@@ -130,10 +135,8 @@ def _bench_optimizer_grid() -> dict:
 
 
 def _bench_end_to_end() -> dict:
-    mc3, t_mc3 = _timed(
-        lambda: fig3_state_sweep(n_samples=SWEEP_SAMPLES, engine="mc")
-    )
-    an3, t_an3 = _timed(lambda: fig3_state_sweep(engine="analytic"))
+    def fig3_mc():
+        return fig3_state_sweep(n_samples=SWEEP_SAMPLES, engine="mc")
 
     def fig8_pre_pr():
         sweep = fig8_design_sweep(
@@ -147,9 +150,19 @@ def _bench_end_to_end() -> dict:
             curve[unresolved] = an[unresolved]
         return sweep
 
-    mc8, t_mc8 = _timed(fig8_pre_pr)
+    with _prepr_mc.unscreened():
+        mc3, t_mc3 = _timed(fig3_mc)
+    scr3, t_scr3 = _timed(fig3_mc)
+    an3, t_an3 = _timed(lambda: fig3_state_sweep(engine="analytic"))
+    with _prepr_mc.unscreened():
+        mc8, t_mc8 = _timed(fig8_pre_pr)
+    scr8, t_scr8 = _timed(fig8_pre_pr)
     an8, t_an8 = _timed(lambda: fig8_design_sweep(engine="analytic"))
 
+    # The screen changes no count.
+    for mc, scr in ((mc3, scr3), (mc8, scr8)):
+        for name in mc.series:
+            assert np.array_equal(mc.series[name], scr.series[name]), name
     # Sanity: the analytic engine agrees with the MC where the MC resolves
     # well (>= 100 errors), for every series of both figures.
     for mc, an in ((mc3, an3), (mc8, an8)):
@@ -160,9 +173,13 @@ def _bench_end_to_end() -> dict:
     return {
         "n_samples": SWEEP_SAMPLES,
         "fig3_mc_s": round(t_mc3, 3),
+        "fig3_mc_screened_s": round(t_scr3, 3),
+        "fig3_screen_speedup": round(t_mc3 / t_scr3, 2),
         "fig3_analytic_s": round(t_an3, 4),
         "fig3_speedup": round(t_mc3 / t_an3, 1),
         "fig8_mc_s": round(t_mc8, 3),
+        "fig8_mc_screened_s": round(t_scr8, 3),
+        "fig8_screen_speedup": round(t_mc8 / t_scr8, 2),
         "fig8_analytic_s": round(t_an8, 4),
         "fig8_speedup": round(t_mc8 / t_an8, 1),
     }
@@ -178,6 +195,7 @@ def test_cer_core_speedups():
         "BENCH_cer_core",
         {
             "benchmark": "vectorized CER core vs pre-PR scalar path",
+            "machine": machine_info(),
             "speedup_floor": SPEEDUP_FLOOR,
             "analytic_fig3_kernel": fig3,
             "analytic_fig8_kernel": fig8,

@@ -17,6 +17,17 @@ the closed form: the trajectory is piecewise linear in ``L`` with slopes
 Cells programmed above a tier boundary keep their own exponent draw (their
 state's distribution already reflects that tier); only cells that drift
 across a boundary escalate.
+
+Every term of that sum is non-negative and the first one is
+``(b - lr0) / alpha_0``, where ``b`` is the cell's *first barrier*: the
+lowest tier break above ``lr0``, or ``tau``.  Escalation only starts after
+a crossing, so under every escalation mode ``L* >= (b - lr0) / alpha_0``.
+:class:`CellScreen` turns that bound into an exact pre-filter on a cell's
+two uniforms: a cell whose exponent is too small to lift it to its first
+barrier by the grid's last point has ``L* > L_max`` and adds nothing to
+any count, so the executor drops it before the inverse-CDF transforms.
+The draws themselves do not change, so neither do the counts, and
+``ENGINE_VERSION`` (the cache-key salt for the draw scheme) stays 1.
 """
 
 from __future__ import annotations
@@ -36,11 +47,20 @@ from repro.montecarlo.executor import (
     run_counts,
 )
 from repro.montecarlo.results_cache import ResultsCache, cached_counts, state_counts_key
-from repro.montecarlo.rng import alpha_samples, seed_entropy, truncated_normal
+from repro.montecarlo.rng import (
+    alpha_samples,
+    seed_entropy,
+    truncated_normal,
+    truncated_normal_from_uniform,
+    uniform_from_alpha,
+)
 
 __all__ = [
     "critical_log_times",
     "sample_state_cells",
+    "state_uniforms",
+    "CellScreen",
+    "SCREEN_BINS",
     "state_cer",
     "design_cer",
     "CERResult",
@@ -125,6 +145,95 @@ def critical_log_times(
     # Cells written at/above tau (possible only if tau intrudes into the
     # write window) err immediately.
     return np.where(lr0 >= tau, 0.0, L_star)
+
+
+#: Bins of :class:`CellScreen`'s table over the ``lr0`` uniform.
+SCREEN_BINS = 256
+
+# Slack that makes every screen decision conservative: log-resistance
+# edges widen by _LR_SLACK (decades), the exponent bound shrinks by the
+# relative _REL_SLACK, and the uniform bound by _U_SLACK.  Each is orders
+# of magnitude above the float error of the transforms it covers.
+_LR_SLACK = 1e-9
+_REL_SLACK = 1e-9
+_U_SLACK = 1e-12
+
+
+def state_uniforms(
+    state: StateParams, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The uniforms :func:`sample_state_cells` draws from ``rng``, in its
+    order: ``(u_lr, u_alpha)``.
+
+    ``None`` stands for a constant variable (``sigma_lr == 0``, or a
+    constant exponent), which makes no draw.  Feeding the drawn arrays, or
+    any common subset of them, back to :func:`sample_state_cells` through a
+    stand-in generator reproduces its cells bit for bit.
+    """
+    drift = state.drift
+    u_lr = rng.random(n) if state.sigma_lr != 0.0 else None
+    constant_alpha = drift.mu_alpha == 0.0 or drift.sigma_alpha == 0.0
+    u_alpha = None if constant_alpha else rng.random(n)
+    return u_lr, u_alpha
+
+
+class CellScreen:
+    """Exact pre-filter of one state's cells against the last grid point.
+
+    The table bins the ``lr0`` uniform into :data:`SCREEN_BINS` bins (one
+    bin when ``lr0`` is constant).  Bin ``j`` holds the critical exponent
+    uniform ``crit[j]``: a cell of the bin whose exponent uniform is below
+    it cannot lift even the bin's highest ``lr0`` to the first barrier
+    above the bin's lowest ``lr0`` by ``L_max``, so its
+    :func:`critical_log_times` exceeds ``L_max`` under every escalation
+    mode.  A constant exponent screens as uniform ``0`` against a table of
+    ``0`` (keep the bin) or ``1`` (drop it).  Every margin errs toward
+    keeping a cell.
+    """
+
+    def __init__(
+        self, state: StateParams, tau: float, schedule: TieredDrift, L_max: float
+    ) -> None:
+        if state.sigma_lr == 0.0:
+            lr_lo = lr_hi = np.array([state.mu_lr])
+        else:
+            edges = truncated_normal_from_uniform(
+                np.linspace(0.0, 1.0, SCREEN_BINS + 1),
+                state.mu_lr,
+                state.sigma_lr,
+                -WRITE_TRUNCATION_SIGMA,
+                WRITE_TRUNCATION_SIGMA,
+            )
+            lr_lo, lr_hi = edges[:-1], edges[1:]
+        barriers = np.array(
+            [t.lr_break for t in schedule.tiers_between(-np.inf, tau)] + [tau]
+        )
+        # The first barrier strictly above the bin's lowest lr0; none
+        # (-inf: the bin reaches tau and is kept) past tau.
+        first = np.append(barriers, -np.inf)[
+            np.searchsorted(barriers, lr_lo - _LR_SLACK, side="right")
+        ]
+        rise = first - (lr_hi + _LR_SLACK)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha_max = np.where(rise > 0.0, rise / L_max, -np.inf)
+        alpha_max = alpha_max * (1.0 - _REL_SLACK)
+        drift = state.drift
+        if drift.mu_alpha == 0.0 or drift.sigma_alpha == 0.0:
+            self.crit = np.where(drift.mu_alpha < alpha_max, 1.0, 0.0)
+        else:
+            u = uniform_from_alpha(alpha_max, drift.mu_alpha, drift.sigma_alpha)
+            self.crit = u - _U_SLACK
+
+    def keep(
+        self, u_lr: np.ndarray | None, u_alpha: np.ndarray | None, n: int
+    ) -> np.ndarray:
+        """Boolean mask of the cells that may err by ``L_max``, from the
+        uniforms :func:`state_uniforms` drew for ``n`` cells."""
+        if u_lr is None:
+            crit = np.full(n, self.crit[0])
+        else:
+            crit = self.crit[(u_lr * self.crit.size).astype(np.intp)]
+        return (np.zeros(n) if u_alpha is None else u_alpha) >= crit
 
 
 @dataclasses.dataclass(frozen=True)

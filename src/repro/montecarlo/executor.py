@@ -6,7 +6,9 @@ The engine's unit of randomness is a fixed-size *block* of
 generator :func:`repro.montecarlo.rng.spawn_rngs` would produce — so a
 block's samples are a pure function of ``(entropy, prefix, i)``.  The
 ``chunk`` parameter only groups whole blocks into pool tasks.  Within a
-task, each block is evaluated as drawn: its samples go through
+task, each block is evaluated as drawn: its uniforms are screened by the
+task's :class:`~repro.montecarlo.cer.CellScreen`, the kept samples go
+through :func:`~repro.montecarlo.cer.sample_state_cells` and
 :func:`~repro.montecarlo.cer.critical_log_times`, are sorted, and one
 ``searchsorted`` counts the samples at or below each grid point.  Error
 counts are sums of per-sample indicators ``L* <= L(t)``, so any grouping
@@ -14,9 +16,18 @@ of the blocks yields the same integer counts — results are therefore
 **bit-identical for any chunk size and any worker count**, which also
 means the persistent result cache never needs chunk/jobs in its keys.
 
+The screen drops only cells whose ``L*`` provably exceeds the grid's
+last point (their indicator is 0 at every grid point), and it drops
+them *after* the block's draws: the ``lr0`` uniforms, the exponent
+uniforms, then the tier normals, as before.  The tier normals, the
+block's last draws, are skipped when no cell is kept.  A kept cell
+therefore sees the same uniforms and normals as an unscreened run, and
+every count is the same integer.
+
 Bump :data:`ENGINE_VERSION` when changing anything that alters a block's
 draws (:data:`RNG_BLOCK`, the in-block draw order, the samplers): the
 cache salts its keys with the version, so stale entries self-invalidate.
+The screen alters no draw and no count, so it left the version at 1.
 """
 
 from __future__ import annotations
@@ -182,23 +193,54 @@ class _Task:
     schedule: TieredDrift
 
 
+class _Replay:
+    """Stands in for a block's generator: :meth:`random` returns the kept
+    cells' already-drawn uniforms, in draw order, so they go through
+    :func:`~repro.montecarlo.cer.sample_state_cells` itself."""
+
+    def __init__(self, draws: list[np.ndarray]) -> None:
+        self._draws = iter(draws)
+
+    def random(self, size: int) -> np.ndarray:
+        u = next(self._draws)
+        if u.size != size:
+            raise ValueError(f"replayed {u.size} uniforms where {size} were asked for")
+        return u
+
+
 def _eval_task(task: _Task) -> np.ndarray:
     """Error counts of one task's blocks against the sorted ``L_grid``."""
     # Imported here (not at module top) so the import graph stays acyclic:
     # cer.py orchestrates through this module.
-    from repro.montecarlo.cer import critical_log_times, sample_state_cells
+    from repro.montecarlo.cer import (
+        CellScreen,
+        critical_log_times,
+        sample_state_cells,
+        state_uniforms,
+    )
 
     # Only observable with in-process execution (jobs=1): worker
     # processes do not share the chaos registry's module globals.
     fault_point("executor.task", item=task.item, first_block=task.first_block)
 
+    screen = CellScreen(
+        task.state, task.tau, task.schedule, np.max(task.L_grid, initial=0.0)
+    )
     counts = np.zeros(len(task.L_grid), dtype=np.int64)
     for offset, size in enumerate(task.sizes):
         rng = block_rng(task.entropy, task.prefix + (task.first_block + offset,))
-        lr0, alpha, z = sample_state_cells(task.state, size, rng)
+        u_lr, u_alpha = state_uniforms(task.state, size, rng)
+        keep = screen.keep(u_lr, u_alpha, size)
+        n_kept = int(np.count_nonzero(keep))
+        if not n_kept:
+            continue
+        # The tier normals are the block's last draws, needed only when
+        # some cell is kept.
         tier_z = None
         if task.n_tiers:
-            tier_z = [rng.standard_normal(size) for _ in range(task.n_tiers)]
+            tier_z = [rng.standard_normal(size)[keep] for _ in range(task.n_tiers)]
+        draws = [u[keep] for u in (u_lr, u_alpha) if u is not None]
+        lr0, alpha, z = sample_state_cells(task.state, n_kept, _Replay(draws))
         L_star = critical_log_times(
             lr0, alpha, z, task.state.drift.mu_alpha, task.tau, task.schedule, tier_z
         )

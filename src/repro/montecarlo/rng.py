@@ -15,6 +15,8 @@ __all__ = [
     "truncated_normal",
     "truncated_normal_from_uniform",
     "alpha_samples",
+    "alpha_from_uniform",
+    "uniform_from_alpha",
 ]
 
 
@@ -107,11 +109,32 @@ def alpha_samples(
 
     Returns ``(alpha, z)`` where ``alpha = mu + z * sigma`` and ``z`` is used
     by correlated tier escalation (a fast cell stays fast after escalation).
+    A degenerate distribution (``mu_alpha == 0`` or ``sigma_alpha == 0``)
+    is a constant and makes no draw.
     """
     if mu_alpha == 0.0 or sigma_alpha == 0.0:
         return np.full(size, mu_alpha), np.zeros(size)
+    return alpha_from_uniform(rng.random(size), mu_alpha, sigma_alpha)
+
+
+def alpha_from_uniform(
+    u: np.ndarray, mu_alpha: float, sigma_alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The deterministic tail of :func:`alpha_samples`: ``(alpha, z)`` of
+    already-drawn uniforms, through the inverse CDF of the exponent
+    distribution truncated at zero (``sigma_alpha > 0``).  Increasing in
+    ``u``."""
     z_lo = -mu_alpha / sigma_alpha  # alpha >= 0
     p_lo = ndtr(z_lo)
-    u = rng.random(size)
-    z = ndtri(p_lo + u * (1.0 - p_lo))
+    z = ndtri(p_lo + np.asarray(u) * (1.0 - p_lo))
     return mu_alpha + sigma_alpha * z, z
+
+
+def uniform_from_alpha(
+    alpha: np.ndarray, mu_alpha: float, sigma_alpha: float
+) -> np.ndarray:
+    """Inverse of :func:`alpha_from_uniform`: the uniform that maps to
+    ``alpha`` (``0`` at or below zero, ``1`` at ``inf``)."""
+    p_lo = ndtr(-mu_alpha / sigma_alpha)
+    p = ndtr((np.asarray(alpha, dtype=float) - mu_alpha) / sigma_alpha)
+    return np.clip((p - p_lo) / (1.0 - p_lo), 0.0, 1.0)

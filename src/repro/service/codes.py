@@ -40,6 +40,11 @@ _CATALOG = (
     EventCode("E_JOB_NOT_FOUND", 404, "unknown job id"),
     EventCode("E_METHOD", 405, "route exists but not for this HTTP method"),
     EventCode("E_BLOCK_RANGE", 400, "block index outside the device geometry"),
+    EventCode(
+        "E_DEVICE_TOO_LARGE",
+        400,
+        "device state would exceed the server's per-device byte limit",
+    ),
     EventCode("E_BLOCK_NOT_WRITTEN", 409, "read of a block that was never written"),
     EventCode("E_TIME_REGRESSION", 409, "virtual timestamp behind the device clock"),
     EventCode(

@@ -55,6 +55,7 @@ from repro.service.codes import ServiceError
 from repro.wearout.mark_and_spare import SpareExhausted
 
 __all__ = [
+    "MAX_DEVICE_STATE_BYTES",
     "SERVICE_SPAWN_KEY",
     "DeviceRegistry",
     "VirtualDevice",
@@ -70,6 +71,14 @@ SERVICE_SPAWN_KEY = 0x5EC0
 _KEY_ENDURANCE = 0
 _KEY_MODES = 1
 _KEY_WRITE = 2
+
+#: Largest simulation state one device may hold, in bytes: its
+#: :class:`~repro.fleet.state.SoaFleetState` plus the per-block write
+#: epochs.  A block of the default geometry holds ~20.9 KB, so this
+#: admits ~12,800 blocks; a larger device is refused with
+#: ``E_DEVICE_TOO_LARGE`` before anything is allocated, because creation
+#: runs on the event-loop thread and would stall every request.
+MAX_DEVICE_STATE_BYTES = 256 * 2**20
 
 _HEALTHY = FaultMode.HEALTHY.value
 #: A write's one row: device row 0, at the design's own drift.
@@ -115,6 +124,22 @@ class VirtualDevice:
         self.data_bits = int(data_bits)
         self.n_spare_pairs = int(n_spare_pairs)
         self.codec = codec = batch_codec(self.data_bits, self.n_spare_pairs)
+        # The state is linear in n_blocks: size one block, then scale.
+        block_bytes = SoaFleetState(
+            1, 1, codec.n_mlc_cells, codec.n_slc_cells, codec.ms_config.n_pairs
+        ).nbytes + np.dtype(np.int64).itemsize
+        state_bytes = self.n_blocks * block_bytes
+        if state_bytes > MAX_DEVICE_STATE_BYTES:
+            raise ServiceError(
+                "E_DEVICE_TOO_LARGE",
+                f"{self.n_blocks} blocks need {state_bytes} bytes of device state; "
+                f"the limit is {MAX_DEVICE_STATE_BYTES}",
+                {
+                    "n_blocks": self.n_blocks,
+                    "state_bytes": state_bytes,
+                    "max_state_bytes": MAX_DEVICE_STATE_BYTES,
+                },
+            )
         self.clock = VirtualClock()
         self.stats = VirtualDeviceStats()
 
@@ -305,7 +330,6 @@ class DeviceRegistry:
     ) -> VirtualDevice:
         with self._lock:
             device_id = f"dev-{self._next:04d}"
-            self._next += 1
             device = VirtualDevice(
                 device_id,
                 seed,
@@ -314,6 +338,8 @@ class DeviceRegistry:
                 n_spare_pairs=n_spare_pairs,
                 wearout=wearout,
             )
+            # A refused device does not use up an id.
+            self._next += 1
             self._devices[device_id] = device
             return device
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.service import batching, http
+from repro.service import device as device_mod
 from repro.service.app import ServiceConfig, ServiceRunner
 from repro.service.batching import IoOp, execute_batch
 from repro.service.client import ServiceClient, ServiceResponseError
@@ -212,6 +213,36 @@ class TestDeviceLifecycle:
             client.create_device(n_blocks="many")
         with pytest.raises(ServiceResponseError):
             client.create_device(wearout={"bogus_field": 1.0})
+
+    def test_oversized_device_is_refused_before_allocation(self, client, monkeypatch):
+        real = device_mod.SoaFleetState
+
+        def guarded(n_devices, n_blocks, *args):
+            # Without the bound this test must fail, not allocate ~21 GB.
+            if n_blocks > 256:
+                raise MemoryError(f"allocated {n_blocks} blocks before the bound")
+            return real(n_devices, n_blocks, *args)
+
+        monkeypatch.setattr(device_mod, "SoaFleetState", guarded)
+        a = client.create_device(n_blocks=2)["device"]
+        with pytest.raises(ServiceResponseError) as excinfo:
+            client.create_device(n_blocks=1_000_000)
+        assert excinfo.value.code == "E_DEVICE_TOO_LARGE"
+        assert excinfo.value.status == 400
+        detail = excinfo.value.payload["detail"]
+        assert detail["max_state_bytes"] == device_mod.MAX_DEVICE_STATE_BYTES
+        assert detail["state_bytes"] > device_mod.MAX_DEVICE_STATE_BYTES
+        # service_rw's 256-block device stays far below the bound, and the
+        # refusal used up no device id.
+        b = client.create_device(n_blocks=256)["device"]
+        try:
+            assert int(b["id"].split("-")[1]) == int(a["id"].split("-")[1]) + 1
+            assert 10 * 256 * detail["state_bytes"] // 1_000_000 < (
+                device_mod.MAX_DEVICE_STATE_BYTES
+            )
+        finally:
+            client.delete_device(a["id"])
+            client.delete_device(b["id"])
 
     def test_derived_seeds_are_distinct(self, client):
         a = client.create_device(n_blocks=2)["device"]
