@@ -19,7 +19,7 @@ import timeit
 
 import numpy as np
 
-from _report import emit_json
+from _report import emit_json, machine_info
 from repro.chaos import FaultPlan, activate, chaos_active
 from repro.chaos.registry import fault_point
 from repro.core.designs import three_level_naive
@@ -67,6 +67,7 @@ def test_disabled_fault_point_is_cheap_and_invisible(tmp_path):
         "BENCH_chaos_overhead",
         {
             "benchmark": "fault_point disabled-path overhead",
+            "machine": machine_info(),
             "ns_per_disabled_call": round(ns_per_call, 1),
             "n_samples": N_SAMPLES,
             "cold_sweep_s": round(t_cold, 4),

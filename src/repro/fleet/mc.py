@@ -27,8 +27,6 @@ once; the reduction keeps just one count matrix per shard.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from typing import Any
 
 import numpy as np
@@ -47,7 +45,7 @@ from repro.fleet.engine import (
 )
 from repro.fleet.soa import FleetEngine
 from repro.montecarlo.executor import ENGINE_VERSION, fan_out, shard_ranges
-from repro.montecarlo.results_cache import ResultsCache, cached_counts
+from repro.montecarlo.results_cache import ResultsCache, cached_counts, key_digest
 from repro.montecarlo.rng import seed_entropy
 
 __all__ = [
@@ -85,8 +83,7 @@ def fleet_counts_key(
         "shard": {"first": int(first_device), "n": int(n_devices)},
         "seed": {"entropy": int(entropy)},
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return key_digest(payload)
 
 
 def _encode_counts(counts: np.ndarray) -> np.ndarray:

@@ -3,17 +3,18 @@
 The repo's reproducibility guarantees (bit-identical Monte Carlo results
 for any worker count, zero-re-execution campaign resume) rest on code
 conventions that ordinary linters cannot see: every generator must come
-from the :mod:`repro.montecarlo.rng` SeedSequence fan-out, every cache
-key must be salted with ``ENGINE_VERSION``, scheduler shared state must
-be mutated under its lock.  This package turns those conventions into
+from the :mod:`repro.montecarlo.rng` SeedSequence fan-out, scheduler
+shared state must be mutated under its lock, no coroutine may block the
+event loop with a direct call.  This package turns those conventions into
 machine-checked invariants:
 
 - rules with stable codes (``RPL001``…), each documented in
   ``docs/LINTING.md`` with the invariant it protects, all implementing
   one protocol: ``check(model) -> list[Violation]``;
 - one whole-program run: the engine parses every file once into a
-  :class:`~repro.lint.model.ProjectModel` (symbol tables, resolved
-  import graph, per-function call summaries) and runs every rule over it;
+  :class:`~repro.lint.model.ProjectModel` (parsed trees, nodes by
+  type, import maps with resolved import edges) and runs every rule
+  over it;
 - ``# repro-lint: disable=RPLxxx -- reason`` inline suppressions;
 - a ``[tool.repro-lint]`` pyproject config block (excludes, per-path
   disables, ``layers`` contracts, default ``paths``);

@@ -26,9 +26,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based invariant linter for the repro codebase: RNG "
-            "discipline, cache-key salting, wall-clock hygiene, lock "
-            "discipline, float equality, asyncio concurrency, and "
-            "architecture layering, in one whole-program pass."
+            "discipline, wall-clock hygiene, lock discipline, float "
+            "equality, asyncio concurrency, and architecture layering, "
+            "in one whole-program pass."
         ),
     )
     parser.add_argument(

@@ -1,31 +1,25 @@
 """The project model: every linted file, parsed once, plus cross-file lookups.
 
-Every rule runs against this one model.  Some of the contracts they
-protect are *program* properties — a coroutine is only blocking if
-something it transitively calls blocks, a layering violation is a
-property of the import *graph* — so the model is built for the whole
-program at once:
+Every rule runs against this one model.  One contract is a *program*
+property — a layering violation is a property of the import *graph* —
+so the model is built for the whole program at once:
 
 - one :class:`ModuleInfo` per file: dotted module name, the parsed AST
-  (parsed exactly once — every rule reuses it), suppression table, the
-  :class:`ImportMap` (local-name aliases and resolved import edges from
-  one walk over the import statements; relative imports resolve against
-  the module's own package), and module-level ``*_VERSION`` constants;
-- one :class:`FunctionInfo` per function/method: coroutine-ness and
-  every call site with its canonical dotted target;
-- the :class:`ProjectModel` tying them together: qualified-name
-  function lookup (so call edges cross files) and the import graph.
+  (parsed exactly once — every rule reuses it, and
+  :attr:`ModuleInfo.nodes` groups its nodes by type from one walk),
+  suppression table, and the :class:`ImportMap` (local-name aliases and
+  resolved import edges from one walk over the import statements;
+  relative imports resolve against the module's own package);
+- the :class:`ProjectModel` tying them together: module lookup by
+  dotted name and the import graph.
 
-Questions about one function body that need no cross-file lookup are
-answered by the rules walking the parsed tree themselves;
-:func:`walk_locked` is the one shared walk, tracking which ``with``
-locks are held around each node.
-
-Resolution is lexical and conservative: a call through an object
-attribute (``device.write_block``) does not resolve, so no edge is
-created and no rule guesses.  ``self.method()`` resolves
-within the defining class — the one object-dispatch case a linter can
-answer soundly.
+Questions about one function body are answered by the rules walking
+the parsed tree themselves; :func:`walk_locked` is the one shared walk,
+tracking which ``with`` locks are held around each node.  Name
+resolution is lexical: :meth:`ImportMap.canonical` rewrites an
+attribute chain into fully-qualified module terms, and a call through
+an object attribute (``device.write_block``) stays unresolved rather
+than guessed.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from __future__ import annotations
 import ast
 import collections
 import dataclasses
-import fnmatch
 import functools
 import pathlib
 from typing import Any, Callable, Iterable, Iterator
@@ -42,8 +35,6 @@ from repro.lint.config import LintConfig
 from repro.lint.suppress import Suppressions
 
 __all__ = [
-    "CallSite",
-    "FunctionInfo",
     "ImportEdge",
     "ImportMap",
     "ModuleInfo",
@@ -55,11 +46,6 @@ __all__ = [
     "resolve_relative",
     "walk_locked",
 ]
-
-#: Module-level constants matching these patterns are tracked as engine
-#: version markers (RPL014's completeness domain).
-VERSION_PATTERNS = ("*_VERSION",)
-
 
 def module_name_for(path: pathlib.Path) -> str:
     """Dotted module name of a file, walked up through ``__init__.py`` dirs.
@@ -79,27 +65,7 @@ def module_name_for(path: pathlib.Path) -> str:
     return ".".join(reversed(parts))
 
 
-@dataclasses.dataclass(frozen=True)
-class CallSite:
-    """One statically-resolvable call expression inside a function."""
-
-    name: str  # canonical dotted target (import-alias resolved)
-    lineno: int
-    col: int
-
-
 _Def = ast.FunctionDef | ast.AsyncFunctionDef
-
-
-@dataclasses.dataclass
-class FunctionInfo:
-    """Call summary of one function or method."""
-
-    qualname: str  # module-qualified: ``pkg.mod.Class.meth``
-    name: str
-    is_coroutine: bool
-    calls: list[CallSite]
-    node: _Def  # the defining FunctionDef/AsyncFunctionDef
 
 
 @dataclasses.dataclass
@@ -223,7 +189,7 @@ class ModuleInfo:
     """Everything a rule may ask about one file.
 
     A file that cannot be read or parsed has ``tree`` None, its
-    ``parse_error`` set, and an empty import map and summaries.
+    ``parse_error`` set, and an empty import map.
     """
 
     rel_posix: str
@@ -232,8 +198,6 @@ class ModuleInfo:
     tree: ast.Module | None
     suppressions: Suppressions
     import_map: ImportMap
-    version_constants: set[str]
-    functions: dict[str, FunctionInfo]  # key: in-module qualname
     parse_error: Exception | None = None
 
     @functools.cached_property
@@ -274,85 +238,6 @@ def walk_locked(
         stack.extend((child, held, fn) for child in ast.iter_child_nodes(node))
 
 
-class _ModuleVisitor(ast.NodeVisitor):
-    """One walk collecting every function and its call sites."""
-
-    def __init__(self, module: str, imports: ImportMap, local_defs: set[str]):
-        self.module = module
-        self.imports = imports
-        self.local_defs = local_defs  # module-level function/class names
-        self.functions: dict[str, FunctionInfo] = {}
-        self._class_stack: list[str] = []
-        self._fn_stack: list[FunctionInfo] = []
-
-    # -- name canonicalization ----------------------------------------
-    def _canonical(self, func: ast.AST) -> str | None:
-        """Dotted call target in module-absolute terms, or None."""
-        name = self.imports.canonical(func)
-        if name is None:
-            return None
-        head = name.split(".", 1)[0]
-        if head == "self" and self._class_stack:
-            # self.meth() resolves within the lexically enclosing class.
-            rest = name.split(".", 1)[1] if "." in name else ""
-            return f"{self.module}.{self._class_stack[-1]}.{rest}" if rest else None
-        if head in self.local_defs and self.imports.alias_of(head) is None:
-            return f"{self.module}.{name}"
-        return name
-
-    # -- function scaffolding -----------------------------------------
-    def visit_FunctionDef(self, node: _Def) -> None:
-        scope = ".".join(self._class_stack + [node.name])
-        info = FunctionInfo(
-            qualname=f"{self.module}.{scope}",
-            name=node.name,
-            is_coroutine=isinstance(node, ast.AsyncFunctionDef),
-            calls=[],
-            node=node,
-        )
-        self.functions[scope] = info
-        self._fn_stack.append(info)
-        for child in node.body:
-            self.visit(child)
-        self._fn_stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        for child in node.body:
-            self.visit(child)
-        self._class_stack.pop()
-
-    # -- call sites ----------------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        fn = self._fn_stack[-1] if self._fn_stack else None
-        if fn is not None:
-            name = self._canonical(node.func)
-            if name is not None:
-                fn.calls.append(CallSite(name, node.lineno, node.col_offset))
-        self.generic_visit(node)
-
-
-def _version_constants(tree: ast.Module) -> set[str]:
-    """Public module-level ``*_VERSION`` assignments."""
-    out: set[str] = set()
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and not target.id.startswith("_")
-                and any(fnmatch.fnmatch(target.id, p) for p in VERSION_PATTERNS)
-            ):
-                out.add(target.id)
-    return out
-
-
 def rel_posix_of(path: pathlib.Path, root: pathlib.Path) -> str:
     """POSIX path of ``path`` relative to ``root`` (absolute if outside)."""
     try:
@@ -374,24 +259,13 @@ def build_module_info(path: str | pathlib.Path, config: LintConfig) -> ModuleInf
     except (OSError, UnicodeDecodeError, SyntaxError) as exc:
         error = exc
     body = tree if tree is not None else ast.Module(body=[], type_ignores=[])
-    imports = ImportMap(body, module=modname)
-    local_defs = {
-        n.name
-        for n in body.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-    visitor = _ModuleVisitor(modname, imports, local_defs)
-    for child in body.body:
-        visitor.visit(child)
     return ModuleInfo(
         rel_posix=rel_posix_of(p, pathlib.Path(config.root)),
         module=modname,
         source=source,
         tree=tree,
         suppressions=Suppressions.from_source(source),
-        import_map=imports,
-        version_constants=_version_constants(body),
-        functions=visitor.functions,
+        import_map=ImportMap(body, module=modname),
         parse_error=error,
     )
 
@@ -406,30 +280,6 @@ class ProjectModel:
         for m in modules:
             # First definition wins on collisions (loose same-stem files).
             self.by_module.setdefault(m.module, m)
-        self.functions: dict[str, FunctionInfo] = {}
-        for m in modules:
-            for info in m.functions.values():
-                self.functions.setdefault(info.qualname, info)
-
-    def resolve(self, name: str) -> FunctionInfo | None:
-        """Function a canonical call target refers to, if in the project.
-
-        Handles ``pkg.mod.func``, ``pkg.mod.Class.meth``, and package
-        re-exports one level deep (``pkg.func`` where ``pkg/__init__``
-        imported ``func`` from a project module).
-        """
-        hit = self.functions.get(name)
-        if hit is not None:
-            return hit
-        # Re-export chase: resolve the module prefix, then ask its
-        # import map where the remaining name came from.
-        head, _, tail = name.rpartition(".")
-        mod = self.by_module.get(head)
-        if mod is not None and tail:
-            alias = mod.import_map.alias_of(tail)
-            if alias is not None and alias != name:
-                return self.functions.get(alias)
-        return None
 
     def import_graph(self) -> dict[str, set[str]]:
         """Module → set of imported project modules (resolved edges)."""

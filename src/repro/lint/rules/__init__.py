@@ -1,8 +1,10 @@
 """Rule registry: one instance of every shipped rule, ordered by code.
 
 Every rule implements one protocol, ``check(model) -> list[Violation]``
-over the pass-1 :class:`repro.lint.model.ProjectModel`; a rule that
-looks at one file at a time simply iterates the model's modules.
+over the pass-1 :class:`repro.lint.model.ProjectModel`.  Each rule
+looks at one file at a time and simply iterates the model's modules;
+RPL015 alone reads a project-wide table (the layer contracts) to judge
+each file's import edges.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from repro.lint.rules.rpl004_lock import LockDisciplineRule
 from repro.lint.rules.rpl005_float_eq import FloatEqualityRule
 from repro.lint.rules.rpl010_blocking import BlockingInCoroutineRule
 from repro.lint.rules.rpl011_await_lock import AwaitUnderLockRule
-from repro.lint.rules.rpl014_version_salt import CacheKeyCompletenessRule
 from repro.lint.rules.rpl015_layers import LayeringContractRule
 
 __all__ = ["Rule", "Violation", "all_rules"]
@@ -26,7 +27,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     FloatEqualityRule,
     BlockingInCoroutineRule,
     AwaitUnderLockRule,
-    CacheKeyCompletenessRule,
     LayeringContractRule,
 )
 

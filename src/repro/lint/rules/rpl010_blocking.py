@@ -1,4 +1,4 @@
-"""RPL010 — blocking call inside a coroutine (direct or transitive).
+"""RPL010 — direct blocking call inside a coroutine.
 
 The service's batcher runs its engine work on the event loop by
 design: its flush task is the one place a batch executes, its stall
@@ -7,22 +7,25 @@ next batch.  Any *other* coroutine that calls ``time.sleep``, sync
 file/subprocess I/O, or — worse — drops straight into the numpy-heavy
 Monte Carlo / coding kernels stalls every batch and every request on
 the loop.  The sanctioned seam for such work is the executor
-(``run_in_executor`` / ``asyncio.to_thread``): callables passed there
-produce no call edge, so routing work through the seam is exactly what
-makes this rule pass.
+(``run_in_executor`` / ``asyncio.to_thread``): a callable passed there
+is an argument, not a call, so routing work through the seam is
+exactly what makes this rule pass.
 
-Whole-program part: the rule follows resolved call edges from each
-coroutine through *synchronous* project functions (a call to a
-coroutine function yields the loop and is fine), so a blocking call hidden two sync
-helpers deep is still attributed to the coroutine's call site, with the
-chain named in the message.
+The rule is per file and sees only *direct* calls in a coroutine's own
+body (nested defs and lambdas run later and are not part of it).  A
+stall reached through helpers, constructors or methods is a runtime
+property, and ``tests/service/test_loop_stall.py`` checks it: it runs
+the service under asyncio debug mode and fails on any callback slower
+than its bound.
 """
 
 from __future__ import annotations
 
+import ast
 import fnmatch
+from typing import Iterator
 
-from repro.lint.model import FunctionInfo, ModuleInfo, ProjectModel
+from repro.lint.model import ProjectModel
 from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["BlockingInCoroutineRule"]
@@ -54,8 +57,8 @@ _BLOCKING = {
 _HEAVY = ("repro.montecarlo.*", "repro.coding.*")
 #: Kernel-adjacent modules cheap enough to call inline.
 _HEAVY_ALLOW = ("repro.montecarlo.rng", "repro.montecarlo.rng.*")
-#: Transitive search depth through sync project functions.
-_MAX_DEPTH = 6
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _classify(name: str) -> str | None:
@@ -69,6 +72,16 @@ def _classify(name: str) -> str | None:
     return None
 
 
+def _own_calls(fn: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
+    """Calls in a coroutine's body, not in the defs and lambdas it nests."""
+    stack: list[ast.AST] = [stmt for stmt in fn.body if not isinstance(stmt, _DEFS)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, _DEFS))
+
+
 class BlockingInCoroutineRule(Rule):
     code = "RPL010"
     name = "blocking-call-in-coroutine"
@@ -77,59 +90,19 @@ class BlockingInCoroutineRule(Rule):
     def check(self, model: ProjectModel) -> list[Violation]:
         out: list[Violation] = []
         for module in self.modules(model):
-            for fn in module.functions.values():
-                if fn.is_coroutine:
-                    out.extend(self._check_coroutine(fn, module, model))
+            for fn in module.nodes[ast.AsyncFunctionDef]:
+                for call in _own_calls(fn):
+                    name = module.import_map.canonical(call.func)
+                    reason = _classify(name) if name is not None else None
+                    if reason is not None:
+                        out.append(
+                            self.violation(
+                                module,
+                                call.lineno,
+                                call.col_offset,
+                                f"coroutine {fn.name}() makes {reason}; the "
+                                "event loop stalls — route it through the "
+                                "executor seam (run_in_executor / to_thread)",
+                            )
+                        )
         return out
-
-    def _check_coroutine(
-        self, fn: FunctionInfo, module: ModuleInfo, model: ProjectModel
-    ) -> list[Violation]:
-        out = []
-        for call in fn.calls:
-            reason = _classify(call.name)
-            chain: list[str] = []
-            if reason is None:
-                target = model.resolve(call.name)
-                if target is not None and not target.is_coroutine:
-                    reason, chain = _search_sync(target, model)
-            if reason is not None:
-                via = f" (via {' -> '.join(chain)})" if chain else ""
-                out.append(
-                    self.violation(
-                        module,
-                        call.lineno,
-                        call.col,
-                        f"coroutine {fn.name}() makes {reason}{via}; the "
-                        "event loop stalls — route it through the executor "
-                        "seam (run_in_executor / to_thread)",
-                    )
-                )
-        return out
-
-
-def _search_sync(
-    start: FunctionInfo, model: ProjectModel
-) -> tuple[str | None, list[str]]:
-    """BFS through sync project calls for the first blocking target."""
-    seen = {start.qualname}
-    frontier: list[tuple[FunctionInfo, list[str]]] = [(start, [start.name])]
-    for _ in range(_MAX_DEPTH):
-        next_frontier: list[tuple[FunctionInfo, list[str]]] = []
-        for fn, chain in frontier:
-            for call in fn.calls:
-                reason = _classify(call.name)
-                if reason is not None:
-                    return reason, chain
-                target = model.resolve(call.name)
-                if (
-                    target is not None
-                    and not target.is_coroutine
-                    and target.qualname not in seen
-                ):
-                    seen.add(target.qualname)
-                    next_frontier.append((target, chain + [target.name]))
-        frontier = next_frontier
-        if not frontier:
-            break
-    return None, []

@@ -42,6 +42,7 @@ __all__ = [
     "bler_counts_key",
     "cached_counts",
     "default_cache_dir",
+    "key_digest",
     "state_counts_key",
 ]
 
@@ -58,6 +59,12 @@ def _cf(x: float) -> str:
     # repr() round-trips doubles exactly, so equal floats hash equally and
     # nearby ones never collide.
     return repr(float(x))
+
+
+def key_digest(payload: dict) -> str:
+    """The one cache-key digest: SHA-256 of the payload's canonical JSON."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def state_counts_key(
@@ -85,8 +92,7 @@ def state_counts_key(
         "n_samples": int(run.n_samples),
         "seed": {"entropy": int(run.entropy), "prefix": [int(p) for p in run.prefix]},
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return key_digest(payload)
 
 
 def bler_counts_key(
@@ -121,8 +127,7 @@ def bler_counts_key(
         "n_blocks": int(n_blocks),
         "seed": {"entropy": int(entropy), "prefix": [int(p) for p in prefix]},
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return key_digest(payload)
 
 
 @dataclasses.dataclass

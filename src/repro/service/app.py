@@ -7,11 +7,14 @@ jobs of every campaign job kind, and :class:`~repro.service.telemetry.Telemetry`
 ``/metrics`` — all served by the stdlib HTTP layer.
 
 Threading contract: HTTP handlers and the batcher's flush task run on
-the event loop, and *every* operation that touches simulated device
-state (I/O, create, describe, delete, digest, clock) runs on that one
-thread, either inside a batch or directly in its control handler, so
-none of them race.  Jobs run on their own pool and never touch device
-state.
+the event loop, and *every* operation that touches a registered
+device's simulated state (I/O, describe, delete, digest, clock) runs on
+that one thread, either inside a batch or directly in its control
+handler, so none of them race.  Creation builds the new device on a
+worker thread (``asyncio.to_thread``), because a large one takes long
+enough to stall every request; the device is private until the
+registry hands it out.  Jobs run on their own pool and never touch
+device state.
 
 Endpoints (see ``docs/SERVICE.md`` for the full contract):
 
@@ -214,7 +217,9 @@ class ServiceApp:
             with self._ordinal_lock:
                 seed = self.config.seed + self._device_ordinal
                 self._device_ordinal += 1
-        device = self.registry.create(
+        # A device at the size cap takes ~0.3 s to build: off the loop.
+        device = await asyncio.to_thread(
+            self.registry.create,
             seed,
             n_blocks,
             data_bits=data_bits,

@@ -76,8 +76,8 @@ _KEY_WRITE = 2
 #: :class:`~repro.fleet.state.SoaFleetState` plus the per-block write
 #: epochs.  A block of the default geometry holds ~20.9 KB, so this
 #: admits ~12,800 blocks; a larger device is refused with
-#: ``E_DEVICE_TOO_LARGE`` before anything is allocated, because creation
-#: runs on the event-loop thread and would stall every request.
+#: ``E_DEVICE_TOO_LARGE`` before anything is allocated, so one request
+#: cannot ask for gigabytes.
 MAX_DEVICE_STATE_BYTES = 256 * 2**20
 
 _HEALTHY = FaultMode.HEALTHY.value
@@ -308,10 +308,11 @@ class VirtualDevice:
 class DeviceRegistry:
     """Id-addressed collection of live devices.
 
-    The service app touches it, and every device's simulation state,
+    The service app touches every registered device's simulation state
     only from the event-loop thread (batches and control handlers
     alike), so per-device state needs no lock.  The registry keeps its
-    own lock so that it stays safe to share with other threads.
+    own lock so that it stays safe to share with other threads: the app
+    runs :meth:`create` on a worker thread.
     """
 
     def __init__(self) -> None:
@@ -328,20 +329,25 @@ class DeviceRegistry:
         n_spare_pairs: int = 6,
         wearout: WearoutModel | None = None,
     ) -> VirtualDevice:
+        """Build a device, then register it under the next id.
+
+        The build runs outside the lock and may run on any thread: the
+        device is private until it is registered.  It takes its id only
+        then, so ids stay sequential and a refused device uses none.
+        """
+        device = VirtualDevice(
+            "",
+            seed,
+            n_blocks,
+            data_bits=data_bits,
+            n_spare_pairs=n_spare_pairs,
+            wearout=wearout,
+        )
         with self._lock:
-            device_id = f"dev-{self._next:04d}"
-            device = VirtualDevice(
-                device_id,
-                seed,
-                n_blocks,
-                data_bits=data_bits,
-                n_spare_pairs=n_spare_pairs,
-                wearout=wearout,
-            )
-            # A refused device does not use up an id.
+            device.device_id = f"dev-{self._next:04d}"
             self._next += 1
-            self._devices[device_id] = device
-            return device
+            self._devices[device.device_id] = device
+        return device
 
     def get(self, device_id: str) -> VirtualDevice:
         with self._lock:

@@ -1,8 +1,6 @@
-"""Bad: coroutines that block the event loop, directly or transitively."""
+"""Bad: coroutines that block the event loop with a direct call."""
 
 import time
-
-from repro.montecarlo import cer
 
 
 async def flush_loop():
@@ -12,15 +10,3 @@ async def flush_loop():
 async def read_config(path):
     with open(path) as f:
         return f.read()
-
-
-def _run_kernel(state, n):
-    return cer.state_cer(state, n)
-
-
-def _helper(state, n):
-    return _run_kernel(state, n)
-
-
-async def handle_request(state, n):
-    return _helper(state, n)

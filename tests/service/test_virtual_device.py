@@ -1,5 +1,8 @@
 """Virtual-time device engine: drift, wear, determinism, validation."""
 
+import concurrent.futures
+import sys
+
 import numpy as np
 import pytest
 
@@ -357,6 +360,29 @@ class TestRegistry:
         reg.delete(first.device_id)
         second = reg.create(0, 4)
         assert second.device_id != first.device_id
+
+    def test_concurrent_creates_take_sequential_ids(self):
+        # The service builds devices on worker threads; ids are handed
+        # out at registration, under the registry lock, and a refused
+        # build takes none.
+        def build(i):
+            if i % 4 == 3:
+                with pytest.raises(ServiceError):
+                    reg.create(i, 0)
+                return None
+            return reg.create(i, 2)
+
+        reg = DeviceRegistry()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                devices = [d for d in pool.map(build, range(24)) if d is not None]
+        finally:
+            sys.setswitchinterval(interval)
+        ids = sorted(d.device_id for d in devices)
+        assert ids == [f"dev-{n:04d}" for n in range(1, 19)]
+        assert all(reg.get(d.device_id) is d for d in devices)
 
     def test_describe_fields(self):
         reg = DeviceRegistry()

@@ -17,10 +17,8 @@ from repro.lint.suppress import Suppressions
 
 TREE = pathlib.Path(__file__).parent / "fixtures" / "lint" / "tree"
 #: One seeded finding per single-file rule, in path order
-#: (``campaign/scheduler.py``, ``montecarlo/…``, then the loose files);
-#: the RPL014 finding lives in ``rpl002_cache_key.py``, the fixture of
-#: the rule it absorbed.
-ALL_CODES = ["RPL004", "RPL003", "RPL001", "RPL014", "RPL005"]
+#: (``campaign/scheduler.py``, ``montecarlo/…``, then the loose files).
+ALL_CODES = ["RPL004", "RPL003", "RPL001", "RPL005"]
 
 
 def tree_result():
@@ -32,7 +30,7 @@ class TestSeededTree:
         result = tree_result()
         assert [v.code for v in result.violations] == ALL_CODES
         assert result.exit_code == 1
-        assert result.files_checked == 5
+        assert result.files_checked == 4
 
 
 class TestJsonSchema:
@@ -46,7 +44,7 @@ class TestJsonSchema:
         assert doc["exit_code"] == 1
         summary = doc["summary"]
         assert set(summary) == {"total", "errors", "by_code"}
-        assert summary["total"] == summary["errors"] == len(doc["violations"]) == 5
+        assert summary["total"] == summary["errors"] == len(doc["violations"]) == 4
         assert summary["by_code"] == {code: 1 for code in sorted(ALL_CODES)}
         for v in doc["violations"]:
             assert set(v) == {"path", "line", "col", "code", "rule", "message"}
@@ -61,7 +59,7 @@ class TestJsonSchema:
 
     def test_text_report_summary_line(self):
         text = render_text(tree_result())
-        assert text.splitlines()[-1] == "5 files checked: 5 errors"
+        assert text.splitlines()[-1] == "4 files checked: 4 errors"
 
 
 class TestConfigOverrides:
@@ -70,7 +68,7 @@ class TestConfigOverrides:
         cfg.per_path["*float_eq*"] = ["RPL005"]
         result = run_whole_program([TREE], cfg)
         assert "RPL005" not in [v.code for v in result.violations]
-        assert len(result.violations) == 4
+        assert len(result.violations) == 3
 
     def test_select_narrows(self):
         # Rules are chosen by passing instances, not by config.
@@ -82,7 +80,7 @@ class TestConfigOverrides:
         cfg = load_config(TREE)
         cfg.exclude = ["*float_eq*"]
         result = run_whole_program([TREE], cfg)
-        assert result.files_checked == 4
+        assert result.files_checked == 3
         assert "RPL005" not in [v.code for v in result.violations]
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
@@ -146,10 +144,10 @@ class TestSuppressions:
 
     def test_disable_file_scope(self):
         sup = Suppressions.from_source(
-            "x = 1\n# repro-lint: disable-file=RPL001,RPL014 -- reason\n"
+            "x = 1\n# repro-lint: disable-file=RPL001,RPL011 -- reason\n"
         )
         assert sup.is_suppressed("RPL001", 999)
-        assert sup.is_suppressed("RPL014", 1)
+        assert sup.is_suppressed("RPL011", 1)
         assert not sup.is_suppressed("RPL003", 1)
 
 

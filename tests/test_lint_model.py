@@ -1,11 +1,12 @@
 """Pass-1 project model tests on a synthetic package tree.
 
-The tree exercises the resolution corners the whole-program rules rely
-on: relative imports (``from . import x`` and ``from .mod import name``),
-import aliasing, a two-module import cycle, package re-exports, and a
-loose top-level file outside any package.
+The tree exercises the resolution corners the rules rely on: relative
+imports (``from . import x`` and ``from .mod import name``), import
+aliasing, a two-module import cycle, and a loose top-level file outside
+any package.
 """
 
+import ast
 import pathlib
 import textwrap
 
@@ -29,21 +30,9 @@ def make_tree(tmp_path: pathlib.Path) -> list[pathlib.Path]:
             from . import beta
             from .beta import helper as h
 
-            ENGINE_VERSION = 1
-            _PRIVATE_VERSION = 0
-
 
             def run(spec, rng):
                 return h(spec) + beta.helper(spec)
-
-
-            async def poll(spec):
-                await wait(spec)
-                return run(spec, None)
-
-
-            async def wait(spec):
-                return spec
             """
         )
     )
@@ -100,8 +89,13 @@ class TestRelativeResolution:
 class TestAliasing:
     def test_from_import_as_resolves(self, tmp_path):
         model = model_for(tmp_path)
-        run = model.functions["pkg.alpha.run"]
-        targets = {c.name for c in run.calls}
+        alpha = model.by_module["pkg.alpha"]
+        (run,) = [f for f in alpha.nodes[ast.FunctionDef] if f.name == "run"]
+        targets = {
+            alpha.import_map.canonical(node.func)
+            for node in ast.walk(run)
+            if isinstance(node, ast.Call)
+        }
         # Both h(...) (aliased) and beta.helper(...) (via `from . import`)
         # canonicalize to the same absolute target.
         assert targets == {"pkg.beta.helper"}
@@ -132,39 +126,17 @@ class TestGraph:
         assert graph["loose"] == set()
 
     def test_cycle_detection(self, tmp_path):
-        # alpha <-> beta import each other: the graph keeps both edges,
-        # and resolving through the cycle terminates.
-        model = model_for(tmp_path)
-        graph = model.import_graph()
+        # alpha <-> beta import each other: the graph keeps both edges.
+        graph = model_for(tmp_path).import_graph()
         assert "pkg.beta" in graph["pkg.alpha"] and "pkg.alpha" in graph["pkg.beta"]
-        assert model.resolve("pkg.beta.helper").qualname == "pkg.beta.helper"
-        assert model.resolve("pkg.alpha.nowhere") is None
-
-    def test_reexport_resolution(self, tmp_path):
-        model = model_for(tmp_path)
-        # pkg/__init__.py re-exports run; callers of pkg.run reach it.
-        target = model.resolve("pkg.run")
-        assert target is not None and target.qualname == "pkg.alpha.run"
 
     def test_unknown_name_is_none(self, tmp_path):
-        model = model_for(tmp_path)
-        assert model.resolve("pkg.beta.missing") is None
-        assert model.resolve("os.path.join") is None
-
-
-class TestFunctionSummaries:
-    def test_coroutine_flag_and_awaited_calls(self, tmp_path):
-        model = model_for(tmp_path)
-        poll = model.functions["pkg.alpha.poll"]
-        assert poll.is_coroutine
-        # The awaited call is a call site like any other.
-        assert {c.name for c in poll.calls} == {"pkg.alpha.wait", "pkg.alpha.run"}
-        assert not model.functions["pkg.alpha.run"].is_coroutine
-
-    def test_version_constants_public_only(self, tmp_path):
-        model = model_for(tmp_path)
-        alpha = model.by_module["pkg.alpha"]
-        assert alpha.version_constants == {"ENGINE_VERSION"}
+        imports = model_for(tmp_path).by_module["pkg.beta"].import_map
+        assert imports.alias_of("missing") is None
+        # A name no import binds stays as written: never guessed.
+        call = ast.parse("os.path.join(a, b)").body[0].value
+        assert imports.canonical(call.func) == "os.path.join"
+        assert imports.canonical(ast.parse("f()(x)").body[0].value.func) is None
 
 
 class TestRobustness:

@@ -8,8 +8,9 @@ waiver — zero violations, nonzero suppressed count).
 Every fixture runs through :func:`repro.lint.run_whole_program` with the
 one rule under test, whose path scope is widened on that instance so
 the loose fixture file is in scope.  The two classes split the rules
-that look at one file (RPL001-005) from those that follow the call and
-import graphs (RPL010-015); both use the same protocol.
+whose fixtures count violations per rule code (RPL001-005) from those
+keyed by fixture stem (RPL010-015), where one rule may run on another
+rule's fixtures; both use the same protocol.
 """
 
 import pathlib
@@ -31,15 +32,11 @@ EXPECTED_BAD = {
 #: fixture stem -> (rule code, violations its bad fixture must produce).
 #: RPL001 also runs on the fixtures of RPL013, the provenance rule it
 #: absorbed: an ad-hoc generator built in engine code is flagged where
-#: it is constructed.  RPL014 likewise runs on the fixtures of RPL002: a
-#: key builder with no version constant in scope still owes
-#: ENGINE_VERSION.
+#: it is constructed.
 PROJECT_FIXTURES = {
-    "rpl002": ("RPL014", 1),
-    "rpl010": ("RPL010", 3),
+    "rpl010": ("RPL010", 2),
     "rpl011": ("RPL011", 3),
     "rpl013": ("RPL001", 2),
-    "rpl014": ("RPL014", 1),
     "rpl015": ("RPL015", 2),
 }
 
@@ -91,22 +88,12 @@ class TestProjectRuleFixtures:
 
 
 class TestProjectRuleDetails:
-    def test_rpl010_names_the_transitive_chain(self):
-        violations, _ = lint_fixture(FIXTURES / "rpl010_bad.py", "RPL010")
-        chained = [v for v in violations if "via" in v.message]
-        assert chained, "transitive finding must name its call chain"
-        assert "_helper -> _run_kernel" in chained[0].message
-
     def test_rpl013_message_points_at_fanout(self):
         # The provenance cases RPL013 used to trace now fire as RPL001 at
         # the construction site, pointing at the sanctioned fan-out.
         violations, _ = lint_fixture(FIXTURES / "rpl013_bad.py", "RPL001")
         assert violations
         assert all("repro.montecarlo.rng" in v.message for v in violations)
-
-    def test_rpl014_names_missing_constant(self):
-        violations, _ = lint_fixture(FIXTURES / "rpl014_bad.py", "RPL014")
-        assert "DATAPATH_VERSION" in violations[0].message
 
     def test_rpl015_clean_without_layer_table(self):
         config = LintConfig(root=str(FIXTURES))
@@ -176,6 +163,27 @@ class TestRuleDetails:
         (v,) = lint_as_shipped(engine, "RPL001", tmp_path)
         assert v.code == "RPL001" and "random.Random" in v.message
         assert lint_as_shipped(test, "RPL001", tmp_path) == []
+
+    def test_rpl010_direct_kernel_calls_only(self, tmp_path):
+        # A coroutine's own call into a kernel is flagged; the rng
+        # fan-out, a nested def (it runs later, off this body) and a
+        # callable handed to the executor seam are not.  Stalls reached
+        # through helpers are tests/service/test_loop_stall.py's job.
+        f = write_module(
+            tmp_path,
+            "direct.py",
+            "import asyncio\n"
+            "from repro.montecarlo import cer, rng\n\n"
+            "async def handle(state, n):\n"
+            "    rng.block_rng(0, (1,))\n"
+            "    def later():\n"
+            "        return cer.state_cer(state, n)\n"
+            "    await asyncio.to_thread(cer.state_cer, state, n)\n"
+            "    return cer.state_cer(state, n)\n",
+        )
+        violations, _ = lint_fixture(f, "RPL010", root=tmp_path)
+        assert [(v.line, v.col) for v in violations] == [(9, 11)]
+        assert "compute kernel repro.montecarlo.cer.state_cer()" in violations[0].message
 
     def test_rpl004_violation_names_the_attribute(self):
         violations, _ = lint_fixture(FIXTURES / "rpl004_bad.py", "RPL004")

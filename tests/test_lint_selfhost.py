@@ -12,6 +12,7 @@ The repo is linted once per module (the ``repo`` fixture): a pathless
 builds captured on the way, so every repo-wide test reads that one run.
 """
 
+import ast
 import contextlib
 import dataclasses
 import io
@@ -32,9 +33,8 @@ from repro.lint.suppress import _PATTERN
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TREE = ROOT / "tests" / "fixtures" / "lint" / "tree"
 
-#: The seeded tree's one finding per single-file rule (RPL014 via
-#: rpl002_cache_key.py).
-TREE_CODES = ["RPL001", "RPL003", "RPL004", "RPL005", "RPL014"]
+#: The seeded tree's one finding per single-file rule.
+TREE_CODES = ["RPL001", "RPL003", "RPL004", "RPL005"]
 
 
 @dataclasses.dataclass
@@ -110,33 +110,33 @@ class TestSelfHost:
 class TestWholeProgramSelfHost:
     def test_repo_clean_under_whole_program_pass(self, repo):
         # The pathless run covers every config root in one model, so
-        # the graph rules see calls and imports across all of them.
+        # the layering rule sees imports across all of them.
         assert repo.report["violations"] == []
         roots = {m.rel_posix.split("/", 1)[0] for m in repo.model.modules.values()}
         assert roots == {"src", "tests", "benchmarks"}
 
     def test_new_rules_need_zero_waivers(self, repo):
-        # The asyncio/determinism/layering packs (RPL010-015) self-host
-        # with NO inline waivers: the batcher's flush task, the one
-        # coroutine that runs engine work on the loop, reaches the
-        # kernels only through object attributes (``device.write_block``,
-        # ``codec.decode``), which resolution does not follow, and every
-        # await sits outside the thread locks, so nothing to excuse.  If
-        # a future change needs one, this is the place it gets
-        # accounted for.
+        # The asyncio and layering rules (RPL010, RPL011, RPL015)
+        # self-host with NO inline waivers: no coroutine calls a
+        # blocking function or a compute kernel directly (the batcher's
+        # flush task runs a batch through ``execute_batch``, and the
+        # loop-stall test bounds how long that takes), and every await
+        # sits outside the thread locks, so nothing to excuse.  If a
+        # future change needs one, this is the place it gets accounted
+        # for.
         codes = {c.strip() for _, _, group, _ in waivers(repo.model) for c in group.split(",")}
         assert not {c for c in codes if c.startswith("RPL01")}
 
     def test_analysis_actually_sees_the_service(self, repo):
         # Guard against a silently-empty model making "clean" vacuous:
         # the async surface under analysis must be substantial.
-        src = [
-            f
+        coroutines = [
+            fn
             for m in repo.model.modules.values()
             if m.rel_posix.startswith("src/")
-            for f in m.functions.values()
+            for fn in m.nodes[ast.AsyncFunctionDef]
         ]
-        assert len([f for f in src if f.is_coroutine]) >= 20
+        assert len(coroutines) >= 20
 
         # The lock walk RPL004/RPL011 share sees the service's
         # thread-locked regions, so a clean RPL011 is not vacuous.
@@ -178,7 +178,7 @@ class TestMainEntry:
         catalog = (ROOT / "docs" / "LINTING.md").read_text()
         for rule in all_rules():
             assert f"{rule.code} " in catalog and rule.name in catalog
-        for gone in ("RPL002", "RPL006", "RPL007", "RPL008", "RPL012", "RPL013"):
+        for gone in ("RPL002", "RPL006", "RPL007", "RPL008", "RPL012", "RPL013", "RPL014"):
             assert f"| {gone} |" not in catalog and f"### {gone}" not in catalog
         with pytest.raises(SystemExit):
             main(["--list-rules"])
