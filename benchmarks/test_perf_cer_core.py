@@ -17,7 +17,9 @@ Two comparisons, both against genuinely pre-PR baselines:
    identical curves.  Each end-to-end time is the median of 3 runs
    taken in alternating rounds (unscreened MC, screened MC, analytic)
    after one untimed warm-up round: one timing of each side put the
-   fig8 speedup at 8.4-11.1 on unchanged code, across the floor.
+   fig8 speedup at 8.4-11.1 on unchanged code, across the floor.  Each
+   round's seconds are recorded beside the medians
+   (``fig3_rounds_s``, ``fig8_rounds_s``).
 
 Env knobs: ``REPRO_CER_SWEEP_SAMPLES`` (default 10M, the sweep default)
 scales the MC baseline; ``REPRO_CER_SPEEDUP_FLOOR`` (default 10) relaxes
@@ -60,8 +62,9 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def _median_timed(sides: dict) -> tuple[dict, dict]:
-    """(last output, median seconds) per side, over alternating rounds.
+def _median_timed(sides: dict) -> tuple[dict, dict, dict]:
+    """(last output, median seconds, each round's seconds) per side,
+    over alternating rounds.
 
     Each round runs every side once, in order, so drift on a shared box
     hits all sides alike; the first round is an untimed warm-up.
@@ -73,7 +76,11 @@ def _median_timed(sides: dict) -> tuple[dict, dict]:
             outs[name], t = _timed(fn)
             if round_:
                 times[name].append(t)
-    return outs, {name: float(np.median(ts)) for name, ts in times.items()}
+    return outs, {name: float(np.median(ts)) for name, ts in times.items()}, times
+
+
+def _rounded(rounds: dict) -> dict:
+    return {name: [round(t, 4) for t in ts] for name, ts in rounds.items()}
 
 
 def _bench_fig3_kernel() -> dict:
@@ -180,14 +187,14 @@ def _bench_end_to_end() -> dict:
 
         return run
 
-    fig3, t3 = _median_timed(
+    fig3, t3, rounds3 = _median_timed(
         {
             "mc": unscreened(fig3_mc),
             "screened": fig3_mc,
             "analytic": lambda: fig3_state_sweep(engine="analytic"),
         }
     )
-    fig8, t8 = _median_timed(
+    fig8, t8, rounds8 = _median_timed(
         {
             "mc": unscreened(fig8_pre_pr),
             "screened": fig8_pre_pr,
@@ -213,11 +220,13 @@ def _bench_end_to_end() -> dict:
         "fig3_screen_speedup": round(t3["mc"] / t3["screened"], 2),
         "fig3_analytic_s": round(t3["analytic"], 4),
         "fig3_speedup": round(t3["mc"] / t3["analytic"], 1),
+        "fig3_rounds_s": _rounded(rounds3),
         "fig8_mc_s": round(t8["mc"], 3),
         "fig8_mc_screened_s": round(t8["screened"], 3),
         "fig8_screen_speedup": round(t8["mc"] / t8["screened"], 2),
         "fig8_analytic_s": round(t8["analytic"], 4),
         "fig8_speedup": round(t8["mc"] / t8["analytic"], 1),
+        "fig8_rounds_s": _rounded(rounds8),
     }
 
 

@@ -16,12 +16,18 @@ only orchestrates).  Robustness properties, each covered by tests:
   state, ``job_cached`` event) and executes only unfinished jobs; JSON
   float round-tripping makes the final numbers bit-identical to an
   uninterrupted run.
+
+Workers share no scheduler state.  Only the thread that calls
+:meth:`CampaignScheduler.run` reads or writes ``states``, ``results``
+and ``errors``; a job receives its dependencies' results at submit,
+when they are already final, so no lock guards the maps.  Workers only
+emit events, and :class:`~repro.campaign.events.EventLog` serializes
+those itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Any, Callable
@@ -100,9 +106,6 @@ class CampaignScheduler:
         self.results: dict[str, dict] = {}
         self.states: dict[str, str] = {}
         self.errors: dict[str, str] = {}
-        # Guards states/results: worker threads snapshot dependency
-        # results while the scheduler thread mutates both maps (RPL004).
-        self._lock = threading.Lock()
 
     # -- helpers --------------------------------------------------------
     def _backoff(self, attempt: int) -> float:
@@ -112,8 +115,11 @@ class CampaignScheduler:
     def _retries_for(self, job: JobSpec) -> int:
         return self.spec.retries if job.retries is None else job.retries
 
-    def _execute(self, job: JobSpec) -> tuple[dict, int, float]:
-        """Worker-thread body: attempt the job with retry + backoff."""
+    def _execute(self, job: JobSpec, dep_results: dict[str, dict]) -> tuple[dict, int, float]:
+        """Worker-thread body: attempt the job with retry + backoff.
+
+        ``dep_results`` is built at submit; every attempt reuses it.
+        """
         retries = self._retries_for(job)
         attempt = 0
         while True:
@@ -122,10 +128,6 @@ class CampaignScheduler:
             t0 = time.perf_counter()
             try:
                 fault_point("scheduler.job", job=job.id, attempt=attempt)
-                with self._lock:
-                    dep_results = {
-                        dep: self.results[dep] for dep in self.plan.needs[job.id]
-                    }
                 ctx = JobContext(
                     seed=self.spec.seed,
                     defaults=self.spec.defaults,
@@ -163,8 +165,7 @@ class CampaignScheduler:
     def _block_dependents(self, job_id: str, metrics: Metrics) -> None:
         for dep in self.plan.transitive_dependents(job_id):
             if self.states[dep] == "pending":
-                with self._lock:
-                    self.states[dep] = "blocked"
+                self.states[dep] = "blocked"
                 metrics.blocked += 1
                 self.events.emit("job_blocked", job=dep, cause=job_id)
 
@@ -183,14 +184,12 @@ class CampaignScheduler:
         self.store.init(self.spec.to_dict(), list(self.plan.order))
 
         metrics = Metrics(total=len(self.plan.order))
-        with self._lock:
-            self.states = {job_id: "pending" for job_id in self.plan.order}
+        self.states = {job_id: "pending" for job_id in self.plan.order}
         restored = self.store.completed_jobs()
         for job_id in self.plan.order:
             if job_id in restored:
-                with self._lock:
-                    self.states[job_id] = "cached"
-                    self.results[job_id] = restored[job_id]
+                self.states[job_id] = "cached"
+                self.results[job_id] = restored[job_id]
                 metrics.cached += 1
                 self.events.emit("job_cached", job=job_id)
         self.events.emit(
@@ -208,11 +207,12 @@ class CampaignScheduler:
             for job_id in self.plan.order:
                 if self.states[job_id] != "pending":
                     continue
-                if all(self.states[d] in DONE_STATES for d in self.plan.needs[job_id]):
-                    with self._lock:
-                        self.states[job_id] = "running"
+                needs = self.plan.needs[job_id]
+                if all(self.states[d] in DONE_STATES for d in needs):
+                    self.states[job_id] = "running"
                     metrics.running += 1
-                    futures[pool.submit(self._execute, self.plan.job(job_id))] = job_id
+                    deps = {d: self.results[d] for d in needs}
+                    futures[pool.submit(self._execute, self.plan.job(job_id), deps)] = job_id
 
         pool = ThreadPoolExecutor(
             max_workers=self.max_parallel, thread_name_prefix="campaign"
@@ -230,8 +230,7 @@ class CampaignScheduler:
                         result, attempts, elapsed = fut.result()
                     except Exception as exc:
                         attempts = self._retries_for(self.plan.job(job_id)) + 1
-                        with self._lock:
-                            self.states[job_id] = "failed"
+                        self.states[job_id] = "failed"
                         self.errors[job_id] = repr(exc)
                         metrics.failed += 1
                         metrics.retries += attempts - 1
@@ -244,9 +243,8 @@ class CampaignScheduler:
                         self._block_dependents(job_id, metrics)
                     else:
                         self.store.write_result(job_id, result)
-                        with self._lock:
-                            self.results[job_id] = result
-                            self.states[job_id] = "done"
+                        self.results[job_id] = result
+                        self.states[job_id] = "done"
                         metrics.done += 1
                         metrics.retries += attempts - 1
                         n_samples = int(result.get("n_samples", 0) or 0)

@@ -12,7 +12,6 @@ last (systematic encoding).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -43,12 +42,6 @@ def _poly_mod2_mod(a: int, b: int) -> int:
     while a.bit_length() - 1 >= db and a:
         a ^= b << (a.bit_length() - 1 - db)
     return a
-
-
-@dataclasses.dataclass(frozen=True)
-class _BCHSpec:
-    m: int
-    t: int
 
 
 @functools.lru_cache(maxsize=None)

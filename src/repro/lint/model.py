@@ -1,4 +1,4 @@
-"""The project model: every linted file, parsed once, plus cross-file lookups.
+"""The project model: every linted file, parsed once.
 
 Every rule runs against this one model.  One contract is a *program*
 property — a layering violation is a property of the import *graph* —
@@ -10,16 +10,13 @@ so the model is built for the whole program at once:
   suppression table, and the :class:`ImportMap` (local-name aliases and
   resolved import edges from one walk over the import statements;
   relative imports resolve against the module's own package);
-- the :class:`ProjectModel` tying them together: module lookup by
-  dotted name and the import graph.
+- the :class:`ProjectModel` tying them together, keyed by path.
 
 Questions about one function body are answered by the rules walking
-the parsed tree themselves; :func:`walk_locked` is the one shared walk,
-tracking which ``with`` locks are held around each node.  Name
-resolution is lexical: :meth:`ImportMap.canonical` rewrites an
-attribute chain into fully-qualified module terms, and a call through
-an object attribute (``device.write_block``) stays unresolved rather
-than guessed.
+the parsed tree themselves.  Name resolution is lexical:
+:meth:`ImportMap.canonical` rewrites an attribute chain into
+fully-qualified module terms, and a call through an object attribute
+(``device.write_block``) stays unresolved rather than guessed.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import collections
 import dataclasses
 import functools
 import pathlib
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.lint.config import LintConfig
 from repro.lint.suppress import Suppressions
@@ -44,7 +41,6 @@ __all__ = [
     "qualified_name",
     "rel_posix_of",
     "resolve_relative",
-    "walk_locked",
 ]
 
 def module_name_for(path: pathlib.Path) -> str:
@@ -63,9 +59,6 @@ def module_name_for(path: pathlib.Path) -> str:
     if not parts:  # a loose __init__.py with no package parent
         parts = [path.stem]
     return ".".join(reversed(parts))
-
-
-_Def = ast.FunctionDef | ast.AsyncFunctionDef
 
 
 @dataclasses.dataclass
@@ -170,10 +163,6 @@ class ImportMap:
                     local = alias.asname or alias.name
                     self._alias[local] = f"{source}.{alias.name}"
 
-    def alias_of(self, local: str) -> str | None:
-        """Canonical target a local name was import-bound to, if any."""
-        return self._alias.get(local)
-
     def canonical(self, node: ast.AST) -> str | None:
         """Fully-qualified dotted name of an attribute chain, or None."""
         dotted = qualified_name(node)
@@ -213,31 +202,6 @@ class ModuleInfo:
         return grouped
 
 
-def walk_locked(
-    tree: ast.AST, lock_of: Callable[[ast.With | ast.AsyncWith], Iterable[str]]
-) -> Iterator[tuple[ast.AST, tuple[str, ...], _Def | None]]:
-    """Every node under ``tree`` with the locks held around it, unordered.
-
-    Yields ``(node, held, fn)``: ``fn`` is the innermost def enclosing
-    ``node`` (None at module level), and ``held`` names the locks that
-    ``with`` statements in that function hold around it, outermost
-    first; ``lock_of`` names the locks one ``with`` or ``async with``
-    takes.  A nested def or lambda holds none: its body runs later.
-    """
-    stack: list[tuple[ast.AST, tuple[str, ...], _Def | None]] = [
-        (tree, (), None)
-    ]
-    while stack:
-        node, held, fn = stack.pop()
-        yield node, held, fn
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            held = ()
-            fn = fn if isinstance(node, ast.Lambda) else node
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            held += tuple(lock_of(node))
-        stack.extend((child, held, fn) for child in ast.iter_child_nodes(node))
-
-
 def rel_posix_of(path: pathlib.Path, root: pathlib.Path) -> str:
     """POSIX path of ``path`` relative to ``root`` (absolute if outside)."""
     try:
@@ -271,30 +235,11 @@ def build_module_info(path: str | pathlib.Path, config: LintConfig) -> ModuleInf
 
 
 class ProjectModel:
-    """The pass-1 output: every module plus cross-module lookups."""
+    """The pass-1 output: every module, keyed by its relative POSIX path."""
 
     def __init__(self, modules: list[ModuleInfo], config: LintConfig):
         self.config = config
         self.modules: dict[str, ModuleInfo] = {m.rel_posix: m for m in modules}
-        self.by_module: dict[str, ModuleInfo] = {}
-        for m in modules:
-            # First definition wins on collisions (loose same-stem files).
-            self.by_module.setdefault(m.module, m)
-
-    def import_graph(self) -> dict[str, set[str]]:
-        """Module → set of imported project modules (resolved edges)."""
-        graph: dict[str, set[str]] = {}
-        for m in self.modules.values():
-            targets: set[str] = set()
-            for edge in m.import_map.edges:
-                if edge.target in self.by_module:
-                    targets.add(edge.target)
-                for n in edge.names:
-                    sub = f"{edge.target}.{n}"
-                    if sub in self.by_module:
-                        targets.add(sub)
-            graph[m.module] = targets
-        return graph
 
 
 def build_model(

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.lint.rules.base import Rule, Violation
 from repro.lint.rules.rpl001_rng import BannedRandomRule
 from repro.lint.rules.rpl003_wallclock import WallClockRule
-from repro.lint.rules.rpl004_lock import LockDisciplineRule
 from repro.lint.rules.rpl005_float_eq import FloatEqualityRule
 from repro.lint.rules.rpl010_blocking import BlockingInCoroutineRule
 from repro.lint.rules.rpl011_await_lock import AwaitUnderLockRule
@@ -23,7 +22,6 @@ __all__ = ["Rule", "Violation", "all_rules"]
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     BannedRandomRule,
     WallClockRule,
-    LockDisciplineRule,
     FloatEqualityRule,
     BlockingInCoroutineRule,
     AwaitUnderLockRule,

@@ -19,9 +19,9 @@ compute under the lock and await outside it, or switch to
 from __future__ import annotations
 
 import ast
-import functools
+from typing import Any, Iterator
 
-from repro.lint.model import ImportMap, ProjectModel, walk_locked
+from repro.lint.model import ImportMap, ProjectModel
 from repro.lint.rules.base import Rule, Violation
 
 __all__ = ["AwaitUnderLockRule"]
@@ -31,10 +31,8 @@ PRODUCTION_CODE = ("src/*",)
 _LOCK_FACTORIES = {"threading.Lock", "threading.RLock", "threading.Condition"}
 
 
-def _thread_locks(imports: ImportMap, node: ast.With | ast.AsyncWith) -> list[str]:
-    """The thread locks a plain ``with`` takes, rendered as dotted names."""
-    if isinstance(node, ast.AsyncWith):
-        return []
+def _thread_locks(imports: ImportMap, node: ast.With) -> list[str]:
+    """The thread locks a ``with`` takes, rendered as dotted names."""
     locks = []
     for item in node.items:
         expr = item.context_expr
@@ -45,6 +43,24 @@ def _thread_locks(imports: ImportMap, node: ast.With | ast.AsyncWith) -> list[st
         ):
             locks.append(name)
     return locks
+
+
+def _awaits_under_lock(
+    imports: ImportMap, tree: ast.Module
+) -> Iterator[tuple[ast.Await, str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """``(await, lock, def)`` for every ``await`` that a ``with`` in its own
+    def holds a thread lock around; ``lock`` is the innermost one.  A
+    nested def or lambda holds none: its body runs later."""
+    stack: list[tuple[ast.AST, str | None, Any]] = [(tree, None, None)]
+    while stack:
+        node, lock, fn = stack.pop()
+        if isinstance(node, ast.Await) and lock is not None and fn is not None:
+            yield node, lock, fn
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            lock, fn = None, fn if isinstance(node, ast.Lambda) else node
+        elif isinstance(node, ast.With):
+            lock = next(reversed(_thread_locks(imports, node)), lock)
+        stack.extend((child, lock, fn) for child in ast.iter_child_nodes(node))
 
 
 class AwaitUnderLockRule(Rule):
@@ -58,18 +74,16 @@ class AwaitUnderLockRule(Rule):
             assert module.tree is not None  # modules() yields parsed files only
             if not (module.nodes[ast.Await] and module.nodes[ast.With]):
                 continue  # nothing to flag: skip the walk
-            lock_of = functools.partial(_thread_locks, module.import_map)
-            for node, held, fn in walk_locked(module.tree, lock_of):
-                if isinstance(node, ast.Await) and held and fn is not None:
-                    out.append(
-                        self.violation(
-                            module,
-                            node.lineno,
-                            node.col_offset,
-                            f"await inside 'with {held[-1]}:' in {fn.name}(); a "
-                            "thread lock held across a suspension point can "
-                            "deadlock the loop — release before awaiting or "
-                            "use asyncio.Lock",
-                        )
+            for node, lock, fn in _awaits_under_lock(module.import_map, module.tree):
+                out.append(
+                    self.violation(
+                        module,
+                        node.lineno,
+                        node.col_offset,
+                        f"await inside 'with {lock}:' in {fn.name}(); a "
+                        "thread lock held across a suspension point can "
+                        "deadlock the loop — release before awaiting or "
+                        "use asyncio.Lock",
                     )
+                )
         return out

@@ -24,7 +24,7 @@ import asyncio
 import json
 from typing import Any, Awaitable, Callable
 
-from repro.service.codes import CODES, ServiceError
+from repro.service.codes import ServiceError
 from repro.service.telemetry import Telemetry
 
 __all__ = ["HttpServer", "Router"]
@@ -245,12 +245,10 @@ def _content_length(headers: dict[str, str]) -> int:
             "E_BAD_REQUEST", "Transfer-Encoding is not supported; send Content-Length"
         )
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    # HTTP's 1*DIGIT; int() would also take "+2", "-1", "1_0" and non-ASCII digits.
+    if not (length_text.isascii() and length_text.isdigit()):
         raise ServiceError("E_BAD_REQUEST", f"bad Content-Length {length_text!r}")
-    if length < 0:
-        raise ServiceError("E_BAD_REQUEST", "negative Content-Length")
+    length = int(length_text)
     if length > MAX_BODY_BYTES:
         raise ServiceError(
             "E_PAYLOAD_TOO_LARGE",
@@ -275,8 +273,3 @@ def _wants_keep_alive(version: str, headers: dict[str, str]) -> bool:
     if version == "HTTP/1.0":
         return "keep-alive" in connection
     return True
-
-
-def status_for_code(code: str) -> int:
-    """HTTP status for a catalog code (convenience for handlers)."""
-    return CODES[code].http_status

@@ -59,10 +59,6 @@ class Cache:
         s[tag] = is_write
         return AccessResult(hit=False, writeback_line=victim_line)
 
-    def fill_clean(self, line_addr: int) -> int | None:
-        """Install a line without dirtying it; returns dirty victim if any."""
-        return self.access(line_addr, is_write=False).writeback_line
-
 
 @dataclasses.dataclass
 class MemoryTraffic:

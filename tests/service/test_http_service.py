@@ -117,6 +117,8 @@ class TestWireFraming:
             ("Content-Length: 1048577", 413, "E_PAYLOAD_TOO_LARGE"),
             ("Content-Length: -1", 400, "E_BAD_REQUEST"),
             ("Content-Length: ten", 400, "E_BAD_REQUEST"),
+            ("Content-Length: +2", 400, "E_BAD_REQUEST"),
+            ("Content-Length: 1_0", 400, "E_BAD_REQUEST"),
             ("Transfer-Encoding: chunked", 400, "E_BAD_REQUEST"),
         ],
     )

@@ -17,8 +17,8 @@ from repro.lint.suppress import Suppressions
 
 TREE = pathlib.Path(__file__).parent / "fixtures" / "lint" / "tree"
 #: One seeded finding per single-file rule, in path order
-#: (``campaign/scheduler.py``, ``montecarlo/…``, then the loose files).
-ALL_CODES = ["RPL004", "RPL003", "RPL001", "RPL005"]
+#: (``montecarlo/…``, then the loose files).
+ALL_CODES = ["RPL003", "RPL001", "RPL005"]
 
 
 def tree_result():
@@ -30,7 +30,7 @@ class TestSeededTree:
         result = tree_result()
         assert [v.code for v in result.violations] == ALL_CODES
         assert result.exit_code == 1
-        assert result.files_checked == 4
+        assert result.files_checked == 3
 
 
 class TestJsonSchema:
@@ -44,7 +44,7 @@ class TestJsonSchema:
         assert doc["exit_code"] == 1
         summary = doc["summary"]
         assert set(summary) == {"total", "errors", "by_code"}
-        assert summary["total"] == summary["errors"] == len(doc["violations"]) == 4
+        assert summary["total"] == summary["errors"] == len(doc["violations"]) == 3
         assert summary["by_code"] == {code: 1 for code in sorted(ALL_CODES)}
         for v in doc["violations"]:
             assert set(v) == {"path", "line", "col", "code", "rule", "message"}
@@ -59,7 +59,7 @@ class TestJsonSchema:
 
     def test_text_report_summary_line(self):
         text = render_text(tree_result())
-        assert text.splitlines()[-1] == "4 files checked: 4 errors"
+        assert text.splitlines()[-1] == "3 files checked: 3 errors"
 
 
 class TestConfigOverrides:
@@ -68,7 +68,7 @@ class TestConfigOverrides:
         cfg.per_path["*float_eq*"] = ["RPL005"]
         result = run_whole_program([TREE], cfg)
         assert "RPL005" not in [v.code for v in result.violations]
-        assert len(result.violations) == 3
+        assert len(result.violations) == 2
 
     def test_select_narrows(self):
         # Rules are chosen by passing instances, not by config.
@@ -80,7 +80,7 @@ class TestConfigOverrides:
         cfg = load_config(TREE)
         cfg.exclude = ["*float_eq*"]
         result = run_whole_program([TREE], cfg)
-        assert result.files_checked == 3
+        assert result.files_checked == 2
         assert "RPL005" not in [v.code for v in result.violations]
 
     def test_unknown_top_level_key_rejected(self, tmp_path):

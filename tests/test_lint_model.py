@@ -56,6 +56,18 @@ def model_for(tmp_path):
     return build_model(files, LintConfig(root=str(tmp_path)))
 
 
+def edges_of(tmp_path) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Module name -> its resolved import edges, as (target, names)."""
+    return {
+        m.module: [(e.target, e.names) for e in m.import_map.edges]
+        for m in model_for(tmp_path).modules.values()
+    }
+
+
+def name(source: str) -> ast.expr:
+    return ast.parse(source).body[0].value
+
+
 class TestModuleNaming:
     def test_package_module(self, tmp_path):
         make_tree(tmp_path)
@@ -89,7 +101,7 @@ class TestRelativeResolution:
 class TestAliasing:
     def test_from_import_as_resolves(self, tmp_path):
         model = model_for(tmp_path)
-        alpha = model.by_module["pkg.alpha"]
+        alpha = model.modules["pkg/alpha.py"]
         (run,) = [f for f in alpha.nodes[ast.FunctionDef] if f.name == "run"]
         targets = {
             alpha.import_map.canonical(node.func)
@@ -106,8 +118,8 @@ class TestAliasing:
             tmp_path / "pkg" / "alpha.py", LintConfig(root=str(tmp_path))
         )
         assert isinstance(info.import_map, ImportMap)
-        assert info.import_map.alias_of("h") == "pkg.beta.helper"
-        assert info.import_map.alias_of("beta") == "pkg.beta"
+        assert info.import_map.canonical(name("h")) == "pkg.beta.helper"
+        assert info.import_map.canonical(name("beta.helper")) == "pkg.beta.helper"
         # The same walk records the edges: one per import statement.
         assert [(e.target, e.names) for e in info.import_map.edges] == [
             ("pkg", ("beta",)),
@@ -117,26 +129,29 @@ class TestAliasing:
 
 class TestGraph:
     def test_import_graph_edges(self, tmp_path):
-        graph = model_for(tmp_path).import_graph()
-        # ``from . import beta`` imports the parent package too — real
-        # Python semantics: pkg/__init__ executes before beta binds.
-        assert graph["pkg.alpha"] == {"pkg", "pkg.beta"}
-        assert graph["pkg.beta"] == {"pkg.alpha"}
-        assert graph["pkg"] == {"pkg.alpha"}
-        assert graph["loose"] == set()
+        # ``from . import beta`` is an edge to the parent package naming
+        # ``beta`` — real Python semantics: pkg/__init__ executes before
+        # beta binds.
+        assert edges_of(tmp_path) == {
+            "pkg": [("pkg.alpha", ("run",))],
+            "pkg.alpha": [("pkg", ("beta",)), ("pkg.beta", ("helper",))],
+            "pkg.beta": [("pkg.alpha", ())],
+            "loose": [],
+        }
 
     def test_cycle_detection(self, tmp_path):
-        # alpha <-> beta import each other: the graph keeps both edges.
-        graph = model_for(tmp_path).import_graph()
-        assert "pkg.beta" in graph["pkg.alpha"] and "pkg.alpha" in graph["pkg.beta"]
+        # alpha <-> beta import each other: both edges are kept.
+        edges = edges_of(tmp_path)
+        assert ("pkg.beta", ("helper",)) in edges["pkg.alpha"]
+        assert ("pkg.alpha", ()) in edges["pkg.beta"]
 
     def test_unknown_name_is_none(self, tmp_path):
-        imports = model_for(tmp_path).by_module["pkg.beta"].import_map
-        assert imports.alias_of("missing") is None
+        imports = model_for(tmp_path).modules["pkg/beta.py"].import_map
         # A name no import binds stays as written: never guessed.
-        call = ast.parse("os.path.join(a, b)").body[0].value
-        assert imports.canonical(call.func) == "os.path.join"
-        assert imports.canonical(ast.parse("f()(x)").body[0].value.func) is None
+        assert imports.canonical(name("missing")) == "missing"
+        assert imports.canonical(name("os.path.join(a, b)").func) == "os.path.join"
+        assert imports.canonical(name("pkg.alpha.run")) == "pkg.alpha.run"
+        assert imports.canonical(name("f()(x)").func) is None
 
 
 class TestRobustness:

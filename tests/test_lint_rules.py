@@ -25,7 +25,6 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint" / "rules"
 EXPECTED_BAD = {
     "RPL001": 3,
     "RPL003": 2,
-    "RPL004": 5,
     "RPL005": 2,
 }
 
@@ -184,11 +183,6 @@ class TestRuleDetails:
         violations, _ = lint_fixture(f, "RPL010", root=tmp_path)
         assert [(v.line, v.col) for v in violations] == [(9, 11)]
         assert "compute kernel repro.montecarlo.cer.state_cer()" in violations[0].message
-
-    def test_rpl004_violation_names_the_attribute(self):
-        violations, _ = lint_fixture(FIXTURES / "rpl004_bad.py", "RPL004")
-        messages = " ".join(v.message for v in violations)
-        assert "self.results" in messages and "self.states" in messages
 
     def test_rpl005_zero_literal_exempt(self, tmp_path):
         f = write_module(

@@ -27,14 +27,14 @@ import pytest
 
 from repro.lint import ProjectModel, all_rules, build_model, engine, load_config
 from repro.lint.__main__ import main
-from repro.lint.model import qualified_name, walk_locked
+from repro.lint.rules.rpl011_await_lock import _thread_locks
 from repro.lint.suppress import _PATTERN
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TREE = ROOT / "tests" / "fixtures" / "lint" / "tree"
 
 #: The seeded tree's one finding per single-file rule.
-TREE_CODES = ["RPL001", "RPL003", "RPL004", "RPL005"]
+TREE_CODES = ["RPL001", "RPL003", "RPL005"]
 
 
 @dataclasses.dataclass
@@ -138,18 +138,14 @@ class TestWholeProgramSelfHost:
         ]
         assert len(coroutines) >= 20
 
-        # The lock walk RPL004/RPL011 share sees the service's
-        # thread-locked regions, so a clean RPL011 is not vacuous.
-        def locks(node):
-            names = (qualified_name(item.context_expr) or "" for item in node.items)
-            return [name for name in names if "lock" in name]
-
+        # RPL011's lock matcher sees the service's thread-locked
+        # regions, so a clean RPL011 is not vacuous.
         locked = {
             m.rel_posix
             for m in repo.model.modules.values()
             if m.rel_posix.startswith("src/repro/service/")
-            for _, held, _ in walk_locked(m.tree, locks)
-            if held
+            for node in m.nodes[ast.With]
+            if _thread_locks(m.import_map, node)
         }
         assert len(locked) >= 3
 
@@ -178,7 +174,9 @@ class TestMainEntry:
         catalog = (ROOT / "docs" / "LINTING.md").read_text()
         for rule in all_rules():
             assert f"{rule.code} " in catalog and rule.name in catalog
-        for gone in ("RPL002", "RPL006", "RPL007", "RPL008", "RPL012", "RPL013", "RPL014"):
+        for gone in (
+            "RPL002", "RPL004", "RPL006", "RPL007", "RPL008", "RPL012", "RPL013", "RPL014"
+        ):
             assert f"| {gone} |" not in catalog and f"### {gone}" not in catalog
         with pytest.raises(SystemExit):
             main(["--list-rules"])
