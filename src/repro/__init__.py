@@ -83,14 +83,13 @@ _EXPORTS = {
     "FixedSensing": "repro.cells.sensing",
     "HelmetSmartCode": "repro.coding.smart",
     "ManagedPCMDevice": "repro.core.managed",
-    "PCMController": "repro.sim.controller",
     "PoolExhausted": "repro.wearout.remap",
     "ReferenceCellSensing": "repro.cells.sensing",
     "RemapDirectory": "repro.wearout.remap",
     "SensingPolicy": "repro.cells.sensing",
     "StartGap": "repro.wearout.wear_leveling",
     "TimeAwareSensing": "repro.cells.sensing",
-    "WritePolicy": "repro.sim.controller",
+    "WritePolicy": "repro.sim.pcm_timing",
     "best_group": "repro.coding.enumerative",
     "lifetime_with_remapping": "repro.wearout.remap",
     "simulate_wear": "repro.wearout.wear_leveling",

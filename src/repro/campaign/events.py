@@ -126,10 +126,7 @@ class Metrics:
     running: int = 0
     retries: int = 0
     samples: int = 0
-    started_at: float = dataclasses.field(
-        # repro-lint: disable=RPL003 -- throughput-metric epoch; reported, never part of results
-        default_factory=time.time
-    )
+    started_at: float = dataclasses.field(default_factory=time.perf_counter)
 
     @property
     def finished(self) -> int:
@@ -137,8 +134,7 @@ class Metrics:
 
     @property
     def elapsed_s(self) -> float:
-        # repro-lint: disable=RPL003 -- elapsed-time metric for samples/s display only
-        return max(time.time() - self.started_at, 1e-9)
+        return max(time.perf_counter() - self.started_at, 1e-9)
 
     @property
     def samples_per_s(self) -> float:

@@ -22,9 +22,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from repro.cells.params import T0_SECONDS, WRITE_TRUNCATION_SIGMA
+from repro.cells.params import T0_SECONDS
 from repro.core.levels import LevelDesign
 from repro.montecarlo.rng import make_rng
 
@@ -97,39 +96,10 @@ class ReferenceCellSensing(SensingPolicy):
     seed: int = 0
 
     def measured_means(self, design: LevelDesign, age_s: float) -> np.ndarray:
-        rng = make_rng(self.seed)
-        L = np.log10(max(age_s, T0_SECONDS) / T0_SECONDS)
-        states = design.states
-        if any(
-            s.sigma_lr == 0.0 or s.drift.mu_alpha == 0.0 or s.drift.sigma_alpha == 0.0
-            for s in states
-        ):
-            # Degenerate states draw fewer uniforms; keep the legacy
-            # per-state sampling loop so the stream layout is preserved.
-            return self._measured_means_loop(design, rng, L)
-        # Fast path: every state consumes exactly two uniform vectors
-        # (lr0, alpha), and a C-order ``random((n_states, 2, n))`` fill is
-        # the same uniform stream as the sequential per-state calls — the
-        # inverse-CDF transforms are elementwise, so the batched means are
-        # bit-identical to the loop's.
-        n = self.n_ref_per_state
-        u = rng.random((len(states), 2, n))
-        mu_r = np.array([s.mu_lr for s in states])[:, None]
-        sg_r = np.array([s.sigma_lr for s in states])[:, None]
-        mu_a = np.array([s.drift.mu_alpha for s in states])[:, None]
-        sg_a = np.array([s.drift.sigma_alpha for s in states])[:, None]
-        p_lo = ndtr(-WRITE_TRUNCATION_SIGMA)
-        p_hi = ndtr(WRITE_TRUNCATION_SIGMA)
-        lr0 = mu_r + sg_r * ndtri(p_lo + u[:, 0, :] * (p_hi - p_lo))
-        p_lo_a = ndtr(-mu_a / sg_a)  # alpha >= 0 truncation
-        alpha = mu_a + sg_a * ndtri(p_lo_a + u[:, 1, :] * (1.0 - p_lo_a))
-        return np.mean(lr0 + alpha * L, axis=1)
-
-    def _measured_means_loop(
-        self, design: LevelDesign, rng: np.random.Generator, L: float
-    ) -> np.ndarray:
         from repro.montecarlo.cer import sample_state_cells
 
+        rng = make_rng(self.seed)
+        L = np.log10(max(age_s, T0_SECONDS) / T0_SECONDS)
         means = []
         for state in design.states:
             lr0, alpha, _ = sample_state_cells(state, self.n_ref_per_state, rng)

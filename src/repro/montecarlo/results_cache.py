@@ -218,11 +218,10 @@ class ResultsCache:
     ) -> np.ndarray | None:
         """Load one blob from disk, quarantining anything corrupt.
 
-        Entries written by this version carry a ``.sum`` sidecar (sha256
-        of the blob's bytes), which catches *any* bit damage — including
-        garbage that still parses as a plausible count vector.  Blobs
-        without a sidecar (legacy entries) fall back to the structural
-        check alone.
+        Every entry carries a ``.sum`` sidecar (sha256 of the blob's
+        bytes), which catches *any* bit damage — including garbage that
+        still parses as a plausible count vector.  A blob without one
+        cannot be verified, so it is quarantined like a damaged one.
         """
         path = self._path(key)
         fault_point("cache.get", path=path, key=key)
@@ -236,8 +235,8 @@ class ResultsCache:
         try:
             want_sum = self._sum_path(key).read_text().strip()
         except OSError:
-            want_sum = None
-        if want_sum is not None and hashlib.sha256(blob).hexdigest() != want_sum:
+            want_sum = None  # no sidecar: nothing vouches for the blob
+        if hashlib.sha256(blob).hexdigest() != want_sum:
             self._quarantine(key)
             return None
         try:

@@ -67,8 +67,7 @@ class Telemetry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._endpoints: dict[str, _EndpointStats] = {}
-        # Server start time is reporting metadata, not simulation state.
-        self.started_at = time.time()  # repro-lint: disable=RPL003 -- /metrics uptime is telemetry, never enters simulation results
+        self.started_at = time.perf_counter()  # /metrics uptime epoch
 
     def observe(self, endpoint: str, elapsed_s: float, *, error: bool = False) -> None:
         with self._lock:
@@ -90,5 +89,5 @@ class Telemetry:
                 name: stats.snapshot()
                 for name, stats in sorted(self._endpoints.items())
             }
-        uptime = time.time() - self.started_at  # repro-lint: disable=RPL003 -- /metrics uptime is telemetry, never enters simulation results
+        uptime = time.perf_counter() - self.started_at
         return {"uptime_s": uptime, "endpoints": endpoints}

@@ -21,8 +21,8 @@ __all__ = ["RefreshMode", "MachineConfig", "DesignVariant", "PAPER_VARIANTS", "T
 class RefreshMode(Enum):
     BLOCKING = "blocking"  # refresh occupies the bank (4LC-REF)
     OPTIMIZED = "optimized"  # ideal scheduling: only write bandwidth (4LC-REF-OPT)
-    #: Write-aware scrub (after [2]): a demand write rewrites the block at
-    #: nominal resistance, so it cancels one scheduled refresh.
+    #: Write-aware scrub (after [2]): blocks the demand stream rewrites
+    #: within the interval (``refresh_coverage``) need no refresh.
     WRITE_AWARE = "write-aware"
     NONE = "none"  # no refresh at all (4LC-NO-REF, 3LC)
 

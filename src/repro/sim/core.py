@@ -5,7 +5,7 @@ study:
 
 - CPU work between memory accesses advances time directly;
 - cache hits add their fixed hit latencies;
-- L2-miss **reads** go to the PCM controller; up to
+- L2-miss **reads** go to the PCM timing model; up to
   ``max_outstanding_reads`` overlap (memory-level parallelism), except
   *dependent* reads (pointer chasing), which serialize;
 - dirty evictions enter a finite write buffer that drains to PCM; the
@@ -20,9 +20,8 @@ import dataclasses
 
 from repro.sim.cache import Hierarchy
 from repro.sim.config import DesignVariant, MachineConfig
-from repro.sim.controller import PCMController, WritePolicy
 from repro.sim.engine import CompletionTracker
-from repro.sim.pcm_timing import PCMTimingModel
+from repro.sim.pcm_timing import PCMTimingModel, WritePolicy
 from repro.workloads.synthetic import Trace
 
 __all__ = ["CoreResult", "run_trace"]
@@ -41,7 +40,6 @@ class CoreResult:
     l1_miss_rate: float
     l2_miss_rate: float
     row_hits: int = 0
-    refreshes_skipped: int = 0
 
     @property
     def row_hit_rate(self) -> float:
@@ -52,13 +50,13 @@ def run_trace(
     trace: Trace,
     machine: MachineConfig,
     variant: DesignVariant,
-    write_policy: WritePolicy | None = None,
+    write_policy: WritePolicy = WritePolicy.NONE,
 ) -> CoreResult:
     """Execute a trace to completion; returns timing and traffic stats.
 
-    ``write_policy`` optionally routes requests through the read-priority
-    controller (write pausing/cancellation [25]); the default preserves
-    the base arrival-order bank model.
+    ``write_policy`` lets reads interrupt in-flight demand writes (write
+    pausing/cancellation [25], see :mod:`repro.sim.pcm_timing`); the
+    default makes them wait.
     """
     caches = Hierarchy(
         machine.l1_size_bytes,
@@ -67,65 +65,45 @@ def run_trace(
         machine.l2_assoc,
         machine.line_bytes,
     )
-    if write_policy is not None:
-        ctrl = PCMController(machine, variant, policy=write_policy)
-        pcm = ctrl.timing
-
-        def sched_read(addr, t):
-            return ctrl.read(addr, t)
-
-        def sched_write(addr, t):
-            return ctrl.write(addr, t)
-
-    else:
-        pcm = PCMTimingModel(machine, variant)
-        sched_read = pcm.schedule_read
-        sched_write = pcm.schedule_write
+    pcm = PCMTimingModel(machine, variant, write_policy)
     reads_in_flight = CompletionTracker(machine.max_outstanding_reads)
     write_buffer = CompletionTracker(machine.write_buffer_entries)
 
     t = 0.0
-    gaps = trace.gap_ns
-    writes = trace.is_write
-    addrs = trace.line_addr
-    deps = trace.dependent
     l1_hit_ns = machine.l1_hit_ns
     l2_hit_ns = machine.l2_hit_ns
-
-    for i in range(len(trace)):
-        t += float(gaps[i])
-        traffic = caches.access(int(addrs[i]), bool(writes[i]))
+    accesses = zip(
+        trace.gap_ns.tolist(),
+        trace.line_addr.tolist(),
+        trace.is_write.tolist(),
+        trace.dependent.tolist(),
+    )
+    for gap, addr, is_write, dependent in accesses:
+        t += float(gap)
+        addr = int(addr)
+        traffic = caches.access(addr, bool(is_write))
         t += l1_hit_ns  # every access probes L1
 
         for _ in range(traffic.writebacks):
             # Stall only when the write buffer is full.
             t = write_buffer.wait_for_slot(t)
-            _, done = sched_write(int(addrs[i]), t)
+            _, done = pcm.schedule_write(addr, t)
             write_buffer.add(done)
 
         if traffic.fill_read:
             t += l2_hit_ns  # L2 lookup before going to memory
-            if deps[i]:
+            if dependent:
                 # Dependent miss: the core waits for the data itself.
-                done = sched_read(int(addrs[i]), t)
-                t = done
+                t = pcm.schedule_read(addr, t)
             else:
                 t = reads_in_flight.wait_for_slot(t)
-                done = sched_read(int(addrs[i]), t)
-                reads_in_flight.add(done)
-        elif not traffic.fill_read and not bool(writes[i]):
-            # hit somewhere: L2 hits pay the L2 latency
-            pass
+                reads_in_flight.add(pcm.schedule_read(addr, t))
 
     # Retire everything outstanding.
-    if len(reads_in_flight):
-        t = max(t, reads_in_flight.earliest())
-        while len(reads_in_flight):
-            t = max(t, reads_in_flight.earliest())
-            reads_in_flight.retire_until(t)
-    while len(write_buffer):
-        t = max(t, write_buffer.earliest())
-        write_buffer.retire_until(t)
+    for pending in (reads_in_flight, write_buffer):
+        while len(pending):
+            t = max(t, pending.earliest())
+            pending.retire_until(t)
     pcm.drain(t)
 
     l1 = caches.l1
@@ -140,5 +118,4 @@ def run_trace(
         l1_miss_rate=l1.misses / max(l1.hits + l1.misses, 1),
         l2_miss_rate=l2.misses / max(l2.hits + l2.misses, 1),
         row_hits=pcm.counts.row_hits,
-        refreshes_skipped=pcm.counts.refreshes_skipped,
     )

@@ -1,4 +1,4 @@
-"""PCM device timing: banks, the four-write window, refresh interleaving.
+"""PCM device timing: banks, the four-write window, refresh, write pausing.
 
 Implements the Section-7 memory-device model:
 
@@ -13,21 +13,48 @@ Implements the Section-7 memory-device model:
   write-window slot) every ``interval / n_blocks`` — ~3.9 us device-wide
   at 17 minutes.  BLOCKING mode charges both bank and window; OPTIMIZED
   charges only the window (ideal contention-free scheduling); NONE skips
-  refresh entirely.
+  refresh entirely;
+- a **write policy** for reads that arrive at a bank mid-write.  MLC
+  writes are iterative (``WRITE_ITERATIONS`` write-and-verify rounds per
+  ``pcm_write_ns``), and Qureshi et al. [25] interrupt them at the next
+  round boundary to serve the read.  ``NONE`` makes the read wait for
+  the write; ``PAUSE`` serves it at the boundary and the write's
+  remaining rounds resume after it; ``CANCEL`` does the same, except a
+  write that has done fewer than half its rounds is abandoned and
+  reissued from scratch after the read (a full write and another window
+  slot).  A write is interrupted at most ``MAX_PAUSES`` times.  Only
+  demand writes are interruptible: refresh writes are never recorded as
+  in flight, so a read behind one waits it out.
 
 Demand requests must arrive in non-decreasing time order (the core model
-guarantees this); refreshes due before each arrival are retired first.
+guarantees this); refreshes due before each arrival are retired first,
+except when a read interrupts a write: it is served at the round
+boundary and due refreshes retire at the next request.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+from enum import Enum
 
 from repro.sim.config import DesignVariant, MachineConfig, RefreshMode
 from repro.sim.refresh import RefreshStream
 
-__all__ = ["PCMTimingModel", "OpCounts"]
+__all__ = ["PCMTimingModel", "OpCounts", "WritePolicy"]
+
+#: Write-and-verify rounds per MLC write; a read interrupts at their boundaries.
+WRITE_ITERATIONS = 8
+#: Interruptions one write tolerates before reads must wait it out.
+MAX_PAUSES = 4
+
+
+class WritePolicy(Enum):
+    """What a read does about a demand write in flight on its bank [25]."""
+
+    NONE = "none"
+    PAUSE = "pause"
+    CANCEL = "cancel"
 
 
 @dataclasses.dataclass
@@ -38,7 +65,17 @@ class OpCounts:
     read_stall_ns: float = 0.0  # waiting for a busy bank
     write_window_stall_ns: float = 0.0
     row_hits: int = 0
-    refreshes_skipped: int = 0  # write-aware scrub cancellations
+    write_pauses: int = 0
+    write_cancels: int = 0
+
+
+@dataclasses.dataclass(slots=True)
+class _InFlightWrite:
+    """A bank's latest demand write (stale once ``end_ns`` has passed)."""
+
+    start_ns: float = 0.0
+    end_ns: float = 0.0
+    pauses: int = 0
 
 
 class _WriteWindow:
@@ -71,9 +108,16 @@ class _WriteWindow:
 class PCMTimingModel:
     """Bank/window/refresh timing for one PCM device."""
 
-    def __init__(self, machine: MachineConfig, variant: DesignVariant):
+    def __init__(
+        self,
+        machine: MachineConfig,
+        variant: DesignVariant,
+        policy: WritePolicy = WritePolicy.NONE,
+    ):
         self.machine = machine
         self.variant = variant
+        self.policy = policy
+        self.iteration_ns = machine.pcm_write_ns / WRITE_ITERATIONS
         self.bank_free = [0.0] * machine.n_banks
         self.window = _WriteWindow(
             machine.write_window_ns, machine.writes_per_window
@@ -98,6 +142,7 @@ class PCMTimingModel:
         # Open row per bank (row index, or None); Section 6.7 notes PCM
         # devices keep DRAM-like row buffers.
         self._open_row: list[int | None] = [None] * machine.n_banks
+        self._inflight = [_InFlightWrite() for _ in range(machine.n_banks)]
 
     # ------------------------------------------------------------------
     def bank_of(self, line_addr: int) -> int:
@@ -127,10 +172,37 @@ class PCMTimingModel:
             return None
         return (line_addr // self.machine.n_banks) // rb
 
+    def _interrupt_write(self, bank: int, w: _InFlightWrite, t_arrive: float) -> float:
+        """Serve a read at the in-flight write's next round boundary."""
+        elapsed = t_arrive - w.start_ns
+        n_iter = int(elapsed // self.iteration_ns) + 1
+        read_start = min(w.start_ns + n_iter * self.iteration_ns, w.end_ns)
+        read_busy_until = read_start + self.machine.pcm_read_ns
+        if self.policy is WritePolicy.CANCEL and n_iter < WRITE_ITERATIONS / 2:
+            # Abandon the write; reissue it from scratch after the read.
+            self.counts.write_cancels += 1
+            w.start_ns = self.window.earliest_start(read_busy_until)
+            self.window.commit(w.start_ns)
+            w.end_ns = w.start_ns + self.machine.pcm_write_ns
+        else:
+            # Pause: the remaining rounds resume after the read.
+            self.counts.write_pauses += 1
+            remaining = self.machine.pcm_write_ns - n_iter * self.iteration_ns
+            w.end_ns = read_busy_until + remaining
+        w.pauses += 1
+        self.bank_free[bank] = w.end_ns
+        self.counts.reads += 1
+        self.counts.read_stall_ns += read_start - t_arrive
+        return read_busy_until + self.variant.read_adder_ns
+
     def schedule_read(self, line_addr: int, t_arrive: float) -> float:
         """Returns the completion time of a demand read."""
-        self._advance_refresh(t_arrive)
         bank = self.bank_of(line_addr)
+        if self.policy is not WritePolicy.NONE:
+            w = self._inflight[bank]
+            if w.start_ns < t_arrive < w.end_ns and w.pauses < MAX_PAUSES:
+                return self._interrupt_write(bank, w, t_arrive)
+        self._advance_refresh(t_arrive)
         start = max(t_arrive, self.bank_free[bank])
         self.counts.read_stall_ns += start - t_arrive
         row = self._row_of(line_addr)
@@ -158,6 +230,8 @@ class PCMTimingModel:
         done = start + self.machine.pcm_write_ns
         self.bank_free[bank] = done
         self.counts.writes += 1
+        w = self._inflight[bank]
+        w.start_ns, w.end_ns, w.pauses = start, done, 0
         row = self._row_of(line_addr)
         if row is not None:
             self._open_row[bank] = row

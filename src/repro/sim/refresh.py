@@ -2,13 +2,16 @@
 
 A device refreshing ``n_blocks`` every ``interval`` sustains one block
 refresh per ``interval / n_blocks`` — the steady-state *refresh stream*.
-The three policies of Figure 16:
+The three policies of Figure 16, and write-aware scrub:
 
 - ``BLOCKING`` (4LC-REF): each refresh occupies its bank for a full
   write and a slot of the four-write window;
 - ``OPTIMIZED`` (4LC-REF-OPT): an ideal scheduler hides all bank
   conflicts, but refresh still consumes write bandwidth;
-- ``NONE`` (4LC-NO-REF, 3LC): no refresh.
+- ``NONE`` (4LC-NO-REF, 3LC): no refresh;
+- ``WRITE_AWARE`` (after [2]): as OPTIMIZED, but over only the blocks
+  the demand stream does not rewrite each interval (the stream is built
+  for fewer blocks, ``DesignVariant.refresh_coverage``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ class RefreshStream:
     gap_ns: float
     next_due_ns: float = 0.0
     issued: int = 0
-    skipped: int = 0
 
     def __post_init__(self) -> None:
         if self.gap_ns <= 0:
@@ -42,15 +44,6 @@ class RefreshStream:
         self.next_due_ns += self.gap_ns
         self.issued += 1
         return due
-
-    def skip_one(self) -> None:
-        """Cancel one upcoming refresh (write-aware scrub, after [2]):
-
-        a demand write just restored some block's nominal resistance, so
-        one block's worth of the refresh obligation disappears for this
-        interval."""
-        self.next_due_ns += self.gap_ns
-        self.skipped += 1
 
     @classmethod
     def for_device(

@@ -113,6 +113,14 @@ class TestCorruptionModes:
         )
         assert_quarantined(fresh_view(cache))
 
+    def test_missing_sidecar(self, tmp_path):
+        """A well-formed blob whose ``.sum`` sidecar is gone cannot be
+        verified, so it is quarantined rather than served."""
+        cache = make_cache(tmp_path)
+        put_entry(cache)
+        cache._sum_path(KEY).unlink()
+        assert_quarantined(fresh_view(cache))
+
     def test_deleted_file_is_a_plain_miss(self, tmp_path):
         cache = make_cache(tmp_path)
         put_entry(cache)

@@ -93,7 +93,7 @@ class TestRetirement:
 class TestControllerIntegration:
     def test_run_trace_with_write_policy(self):
         from repro.sim.config import MachineConfig, PAPER_VARIANTS
-        from repro.sim.controller import WritePolicy
+        from repro.sim.pcm_timing import WritePolicy
         from repro.sim.core import run_trace
         from repro.workloads.synthetic import random_trace
 

@@ -125,13 +125,6 @@ class TestWriteAwareRefresh:
         with pytest.raises(ValueError):
             self._aware(-0.1)
 
-    def test_stream_skip_one_utility(self):
-        from repro.sim.refresh import RefreshStream
-
-        s = RefreshStream(gap_ns=10.0)
-        s.skip_one()
-        assert s.next_due_ns == 20.0 and s.skipped == 1
-
 
 class TestRowBufferRefreshInterplay:
     def test_optimized_refresh_preserves_open_rows(self):
